@@ -7,7 +7,7 @@
 //! every cache and returns every violation found. Property tests and
 //! integration tests call it after every phase of random executions.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use hmtx_mem::LineState;
 use hmtx_types::{LineAddr, Vid};
@@ -46,7 +46,9 @@ impl<B: ProtocolBackend> MemorySystem<B> {
     /// no timing model; run it at quiescent points (between accesses).
     pub fn check_invariants(&self) -> Vec<Violation> {
         let mut violations = Vec::new();
-        let mut per_addr: HashMap<LineAddr, Vec<(String, LineState, Vid, Vid)>> = HashMap::new();
+        // Per-address rules (3-6) are judged in address order, so which
+        // violation comes first never depends on a hash seed.
+        let mut per_addr: BTreeMap<LineAddr, Vec<(String, LineState, Vid, Vid)>> = BTreeMap::new();
 
         for (name, cache) in self.caches_for_scan() {
             for set_idx in 0..cache.config().num_sets() {
@@ -89,13 +91,13 @@ impl<B: ProtocolBackend> MemorySystem<B> {
             // (3) hit uniqueness among responders, for every possible VID.
             for a in 0..=max_vid {
                 let a = Vid(a);
-                let hitters: Vec<&(String, LineState, Vid, Vid)> = versions
-                    .iter()
-                    .filter(|(_, state, m, h)| {
-                        state.responds_to_snoops() && hits(*state, *m, *h, a)
-                    })
-                    .collect();
-                if hitters.len() > 1 {
+                let hit = |(_, state, m, h): &&(String, LineState, Vid, Vid)| {
+                    state.responds_to_snoops() && hits(*state, *m, *h, a)
+                };
+                // Count first: collecting allocates, and a clean scan
+                // visits every VID of every address.
+                if versions.iter().filter(hit).count() > 1 {
+                    let hitters: Vec<_> = versions.iter().filter(hit).collect();
                     violations.push(Violation {
                         rule: "at most one responding version hits per VID",
                         detail: format!("{addr} vid {a}: {hitters:?}"),
@@ -166,7 +168,7 @@ impl<B: ProtocolBackend> MemorySystem<B> {
     pub fn check_model_invariants(&self) -> Vec<Violation> {
         let mut violations = Vec::new();
         let committed = self.last_committed();
-        let mut per_addr: HashMap<LineAddr, Vec<(String, LineState)>> = HashMap::new();
+        let mut per_addr: BTreeMap<LineAddr, Vec<(String, LineState)>> = BTreeMap::new();
 
         let mut commit_safety = |name: &str, line: &hmtx_mem::LineMeta| {
             let superseded = matches!(
@@ -395,6 +397,41 @@ mod tests {
         plant(&mut mem, 0, 0x10, LineState::SpecModified, 2, 2);
         plant(&mut mem, 1, 0x10, LineState::SpecModified, 2, 2);
         expect_rule(&mem, "at most one S-M version per address");
+    }
+
+    #[test]
+    fn per_address_violations_are_reported_in_address_order() {
+        // Planted in descending address order, so neither insertion order
+        // nor a hash seed can produce the ascending order asserted below.
+        let lines = [0x90u64, 0x50, 0x31, 0x10];
+        let mut mem = MemorySystem::new(MachineConfig::test_default());
+        let mut aborted = MemorySystem::new(MachineConfig::test_default());
+        aborted.abort_all(1);
+        for &addr in &lines {
+            plant(&mut mem, 0, addr, LineState::SpecModified, 2, 2);
+            plant(&mut mem, 1, addr, LineState::SpecModified, 2, 2);
+            plant(&mut aborted, 0, addr, LineState::Exclusive, 0, 0);
+            plant(&mut aborted, 1, addr, LineState::Shared, 0, 0);
+        }
+        let prefixes = |violations: Vec<super::Violation>, rule: &str| -> Vec<String> {
+            violations
+                .into_iter()
+                .filter(|v| v.rule == rule)
+                .map(|v| v.detail.split(':').next().unwrap().to_string())
+                .collect()
+        };
+        let sorted: Vec<String> = lines
+            .iter()
+            .rev()
+            .map(|&a| format!("{}", LineAddr(a)))
+            .collect();
+        let sm = "at most one S-M version per address";
+        assert_eq!(prefixes(mem.check_invariants(), sm), sorted);
+        let exclusive = "no duplicate Exclusive after abort";
+        assert_eq!(
+            prefixes(aborted.check_model_invariants(), exclusive),
+            sorted
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hmtx_core::{AccessKind, AccessRequest, AccessResponse, MemorySystem};
-use hmtx_types::{Addr, CoreId, MachineConfig, SeedBug, Vid};
+use hmtx_types::{Addr, CoreId, MachineConfig, SeedBug, Vid, LINE_SIZE};
 
 use crate::kernel::OpKernel;
 use crate::Failure;
@@ -247,11 +247,16 @@ fn execute_inner(kernel: &OpKernel, order: &[usize], seed_bug: Option<SeedBug>) 
 }
 
 /// The machine configuration the model checker and [`execute_order_checked`]
-/// share: the test geometry, core count covering every core the kernel
-/// names, and a VID space of at least `txs + 1`. Checker and replay **must**
-/// build identical configurations or counterexamples would not reproduce.
+/// share: the test geometry compacted to the kernel's lines (see
+/// [`compact_sets`]), core count covering every core the kernel names, and
+/// a VID space of at least `txs + 1`. Checker and replay **must** build
+/// identical configurations or counterexamples would not reproduce.
 pub fn model_machine_config(kernel: &OpKernel, seed_bug: Option<SeedBug>) -> MachineConfig {
     let mut cfg = MachineConfig::test_default();
+    let lines = touched_lines(kernel);
+    for cache in [&mut cfg.l1, &mut cfg.l2] {
+        cache.size_bytes = compact_sets(&lines, cache.num_sets()) * cache.ways * LINE_SIZE;
+    }
     let max_core = kernel
         .txs
         .iter()
@@ -264,6 +269,44 @@ pub fn model_machine_config(kernel: &OpKernel, seed_bug: Option<SeedBug>) -> Mac
     cfg.hmtx.vid_bits = cfg.hmtx.vid_bits.max(need_bits);
     cfg.hmtx.seed_bug = seed_bug;
     cfg
+}
+
+/// Every line the kernel can touch (tracked words and op addresses), sorted.
+fn touched_lines(kernel: &OpKernel) -> Vec<u64> {
+    let ops = kernel.txs.iter().flatten().map(|op| op.addr);
+    let mut lines: Vec<u64> = kernel
+        .tracked
+        .iter()
+        .copied()
+        .chain(ops)
+        .map(|a| Addr(a).line().0)
+        .collect();
+    lines.sort_unstable();
+    lines.dedup();
+    lines
+}
+
+/// The smallest power-of-two set count, at most `full`, under which two of
+/// `lines` share a set exactly when they do with `full` sets. A model
+/// touches only these lines, so every set they map to keeps the same ways
+/// and the same occupants — and with them the same versions, LRU ranks and
+/// overflow decisions — while a fork copies a few slots instead of the
+/// whole test geometry. Directory banks are chosen by address, not set,
+/// and the canonical state encoding never reads set indices.
+fn compact_sets(lines: &[u64], full: usize) -> usize {
+    let conflict = |sets: usize, a: u64, b: u64| (a ^ b) & (sets as u64 - 1) == 0;
+    let same_conflicts = |sets: usize| {
+        lines.iter().enumerate().all(|(i, &a)| {
+            lines[i + 1..]
+                .iter()
+                .all(|&b| conflict(sets, a, b) == conflict(full, a, b))
+        })
+    };
+    let mut sets = 1;
+    while sets < full && !same_conflicts(sets) {
+        sets *= 2;
+    }
+    sets
 }
 
 /// An incremental, forkable executor of an [`OpKernel`] with the model
@@ -761,6 +804,95 @@ mod tests {
             !buggy.failures.is_empty(),
             "the planted migration defect must be rediscovered"
         );
+    }
+
+    /// Every cache's abstract view with set indices erased, in canonical
+    /// order.
+    #[allow(clippy::type_complexity)]
+    fn views_without_sets(
+        m: &OpMachine,
+    ) -> Vec<Vec<(usize, u64, u8, u16, u16, u16, bool, bool, u8, u64)>> {
+        m.mem
+            .caches_for_scan()
+            .into_iter()
+            .map(|(_, cache)| {
+                let mut view: Vec<_> = cache
+                    .abstract_view()
+                    .iter()
+                    .map(|l| {
+                        let mut key = l.sort_key();
+                        key.0 = 0; // the set index
+                        key
+                    })
+                    .collect();
+                view.sort_unstable();
+                view
+            })
+            .collect()
+    }
+
+    #[test]
+    fn compact_model_geometry_behaves_like_the_test_geometry() {
+        let model = |cores, lines, vid_bits| {
+            crate::kernel::model_kernel(&hmtx_types::ModelCheckConfig {
+                cores,
+                lines,
+                vid_bits,
+                ..hmtx_types::ModelCheckConfig::default()
+            })
+        };
+        let mut kernels = vec![model(2, 2, 2), model(3, 3, 2), model(2, 2, 3)];
+        kernels.extend(op_kernels());
+        for k in &kernels {
+            let compact = OpMachine::new(k, None);
+            let mut full_cfg = model_machine_config(k, None);
+            full_cfg.l1 = MachineConfig::test_default().l1;
+            full_cfg.l2 = MachineConfig::test_default().l2;
+            let full = OpMachine {
+                mem: MemorySystem::new(full_cfg.clone()),
+                ..compact.clone()
+            };
+            let cfg = compact.mem.config();
+            assert!(cfg.l2.num_sets() < full_cfg.l2.num_sets(), "{}", k.name);
+            let lines = touched_lines(k);
+            for cache in [cfg.l1, cfg.l2, full_cfg.l1, full_cfg.l2] {
+                let mut sets: Vec<usize> = lines
+                    .iter()
+                    .map(|&l| hmtx_types::LineAddr(l).set_index(cache.num_sets()))
+                    .collect();
+                sets.sort_unstable();
+                sets.dedup();
+                assert_eq!(sets.len(), lines.len(), "{}: {cache:?}", k.name);
+            }
+
+            // The same seeded random orders through both geometries.
+            for seed in 1..=16u64 {
+                let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let (mut a, mut b) = (compact.clone(), full.clone());
+                assert_eq!(a.settle(k), b.settle(k));
+                loop {
+                    let enabled = a.enabled(k);
+                    assert_eq!(enabled, b.enabled(k), "{}", k.name);
+                    if enabled.is_empty() {
+                        assert_eq!(a.finish(k), b.finish(k), "{}", k.name);
+                        break;
+                    }
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    let tx = enabled[(rng % enabled.len() as u64) as usize];
+                    let (ra, rb) = (a.step(k, tx), b.step(k, tx));
+                    let at = format!("{} seed {seed} trace {:?}", k.name, a.trace);
+                    assert_eq!(ra, rb, "{at}");
+                    assert_eq!(a.committed, b.committed, "{at}");
+                    assert_eq!(a.misspec, b.misspec, "{at}");
+                    assert_eq!(views_without_sets(&a), views_without_sets(&b), "{at}");
+                    if ra.is_err() {
+                        break;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

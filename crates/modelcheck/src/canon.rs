@@ -2,9 +2,9 @@
 //!
 //! The visited set stores one 64-bit hash per canonical state
 //! (hash compaction, Stern–Dill style). A state's canonical hash is the
-//! minimum, over every core permutation × line permutation, of the hash of
-//! its encoding with caches, per-op core bindings, and line addresses
-//! relabeled through the permutation.
+//! minimum, over the core permutation × line permutation pairs that can map
+//! it onto another reachable state, of the hash of its encoding with caches
+//! and line addresses relabeled through the permutation.
 //!
 //! # Why the reduction is sound
 //!
@@ -12,15 +12,28 @@
 //! encoding covers (a) every cache's protocol-visible content
 //! ([`hmtx_mem::Cache::abstract_view`]: states, VID pairs, phantom marks,
 //! hints, pending lazy commits, per-set LRU ranks, and the stamped data
-//! word), (b) the §8 overflow table, and (c) each transaction's **remaining
-//! ops** with their core and line bindings relabeled through the same
-//! permutation. The protocol itself never branches on a raw core index or
-//! address value — only on the relations the encoding preserves — so a
-//! violation reachable from one member of an orbit is reachable (modulo
-//! renaming) from every member. Timing (`now`, latencies, statistics) is
-//! excluded: it influences reported cycle counts, never a transition
-//! outcome. Line renaming does permute physical set indices, which is why
-//! model geometries are sized to be conflict-miss-free (DESIGN.md §12).
+//! word), (b) the §8 overflow table, and (c) each transaction's progress,
+//! which together with the fixed kernel determines its **remaining ops**
+//! and their core and line bindings. The protocol itself never branches on
+//! a raw core index or address value — only on the relations the encoding
+//! preserves — so a violation reachable from one member of an orbit is
+//! reachable (modulo renaming) from every member. Timing (`now`,
+//! latencies, statistics) is excluded: it influences reported cycle
+//! counts, never a transition outcome. Line renaming does permute physical
+//! set indices, which is why model geometries give every line a set of its
+//! own (DESIGN.md §12).
+//!
+//! # Why the stabilizer suffices
+//!
+//! Progress (`next[]`) and `committed` are hashed unrelabeled, and a
+//! transaction's VID is its identity, so a permutation can only merge two
+//! states that have the same remaining ops *after* relabeling: it must fix
+//! every core and line some remaining op is bound to. Those permutations
+//! form a group (the stabilizer of the remaining work), and two states lie
+//! in one orbit of the full core × line group exactly when they lie in one
+//! orbit of the stabilizer. Minimizing over the stabilizer alone therefore
+//! merges exactly the states the full search merges; for most states it is
+//! the identity alone.
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 
@@ -64,14 +77,59 @@ struct RawLine {
     body: LineBody,
 }
 
-/// Precomputed encoder for one kernel: the line-address table and the
+/// One permutation of core or line indices, stored as the label of each
+/// raw index, with the set of indices it fixes.
+#[derive(Debug)]
+struct Relabel {
+    label: Vec<usize>,
+    fixed: u64,
+}
+
+impl Relabel {
+    fn identity(n: usize) -> Self {
+        Relabel {
+            label: (0..n).collect(),
+            fixed: u64::MAX,
+        }
+    }
+
+    fn new(perm: &[usize]) -> Self {
+        let mut label = vec![0; perm.len()];
+        // Indices beyond the permuted range are fixed by definition.
+        let mut fixed = u64::MAX.checked_shl(perm.len() as u32).unwrap_or(0);
+        for (l, &raw) in perm.iter().enumerate() {
+            label[raw] = l;
+            if l == raw {
+                fixed |= 1 << raw;
+            }
+        }
+        Relabel { label, fixed }
+    }
+
+    /// Every permutation of `0..n` (identity first).
+    fn all(n: usize) -> Vec<Self> {
+        permutations(n).iter().map(|p| Relabel::new(p)).collect()
+    }
+
+    /// Whether the permutation fixes every index in `bound`.
+    fn fixes(&self, bound: u64) -> bool {
+        bound & !self.fixed == 0
+    }
+}
+
+/// Precomputed encoder for one kernel: the line-address table, the cores
+/// and lines each transaction's remaining ops are bound to, and the
 /// permutation sets to minimize over.
 #[derive(Debug)]
 pub struct Encoder {
     lines: Vec<u64>,
     cores: usize,
-    core_perms: Vec<Vec<usize>>,
-    line_perms: Vec<Vec<usize>>,
+    /// `bound[t][k]`: masks of the cores and lines transaction `t`'s ops
+    /// `k..` are bound to (a trailing `(0, 0)` for a finished transaction;
+    /// empty without symmetry, where the identity is the only permutation).
+    bound: Vec<Vec<(u64, u64)>>,
+    core_perms: Vec<Relabel>,
+    line_perms: Vec<Relabel>,
 }
 
 impl Encoder {
@@ -80,20 +138,36 @@ impl Encoder {
     /// still abstracts timing, so duplicate interleavings still merge).
     pub fn new(kernel: &OpKernel, cores: usize, symmetry: bool) -> Self {
         let lines = kernel.tracked.clone();
-        let (core_perms, line_perms) = if symmetry {
-            (permutations(cores), permutations(lines.len()))
-        } else {
-            (
-                vec![(0..cores).collect()],
-                vec![(0..lines.len()).collect()],
-            )
-        };
-        Encoder {
-            lines,
+        let mut encoder = Encoder {
             cores,
-            core_perms,
-            line_perms,
+            bound: Vec::new(),
+            core_perms: vec![Relabel::identity(cores)],
+            line_perms: vec![Relabel::identity(lines.len())],
+            lines,
+        };
+        if symmetry {
+            assert!(
+                cores <= 64 && encoder.lines.len() <= 64,
+                "symmetry reduction over more than 64 cores or lines"
+            );
+            encoder.core_perms = Relabel::all(cores);
+            encoder.line_perms = Relabel::all(encoder.lines.len());
+            encoder.bound = kernel
+                .txs
+                .iter()
+                .map(|ops| {
+                    let mut suffix = vec![(0u64, 0u64); ops.len() + 1];
+                    for (k, op) in ops.iter().enumerate().rev() {
+                        let (c, l) = suffix[k + 1];
+                        let line = encoder.line_index(Addr(op.addr).line());
+                        let line_bit = if line == usize::MAX { 0 } else { 1 << line };
+                        suffix[k] = (c | 1 << op.core, l | line_bit);
+                    }
+                    suffix
+                })
+                .collect();
         }
+        encoder
     }
 
     fn line_index(&self, line: LineAddr) -> usize {
@@ -103,9 +177,8 @@ impl Encoder {
             .unwrap_or(usize::MAX)
     }
 
-    /// The canonical hash of a model state.
-    pub fn state_hash(&self, kernel: &OpKernel, m: &OpMachine) -> u64 {
-        // Extract every stored version once, with raw indices.
+    /// Every stored version of `m`, with raw cache and line indices.
+    fn raw_lines(&self, m: &OpMachine) -> Vec<RawLine> {
         let mut raw: Vec<RawLine> = Vec::new();
         for (idx, (_, cache)) in m.mem.caches_for_scan().into_iter().enumerate() {
             for a in cache.abstract_view() {
@@ -141,55 +214,58 @@ impl Encoder {
                 ),
             });
         }
+        raw
+    }
+
+    /// The cache contents relabeled through `cp` and `lp`: caches in label
+    /// order, line versions sorted within each cache.
+    fn relabel_into(
+        &self,
+        raw: &[RawLine],
+        cp: &[usize],
+        lp: &[usize],
+        enc: &mut Vec<(usize, usize, LineBody)>,
+    ) {
+        enc.clear();
+        enc.extend(raw.iter().map(|r| {
+            let cache = if r.cache < self.cores {
+                cp[r.cache]
+            } else {
+                r.cache
+            };
+            let line = if r.line == usize::MAX {
+                usize::MAX
+            } else {
+                lp[r.line]
+            };
+            (cache, line, r.body)
+        }));
+        enc.sort_unstable();
+    }
+
+    /// The canonical hash of a model state.
+    pub fn state_hash(&self, kernel: &OpKernel, m: &OpMachine) -> u64 {
+        let raw = self.raw_lines(m);
+
+        // Progress identifies the remaining ops, which every permutation
+        // in the stabilizer leaves as they are.
+        let mut prefix = DefaultHasher::new();
+        m.committed.hash(&mut prefix);
+        m.misspec.is_some().hash(&mut prefix);
+        m.next.hash(&mut prefix);
+        let (bound_cores, bound_lines) = self
+            .bound
+            .iter()
+            .enumerate()
+            .map(|(t, suffix)| suffix[m.next[t].min(kernel.txs[t].len())])
+            .fold((0, 0), |(c, l), (tc, tl)| (c | tc, l | tl));
 
         let mut best = u64::MAX;
-        for cp in &self.core_perms {
-            // Inverse: label of each raw core index.
-            let mut core_label = vec![0usize; self.cores];
-            for (label, &core) in cp.iter().enumerate() {
-                core_label[core] = label;
-            }
-            for lp in &self.line_perms {
-                let mut line_label = vec![0usize; self.lines.len()];
-                for (label, &line) in lp.iter().enumerate() {
-                    line_label[line] = label;
-                }
-                let relabel_line = |line: usize| {
-                    if line == usize::MAX {
-                        usize::MAX
-                    } else {
-                        line_label[line]
-                    }
-                };
-
-                let mut h = DefaultHasher::new();
-                m.committed.hash(&mut h);
-                m.misspec.is_some().hash(&mut h);
-                // Per-transaction progress and *remaining* ops, relabeled.
-                // Encoding the future workload (not just a progress counter)
-                // is what keeps the reduction sound for arbitrary kernels.
-                for (t, ops) in kernel.txs.iter().enumerate() {
-                    m.next[t].hash(&mut h);
-                    for op in &ops[m.next[t].min(ops.len())..] {
-                        core_label[op.core].hash(&mut h);
-                        relabel_line(self.line_index(Addr(op.addr).line())).hash(&mut h);
-                        op.write.hash(&mut h);
-                    }
-                }
-                // Cache contents, caches emitted in label order, line
-                // versions sorted within each cache.
-                let mut enc: Vec<(usize, usize, LineBody)> = raw
-                    .iter()
-                    .map(|r| {
-                        let cache = if r.cache < self.cores {
-                            core_label[r.cache]
-                        } else {
-                            r.cache
-                        };
-                        (cache, relabel_line(r.line), r.body)
-                    })
-                    .collect();
-                enc.sort_unstable();
+        let mut enc: Vec<(usize, usize, LineBody)> = Vec::with_capacity(raw.len());
+        for cp in self.core_perms.iter().filter(|p| p.fixes(bound_cores)) {
+            for lp in self.line_perms.iter().filter(|p| p.fixes(bound_lines)) {
+                self.relabel_into(&raw, &cp.label, &lp.label, &mut enc);
+                let mut h = prefix.clone();
                 enc.hash(&mut h);
                 best = best.min(h.finish());
             }
@@ -228,15 +304,77 @@ mod tests {
         assert_ne!(enc.state_hash(&kernel, &a), enc.state_hash(&kernel, &c));
     }
 
+    /// The canonical hash over the *full* core × line group, relabeling
+    /// the remaining ops along with the caches: the search the stabilizer
+    /// restriction replaces.
+    fn full_group_hash(enc: &Encoder, kernel: &OpKernel, m: &OpMachine) -> u64 {
+        let raw = enc.raw_lines(m);
+        let mut best = u64::MAX;
+        let mut lines = Vec::new();
+        for cp in Relabel::all(enc.cores) {
+            for lp in Relabel::all(enc.lines.len()) {
+                let mut h = DefaultHasher::new();
+                m.committed.hash(&mut h);
+                m.misspec.is_some().hash(&mut h);
+                for (t, ops) in kernel.txs.iter().enumerate() {
+                    m.next[t].hash(&mut h);
+                    for op in &ops[m.next[t]..] {
+                        cp.label[op.core].hash(&mut h);
+                        lp.label[enc.line_index(Addr(op.addr).line())].hash(&mut h);
+                        op.write.hash(&mut h);
+                    }
+                }
+                enc.relabel_into(&raw, &cp.label, &lp.label, &mut lines);
+                lines.hash(&mut h);
+                best = best.min(h.finish());
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn stabilizer_merges_exactly_what_the_full_group_merges() {
+        // Breadth-first over every state c3-l3-v2 reaches: two states share
+        // a stabilizer-restricted hash exactly when they share a full-group
+        // hash, and the full group does merge some of them.
+        let cfg = ModelCheckConfig {
+            cores: 3,
+            lines: 3,
+            ..ModelCheckConfig::default()
+        };
+        let kernel = model_kernel(&cfg);
+        let enc = Encoder::new(&kernel, cfg.cores, true);
+        let asym = Encoder::new(&kernel, cfg.cores, false);
+        let mut root = OpMachine::new(&kernel, None);
+        root.settle(&kernel).unwrap();
+        let mut full_to_restricted = std::collections::HashMap::new();
+        let mut restricted_to_full = std::collections::HashMap::new();
+        let mut unreduced = std::collections::HashSet::new();
+        let mut queue = std::collections::VecDeque::from([root]);
+        while let Some(m) = queue.pop_front() {
+            let full = full_group_hash(&enc, &kernel, &m);
+            let restricted = enc.state_hash(&kernel, &m);
+            assert_eq!(*restricted_to_full.entry(restricted).or_insert(full), full);
+            if *full_to_restricted.entry(full).or_insert(restricted) != restricted {
+                panic!("the restriction split a full-group orbit");
+            }
+            if !unreduced.insert(asym.state_hash(&kernel, &m)) {
+                continue;
+            }
+            for tx in m.enabled(&kernel) {
+                let mut child = m.clone();
+                child.step(&kernel, tx).unwrap();
+                queue.push_back(child);
+            }
+        }
+        assert_eq!(unreduced.len(), 1948);
+        assert_eq!(full_to_restricted.len(), 1945);
+    }
+
     #[test]
     fn symmetric_interleavings_merge_under_the_reduction() {
-        // Transactions 1 and 3 of the 2-core model both run on core 0 and
-        // write VID-stamped values; with symmetry on, reading line 0 first
-        // vs line 1 first from the initial state is the same canonical
-        // state under the line swap... but the op *values* differ per VID,
-        // so the cleanest check is line-order within one transaction:
-        // tx0 reading line A then B must collide with a hypothetical
-        // mirror. Instead, check the weaker guaranteed property: the
+        // Which states merge is covered exhaustively by
+        // `stabilizer_merges_exactly_what_the_full_group_merges`; here, the
         // identity permutation is always included, so symmetry never
         // merges a state with itself differently.
         let cfg = ModelCheckConfig::default();

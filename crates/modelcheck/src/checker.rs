@@ -158,28 +158,42 @@ mod tests {
         assert!(report.reachable > 100, "suspiciously small: {report}");
     }
 
+    /// `(reachable, transitions, frontier_peak)` of a report.
+    fn counts(report: &ModelCheckReport) -> (usize, usize, usize) {
+        (report.reachable, report.transitions, report.frontier_peak)
+    }
+
     #[test]
     fn symmetry_never_changes_the_verdict_or_grows_the_state_count() {
         // The reduction is sound (it can only merge isomorphic-future
         // states), so it must preserve the verdict and never *increase*
-        // the canonical state count. On VID-ordered kernels the orbits are
-        // provably singletons — the VID total order pins every transaction
-        // to its core and line-visit order, so no nontrivial permutation
-        // maps a reachable state to another reachable state (DESIGN.md
-        // §12.4) — which is why this asserts `<=`, not `<`.
-        let sym = check(&ModelCheckConfig::default());
-        let asym = check(&ModelCheckConfig {
-            symmetry: false,
+        // the canonical state count. It is not idle: although the VID
+        // order pins every transaction's remaining ops to their cores and
+        // lines, misspeculated terminal states whose two finished cores
+        // hold mirror-image copies do merge — 3 of them at c3-l3-v2
+        // (DESIGN.md §12.4). The exact counts are pinned so that any
+        // change to the model geometry or the canonical encoding that
+        // merges or splits a single state shows up here.
+        let c2 = ModelCheckConfig::default();
+        let c3 = ModelCheckConfig {
+            cores: 3,
+            lines: 3,
             ..ModelCheckConfig::default()
-        });
-        assert!(sym.is_clean() && asym.is_clean());
-        assert_eq!(sym.exhausted, asym.exhausted);
-        assert!(
-            sym.reachable <= asym.reachable,
-            "a sound reduction cannot split orbits: {} vs {}",
-            sym.reachable,
-            asym.reachable
-        );
+        };
+        for (cfg, sym_counts, asym_counts) in [
+            (c2, (543, 770, 92), (543, 770, 92)),
+            (c3, (1945, 2775, 227), (1948, 2775, 227)),
+        ] {
+            let sym = check(&cfg);
+            let asym = check(&ModelCheckConfig {
+                symmetry: false,
+                ..cfg
+            });
+            assert!(sym.is_clean() && asym.is_clean(), "{sym}\n{asym}");
+            assert!(sym.exhausted && asym.exhausted, "{sym}\n{asym}");
+            assert_eq!(counts(&sym), sym_counts, "{sym}");
+            assert_eq!(counts(&asym), asym_counts, "{asym}");
+        }
     }
 
     #[test]
@@ -190,6 +204,13 @@ mod tests {
         });
         assert!(!report.exhausted);
         assert_eq!(report.reachable, 10);
+        let v3 = check(&ModelCheckConfig {
+            vid_bits: 3,
+            max_states: 500,
+            ..ModelCheckConfig::default()
+        });
+        assert!(!v3.exhausted && v3.is_clean(), "{v3}");
+        assert_eq!(counts(&v3), (500, 678, 395), "{v3}");
     }
 
     #[test]
@@ -245,6 +266,10 @@ mod tests {
             !report.is_clean(),
             "the planted migration defect must be rediscovered: {report}"
         );
+        assert_eq!(counts(&report), (51, 103, 10), "{report}");
+        let first = &report.violations[0];
+        assert_eq!(first.rule, "at most one responding version hits per VID");
+        assert_eq!(first.depth, 2, "{first:?}");
         // Every counterexample replays to the same violated rule.
         for v in &report.violations {
             let replay = execute_order_checked(&kernel, &v.order, cfg.seed_bug);

@@ -31,12 +31,14 @@ cargo clippy --workspace --all-targets
 # protocol, register dataflow, queue matching/deadlock, store escape).
 cargo run --release -p hmtx --bin hmtx-verify -- --all-workloads
 
-# Protocol model-check gate: the 2-core × 2-line × vid_bits=2 model must
-# exhaust clean in seconds — every reachable state satisfies every cache
-# invariant, commit safety, and the serializability oracle — and the
-# planted stale-migration-replica defect must be rediscovered (nonzero
-# exit), proving the checker can still find real bugs.
+# Protocol model-check gate: the 2-core × 2-line and 3-core × 3-line
+# vid_bits=2 models must exhaust clean in well under a second — every
+# reachable state satisfies every cache invariant, commit safety, and the
+# serializability oracle — and the planted stale-migration-replica defect
+# must be rediscovered (nonzero exit), proving the checker can still find
+# real bugs.
 cargo run --release -p hmtx-modelcheck --bin hmtx-model
+cargo run --release -p hmtx-modelcheck --bin hmtx-model -- --cores 3 --lines 3
 if cargo run --release -p hmtx-modelcheck --bin hmtx-model -- \
     --seed-bug stale-migration-replica >/dev/null; then
   echo "hmtx-model failed to rediscover the planted defect" >&2
