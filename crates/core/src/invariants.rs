@@ -6,10 +6,13 @@
 //! module makes them executable: [`MemorySystem::check_invariants`] scans
 //! every cache and returns every violation found. Property tests and
 //! integration tests call it after every phase of random executions.
+//!
+//! The model checker runs both scans after every op of every state it
+//! explores, and nearly every scan is clean, so a clean scan allocates one
+//! flat version list and nothing else: caches are scanned by position and
+//! named (`L1[i]`, `L2`) only inside a violation's `detail`.
 
-use std::collections::BTreeMap;
-
-use hmtx_mem::LineState;
+use hmtx_mem::{Cache, LineMeta, LineState};
 use hmtx_types::{LineAddr, Vid};
 
 use crate::backend::ProtocolBackend;
@@ -25,7 +28,91 @@ pub struct Violation {
     pub detail: String,
 }
 
+/// One served version, as the per-address rules judge it; `cache` is the
+/// position of its cache in [`MemorySystem::caches`].
+#[derive(Debug, Clone, Copy)]
+struct Version {
+    addr: LineAddr,
+    cache: usize,
+    state: LineState,
+    mod_vid: Vid,
+    high_vid: Vid,
+}
+
+impl Version {
+    fn new(cache: usize, line: &LineMeta) -> Self {
+        Version {
+            addr: line.addr,
+            cache,
+            state: line.state,
+            mod_vid: line.mod_vid,
+            high_vid: line.high_vid,
+        }
+    }
+
+    /// The closed interval of request VIDs in `0..=max` this version hits
+    /// as a snoop responder (`None` if it stays silent or hits none):
+    /// every VID for a non-speculative owner, `[modVID, max]` for `S-M`
+    /// and `S-E`, `[modVID, highVID - 1]` for `S-O`.
+    fn hit_interval(&self, max: u16) -> Option<(u16, u16)> {
+        let (lo, hi) = match self.state {
+            LineState::Shared | LineState::SpecShared => return None,
+            LineState::Modified | LineState::Owned | LineState::Exclusive => (0, max),
+            LineState::SpecModified | LineState::SpecExclusive => (self.mod_vid.0, max),
+            LineState::SpecOwned => (self.mod_vid.0, self.high_vid.0.checked_sub(1)?.min(max)),
+        };
+        (lo <= hi).then_some((lo, hi))
+    }
+}
+
+/// Groups `versions` by address, in address order and, within an address,
+/// in scan order (the sort is stable), so which violation comes first
+/// never depends on a hash seed.
+fn by_address(versions: &mut [Version]) -> impl Iterator<Item = &[Version]> {
+    versions.sort_by_key(|v| v.addr);
+    versions.chunk_by(|a, b| a.addr == b.addr)
+}
+
 impl<B: ProtocolBackend> MemorySystem<B> {
+    /// Calls `f(cache, line)` for every stored version as the protocol
+    /// would serve it, in cache, set and way order: pending lazy commit
+    /// processing (§5.3) is applied to a snapshot first, and versions it
+    /// invalidates are skipped — committed-but-unprocessed versions are
+    /// exactly the paper's set-CB-bit state and are never served. `cache`
+    /// is the position in [`Self::caches`].
+    fn for_each_served_line(&self, mut f: impl FnMut(usize, &LineMeta)) {
+        for (idx, cache) in self.caches().enumerate() {
+            for set_idx in 0..cache.config().num_sets() {
+                for stored in cache.set_metas(set_idx) {
+                    let mut processed = *stored;
+                    if processed.commit_epoch < cache.commit_epoch()
+                        && B::apply_commit(&mut processed, cache.lc_vid()) == Outcome::Invalidate
+                    {
+                        continue;
+                    }
+                    f(idx, &processed);
+                }
+            }
+        }
+    }
+
+    /// An empty version list with room for every stored version.
+    fn version_list(&self) -> Vec<Version> {
+        Vec::with_capacity(self.caches().map(Cache::occupancy).sum())
+    }
+
+    /// Versions as a violation's detail prints them:
+    /// `(cache name, state, modVID, highVID)` each.
+    fn named<'a>(
+        &self,
+        versions: impl IntoIterator<Item = &'a Version>,
+    ) -> Vec<(String, LineState, Vid, Vid)> {
+        versions
+            .into_iter()
+            .map(|v| (self.cache_name(v.cache), v.state, v.mod_vid, v.high_vid))
+            .collect()
+    }
+
     /// Scans the entire hierarchy for protocol invariant violations:
     ///
     /// 1. `modVID <= highVID` on every version;
@@ -46,97 +133,82 @@ impl<B: ProtocolBackend> MemorySystem<B> {
     /// no timing model; run it at quiescent points (between accesses).
     pub fn check_invariants(&self) -> Vec<Violation> {
         let mut violations = Vec::new();
-        // Per-address rules (3-6) are judged in address order, so which
-        // violation comes first never depends on a hash seed.
-        let mut per_addr: BTreeMap<LineAddr, Vec<(String, LineState, Vid, Vid)>> = BTreeMap::new();
-
-        for (name, cache) in self.caches_for_scan() {
-            for set_idx in 0..cache.config().num_sets() {
-                for stored in cache.set_metas(set_idx) {
-                    // Judge the line as the protocol would see it: apply any
-                    // pending lazy commit processing (§5.3) to a snapshot
-                    // first — committed-but-unprocessed versions are exactly
-                    // the paper's set-CB-bit state and are never served.
-                    let mut processed = *stored;
-                    if processed.commit_epoch < cache.commit_epoch()
-                        && B::apply_commit(&mut processed, cache.lc_vid()) == Outcome::Invalidate
-                    {
-                        continue;
-                    }
-                    let line = &processed;
-                    if line.mod_vid > line.high_vid {
-                        violations.push(Violation {
-                            rule: "modVID <= highVID",
-                            detail: format!("{name}: {} {}", line.addr, line.describe()),
-                        });
-                    }
-                    if line.state == LineState::SpecExclusive && line.mod_vid.is_speculative() {
-                        violations.push(Violation {
-                            rule: "S-E implies modVID == 0",
-                            detail: format!("{name}: {} {}", line.addr, line.describe()),
-                        });
-                    }
-                    per_addr.entry(line.addr).or_default().push((
-                        name.clone(),
-                        line.state,
-                        line.mod_vid,
-                        line.high_vid,
-                    ));
-                }
+        let mut versions = self.version_list();
+        self.for_each_served_line(|cache, line| {
+            let mut report = |rule| {
+                violations.push(Violation {
+                    rule,
+                    detail: format!(
+                        "{}: {} {}",
+                        self.cache_name(cache),
+                        line.addr,
+                        line.describe()
+                    ),
+                });
+            };
+            if line.mod_vid > line.high_vid {
+                report("modVID <= highVID");
             }
-        }
+            if line.state == LineState::SpecExclusive && line.mod_vid.is_speculative() {
+                report("S-E implies modVID == 0");
+            }
+            versions.push(Version::new(cache, line));
+        });
 
         let max_vid = self.config().hmtx.max_vid().0;
-        for (addr, versions) in &per_addr {
+        for group in by_address(&mut versions) {
+            let addr = group[0].addr;
             // (3) hit uniqueness among responders, for every possible VID.
-            for a in 0..=max_vid {
-                let a = Vid(a);
-                let hit = |(_, state, m, h): &&(String, LineState, Vid, Vid)| {
-                    state.responds_to_snoops() && hits(*state, *m, *h, a)
-                };
-                // Count first: collecting allocates, and a clean scan
-                // visits every VID of every address.
-                if versions.iter().filter(hit).count() > 1 {
-                    let hitters: Vec<_> = versions.iter().filter(hit).collect();
-                    violations.push(Violation {
-                        rule: "at most one responding version hits per VID",
-                        detail: format!("{addr} vid {a}: {hitters:?}"),
-                    });
+            // Two responders share a hit VID exactly when their hit
+            // intervals intersect; only then are VIDs enumerated, to report
+            // each shared VID with all of its hitters.
+            let hits = |v: &Version, a: u16| {
+                v.hit_interval(max_vid)
+                    .is_some_and(|(lo, hi)| lo <= a && a <= hi)
+            };
+            let overlap = group.iter().enumerate().any(|(i, x)| {
+                x.hit_interval(max_vid).is_some_and(|(lo, hi)| {
+                    group[i + 1..].iter().any(|y| {
+                        y.hit_interval(max_vid)
+                            .is_some_and(|(ylo, yhi)| lo.max(ylo) <= hi.min(yhi))
+                    })
+                })
+            });
+            if overlap {
+                for a in 0..=max_vid {
+                    if group.iter().filter(|v| hits(v, a)).count() > 1 {
+                        let hitters = self.named(group.iter().filter(|v| hits(v, a)));
+                        violations.push(Violation {
+                            rule: "at most one responding version hits per VID",
+                            detail: format!("{addr} vid {}: {hitters:?}", Vid(a)),
+                        });
+                    }
                 }
             }
+            let mut report = |rule, count: usize| {
+                if count > 1 {
+                    violations.push(Violation {
+                        rule,
+                        detail: format!("{addr}: {:?}", self.named(group)),
+                    });
+                }
+            };
+            let count = |pred: fn(LineState) -> bool| group.iter().filter(|v| pred(v.state)).count();
             // (4) single writable non-speculative copy.
-            let writable = versions
-                .iter()
-                .filter(|(_, s, _, _)| s.is_writable())
-                .count();
-            if writable > 1 {
-                violations.push(Violation {
-                    rule: "at most one writable non-speculative copy",
-                    detail: format!("{addr}: {versions:?}"),
-                });
-            }
+            report(
+                "at most one writable non-speculative copy",
+                count(LineState::is_writable),
+            );
             // (5) single live S-M.
-            let sm = versions
-                .iter()
-                .filter(|(_, s, _, _)| *s == LineState::SpecModified)
-                .count();
-            if sm > 1 {
-                violations.push(Violation {
-                    rule: "at most one S-M version per address",
-                    detail: format!("{addr}: {versions:?}"),
-                });
-            }
+            report(
+                "at most one S-M version per address",
+                count(|s| s == LineState::SpecModified),
+            );
             // (6) single dirty non-speculative owner.
-            let dirty_nonspec = versions
-                .iter()
-                .filter(|(_, s, _, _)| matches!(s, LineState::Modified | LineState::Owned))
-                .count();
-            if dirty_nonspec > 1 {
-                violations.push(Violation {
-                    rule: "at most one dirty non-speculative owner",
-                    detail: format!("{addr}: {versions:?}"),
-                });
-            }
+            report(
+                "at most one dirty non-speculative owner",
+                count(|s| matches!(s, LineState::Modified | LineState::Owned)),
+            );
         }
         violations
     }
@@ -168,9 +240,14 @@ impl<B: ProtocolBackend> MemorySystem<B> {
     pub fn check_model_invariants(&self) -> Vec<Violation> {
         let mut violations = Vec::new();
         let committed = self.last_committed();
-        let mut per_addr: BTreeMap<LineAddr, Vec<(String, LineState)>> = BTreeMap::new();
+        let abort_seen = self.abort_seen();
+        let mut versions = if abort_seen {
+            self.version_list()
+        } else {
+            Vec::new()
+        };
 
-        let mut commit_safety = |name: &str, line: &hmtx_mem::LineMeta| {
+        let stale = |line: &LineMeta| {
             let superseded = matches!(
                 line.state,
                 LineState::SpecOwned | LineState::SpecShared
@@ -178,67 +255,47 @@ impl<B: ProtocolBackend> MemorySystem<B> {
             let stale_mod = line.state.is_speculative()
                 && line.mod_vid.is_speculative()
                 && line.mod_vid <= committed;
-            if superseded || stale_mod {
-                violations.push(Violation {
-                    rule: "committed modVID never stays speculative",
-                    detail: format!(
-                        "{name}: {} {} after commit of v{}",
-                        line.addr,
-                        line.describe(),
-                        committed.0
-                    ),
-                });
-            }
+            superseded || stale_mod
+        };
+        let commit_safety = |name: &str, line: &LineMeta| Violation {
+            rule: "committed modVID never stays speculative",
+            detail: format!(
+                "{name}: {} {} after commit of v{}",
+                line.addr,
+                line.describe(),
+                committed.0
+            ),
         };
 
-        for (name, cache) in self.caches_for_scan() {
-            for set_idx in 0..cache.config().num_sets() {
-                for stored in cache.set_metas(set_idx) {
-                    let mut processed = *stored;
-                    if processed.commit_epoch < cache.commit_epoch()
-                        && B::apply_commit(&mut processed, cache.lc_vid()) == Outcome::Invalidate
-                    {
-                        continue;
-                    }
-                    commit_safety(&name, &processed);
-                    per_addr
-                        .entry(processed.addr)
-                        .or_default()
-                        .push((name.clone(), processed.state));
-                }
+        self.for_each_served_line(|cache, line| {
+            if stale(line) {
+                violations.push(commit_safety(&self.cache_name(cache), line));
+            }
+            if abort_seen {
+                versions.push(Version::new(cache, line));
+            }
+        });
+        for line in self.overflow_lines() {
+            if stale(&line.meta) {
+                violations.push(commit_safety("overflow", &line.meta));
             }
         }
-        for line in self.overflow_lines() {
-            commit_safety("overflow", &line.meta);
-        }
 
-        if self.abort_seen() {
-            for (addr, versions) in &per_addr {
-                let exclusive = versions
+        for group in by_address(&mut versions) {
+            let exclusive = group.iter().any(|v| v.state == LineState::Exclusive);
+            let nonspec = group.iter().filter(|v| !v.state.is_speculative()).count();
+            if exclusive && nonspec > 1 {
+                let named: Vec<(String, LineState)> = group
                     .iter()
-                    .filter(|(_, s)| *s == LineState::Exclusive)
-                    .count();
-                let nonspec = versions
-                    .iter()
-                    .filter(|(_, s)| !s.is_speculative())
-                    .count();
-                if exclusive >= 1 && nonspec > 1 {
-                    violations.push(Violation {
-                        rule: "no duplicate Exclusive after abort",
-                        detail: format!("{addr}: {versions:?}"),
-                    });
-                }
+                    .map(|v| (self.cache_name(v.cache), v.state))
+                    .collect();
+                violations.push(Violation {
+                    rule: "no duplicate Exclusive after abort",
+                    detail: format!("{}: {named:?}", group[0].addr),
+                });
             }
         }
         violations
-    }
-}
-
-fn hits(state: LineState, m: Vid, h: Vid, a: Vid) -> bool {
-    match state {
-        LineState::Modified | LineState::Owned | LineState::Exclusive | LineState::Shared => true,
-        LineState::SpecModified | LineState::SpecExclusive => a >= m,
-        LineState::SpecOwned | LineState::SpecShared => m <= a && a < h,
     }
 }
 
@@ -313,26 +370,30 @@ mod tests {
     // the only line of defense).
     // -----------------------------------------------------------------------
 
-    use hmtx_mem::{CacheLine, LineData, LineMeta, LineState};
+    use hmtx_mem::{Cache, CacheLine, LineData, LineMeta, LineState};
     use hmtx_types::LineAddr;
 
-    /// Plants a raw line version into `core`'s L1, bypassing the protocol.
-    fn plant(mem: &mut MemorySystem, core: usize, addr: u64, state: LineState, m: u16, h: u16) {
-        let addr = LineAddr(addr);
-        let epoch = mem.l1_mut(core).commit_epoch();
-        let line = CacheLine {
+    /// A raw line version for `cache`, bypassing the protocol; with
+    /// `pending`, its lazy commit processing (§5.3) is left undone.
+    fn version(cache: &Cache, addr: u64, state: LineState, m: u16, h: u16, pending: bool) -> CacheLine {
+        CacheLine {
             meta: LineMeta {
-                addr,
+                addr: LineAddr(addr),
                 state,
                 mod_vid: Vid(m),
                 high_vid: Vid(h),
                 phantom_high: Vid(0),
                 shared_hint: false,
-                commit_epoch: epoch,
+                commit_epoch: cache.commit_epoch() - u64::from(pending),
                 last_used: 0,
             },
             data: LineData::zeroed(),
-        };
+        }
+    }
+
+    /// Plants a raw line version into `core`'s L1, bypassing the protocol.
+    fn plant(mem: &mut MemorySystem, core: usize, addr: u64, state: LineState, m: u16, h: u16) {
+        let line = version(mem.l1_mut(core), addr, state, m, h, false);
         mem.l1_mut(core).plant(line);
     }
 
@@ -505,5 +566,259 @@ mod tests {
         plant(&mut mem, 1, 0x20, LineState::Owned, 0, 0);
         plant(&mut mem, 2, 0x20, LineState::Shared, 0, 0);
         assert_eq!(mem.check_invariants(), vec![]);
+    }
+
+    // ---- differential: the scans against their per-VID form ----
+    //
+    // The form the scans had before the interval test for rule 3 and the
+    // flat version list: every cache named up front, versions grouped per
+    // address in a `BTreeMap`, and rule 3 tested once per request VID.
+
+    use std::collections::BTreeMap;
+
+    use crate::backend::{MoesiHmtx, ProtocolBackend};
+    use crate::invariants::Violation;
+    use crate::transitions::Outcome;
+
+    fn named_caches(mem: &MemorySystem) -> Vec<(String, &Cache)> {
+        mem.caches()
+            .enumerate()
+            .map(|(i, c)| {
+                let name = if i < mem.config().num_cores {
+                    format!("L1[{i}]")
+                } else {
+                    "L2".to_string()
+                };
+                (name, c)
+            })
+            .collect()
+    }
+
+    /// The served versions of every cache, as `(name, line)` in scan order.
+    fn served(mem: &MemorySystem) -> Vec<(String, LineMeta)> {
+        let mut out = Vec::new();
+        for (name, cache) in named_caches(mem) {
+            for set_idx in 0..cache.config().num_sets() {
+                for stored in cache.set_metas(set_idx) {
+                    let mut processed = *stored;
+                    if processed.commit_epoch < cache.commit_epoch()
+                        && MoesiHmtx::apply_commit(&mut processed, cache.lc_vid())
+                            == Outcome::Invalidate
+                    {
+                        continue;
+                    }
+                    out.push((name.clone(), processed));
+                }
+            }
+        }
+        out
+    }
+
+    fn hits(state: LineState, m: Vid, h: Vid, a: Vid) -> bool {
+        match state {
+            LineState::Modified | LineState::Owned | LineState::Exclusive | LineState::Shared => {
+                true
+            }
+            LineState::SpecModified | LineState::SpecExclusive => a >= m,
+            LineState::SpecOwned | LineState::SpecShared => m <= a && a < h,
+        }
+    }
+
+    fn reference_check_invariants(mem: &MemorySystem) -> Vec<Violation> {
+        let mut violations = Vec::new();
+        let mut per_addr: BTreeMap<LineAddr, Vec<(String, LineState, Vid, Vid)>> = BTreeMap::new();
+        for (name, line) in served(mem) {
+            if line.mod_vid > line.high_vid {
+                violations.push(Violation {
+                    rule: "modVID <= highVID",
+                    detail: format!("{name}: {} {}", line.addr, line.describe()),
+                });
+            }
+            if line.state == LineState::SpecExclusive && line.mod_vid.is_speculative() {
+                violations.push(Violation {
+                    rule: "S-E implies modVID == 0",
+                    detail: format!("{name}: {} {}", line.addr, line.describe()),
+                });
+            }
+            per_addr.entry(line.addr).or_default().push((
+                name,
+                line.state,
+                line.mod_vid,
+                line.high_vid,
+            ));
+        }
+        let max_vid = mem.config().hmtx.max_vid().0;
+        for (addr, versions) in &per_addr {
+            for a in 0..=max_vid {
+                let a = Vid(a);
+                let hitters: Vec<_> = versions
+                    .iter()
+                    .filter(|(_, state, m, h)| state.responds_to_snoops() && hits(*state, *m, *h, a))
+                    .collect();
+                if hitters.len() > 1 {
+                    violations.push(Violation {
+                        rule: "at most one responding version hits per VID",
+                        detail: format!("{addr} vid {a}: {hitters:?}"),
+                    });
+                }
+            }
+            let count = |pred: &dyn Fn(LineState) -> bool| {
+                versions.iter().filter(|(_, s, _, _)| pred(*s)).count()
+            };
+            let rules: [(&'static str, usize); 3] = [
+                (
+                    "at most one writable non-speculative copy",
+                    count(&|s| s.is_writable()),
+                ),
+                (
+                    "at most one S-M version per address",
+                    count(&|s| s == LineState::SpecModified),
+                ),
+                (
+                    "at most one dirty non-speculative owner",
+                    count(&|s| matches!(s, LineState::Modified | LineState::Owned)),
+                ),
+            ];
+            for (rule, n) in rules {
+                if n > 1 {
+                    violations.push(Violation {
+                        rule,
+                        detail: format!("{addr}: {versions:?}"),
+                    });
+                }
+            }
+        }
+        violations
+    }
+
+    fn reference_check_model_invariants(mem: &MemorySystem) -> Vec<Violation> {
+        let mut violations = Vec::new();
+        let committed = mem.last_committed();
+        let mut per_addr: BTreeMap<LineAddr, Vec<(String, LineState)>> = BTreeMap::new();
+        let mut commit_safety = |name: &str, line: &LineMeta| {
+            let superseded = matches!(line.state, LineState::SpecOwned | LineState::SpecShared)
+                && line.high_vid <= committed;
+            let stale_mod = line.state.is_speculative()
+                && line.mod_vid.is_speculative()
+                && line.mod_vid <= committed;
+            if superseded || stale_mod {
+                violations.push(Violation {
+                    rule: "committed modVID never stays speculative",
+                    detail: format!(
+                        "{name}: {} {} after commit of v{}",
+                        line.addr,
+                        line.describe(),
+                        committed.0
+                    ),
+                });
+            }
+        };
+        for (name, line) in served(mem) {
+            commit_safety(&name, &line);
+            per_addr.entry(line.addr).or_default().push((name, line.state));
+        }
+        for line in mem.overflow_lines() {
+            commit_safety("overflow", &line.meta);
+        }
+        if mem.abort_seen() {
+            for (addr, versions) in &per_addr {
+                let exclusive = versions
+                    .iter()
+                    .filter(|(_, s)| *s == LineState::Exclusive)
+                    .count();
+                let nonspec = versions.iter().filter(|(_, s)| !s.is_speculative()).count();
+                if exclusive >= 1 && nonspec > 1 {
+                    violations.push(Violation {
+                        rule: "no duplicate Exclusive after abort",
+                        detail: format!("{addr}: {versions:?}"),
+                    });
+                }
+            }
+        }
+        violations
+    }
+
+    #[test]
+    fn scans_match_the_per_vid_reference_on_random_version_sets() {
+        const STATES: [LineState; 8] = [
+            LineState::Modified,
+            LineState::Owned,
+            LineState::Exclusive,
+            LineState::Shared,
+            LineState::SpecModified,
+            LineState::SpecOwned,
+            LineState::SpecExclusive,
+            LineState::SpecShared,
+        ];
+        let rule3 = "at most one responding version hits per VID";
+        let (mut overlapping, mut disjoint) = (0, 0);
+        for vid_bits in [2u32, 3, 6, 12] {
+            for seed in 1..=400u64 {
+                let mut rng = ((seed << 4) | u64::from(vid_bits)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let mut next = move || {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    rng
+                };
+                let mut cfg = MachineConfig::test_default();
+                cfg.hmtx.vid_bits = vid_bits;
+                let cores = cfg.num_cores;
+                let mut mem = MemorySystem::new(cfg);
+                if next() % 3 == 0 {
+                    mem.abort_all(1);
+                }
+                for c in 0..next() % 3 {
+                    mem.commit(2, Vid(c as u16 + 1)).unwrap();
+                }
+                let max = mem.config().hmtx.max_vid().0;
+                // Edge VIDs, small VIDs and the whole range, `m > h` included.
+                let vid = |r: u64| match r % 4 {
+                    0 => 0,
+                    1 => max - (r / 4 % 2) as u16,
+                    2 => (r / 4 % 4) as u16,
+                    _ => (r / 4 % (u64::from(max) + 1)) as u16,
+                };
+                let mut responders: BTreeMap<u64, usize> = BTreeMap::new();
+                for _ in 0..next() % 12 {
+                    let addr = [0x10, 0x50, 0x11][(next() % 3) as usize];
+                    // Every other seed plants speculative versions only,
+                    // whose hit intervals are often disjoint.
+                    let state = STATES[((next() % 8) | ((seed % 2) << 2)) as usize];
+                    let (m, h) = (vid(next()), vid(next()));
+                    let at = (next() % (cores as u64 + 1)) as usize;
+                    let pending = next() % 4 == 0;
+                    let cache = if at < cores {
+                        mem.l1_mut(at)
+                    } else {
+                        mem.l2_mut()
+                    };
+                    let full = cache.set_metas(cache.set_index(LineAddr(addr))).len()
+                        == cache.config().ways;
+                    if full || (pending && cache.commit_epoch() == 0) {
+                        continue;
+                    }
+                    cache.plant(version(cache, addr, state, m, h, pending));
+                    if !pending && state.responds_to_snoops() {
+                        *responders.entry(addr).or_default() += 1;
+                    }
+                }
+                let ctx = format!("vid_bits {vid_bits} seed {seed}");
+                let violations = mem.check_invariants();
+                assert_eq!(violations, reference_check_invariants(&mem), "{ctx}");
+                assert_eq!(
+                    mem.check_model_invariants(),
+                    reference_check_model_invariants(&mem),
+                    "{ctx}"
+                );
+                if violations.iter().any(|v| v.rule == rule3) {
+                    overlapping += 1;
+                } else if responders.values().any(|&n| n > 1) {
+                    disjoint += 1;
+                }
+            }
+        }
+        // Both sides of the interval test are exercised.
+        assert!(overlapping > 100 && disjoint > 50, "{overlapping} {disjoint}");
     }
 }

@@ -273,17 +273,22 @@ impl<B: ProtocolBackend> MemorySystem<B> {
         &self.bus
     }
 
-    /// Iterates `(name, cache)` over the hierarchy for diagnostic scans
-    /// (invariant checking, the model checker's canonical state encoding).
-    pub fn caches_for_scan(&self) -> Vec<(String, &Cache)> {
-        let mut v: Vec<(String, &Cache)> = self
-            .l1s
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (format!("L1[{i}]"), c))
-            .collect();
-        v.push(("L2".to_string(), &self.l2));
-        v
+    /// Iterates the hierarchy's caches for diagnostic scans (invariant
+    /// checking, the model checker's canonical state encoding): the L1s in
+    /// core order, then the shared L2. [`Self::cache_name`] names a cache by
+    /// its position here.
+    pub fn caches(&self) -> impl Iterator<Item = &Cache> + '_ {
+        self.l1s.iter().chain(std::iter::once(&self.l2))
+    }
+
+    /// The report name of the cache at position `idx` of [`Self::caches`]:
+    /// `L1[i]` for a core's L1, `L2` for the shared L2.
+    pub fn cache_name(&self, idx: usize) -> String {
+        if idx < self.l1s.len() {
+            format!("L1[{idx}]")
+        } else {
+            "L2".to_string()
+        }
     }
 
     /// Test-only mutable access to a core's private L1, so invariant tests
@@ -291,6 +296,12 @@ impl<B: ProtocolBackend> MemorySystem<B> {
     #[cfg(test)]
     pub(crate) fn l1_mut(&mut self, core: usize) -> &mut Cache {
         &mut self.l1s[core]
+    }
+
+    /// Test-only mutable access to the shared L2 (see [`Self::l1_mut`]).
+    #[cfg(test)]
+    pub(crate) fn l2_mut(&mut self) -> &mut Cache {
+        &mut self.l2
     }
 
     /// Iterates the §8 overflow table's spilled versions in sorted

@@ -152,18 +152,17 @@ impl MemStats {
     /// (called at group commit), in ascending VID order — the order the
     /// transactions logically committed in.
     pub fn finalize_committed(&mut self, lc: Vid) {
-        // Both maps iterate sorted; merging through a BTreeSet keeps the
-        // union sorted and deduplicated.
-        let vids: Vec<Vid> = self
-            .live_read_sets
-            .keys()
-            .chain(self.live_write_sets.keys())
-            .copied()
-            .filter(|v| *v <= lc)
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        for vid in vids {
+        // Both maps are sorted, so the smaller of their first keys is the
+        // next VID of the union.
+        loop {
+            let first = |sets: &BTreeMap<Vid, FxHashSet<LineAddr>>| sets.keys().next().copied();
+            let next = first(&self.live_read_sets)
+                .into_iter()
+                .chain(first(&self.live_write_sets))
+                .min();
+            let Some(vid) = next.filter(|v| *v <= lc) else {
+                break;
+            };
             let reads = self.live_read_sets.remove(&vid).unwrap_or_default();
             let writes = self.live_write_sets.remove(&vid).unwrap_or_default();
             inc(&mut self.rw_totals.transactions);

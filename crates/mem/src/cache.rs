@@ -429,19 +429,26 @@ impl Cache {
     /// checker needs to fold equivalent states together.
     pub fn abstract_view(&self) -> Vec<AbstractLine> {
         let mut out = Vec::with_capacity(self.occupancy());
-        for set in 0..self.cfg.num_sets() {
+        out.extend(self.abstract_lines());
+        out.sort_by_key(AbstractLine::sort_key);
+        out
+    }
+
+    /// The versions of [`Self::abstract_view`] in set and way order,
+    /// without collecting or sorting them.
+    pub fn abstract_lines(&self) -> impl Iterator<Item = AbstractLine> + '_ {
+        (0..self.cfg.num_sets()).flat_map(move |set| {
             let metas = self.set_metas(set);
-            // Per-set LRU ranks: position of each way in ascending
-            // `last_used` order (way index breaks exact ties, matching the
-            // deterministic tie-break of `lru_index`).
-            let mut order: Vec<usize> = (0..metas.len()).collect();
-            order.sort_by_key(|&w| (metas[w].last_used, w));
-            let mut rank = vec![0u8; metas.len()];
-            for (r, &w) in order.iter().enumerate() {
-                rank[w] = r as u8;
-            }
-            for (w, l) in metas.iter().enumerate() {
-                out.push(AbstractLine {
+            metas.iter().enumerate().map(move |(w, l)| {
+                // Per-set LRU rank: the number of ways with a smaller
+                // `(last_used, way)` (way index breaks exact ties, matching
+                // the deterministic tie-break of `lru_index`).
+                let older = metas
+                    .iter()
+                    .enumerate()
+                    .filter(|&(v, o)| (o.last_used, v) < (l.last_used, w))
+                    .count();
+                AbstractLine {
                     set,
                     addr: l.addr,
                     state: l.state,
@@ -450,13 +457,11 @@ impl Cache {
                     phantom_high: l.phantom_high,
                     shared_hint: l.shared_hint,
                     commit_pending: l.commit_epoch < self.commit_epoch,
-                    lru_rank: rank[w],
+                    lru_rank: older as u8,
                     word0: self.data(set, w).read_u64(0),
-                });
-            }
-        }
-        out.sort_by_key(AbstractLine::sort_key);
-        out
+                }
+            })
+        })
     }
 }
 

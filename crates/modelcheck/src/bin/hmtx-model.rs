@@ -17,6 +17,9 @@ use hmtx_explore::{model_kernel, resolve_kernel, OpKernel};
 use hmtx_modelcheck::{check_kernel, lower};
 use hmtx_types::{Diagnostic, Json, ModelCheckConfig, ModelCheckReport, SeedBug, Severity};
 
+/// The most cores or lines a symmetry-reduced model may have.
+const MAX_SYMMETRIC: usize = 10;
+
 struct Options {
     cfg: ModelCheckConfig,
     kernel: Option<String>,
@@ -73,6 +76,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     if opts.cfg.cores == 0 || opts.cfg.lines == 0 || !(1..=12).contains(&opts.cfg.vid_bits) {
         return Err("cores/lines must be nonzero and vid-bits in 1..=12".into());
+    }
+    // The symmetry reduction enumerates every core and every line
+    // permutation up front: 11! of them would exhaust memory.
+    if opts.cfg.symmetry && opts.cfg.cores.max(opts.cfg.lines) > MAX_SYMMETRIC {
+        return Err(format!(
+            "symmetry reduction supports at most {MAX_SYMMETRIC} cores and {MAX_SYMMETRIC} lines; \
+             pass --no-symmetry for larger models"
+        ));
     }
     Ok(opts)
 }

@@ -177,11 +177,13 @@ impl Encoder {
             .unwrap_or(usize::MAX)
     }
 
-    /// Every stored version of `m`, with raw cache and line indices.
+    /// Every stored version of `m`, with raw cache and line indices, in
+    /// scan order (the encoding sorts after relabeling).
     fn raw_lines(&self, m: &OpMachine) -> Vec<RawLine> {
-        let mut raw: Vec<RawLine> = Vec::new();
-        for (idx, (_, cache)) in m.mem.caches_for_scan().into_iter().enumerate() {
-            for a in cache.abstract_view() {
+        let stored = m.mem.caches().map(|c| c.occupancy()).sum::<usize>();
+        let mut raw = Vec::with_capacity(stored + m.mem.overflow_lines().count());
+        for (idx, cache) in m.mem.caches().enumerate() {
+            for a in cache.abstract_lines() {
                 raw.push(RawLine {
                     cache: idx, // L1[i] at i, L2 at `cores`
                     line: self.line_index(a.addr),

@@ -270,6 +270,13 @@ mod tests {
         let first = &report.violations[0];
         assert_eq!(first.rule, "at most one responding version hits per VID");
         assert_eq!(first.depth, 2, "{first:?}");
+        // The context and the cache names are rendered only on failure.
+        assert_eq!(
+            first.detail,
+            "after op 4 (tx1 core1 ld 0x40000): at most one responding version hits per VID: \
+             L0x1000 vid v0: [(\"L1[0]\", SpecExclusive, Vid(0), Vid(2)), \
+             (\"L1[1]\", SpecExclusive, Vid(0), Vid(2))]"
+        );
         // Every counterexample replays to the same violated rule.
         for v in &report.violations {
             let replay = execute_order_checked(&kernel, &v.order, cfg.seed_bug);

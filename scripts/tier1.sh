@@ -39,6 +39,9 @@ cargo run --release -p hmtx --bin hmtx-verify -- --all-workloads
 # real bugs.
 cargo run --release -p hmtx-modelcheck --bin hmtx-model
 cargo run --release -p hmtx-modelcheck --bin hmtx-model -- --cores 3 --lines 3
+# vid_bits=2 spans only 4 VIDs; the 8-VID c2-l2-v3 model, cut off at 20k
+# states (a fraction of a second), must report no violations either.
+cargo run --release -p hmtx-modelcheck --bin hmtx-model -- --vid-bits 3 --max-states 20000
 if cargo run --release -p hmtx-modelcheck --bin hmtx-model -- \
     --seed-bug stale-migration-replica >/dev/null; then
   echo "hmtx-model failed to rediscover the planted defect" >&2
