@@ -1385,7 +1385,8 @@ mod tests {
             .unwrap();
         fig1::fig1(&pool).unwrap();
         fig2(&pool).unwrap();
-        fig8(&pool).unwrap();
+        let (_, fig8_summary) = fig8(&pool).unwrap();
+        assert!(fig8_summary.hmtx_all > 1.0, "HMTX must speed up overall");
         fig9(&pool).unwrap();
         table1(&pool).unwrap();
         table3(&pool).unwrap();

@@ -1,26 +1,26 @@
 //! `hmtx-explore`: systematic schedule exploration with a serializability
 //! oracle.
 //!
-//! Enumerates interleavings of small MTX kernels (op-level and full-machine)
-//! under a preemption bound, checks protocol invariants plus a sequential TM
-//! oracle at every group commit, greedily shrinks failing schedules, and
-//! writes them to the replayable corpus (`tests/corpus/`, replayed by
+//! Enumerates interleavings of small two-thread machine kernels under a
+//! preemption bound, checks protocol invariants plus a sequential TM oracle
+//! at every group commit, greedily shrinks failing schedules, and writes
+//! them to the replayable corpus (`tests/corpus/`, replayed by
 //! `hmtx-run --replay` and `tests/explore_corpus.rs`). Also drives bounded
 //! exploration of the 8 benchmark workloads' generated parallel code
-//! (invariants + termination + sequential-output reference).
+//! (invariants + termination + sequential-output reference). Op kernels
+//! are checked exhaustively by `hmtx-model --kernel NAME` instead.
 //!
 //! ```text
 //! hmtx-explore --list
 //! hmtx-explore --all-kernels --preemptions 3 --expect-exhausted
-//! hmtx-explore --kernel migrated_line --seed-bug stale-migration-replica \
-//!     --shrink --expect-failure --max-shrunk-len 7
+//! hmtx-explore --kernel race_detect --preemptions 4 --no-reduce
 //! hmtx-explore --workload 052.alvinn --bound 8 --json
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use hmtx_explore::{asm_kernels, mexplore, op_kernels, opexplore, seed, shrink};
+use hmtx_explore::{asm_kernels, mexplore, resolve_kernel, seed, shrink};
 use hmtx_machine::ScheduleSeed;
 use hmtx_types::{Json, SeedBug, SimError};
 use hmtx_workloads::{suite, Scale};
@@ -146,7 +146,7 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, SimError>
     Ok(opts)
 }
 
-/// One explored target's result, normalized across the three modes.
+/// One explored target's result, normalized across the two modes.
 struct TargetResult {
     target: String,
     mode: &'static str,
@@ -191,53 +191,6 @@ fn corpus_stem(kernel: &str, seed_bug: Option<SeedBug>) -> String {
         Some(bug) => format!("regression_{}", bug.name().replace('-', "_")),
         None => format!("regression_{kernel}"),
     }
-}
-
-fn explore_op_kernel(
-    opts: &Opts,
-    kernel: &hmtx_explore::OpKernel,
-) -> Result<TargetResult, SimError> {
-    let report = opexplore::explore(
-        kernel,
-        opts.preemptions,
-        !opts.no_reduce,
-        opts.bound,
-        opts.seed_bug,
-        opts.jobs,
-    );
-    let mut result = TargetResult {
-        target: kernel.name.to_string(),
-        mode: "ops",
-        runs: report.runs,
-        exhausted: report.exhausted,
-        misspecs: report.misspecs,
-        failures: report.failures.len(),
-        first_failure: report.failures.first().map(|f| {
-            format!("{} (order {:?})", f.failure.as_ref().unwrap(), f.order)
-        }),
-        shrunk: None,
-    };
-    if opts.shrink {
-        if let Some(first) = report.failures.first() {
-            let shrunk = shrink::shrink_ops(kernel, &first.order, opts.seed_bug)
-                .expect("reported failure must reproduce");
-            let stored = ScheduleSeed {
-                kind: "ops".into(),
-                name: kernel.name.to_string(),
-                seed_bug: opts.seed_bug.map(|b| b.name().to_string()),
-                picks: Vec::new(),
-                order: shrunk.order.clone(),
-                note: format!(
-                    "pinned by hmtx-explore: {} ({} shrink attempts)",
-                    shrunk.failure, shrunk.attempts
-                ),
-            };
-            let path = seed::write_seed(&opts.corpus_dir, &corpus_stem(kernel.name, opts.seed_bug), &stored)
-                .map_err(|e| SimError::BadProgram(format!("writing corpus seed: {e}")))?;
-            result.shrunk = Some((shrunk.order.len(), path));
-        }
-    }
-    Ok(result)
 }
 
 fn explore_asm_kernel(
@@ -324,10 +277,6 @@ fn explore_one_workload(opts: &Opts, name: &str) -> Result<TargetResult, SimErro
 }
 
 fn list() {
-    println!("op kernels:");
-    for k in op_kernels() {
-        println!("  {} ({} txs, {} ops)", k.name, k.txs.len(), k.len());
-    }
     println!("machine kernels:");
     for k in asm_kernels() {
         println!("  {} ({} threads)", k.name, k.threads.len());
@@ -340,18 +289,18 @@ fn list() {
 
 fn run(opts: &Opts) -> Result<Vec<TargetResult>, SimError> {
     let mut results = Vec::new();
-    let op_ks = op_kernels();
     let asm_ks = asm_kernels();
     let mut wanted: Vec<String> = opts.kernels.clone();
     if opts.all_kernels {
-        wanted.extend(op_ks.iter().map(|k| k.name.to_string()));
         wanted.extend(asm_ks.iter().map(|k| k.name.to_string()));
     }
     for name in &wanted {
-        if let Some(k) = op_ks.iter().find(|k| k.name == name) {
-            results.push(explore_op_kernel(opts, k)?);
-        } else if let Some(k) = asm_ks.iter().find(|k| k.name == name) {
+        if let Some(k) = asm_ks.iter().find(|k| k.name == name) {
             results.push(explore_asm_kernel(opts, k)?);
+        } else if resolve_kernel(name).is_some() {
+            return Err(SimError::BadProgram(format!(
+                "`{name}` is an op kernel; check it with `hmtx-model --kernel {name}`"
+            )));
         } else {
             return Err(SimError::BadProgram(format!(
                 "unknown kernel `{name}` (try --list)"

@@ -1,15 +1,17 @@
-//! The kernels the explorer enumerates schedules over.
+//! The kernels whose interleavings are checked systematically.
 //!
 //! Two granularities:
 //!
 //! * [`OpKernel`] — a transaction is a fixed list of labeled loads/stores
 //!   driven straight into the [`hmtx_core::MemorySystem`] (the same model
-//!   as `tests/proptest_serializability.rs`). The interleaving space is
-//!   fully static, so schedules are enumerable without execution and the
-//!   reference is a trivial serial last-writer-wins replay.
+//!   as `tests/proptest_serializability.rs`) by
+//!   [`crate::opexplore::OpMachine`]; the model checker (`hmtx-model`)
+//!   visits every reachable state, and the reference is a trivial serial
+//!   last-writer-wins replay.
 //! * [`AsmKernel`] — whole guest programs on the full machine, scheduled
-//!   through the [`hmtx_machine::SchedulePolicy`] seam and checked against
-//!   the [`hmtx_isa::run_serial_tm`] sequential TM oracle.
+//!   by `hmtx-explore` through the [`hmtx_machine::SchedulePolicy`] seam
+//!   and checked against the [`hmtx_isa::run_serial_tm`] sequential TM
+//!   oracle.
 
 use hmtx_types::Addr;
 
@@ -26,7 +28,7 @@ pub struct OpSpec {
 
 impl OpSpec {
     /// Whether two ops can be order-sensitive: same line, at least one
-    /// store (the relation the DPOR-lite reduction keys on).
+    /// store (the independence relation a partial-order reduction keys on).
     pub fn conflicts_with(&self, other: &OpSpec) -> bool {
         Addr(self.addr).line() == Addr(other.addr).line()
             && (self.write.is_some() || other.write.is_some())

@@ -2,21 +2,23 @@
 //!
 //! The paper's central claim (§4, Figure 7) is that uncommitted value
 //! forwarding plus group commit still yields serializable MTX group
-//! commits. PR 2's chaos suite samples the interleaving space randomly;
-//! this crate checks it *systematically* on small kernels:
+//! commits. The chaos suite (`tests/chaos.rs`) samples the interleaving
+//! space randomly; this crate supplies the pieces that check it
+//! *systematically* on small kernels:
 //!
 //! * **op-level** ([`opexplore`]) — transactions as fixed op lists driven
-//!   straight into the memory system; the full interleaving space (under a
-//!   preemption bound and a DPOR-lite same-line-conflict reduction) is
-//!   enumerated statically and every schedule is executed fresh, with
-//!   `check_invariants` plus a serial last-writer-wins oracle compare at
-//!   every group commit;
+//!   straight into the memory system by [`OpMachine`], with the protocol
+//!   invariants checked after every op and a serial last-writer-wins oracle
+//!   at every group commit. The model checker (`hmtx-model`, crate
+//!   `hmtx-modelcheck`) searches every interleaving of these kernels
+//!   breadth-first; [`execute_order_checked`] replays one of its traces;
 //! * **machine-level** ([`mexplore`]) — whole guest programs on the full
 //!   machine through the [`hmtx_machine::SchedulePolicy`] seam, with
 //!   iterative context bounding (CHESS-style divergence extension) and the
 //!   [`hmtx_isa::run_serial_tm`] sequential TM interpreter as the oracle.
+//!   `hmtx-explore` drives this level.
 //!
-//! Failing schedules are greedily shrunk ([`shrink`]) and written to
+//! Failing machine schedules are greedily shrunk ([`shrink`]) and written to
 //! `tests/corpus/` as replayable [`hmtx_machine::ScheduleSeed`]s
 //! ([`seed`]); `hmtx-run --replay` and `tests/explore_corpus.rs` replay
 //! them byte-deterministically.
@@ -64,6 +66,22 @@ impl Failure {
                 .unwrap_or(self.kind)
                 .to_string(),
             other => other.to_string(),
+        }
+    }
+
+    /// The `"panic"` failure for a caught panic payload: debug assertions
+    /// inside the protocol (e.g. hit-uniqueness) classify as failures
+    /// instead of tearing down the search.
+    #[must_use]
+    pub fn from_panic(payload: Box<dyn std::any::Any + Send>) -> Self {
+        let detail = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_else(|| "non-string panic payload".into());
+        Failure {
+            kind: "panic",
+            detail,
         }
     }
 }

@@ -262,25 +262,15 @@ pub fn run_one(
     let result = catch_unwind(AssertUnwindSafe(|| run_inner(spec, picks, oracle, reduce)));
     match result {
         Ok(pair) => pair,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic payload".into());
-            (
-                MachineOutcome {
-                    picks: picks.to_vec(),
-                    committed: 0,
-                    misspec: None,
-                    failure: Some(Failure {
-                        kind: "panic",
-                        detail: msg,
-                    }),
-                },
-                Vec::new(),
-            )
-        }
+        Err(payload) => (
+            MachineOutcome {
+                picks: picks.to_vec(),
+                committed: 0,
+                misspec: None,
+                failure: Some(Failure::from_panic(payload)),
+            },
+            Vec::new(),
+        ),
     }
 }
 
@@ -613,25 +603,15 @@ fn run_workload_once(
             },
             Vec::new(),
         ),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic payload".into());
-            (
-                MachineOutcome {
-                    picks: picks.to_vec(),
-                    committed: 0,
-                    misspec: None,
-                    failure: Some(Failure {
-                        kind: "panic",
-                        detail: msg,
-                    }),
-                },
-                Vec::new(),
-            )
-        }
+        Err(payload) => (
+            MachineOutcome {
+                picks: picks.to_vec(),
+                committed: 0,
+                misspec: None,
+                failure: Some(Failure::from_panic(payload)),
+            },
+            Vec::new(),
+        ),
     }
 }
 

@@ -1,8 +1,9 @@
 //! Corpus seed I/O: replayable [`ScheduleSeed`]s on disk.
 //!
-//! The shrinker writes every minimized failing schedule here
-//! (`tests/corpus/` by default); `tests/explore_corpus.rs` and
-//! `hmtx-run --replay` replay them byte-deterministically.
+//! `hmtx-explore --shrink` writes every minimized failing machine schedule
+//! here (`tests/corpus/` by default), next to the model checker's lowered
+//! `ops` counterexamples; `tests/explore_corpus.rs` and `hmtx-run --replay`
+//! replay them byte-deterministically.
 
 use std::fs;
 use std::io;

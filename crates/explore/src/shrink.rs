@@ -2,20 +2,14 @@
 //!
 //! Given a failing schedule, repeatedly drop one element at a time and keep
 //! each drop that still reproduces the *same failure class* (the
-//! [`Failure::kind`] string), iterating to a fixpoint. This is
+//! [`crate::Failure::kind`] string), iterating to a fixpoint. This is
 //! delta-debugging's 1-minimal reduction: the result cannot lose any single
 //! element and still fail, though a smaller subset dropping several
 //! elements at once may exist.
 //!
-//! The shrinker is generic over the element type so the same pass
-//! minimizes op-level schedules (elements = global op ids) and
-//! machine-level divergence lists (elements = `(step, core)` picks).
-
-use hmtx_types::SeedBug;
-
-use crate::kernel::OpKernel;
-use crate::opexplore::execute_order;
-use crate::Failure;
+//! Machine-level divergence lists (elements = `(step, core)` picks) are
+//! what it minimizes; op-level traces need no shrinking, because the model
+//! checker's breadth-first search already finds them at minimal depth.
 
 /// Greedily removes elements from `items` while `still_fails` holds,
 /// to a fixpoint. Returns the minimized list and how many candidate
@@ -48,46 +42,9 @@ where
     }
 }
 
-/// Result of shrinking one failing op schedule.
-#[derive(Debug, Clone)]
-pub struct ShrunkOps {
-    /// Minimized schedule (global op ids).
-    pub order: Vec<usize>,
-    /// The failure the minimized schedule still reproduces.
-    pub failure: Failure,
-    /// Candidate executions spent shrinking.
-    pub attempts: usize,
-}
-
-/// Minimizes a failing op schedule, preserving the failure class.
-///
-/// Returns `None` when `order` does not actually fail (nothing to shrink).
-pub fn shrink_ops(
-    kernel: &OpKernel,
-    order: &[usize],
-    seed_bug: Option<SeedBug>,
-) -> Option<ShrunkOps> {
-    let kind = execute_order(kernel, order, seed_bug).failure?.kind;
-    let (kept, attempts) = shrink_items(order, |candidate| {
-        execute_order(kernel, candidate, seed_bug)
-            .failure
-            .is_some_and(|f| f.kind == kind)
-    });
-    let failure = execute_order(kernel, &kept, seed_bug)
-        .failure
-        .expect("shrinker invariant: kept schedule still fails");
-    Some(ShrunkOps {
-        order: kept,
-        failure,
-        attempts,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::op_kernels;
-    use crate::opexplore::{enumerate_orders, full_order};
 
     #[test]
     fn shrink_items_reaches_a_one_minimal_subset() {
@@ -101,35 +58,47 @@ mod tests {
 
     #[test]
     fn clean_schedules_do_not_shrink() {
-        let k = &op_kernels()[0];
-        assert!(shrink_ops(k, &full_order(k), None).is_none());
+        // A list that never fails loses no element, after one pass.
+        let picks: Vec<(u64, usize)> = vec![(3, 1), (9, 0), (14, 1)];
+        let (kept, attempts) = shrink_items(&picks, |_| false);
+        assert_eq!(kept, picks);
+        assert_eq!(attempts, picks.len());
     }
 
     #[test]
     fn planted_bug_counterexample_shrinks_below_pinned_length() {
-        // Acceptance criterion: rediscover the pinned PR 1 counterexample
-        // shape from scratch and shrink it to at most its recorded length
-        // (7 ops).
+        // Rediscover the planted-defect counterexample from scratch among
+        // the full interleavings and shrink it, keeping the failure class,
+        // to at most its originally recorded length (7 ops). Dropping an
+        // op mid-transaction breaks program order and fails with a
+        // different class, so every kept candidate is still a valid trace.
+        use crate::kernel::op_kernels;
+        use crate::opexplore::{execute_order_checked, full_orders};
+        use hmtx_types::SeedBug;
+
         let k = op_kernels()
             .into_iter()
             .find(|k| k.name == "migrated_line")
             .unwrap();
         let bug = Some(SeedBug::StaleMigrationReplica);
-        let (orders, exhausted) = enumerate_orders(&k, 3, true, usize::MAX);
-        assert!(exhausted);
-        let failing = orders
-            .iter()
-            .find(|o| execute_order(&k, o, bug).failure.is_some())
+        let kind_of = |order: &[usize]| {
+            execute_order_checked(&k, order, bug)
+                .failure
+                .map(|f| f.kind)
+        };
+        let failing = full_orders(&k)
+            .into_iter()
+            .find(|o| kind_of(o).is_some())
             .expect("exploration rediscovers the planted defect");
-        let shrunk = shrink_ops(&k, failing, bug).unwrap();
+        let kind = kind_of(&failing);
+        let (shrunk, _attempts) = shrink_items(&failing, |c| kind_of(c) == kind);
         assert!(
-            shrunk.order.len() <= 7,
-            "shrunk to {} ops: {:?}",
-            shrunk.order.len(),
-            shrunk.order
+            shrunk.len() <= 7 && shrunk.len() < failing.len(),
+            "shrunk {failing:?} to {shrunk:?}"
         );
+        assert_eq!(kind_of(&shrunk), kind);
         // Still clean on the real protocol: the defect is the knob, not
         // the schedule.
-        assert!(execute_order(&k, &shrunk.order, None).failure.is_none());
+        assert!(execute_order_checked(&k, &shrunk, None).failure.is_none());
     }
 }

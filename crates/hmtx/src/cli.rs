@@ -159,12 +159,11 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Si
 
 /// Replays an `"ops"` schedule seed: the named op kernel (a hand-written
 /// corpus kernel or an `hmtx-model` model kernel) re-executed in the stored
-/// order. Model-family kernels replay under the checker's strict
-/// prefix semantics ([`hmtx_explore::execute_order_checked`], invariants and
-/// the serializability oracle evaluated after every step); corpus kernels
-/// replay under the explorer's original subsequence semantics. Any violation
-/// surfaces as an error carrying the violated rule, so the process exits
-/// nonzero — exactly what a lowered counterexample should do.
+/// order under the model checker's strict prefix semantics
+/// ([`hmtx_explore::execute_order_checked`]: invariants after every op, the
+/// serializability oracle at every commit). Any violation surfaces as an
+/// error carrying the violated rule and the checker's detail, so the
+/// process exits nonzero — exactly what a lowered counterexample should do.
 fn replay_ops_seed(seed: &ScheduleSeed) -> Result<CliReport, SimError> {
     let bad = |msg: String| SimError::BadProgram(msg);
     let kernel = hmtx_explore::resolve_kernel(&seed.name)
@@ -175,12 +174,7 @@ fn replay_ops_seed(seed: &ScheduleSeed) -> Result<CliReport, SimError> {
             SeedBug::from_name(name).ok_or_else(|| bad(format!("unknown seed bug `{name}`")))?,
         ),
     };
-    let strict = hmtx_types::ModelCheckConfig::parse_kernel_name(&seed.name).is_some();
-    let outcome = if strict {
-        hmtx_explore::execute_order_checked(&kernel, &seed.order, seed_bug)
-    } else {
-        hmtx_explore::opexplore::execute_order(&kernel, &seed.order, seed_bug)
-    };
+    let outcome = hmtx_explore::execute_order_checked(&kernel, &seed.order, seed_bug);
     if let Some(f) = &outcome.failure {
         return Err(SimError::Replay(format!(
             "ops replay of `{}` violated [{}]: {}",
@@ -190,16 +184,11 @@ fn replay_ops_seed(seed: &ScheduleSeed) -> Result<CliReport, SimError> {
         )));
     }
     let mut stats = format!(
-        "kernel: {} ({} ops over {} transactions)\nsemantics: {}\n\
+        "kernel: {} ({} ops over {} transactions)\nsemantics: strict prefix (model checker)\n\
          replayed ops: {}\ncommitted transactions: {}",
         seed.name,
         kernel.len(),
         kernel.txs.len(),
-        if strict {
-            "strict prefix (model checker)"
-        } else {
-            "subsequence (explorer corpus)"
-        },
         seed.order.len(),
         outcome.committed,
     );
@@ -247,8 +236,8 @@ pub fn run(opts: &Options) -> Result<CliReport, SimError> {
             let doc = Json::parse(&text).map_err(|e| bad(format!("`{path}`: {e}")))?;
             let seed = ScheduleSeed::from_json(&doc)?;
             match seed.kind.as_str() {
-                // Op-kernel seeds (the `hmtx-explore` op corpus and
-                // `hmtx-model` counterexamples) carry their whole program:
+                // Op-kernel seeds (the op corpus and `hmtx-model`
+                // counterexamples) carry their whole program:
                 // replay them directly, no assembly involved.
                 "ops" => return replay_ops_seed(&seed),
                 "machine" => {}
@@ -537,28 +526,38 @@ mod tests {
     fn lowered_model_counterexample_replays_to_the_same_rule() {
         // End-to-end differential check: the model checker finds the planted
         // defect, lowers the trace to a seed, and `hmtx-run --replay` on
-        // that seed reproduces the *same* violated invariant and exits
-        // nonzero.
+        // that seed reproduces the *same* violated invariant, with the
+        // checker's own detail, and exits nonzero — for the config-derived
+        // model kernel and for a hand-written corpus kernel alike.
         let cfg = hmtx_types::ModelCheckConfig {
             seed_bug: Some(SeedBug::StaleMigrationReplica),
             ..hmtx_types::ModelCheckConfig::default()
         };
-        let kernel = hmtx_explore::model_kernel(&cfg);
-        let report = hmtx_modelcheck::check_kernel(&kernel, &cfg);
-        let v = report
-            .violations
-            .first()
-            .expect("the planted defect must be rediscovered");
-        let seed = hmtx_modelcheck::lower(&kernel, &cfg, v);
-        let path = write_seed("defect", &seed);
-        let opts = parse_args(vec!["--replay".to_string(), path.display().to_string()]).unwrap();
-        let err = run(&opts).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert!(
-            err.to_string().contains(&v.rule),
-            "replay must name the violated rule `{}`: {err}",
-            v.rule
-        );
+        let migrated_line = hmtx_explore::resolve_kernel("migrated_line").unwrap();
+        for kernel in [hmtx_explore::model_kernel(&cfg), migrated_line] {
+            let report = hmtx_modelcheck::check_kernel(&kernel, &cfg);
+            let v = report.violations.first().unwrap_or_else(|| {
+                panic!("{}: the planted defect must be rediscovered", kernel.name)
+            });
+            let seed = hmtx_modelcheck::lower(&kernel, &cfg, v);
+            let path = write_seed(&format!("defect-{}", kernel.name), &seed);
+            let opts =
+                parse_args(vec!["--replay".to_string(), path.display().to_string()]).unwrap();
+            let err = run(&opts).unwrap_err().to_string();
+            std::fs::remove_file(&path).ok();
+            assert!(
+                err.contains(&format!("[{}]", v.rule)),
+                "{}: replay must name the violated rule `{}`: {err}",
+                kernel.name,
+                v.rule
+            );
+            assert!(
+                err.contains(&v.detail),
+                "{}: replay must report the checker's detail `{}`: {err}",
+                kernel.name,
+                v.detail
+            );
+        }
     }
 
     #[test]

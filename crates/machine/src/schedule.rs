@@ -251,12 +251,14 @@ impl SchedulePolicy for ReplayPolicy {
     }
 }
 
-/// A replayable schedule, as written to `tests/corpus/` by the explorer's
-/// shrinker and consumed by `hmtx-run --replay`.
+/// A replayable schedule, as written to `tests/corpus/` and consumed by
+/// `hmtx-run --replay`.
 ///
 /// Two kinds exist: `"machine"` seeds replay machine-level scheduling
-/// divergences (`picks`), `"ops"` seeds replay an op-level interleaving
-/// (`order`, a sequence of transaction-major global op ids).
+/// divergences (`picks`, pinned by the explorer's shrinker), `"ops"` seeds
+/// replay an op-level interleaving (`order`, a sequence of
+/// transaction-major global op ids, lowered from a model-checker
+/// counterexample).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ScheduleSeed {
     /// `"machine"` or `"ops"`.
@@ -267,7 +269,7 @@ pub struct ScheduleSeed {
     pub seed_bug: Option<String>,
     /// Machine kind: `(decision ordinal, core)` divergences from min-clock.
     pub picks: Vec<(u64, usize)>,
-    /// Ops kind: the retained global op ids, in execution order.
+    /// Ops kind: the issued global op ids, in execution order.
     pub order: Vec<usize>,
     /// Free-form provenance note (what failed, when it was pinned).
     pub note: String,

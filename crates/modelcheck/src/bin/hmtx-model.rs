@@ -188,11 +188,6 @@ fn main() -> ExitCode {
     if opts.json {
         println!("{}", render_json(&kernel, &report));
     } else {
-        // The report's own header names the *config*-derived model kernel;
-        // with an explicit --kernel the checked kernel differs, so say so.
-        if opts.kernel.is_some() {
-            println!("kernel: {}", kernel.name);
-        }
         println!("{report}");
     }
     if report.is_clean() {

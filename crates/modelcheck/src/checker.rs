@@ -56,6 +56,7 @@ pub fn check_kernel(kernel: &OpKernel, cfg: &ModelCheckConfig) -> ModelCheckRepo
     let encoder = Encoder::new(kernel, cores, cfg.symmetry);
 
     let mut report = ModelCheckReport {
+        kernel: kernel.name.to_string(),
         config: *cfg,
         reachable: 0,
         transitions: 0,
@@ -98,7 +99,7 @@ pub fn check_kernel(kernel: &OpKernel, cfg: &ModelCheckConfig) -> ModelCheckRepo
             match outcome {
                 Ok(Ok(())) => {}
                 Ok(Err(f)) => record(&mut report, &state, &f),
-                Err(payload) => record(&mut report, &state, &panic_failure(payload)),
+                Err(payload) => record(&mut report, &state, &Failure::from_panic(payload)),
             }
             continue;
         }
@@ -113,7 +114,7 @@ pub fn check_kernel(kernel: &OpKernel, cfg: &ModelCheckConfig) -> ModelCheckRepo
                     continue;
                 }
                 Err(payload) => {
-                    record(&mut report, &child, &panic_failure(payload));
+                    record(&mut report, &child, &Failure::from_panic(payload));
                     continue;
                 }
             }
@@ -129,18 +130,6 @@ pub fn check_kernel(kernel: &OpKernel, cfg: &ModelCheckConfig) -> ModelCheckRepo
         }
     }
     report
-}
-
-fn panic_failure(payload: Box<dyn std::any::Any + Send>) -> Failure {
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_else(|| "non-string panic payload".into());
-    Failure {
-        kind: "panic",
-        detail: msg,
-    }
 }
 
 #[cfg(test)]
@@ -252,6 +241,59 @@ mod tests {
                 .unwrap_or_else(|| panic!("{}: pinned order must still violate", entry.name));
             assert_eq!(failure_rule(&f), entry.model_rule, "{}: {f}", entry.name);
         }
+    }
+
+    #[test]
+    fn op_kernels_exhaust_clean_and_the_planted_defect_is_found_at_minimal_depth() {
+        // Every interleaving of every hand-written op kernel, with no
+        // preemption bound and the strict checks after every op. The
+        // counts are pinned so a change to the kernels, the model geometry
+        // or the encoding that merges or splits a state shows up here.
+        let cfg = ModelCheckConfig::default();
+        let pinned = [
+            ("migrated_line", (27, 35, 5)),
+            ("forwarding_chain", (34, 41, 12)),
+            ("write_skew", (38, 42, 11)),
+        ];
+        let kernels = hmtx_explore::op_kernels();
+        let names: Vec<&str> = kernels.iter().map(|k| k.name).collect();
+        assert_eq!(names, pinned.map(|(name, _)| name));
+        for (kernel, (name, want)) in kernels.iter().zip(pinned) {
+            let report = check_kernel(kernel, &cfg);
+            assert!(report.exhausted && report.is_clean(), "{report}");
+            assert_eq!(counts(&report), want, "{report}");
+            assert!(
+                report.to_string().starts_with(&format!("model {name}: ")),
+                "{report}"
+            );
+        }
+
+        // The planted defect, found breadth-first: the first counterexample
+        // is already as short as any (no shrinking needed), well under the
+        // 7 ops of the originally recorded schedule, and the defect is the
+        // knob, not the order: without it the same order replays clean.
+        let migrated_line = &kernels[0];
+        let bug = Some(SeedBug::StaleMigrationReplica);
+        let report = check_kernel(
+            migrated_line,
+            &ModelCheckConfig {
+                seed_bug: bug,
+                ..cfg
+            },
+        );
+        let first = report
+            .violations
+            .first()
+            .expect("the planted defect is found");
+        assert_eq!(
+            (first.depth, first.order.as_slice()),
+            (2, &[0, 1][..]),
+            "{report}"
+        );
+        let buggy = execute_order_checked(migrated_line, &first.order, bug);
+        assert_eq!(buggy.failure.map(|f| f.detail), Some(first.detail.clone()));
+        let clean = execute_order_checked(migrated_line, &first.order, None);
+        assert!(clean.failure.is_none(), "{:?}", clean.failure);
     }
 
     #[test]

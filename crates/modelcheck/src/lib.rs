@@ -20,9 +20,12 @@
 //! implementation itself, with data, timing, and statistics abstracted away
 //! only in the *visited-state encoding* ([`canon`]).
 //!
-//! Counterexamples are action traces; [`lower`] turns them into replayable
-//! [`hmtx_machine::ScheduleSeed`]s that `hmtx-run --replay` and the
-//! explorer reproduce step-for-step.
+//! Counterexamples are action traces, found breadth-first and so at minimal
+//! depth; [`lower()`] turns them into replayable
+//! [`hmtx_machine::ScheduleSeed`]s that `hmtx-run --replay` reproduces
+//! step-for-step through [`hmtx_explore::execute_order_checked`]. This is
+//! the only op-level search: `hmtx-model --kernel NAME` checks the
+//! hand-written op kernels the same way.
 
 #![warn(missing_docs)]
 

@@ -1,11 +1,12 @@
 //! Lowering counterexample traces to replayable [`ScheduleSeed`]s.
 //!
 //! The checker's traces are transaction-major op-id sequences over a named
-//! kernel, which is exactly the explorer's `"ops"` seed format. Because the
-//! model kernel's name encodes its configuration
-//! ([`hmtx_types::ModelCheckConfig::kernel_name`]), a lowered seed is fully
-//! self-contained: `hmtx-run --replay seed.json` rebuilds the kernel by
-//! name and re-executes the trace under the same strict semantics
+//! kernel, which is exactly the `"ops"` seed format of `tests/corpus/`.
+//! Hand-written op kernels are found by name, and a model kernel's name
+//! encodes its configuration
+//! ([`hmtx_types::ModelCheckConfig::kernel_name`]), so a lowered seed is
+//! fully self-contained: `hmtx-run --replay seed.json` rebuilds the kernel
+//! by name and re-executes the trace under the same strict semantics
 //! ([`hmtx_explore::execute_order_checked`]) the checker stepped with.
 
 use hmtx_explore::OpKernel;

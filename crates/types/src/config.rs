@@ -117,10 +117,10 @@ pub enum Interconnect {
 }
 
 /// A deliberately planted protocol defect, used to validate the correctness
-/// tooling against a known-bad protocol: `hmtx-explore` must rediscover and
-/// shrink the pinned PR 1 counterexample when one is enabled. Always `None`
-/// in shipping configurations; only tests and the explorer's `--seed-bug`
-/// flag ever set it.
+/// tooling against a known-bad protocol: `hmtx-model` must find a
+/// counterexample when one is enabled. Always `None` in shipping
+/// configurations; only tests and the `--seed-bug` flags of `hmtx-model`
+/// and `hmtx-explore` ever set it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SeedBug {
     /// §4.3 speculative-read migration leaves a live replica of the version

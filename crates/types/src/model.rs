@@ -100,6 +100,9 @@ pub struct ModelViolation {
 /// The result of one exhaustive search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelCheckReport {
+    /// The name of the kernel searched: the config-derived model kernel
+    /// ([`ModelCheckConfig::kernel_name`]) or an explicitly chosen one.
+    pub kernel: String,
     /// The configuration searched.
     pub config: ModelCheckConfig,
     /// Distinct canonical states reached.
@@ -127,7 +130,7 @@ impl fmt::Display for ModelCheckReport {
         writeln!(
             f,
             "model {}: {} reachable states, {} transitions, frontier peak {}, {}",
-            self.config.kernel_name(),
+            self.kernel,
             self.reachable,
             self.transitions,
             self.frontier_peak,
@@ -174,6 +177,7 @@ mod tests {
     #[test]
     fn clean_report_displays_reachable_count() {
         let r = ModelCheckReport {
+            kernel: ModelCheckConfig::default().kernel_name(),
             config: ModelCheckConfig::default(),
             reachable: 42,
             transitions: 99,

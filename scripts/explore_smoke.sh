@@ -1,38 +1,69 @@
 #!/usr/bin/env bash
-# Smoke gate for hmtx-explore (see DESIGN.md §9): bounded systematic
-# exploration must terminate clean on the two-thread machine kernels, the
-# planted-defect pipeline must rediscover and shrink its counterexample,
-# and a bound-limited sweep over every workload must finish within the
-# smoke budget. Nonzero exit on any failure.
+# Smoke gate for schedule exploration (see DESIGN.md §9): every interleaving
+# of the op kernels must check clean under hmtx-model, the planted defect
+# must be found, lowered to a short seed and replayed by hmtx-run, bounded
+# exploration must terminate clean on the two-thread machine kernels, and a
+# bound-limited sweep over every workload must finish within the smoke
+# budget. Nonzero exit on any failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PROFILE="${PROFILE:-release}"
-EXPLORE="target/${PROFILE}/hmtx-explore"
-[ -x "$EXPLORE" ] || cargo build --release -p hmtx-explore
+BIN="target/${PROFILE}"
+for B in hmtx-explore hmtx-model hmtx-run; do
+  [ -x "$BIN/$B" ] || cargo build --release --bin "$B"
+done
 
-CORPUS="$(mktemp -d)"
-trap 'rm -rf "$CORPUS"' EXIT
+SCRATCH="$(mktemp -d)"
+trap 'rm -rf "$SCRATCH"' EXIT
 
-# --- exhaustive kernel exploration ----------------------------------------
-# Both op-level kernels and the two-thread machine kernels, to the default
-# preemption bound of 3: the bounded space must be exhausted with zero
-# invariant or oracle violations.
-"$EXPLORE" --all-kernels --preemptions 3 --expect-exhausted
+# --- op kernels: every interleaving ----------------------------------------
+# The model checker visits every reachable state of each op kernel, with no
+# preemption bound and the strict checks after every op.
+for K in migrated_line forwarding_chain write_skew; do
+  "$BIN/hmtx-model" --kernel "$K"
+done
 
 # --- planted-defect pipeline ----------------------------------------------
-# Under the test-only stale-migration-replica defect the explorer must
-# rediscover a failing schedule from scratch and shrink it to at most the
-# pinned 7 ops (writes a throwaway corpus seed to verify that path too).
-"$EXPLORE" --kernel migrated_line --seed-bug stale-migration-replica \
-  --shrink --expect-failure --max-shrunk-len 7 --corpus-dir "$CORPUS"
+# Under the test-only stale-migration-replica defect the checker must find a
+# counterexample (exit 1) and lower it to a seed of at most the 7 ops of the
+# originally recorded schedule; replaying that seed must fail (exit 1) and
+# name the same rule.
+SEED="$SCRATCH/stale_migration_replica.json"
+set +e
+"$BIN/hmtx-model" --kernel migrated_line --seed-bug stale-migration-replica \
+  --seed-out "$SEED" >"$SCRATCH/model.txt"
+MODEL_EXIT=$?
+"$BIN/hmtx-run" --replay "$SEED" >/dev/null 2>"$SCRATCH/replay.txt"
+REPLAY_EXIT=$?
+set -e
+if [ "$MODEL_EXIT" -ne 1 ]; then
+  echo "hmtx-model exited $MODEL_EXIT on the planted defect, expected 1" >&2
+  exit 1
+fi
+OPS=$(python3 -c 'import json, sys; print(len(json.load(open(sys.argv[1]))["order"]))' "$SEED")
+if [ "$OPS" -gt 7 ]; then
+  echo "planted-defect seed has $OPS ops, limit 7" >&2
+  exit 1
+fi
+RULE=$(sed -n 's/^VIOLATION \[\([^]]*\)\].*/\1/p' "$SCRATCH/model.txt" | head -n 1)
+if [ "$REPLAY_EXIT" -ne 1 ] || ! grep -qF "[$RULE]" "$SCRATCH/replay.txt"; then
+  echo "hmtx-run --replay exited $REPLAY_EXIT without naming [$RULE]:" >&2
+  cat "$SCRATCH/replay.txt" >&2
+  exit 1
+fi
+
+# --- machine kernels ------------------------------------------------------
+# The two-thread machine kernels, to the default preemption bound of 3: the
+# bounded space must be exhausted with zero invariant or oracle violations.
+"$BIN/hmtx-explore" --all-kernels --preemptions 3 --expect-exhausted
 
 # --- bounded workload sweep -----------------------------------------------
 # Every paper workload analogue, bound-limited: exploration must terminate
 # clean (invariants hold, committed output matches the sequential
 # reference) within the smoke budget.
 for W in 052.alvinn 130.li 164.gzip 186.crafty 197.parser 256.bzip2 456.hmmer ispell; do
-  "$EXPLORE" --workload "$W" --bound 48 --preemptions 2
+  "$BIN/hmtx-explore" --workload "$W" --bound 48 --preemptions 2
 done
 
 echo "explore_smoke green"

@@ -1,19 +1,20 @@
 //! Replay of the pinned exploration corpus (`tests/corpus/*.json`).
 //!
-//! Every seed the explorer's shrinker has ever pinned replays here,
-//! byte-deterministically, on every tier-1 run: the generic sweep replays
-//! each file twice and demands identical outcomes, and each named
-//! `regression_*` test asserts the specific behaviour its seed was pinned
-//! for. Regenerate the corpus with
+//! Every pinned seed replays here, byte-deterministically, on every tier-1
+//! run: the generic sweep replays each file twice and demands identical
+//! outcomes, and each named `regression_*` test asserts the specific
+//! behaviour its seed was pinned for. `ops` seeds are model-checker
+//! counterexamples, replayed by the checker's own executor; `machine`
+//! seeds are explorer divergences. Regenerate the corpus with
 //! `cargo test -p hmtx-explore --test explore_corpus -- --ignored`.
 
 use std::path::{Path, PathBuf};
 
 use hmtx_explore::mexplore::{run_one, MachineOutcome, MachineSpec};
-use hmtx_explore::opexplore::{enumerate_orders, execute_order, OpOutcome};
-use hmtx_explore::{asm_kernels, op_kernels, seed, shrink};
+use hmtx_explore::opexplore::OpOutcome;
+use hmtx_explore::{asm_kernels, execute_order_checked, resolve_kernel, seed};
 use hmtx_machine::ScheduleSeed;
-use hmtx_types::SeedBug;
+use hmtx_types::{ModelCheckConfig, SeedBug};
 
 const MACHINE_BUDGET: u64 = 50_000;
 
@@ -34,11 +35,9 @@ fn parse_bug(stored: &ScheduleSeed) -> Option<SeedBug> {
 }
 
 fn replay_ops(stored: &ScheduleSeed) -> OpOutcome {
-    let kernel = op_kernels()
-        .into_iter()
-        .find(|k| k.name == stored.name)
-        .unwrap_or_else(|| panic!("no op kernel `{}`", stored.name));
-    execute_order(&kernel, &stored.order, parse_bug(stored))
+    let kernel =
+        resolve_kernel(&stored.name).unwrap_or_else(|| panic!("no op kernel `{}`", stored.name));
+    execute_order_checked(&kernel, &stored.order, parse_bug(stored))
 }
 
 fn replay_machine(stored: &ScheduleSeed) -> MachineOutcome {
@@ -77,12 +76,12 @@ fn every_corpus_seed_replays_byte_deterministically() {
     }
 }
 
-/// The pinned PR 1 counterexample shape: under the planted
-/// `stale-migration-replica` defect a speculative-read migration leaves a
-/// live duplicate of the version at the supplier, and the "at most one S-M
-/// version per address" invariant fires at group commit. The schedule is
-/// shrinker-minimal (at most the 7 ops of the original counterexample) and
-/// must stay clean on the real protocol.
+/// The planted-defect counterexample: under `stale-migration-replica` a
+/// speculative-read migration leaves a live duplicate of the version at the
+/// supplier, and hit uniqueness fails right after the migrating load. The
+/// seed is `hmtx-model`'s breadth-first counterexample on `migrated_line`,
+/// so no shorter order fails; it is well under the 7 ops of the originally
+/// recorded schedule and must stay clean on the real protocol.
 #[test]
 fn regression_stale_migration_replica() {
     let stored = load("regression_stale_migration_replica");
@@ -93,6 +92,10 @@ fn regression_stale_migration_replica() {
     let buggy = replay_ops(&stored);
     let failure = buggy.failure.expect("planted defect must reproduce");
     assert_eq!(failure.kind, "invariant", "{failure}");
+    assert_eq!(
+        failure.rule(),
+        "at most one responding version hits per VID"
+    );
 
     let mut clean_seed = stored.clone();
     clean_seed.seed_bug = None;
@@ -137,39 +140,31 @@ fn regression_handoff_divergent() {
     assert_eq!(outcome.committed, 2);
 }
 
-/// Regenerates the corpus from scratch (run with `-- --ignored`): rediscover
-/// the planted-defect counterexample and shrink it, then pin one
-/// misspeculating `race_detect` divergence and one divergent clean
-/// `handoff` schedule.
+/// Regenerates the corpus from scratch (run with `-- --ignored`): lower the
+/// model checker's planted-defect counterexample on `migrated_line` (the
+/// seed `hmtx-model --kernel migrated_line --seed-bug
+/// stale-migration-replica --seed-out` writes), then pin one misspeculating
+/// `race_detect` divergence and one divergent clean `handoff` schedule.
 #[test]
 #[ignore = "corpus generator, writes into tests/corpus/"]
 fn regenerate_corpus() {
     let dir = corpus_dir();
 
-    // 1. The planted-defect counterexample, rediscovered and shrunk.
-    let kernel = op_kernels()
-        .into_iter()
-        .find(|k| k.name == "migrated_line")
-        .unwrap();
-    let bug = Some(SeedBug::StaleMigrationReplica);
-    let (orders, exhausted) = enumerate_orders(&kernel, 3, true, usize::MAX);
-    assert!(exhausted);
-    let failing = orders
-        .iter()
-        .find(|o| execute_order(&kernel, o, bug).failure.is_some())
-        .expect("exploration rediscovers the planted defect");
-    let shrunk = shrink::shrink_ops(&kernel, failing, bug).unwrap();
+    // 1. The planted-defect counterexample, found breadth-first.
+    let kernel = resolve_kernel("migrated_line").unwrap();
+    let cfg = ModelCheckConfig {
+        seed_bug: Some(SeedBug::StaleMigrationReplica),
+        ..ModelCheckConfig::default()
+    };
+    let report = hmtx_modelcheck::check_kernel(&kernel, &cfg);
+    let v = report
+        .violations
+        .first()
+        .expect("the checker rediscovers the planted defect");
     seed::write_seed(
         &dir,
         "regression_stale_migration_replica",
-        &ScheduleSeed {
-            kind: "ops".into(),
-            name: kernel.name.to_string(),
-            seed_bug: Some(SeedBug::StaleMigrationReplica.name().to_string()),
-            picks: Vec::new(),
-            order: shrunk.order.clone(),
-            note: format!("pinned by hmtx-explore: {}", shrunk.failure),
-        },
+        &hmtx_modelcheck::lower(&kernel, &cfg, v),
     )
     .unwrap();
 
