@@ -21,17 +21,45 @@
 //! total exactly — the sweep is deterministic, so any drift means the
 //! simulation changed, not just the machine speed.
 
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use hmtx_bench::{run_job, standard_sweep};
+use hmtx_types::cli::{Args, UsageError};
 use hmtx_types::{Json, WireScale};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: cyclebench [--reps N] [--json PATH] [--baseline CPS] \
-         [--gate PATH] [--threshold RATIO]"
-    );
-    std::process::exit(2);
+const USAGE: &str = "usage: cyclebench [--reps N] [--json PATH] [--baseline CPS] \
+    [--gate PATH] [--threshold RATIO]";
+
+#[derive(Default)]
+struct Opts {
+    reps: usize,
+    json_path: Option<String>,
+    baseline: Option<f64>,
+    gate_path: Option<String>,
+    threshold: f64,
+}
+
+fn parse_args(mut args: Args) -> Result<Opts, UsageError> {
+    let mut opts = Opts {
+        reps: 3,
+        threshold: 0.8,
+        ..Opts::default()
+    };
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--reps" => opts.reps = args.parse::<NonZeroUsize>(&arg)?.get(),
+            "--json" => opts.json_path = Some(args.value(&arg)?),
+            "--baseline" => opts.baseline = Some(args.parse(&arg)?),
+            "--gate" => opts.gate_path = Some(args.value(&arg)?),
+            "--threshold" => {
+                opts.threshold =
+                    args.parse_with(&arg, |v| v.parse().ok().filter(|r| (0.0..=1.0).contains(r)))?;
+            }
+            _ => return Err(UsageError::unknown(&arg)),
+        }
+    }
+    Ok(opts)
 }
 
 struct Measurement {
@@ -153,29 +181,8 @@ fn gate(path: &str, threshold: f64, fresh: &Measurement) -> ! {
 }
 
 fn main() {
-    let mut reps = 3usize;
-    let mut json_path: Option<String> = None;
-    let mut baseline: Option<f64> = None;
-    let mut gate_path: Option<String> = None;
-    let mut threshold = 0.8f64;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--reps" => reps = value().parse().unwrap_or_else(|_| usage()),
-            "--json" => json_path = Some(value()),
-            "--baseline" => baseline = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--gate" => gate_path = Some(value()),
-            "--threshold" => threshold = value().parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
-        }
-    }
-    if reps == 0 || !(0.0..=1.0).contains(&threshold) {
-        usage();
-    }
-
-    let m = measure(reps);
+    let opts = parse_args(Args::from_env()).unwrap_or_else(|e| e.exit("cyclebench", USAGE));
+    let m = measure(opts.reps);
     println!(
         "cyclebench: {} jobs, {} committed cycles, best {:.3}s, {:.0} cycles/s",
         m.jobs,
@@ -184,14 +191,14 @@ fn main() {
         m.cycles_per_sec()
     );
 
-    if let Some(path) = &json_path {
-        let report = render(&m, baseline);
+    if let Some(path) = &opts.json_path {
+        let report = render(&m, opts.baseline);
         if let Err(e) = std::fs::write(path, report.pretty()) {
             eprintln!("cyclebench: writing {path}: {e}");
             std::process::exit(1);
         }
     }
-    if let Some(path) = &gate_path {
-        gate(path, threshold, &m);
+    if let Some(path) = &opts.gate_path {
+        gate(path, opts.threshold, &m);
     }
 }

@@ -27,6 +27,8 @@
 //! `hmtx_bench::run_job` and prints the deterministic report to stdout —
 //! byte-identical to what the server would cache and serve for that spec.
 
+use std::num::NonZeroUsize;
+
 use hmtx_bench::runner::SimPool;
 use hmtx_bench::{
     ablation_commit, ablation_sla, ablation_unbounded, ablation_victim, ablation_vid_width,
@@ -34,22 +36,60 @@ use hmtx_bench::{
     render_ablation, render_fig2, render_fig8, render_fig9, render_latency, render_scaling,
     render_table1, render_table2, render_table3, report::build_report, table1, table3, Section,
 };
+use hmtx_types::cli::{positional, Args, UsageError};
 use hmtx_types::{FaultConfig, JobSpec, Json, MachineConfig};
 use hmtx_workloads::Scale;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: experiments [fig1|fig2|fig8|fig9|table1|table2|table3|ablations|extensions|all] \
-         [--quick] [--jobs N] [--json PATH] [--progress] [--faults SEED] [--fault-rate PPM]\n\
-         \x20      experiments job SPEC.json   (run one wire-format job spec; `-` = stdin)"
-    );
-    std::process::exit(2);
+const USAGE: &str = "usage: experiments \
+    [fig1|fig2|fig8|fig9|table1|table2|table3|ablations|extensions|all] \
+    [--quick] [--jobs N] [--json PATH] [--progress] [--faults SEED] [--fault-rate PPM]\n       \
+    experiments job SPEC.json   (run one wire-format job spec; `-` = stdin)";
+
+#[derive(Default)]
+struct Opts {
+    sections: Vec<Section>,
+    quick: bool,
+    progress: bool,
+    jobs: usize,
+    json_path: Option<String>,
+    fault_seed: Option<u64>,
+    fault_rate_ppm: u32,
+}
+
+fn parse_args(mut args: Args) -> Result<Opts, UsageError> {
+    let mut opts = Opts {
+        sections: Section::ALL.to_vec(),
+        jobs: 1,
+        fault_rate_ppm: 200,
+        ..Opts::default()
+    };
+    let mut what: Option<String> = None;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => opts.quick = true,
+            "--progress" => opts.progress = true,
+            "--jobs" => opts.jobs = args.parse::<NonZeroUsize>(&arg)?.get(),
+            "--faults" => opts.fault_seed = Some(args.parse(&arg)?),
+            "--fault-rate" => opts.fault_rate_ppm = args.parse(&arg)?,
+            "--json" => opts.json_path = Some(args.value(&arg)?),
+            _ => {
+                if what.replace(positional(arg)?).is_some() {
+                    return Err(UsageError::new("more than one section given"));
+                }
+            }
+        }
+    }
+    if let Some(name) = what.filter(|w| w != "all") {
+        let section = Section::from_name(&name)
+            .ok_or_else(|| UsageError::new(format!("unknown section `{name}`")))?;
+        opts.sections = vec![section];
+    }
+    Ok(opts)
 }
 
 /// `experiments job SPEC.json` — one spec through the shared
 /// `hmtx_bench::run_job` path, report on stdout.
-fn run_single_job(args: &[String]) -> ! {
-    let [path] = args else { usage() };
+fn run_single_job(path: &str) -> ! {
     let text = if path == "-" {
         use std::io::Read;
         let mut buf = String::new();
@@ -89,82 +129,45 @@ fn run_single_job(args: &[String]) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("job") {
-        run_single_job(&args[1..]);
+        let [path] = &args[1..] else {
+            UsageError::new("job takes one SPEC.json path").exit("experiments", USAGE)
+        };
+        let path = positional(path.clone()).unwrap_or_else(|e| e.exit("experiments", USAGE));
+        run_single_job(&path);
     }
-    let mut quick = false;
-    let mut progress = false;
-    let mut jobs: usize = 1;
-    let mut json_path: Option<String> = None;
-    let mut what: Option<String> = None;
-    let mut fault_seed: Option<u64> = None;
-    let mut fault_rate_ppm: u32 = 200;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--progress" => progress = true,
-            "--jobs" => {
-                let n = it.next().unwrap_or_else(|| usage());
-                jobs = n.parse().unwrap_or_else(|_| usage());
-                if jobs == 0 {
-                    usage();
-                }
-            }
-            "--faults" => {
-                let n = it.next().unwrap_or_else(|| usage());
-                fault_seed = Some(n.parse().unwrap_or_else(|_| usage()));
-            }
-            "--fault-rate" => {
-                let n = it.next().unwrap_or_else(|| usage());
-                fault_rate_ppm = n.parse().unwrap_or_else(|_| usage());
-            }
-            "--json" => json_path = Some(it.next().unwrap_or_else(|| usage())),
-            s if s.starts_with("--") => usage(),
-            _ => {
-                if what.replace(a).is_some() {
-                    usage();
-                }
-            }
-        }
-    }
-    let what = what.unwrap_or_else(|| "all".to_string());
-
-    let sections: Vec<Section> = if what == "all" {
-        Section::ALL.to_vec()
+    let opts = parse_args(Args::new(args)).unwrap_or_else(|e| e.exit("experiments", USAGE));
+    let scale = if opts.quick {
+        Scale::Quick
     } else {
-        match Section::from_name(&what) {
-            Some(s) => vec![s],
-            None => usage(),
-        }
+        Scale::Standard
     };
-
-    let scale = if quick { Scale::Quick } else { Scale::Standard };
-    let mut cfg: MachineConfig = if quick {
+    let mut cfg: MachineConfig = if opts.quick {
         MachineConfig::test_default()
     } else {
         experiment_config()
     };
-    if let Some(seed) = fault_seed {
-        cfg.faults = Some(FaultConfig::chaos(seed, fault_rate_ppm));
+    if let Some(seed) = opts.fault_seed {
+        cfg.faults = Some(FaultConfig::chaos(seed, opts.fault_rate_ppm));
         eprintln!(
-            "experiments: chaos mode on (seed {seed}, rate {fault_rate_ppm} ppm); \
-             results measure degraded-mode performance, not the paper's numbers"
+            "experiments: chaos mode on (seed {seed}, rate {} ppm); \
+             results measure degraded-mode performance, not the paper's numbers",
+            opts.fault_rate_ppm
         );
     }
     let mut pool = SimPool::new(scale, cfg.clone());
-    if progress {
+    if opts.progress {
         pool = pool.with_progress();
     }
 
     // Simulate everything the sections need up front, across host threads.
     // Rendering below then finds every result in the cache and stays
     // byte-identical regardless of --jobs.
-    if let Err(e) = pool.prefetch(&plan(&sections, scale), jobs) {
+    if let Err(e) = pool.prefetch(&plan(&opts.sections, scale), opts.jobs) {
         eprintln!("experiments: simulation failed: {e:?}");
         std::process::exit(1);
     }
 
-    let run = |name: &str| sections.iter().any(|s| s.name() == name);
+    let run = |name: &str| opts.sections.iter().any(|s| s.name() == name);
 
     if run("table2") {
         println!("{}", render_table2(&cfg));
@@ -236,8 +239,8 @@ fn main() {
         );
     }
 
-    if let Some(path) = json_path {
-        let report = build_report(&pool, &sections).expect("json report");
+    if let Some(path) = opts.json_path {
+        let report = build_report(&pool, &opts.sections).expect("json report");
         if let Err(e) = std::fs::write(&path, report.pretty()) {
             eprintln!("experiments: writing {path}: {e}");
             std::process::exit(1);

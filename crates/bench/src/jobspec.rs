@@ -61,11 +61,7 @@ pub fn materialize(spec: &JobSpec) -> (SimJob, MachineConfig) {
         },
         WireVariant::QueueLatency(latency) => ConfigVariant::QueueLatency(latency),
     };
-    let scale = match spec.scale {
-        WireScale::Quick => Scale::Quick,
-        WireScale::Standard => Scale::Standard,
-        WireScale::Stress => Scale::Stress,
-    };
+    let scale = Scale::from(spec.scale);
     let mut base = match spec.base {
         WireBase::Paper => MachineConfig::paper_default(),
         WireBase::Test => MachineConfig::test_default(),

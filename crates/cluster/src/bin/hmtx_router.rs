@@ -15,64 +15,43 @@
 use std::time::Duration;
 
 use hmtx_cluster::{RouterConfig, RouterHandle};
+use hmtx_types::cli::{Args, UsageError};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: hmtx-router --backends HOST:PORT,... [--addr HOST:PORT] \
-         [--replicas N] [--health-interval-ms N] [--retries N] [--retry-base-ms N]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: hmtx-router --backends HOST:PORT,... [--addr HOST:PORT] \
+    [--replicas N] [--health-interval-ms N] [--retries N] [--retry-base-ms N]";
 
-fn main() {
+fn parse_args(mut args: Args) -> Result<(String, RouterConfig), UsageError> {
     let mut addr = "127.0.0.1:7871".to_string();
-    let mut backends: Vec<String> = Vec::new();
-    let mut cfg_replicas = None;
-    let mut cfg_health_ms = None;
-    let mut cfg_retries = None;
-    let mut cfg_retry_base_ms = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = || args.next().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--addr" => addr = value(),
+    let mut cfg = RouterConfig::new(Vec::new());
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--addr" => addr = args.value(&arg)?,
             "--backends" => {
-                backends = value()
+                cfg.backends = args
+                    .value(&arg)?
                     .split(',')
                     .map(str::trim)
                     .filter(|s| !s.is_empty())
                     .map(String::from)
                     .collect();
             }
-            "--replicas" => cfg_replicas = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--replicas" => cfg.replicas = args.parse(&arg)?,
             "--health-interval-ms" => {
-                cfg_health_ms = Some(value().parse().unwrap_or_else(|_| usage()));
+                cfg.health_interval = Duration::from_millis(args.parse(&arg)?);
             }
-            "--retries" => cfg_retries = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--retry-base-ms" => {
-                cfg_retry_base_ms = Some(value().parse().unwrap_or_else(|_| usage()));
-            }
-            _ => usage(),
+            "--retries" => cfg.failover_retries = args.parse(&arg)?,
+            "--retry-base-ms" => cfg.retry_base_ms = args.parse(&arg)?,
+            _ => return Err(UsageError::unknown(&arg)),
         }
     }
-    if backends.is_empty() {
-        eprintln!("hmtx-router: --backends is required");
-        usage();
+    if cfg.backends.is_empty() {
+        return Err(UsageError::new("--backends is required"));
     }
-    let mut cfg = RouterConfig::new(backends);
-    if let Some(r) = cfg_replicas {
-        cfg.replicas = r;
-    }
-    if let Some(ms) = cfg_health_ms {
-        cfg.health_interval = Duration::from_millis(ms);
-    }
-    if let Some(r) = cfg_retries {
-        cfg.failover_retries = r;
-    }
-    if let Some(ms) = cfg_retry_base_ms {
-        cfg.retry_base_ms = ms;
-    }
+    Ok((addr, cfg))
+}
 
+fn main() {
+    let (addr, cfg) = parse_args(Args::from_env()).unwrap_or_else(|e| e.exit("hmtx-router", USAGE));
     hmtx_server::install_drain_handlers();
 
     let handle = match RouterHandle::start(&addr, cfg) {

@@ -1,0 +1,47 @@
+//! Command-line contract of `hmtx-router`. Only error paths run here:
+//! parsing fails before any socket is bound.
+
+use std::process::Command;
+
+const ROUTER: &str = env!("CARGO_BIN_EXE_hmtx-router");
+
+/// Runs `bin` with `args` and checks the usage-error contract shared by
+/// every workspace binary: exit status 2, nothing on stdout, and stderr
+/// naming `needle` above the usage line.
+fn usage_error(bin: &str, args: &[&str], needle: &str) -> String {
+    let out = Command::new(bin)
+        .args(args)
+        .output()
+        .expect("spawning the binary");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+    assert!(
+        stderr.contains(needle),
+        "{args:?}: `{needle}` not in {stderr}"
+    );
+    assert!(
+        stderr.contains("usage:"),
+        "{args:?}: no usage line in {stderr}"
+    );
+    stderr
+}
+
+/// An unknown flag, `flag` without its value, and `flag` with a value that
+/// does not parse, each after `prefix`.
+fn flag_contract(bin: &str, prefix: &[&str], flag: &str) {
+    for tail in [&["--bogus"][..], &[flag], &[flag, "x1"]] {
+        let args: Vec<&str> = prefix.iter().chain(tail).copied().collect();
+        usage_error(bin, &args, tail[0]);
+    }
+}
+
+#[test]
+fn usage_errors_exit_2() {
+    flag_contract(
+        ROUTER,
+        &["--backends", "127.0.0.1:9", "--addr", "127.0.0.1:0"],
+        "--replicas",
+    );
+    usage_error(ROUTER, &["--addr", "127.0.0.1:0"], "--backends is required");
+}

@@ -16,23 +16,29 @@
 //! hmtx-explore --kernel race_detect --preemptions 4 --no-reduce
 //! hmtx-explore --workload 052.alvinn --bound 8 --json
 //! ```
+//!
+//! Workloads are named as in the suite, by any unambiguous substring, or
+//! as `suite:N`. Exits 0 when every target explores clean (or as the
+//! `--expect-*` flags demand), 1 on a failure or an unmet expectation,
+//! and 2 on a usage error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use hmtx_explore::{asm_kernels, mexplore, resolve_kernel, seed, shrink};
+use hmtx_explore::{asm_kernels, mexplore, resolve_kernel, seed, shrink, AsmKernel};
 use hmtx_machine::ScheduleSeed;
+use hmtx_runtime::Paradigm;
+use hmtx_types::cli::{Args, UsageError};
 use hmtx_types::{Json, SeedBug, SimError};
-use hmtx_workloads::{suite, Scale};
+use hmtx_workloads::{paper_table1, resolve_workload, suite, Scale};
 
-#[derive(Debug)]
+#[derive(Default)]
 struct Opts {
     list: bool,
-    kernels: Vec<String>,
-    all_kernels: bool,
-    workloads: Vec<String>,
-    all_workloads: bool,
-    paradigm: Option<hmtx_runtime::Paradigm>,
+    kernels: Vec<AsmKernel>,
+    /// Suite indices.
+    workloads: Vec<usize>,
+    paradigm: Option<Paradigm>,
     preemptions: u32,
     bound: usize,
     jobs: usize,
@@ -47,103 +53,66 @@ struct Opts {
     budget: Option<u64>,
 }
 
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            list: false,
-            kernels: Vec::new(),
-            all_kernels: false,
-            workloads: Vec::new(),
-            all_workloads: false,
-            paradigm: None,
-            preemptions: 3,
-            bound: 100_000,
-            jobs: std::thread::available_parallelism().map_or(2, |n| n.get().min(8)),
-            json: false,
-            no_reduce: false,
-            seed_bug: None,
-            shrink: false,
-            corpus_dir: PathBuf::from("tests/corpus"),
-            expect_failure: false,
-            expect_exhausted: false,
-            max_shrunk_len: None,
-            budget: None,
-        }
-    }
-}
-
 const USAGE: &str = "usage: hmtx-explore [--list] [--kernel NAME]... [--all-kernels] \
     [--workload NAME]... [--all-workloads] [--paradigm P] [--preemptions N] \
     [--bound N] [--jobs N] [--json] [--no-reduce] [--seed-bug NAME] [--shrink] \
     [--corpus-dir DIR] [--expect-failure] [--expect-exhausted] \
     [--max-shrunk-len N] [--budget N]";
 
-fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, SimError> {
-    let mut opts = Opts::default();
-    let mut it = args.into_iter();
-    let bad = |msg: String| SimError::BadProgram(msg);
-    let need = |it: &mut dyn Iterator<Item = String>, flag: &str| {
-        it.next()
-            .ok_or_else(|| SimError::BadProgram(format!("{flag} needs a value")))
+fn parse_args(mut args: Args) -> Result<Opts, UsageError> {
+    let mut opts = Opts {
+        preemptions: 3,
+        bound: 100_000,
+        jobs: std::thread::available_parallelism().map_or(2, |n| n.get().min(8)),
+        corpus_dir: PathBuf::from("tests/corpus"),
+        ..Opts::default()
     };
-    while let Some(arg) = it.next() {
+    let (mut all_kernels, mut all_workloads) = (false, false);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--list" => opts.list = true,
-            "--kernel" => opts.kernels.push(need(&mut it, "--kernel")?),
-            "--all-kernels" => opts.all_kernels = true,
-            "--workload" => opts.workloads.push(need(&mut it, "--workload")?),
-            "--all-workloads" => opts.all_workloads = true,
-            "--paradigm" => {
-                let v = need(&mut it, "--paradigm")?;
-                opts.paradigm = Some(match v.as_str() {
-                    "sequential" => hmtx_runtime::Paradigm::Sequential,
-                    "doall" => hmtx_runtime::Paradigm::Doall,
-                    "doacross" => hmtx_runtime::Paradigm::Doacross,
-                    "dswp" => hmtx_runtime::Paradigm::Dswp,
-                    "ps-dswp" | "psdswp" => hmtx_runtime::Paradigm::PsDswp,
-                    _ => return Err(bad(format!("unknown paradigm `{v}`"))),
-                });
-            }
-            "--preemptions" => {
-                let v = need(&mut it, "--preemptions")?;
-                opts.preemptions = v
-                    .parse()
-                    .map_err(|_| bad(format!("bad preemption bound `{v}`")))?;
-            }
-            "--bound" => {
-                let v = need(&mut it, "--bound")?;
-                opts.bound = v.parse().map_err(|_| bad(format!("bad bound `{v}`")))?;
-            }
-            "--jobs" => {
-                let v = need(&mut it, "--jobs")?;
-                opts.jobs = v.parse().map_err(|_| bad(format!("bad job count `{v}`")))?;
-            }
+            "--kernel" => opts.kernels.push(machine_kernel(&args.value(&arg)?)?),
+            "--all-kernels" => all_kernels = true,
+            "--workload" => opts.workloads.push(resolve_workload(&args.value(&arg)?)?),
+            "--all-workloads" => all_workloads = true,
+            "--paradigm" => opts.paradigm = Some(args.parse_with(&arg, Paradigm::from_name)?),
+            "--preemptions" => opts.preemptions = args.parse(&arg)?,
+            "--bound" => opts.bound = args.parse(&arg)?,
+            "--jobs" => opts.jobs = args.parse(&arg)?,
             "--json" => opts.json = true,
             "--no-reduce" => opts.no_reduce = true,
-            "--seed-bug" => {
-                let v = need(&mut it, "--seed-bug")?;
-                opts.seed_bug =
-                    Some(SeedBug::from_name(&v).ok_or_else(|| bad(format!(
-                        "unknown seed bug `{v}` (try `stale-migration-replica`)"
-                    )))?);
-            }
+            "--seed-bug" => opts.seed_bug = Some(args.parse_with(&arg, SeedBug::from_name)?),
             "--shrink" => opts.shrink = true,
-            "--corpus-dir" => opts.corpus_dir = PathBuf::from(need(&mut it, "--corpus-dir")?),
+            "--corpus-dir" => opts.corpus_dir = args.value(&arg)?.into(),
             "--expect-failure" => opts.expect_failure = true,
             "--expect-exhausted" => opts.expect_exhausted = true,
-            "--max-shrunk-len" => {
-                let v = need(&mut it, "--max-shrunk-len")?;
-                opts.max_shrunk_len =
-                    Some(v.parse().map_err(|_| bad(format!("bad length `{v}`")))?);
-            }
-            "--budget" => {
-                let v = need(&mut it, "--budget")?;
-                opts.budget = Some(v.parse().map_err(|_| bad(format!("bad budget `{v}`")))?);
-            }
-            other => return Err(bad(format!("unknown argument `{other}`\n{USAGE}"))),
+            "--max-shrunk-len" => opts.max_shrunk_len = Some(args.parse(&arg)?),
+            "--budget" => opts.budget = Some(args.parse(&arg)?),
+            _ => return Err(UsageError::unknown(&arg)),
         }
     }
+    if all_kernels {
+        opts.kernels.extend(asm_kernels());
+    }
+    if all_workloads {
+        opts.workloads.extend(0..paper_table1().len());
+    }
+    if !opts.list && opts.kernels.is_empty() && opts.workloads.is_empty() {
+        return Err(UsageError::new("nothing to explore"));
+    }
     Ok(opts)
+}
+
+/// The machine kernel called `name`; op kernels belong to `hmtx-model`.
+fn machine_kernel(name: &str) -> Result<AsmKernel, UsageError> {
+    if let Some(k) = asm_kernels().into_iter().find(|k| k.name == name) {
+        return Ok(k);
+    }
+    Err(UsageError::new(if resolve_kernel(name).is_some() {
+        format!("`{name}` is an op kernel; check it with `hmtx-model --kernel {name}`")
+    } else {
+        format!("unknown kernel `{name}` (try --list)")
+    }))
 }
 
 /// One explored target's result, normalized across the two modes.
@@ -159,6 +128,22 @@ struct TargetResult {
 }
 
 impl TargetResult {
+    fn new(target: String, mode: &'static str, report: &mexplore::MachineReport) -> Self {
+        TargetResult {
+            target,
+            mode,
+            runs: report.runs,
+            exhausted: report.exhausted,
+            misspecs: report.misspecs,
+            failures: report.failures.len(),
+            first_failure: report
+                .failures
+                .first()
+                .map(|f| format!("{} (picks {:?})", f.failure.as_ref().unwrap(), f.picks)),
+            shrunk: None,
+        }
+    }
+
     fn to_json(&self) -> Json {
         Json::obj(vec![
             ("target", Json::Str(self.target.clone())),
@@ -186,17 +171,7 @@ impl TargetResult {
     }
 }
 
-fn corpus_stem(kernel: &str, seed_bug: Option<SeedBug>) -> String {
-    match seed_bug {
-        Some(bug) => format!("regression_{}", bug.name().replace('-', "_")),
-        None => format!("regression_{kernel}"),
-    }
-}
-
-fn explore_asm_kernel(
-    opts: &Opts,
-    kernel: &hmtx_explore::AsmKernel,
-) -> Result<TargetResult, SimError> {
+fn explore_asm_kernel(opts: &Opts, kernel: &AsmKernel) -> Result<TargetResult, SimError> {
     let budget = opts.budget.unwrap_or(50_000);
     let spec = mexplore::MachineSpec::from_kernel(kernel, budget, opts.seed_bug)?;
     let oracle = spec.oracle()?;
@@ -208,18 +183,7 @@ fn explore_asm_kernel(
         opts.bound,
         opts.jobs,
     );
-    let mut result = TargetResult {
-        target: kernel.name.to_string(),
-        mode: "machine",
-        runs: report.runs,
-        exhausted: report.exhausted,
-        misspecs: report.misspecs,
-        failures: report.failures.len(),
-        first_failure: report.failures.first().map(|f| {
-            format!("{} (picks {:?})", f.failure.as_ref().unwrap(), f.picks)
-        }),
-        shrunk: None,
-    };
+    let mut result = TargetResult::new(kernel.name.to_string(), "machine", &report);
     if opts.shrink {
         if let Some(first) = report.failures.first() {
             let kind = first.failure.as_ref().unwrap().kind;
@@ -235,7 +199,8 @@ fn explore_asm_kernel(
                 order: Vec::new(),
                 note: format!("pinned by hmtx-explore: {}", first.failure.as_ref().unwrap()),
             };
-            let path = seed::write_seed(&opts.corpus_dir, &corpus_stem(kernel.name, opts.seed_bug), &stored)
+            let stem = seed::corpus_stem(kernel.name, opts.seed_bug);
+            let path = seed::write_seed(&opts.corpus_dir, &stem, &stored)
                 .map_err(|e| SimError::BadProgram(format!("writing corpus seed: {e}")))?;
             result.shrunk = Some((kept.len(), path));
         }
@@ -243,37 +208,15 @@ fn explore_asm_kernel(
     Ok(result)
 }
 
-fn explore_one_workload(opts: &Opts, name: &str) -> Result<TargetResult, SimError> {
+fn explore_workload(opts: &Opts, index: usize) -> Result<TargetResult, SimError> {
     let workloads = suite(Scale::Quick);
-    let w = workloads
-        .iter()
-        .find(|w| w.meta().name == name || w.meta().name.contains(name))
-        .ok_or_else(|| {
-            SimError::BadProgram(format!(
-                "unknown workload `{name}` (valid: {})",
-                workloads
-                    .iter()
-                    .map(|w| w.meta().name)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ))
-        })?;
+    let w = &workloads[index];
     let paradigm = opts.paradigm.unwrap_or(w.meta().paradigm);
     let budget = opts.budget.unwrap_or(50_000_000);
     let report =
         mexplore::explore_workload(w.as_ref(), paradigm, opts.preemptions, opts.bound, budget)?;
-    Ok(TargetResult {
-        target: format!("{} [{}]", w.meta().name, paradigm.name()),
-        mode: "workload",
-        runs: report.runs,
-        exhausted: report.exhausted,
-        misspecs: report.misspecs,
-        failures: report.failures.len(),
-        first_failure: report.failures.first().map(|f| {
-            format!("{} (picks {:?})", f.failure.as_ref().unwrap(), f.picks)
-        }),
-        shrunk: None,
-    })
+    let target = format!("{} [{}]", w.meta().name, paradigm.name());
+    Ok(TargetResult::new(target, "workload", &report))
 }
 
 fn list() {
@@ -288,39 +231,12 @@ fn list() {
 }
 
 fn run(opts: &Opts) -> Result<Vec<TargetResult>, SimError> {
-    let mut results = Vec::new();
-    let asm_ks = asm_kernels();
-    let mut wanted: Vec<String> = opts.kernels.clone();
-    if opts.all_kernels {
-        wanted.extend(asm_ks.iter().map(|k| k.name.to_string()));
-    }
-    for name in &wanted {
-        if let Some(k) = asm_ks.iter().find(|k| k.name == name) {
-            results.push(explore_asm_kernel(opts, k)?);
-        } else if resolve_kernel(name).is_some() {
-            return Err(SimError::BadProgram(format!(
-                "`{name}` is an op kernel; check it with `hmtx-model --kernel {name}`"
-            )));
-        } else {
-            return Err(SimError::BadProgram(format!(
-                "unknown kernel `{name}` (try --list)"
-            )));
-        }
-    }
-    let mut workload_names: Vec<String> = opts.workloads.clone();
-    if opts.all_workloads {
-        workload_names.extend(suite(Scale::Quick).iter().map(|w| w.meta().name.to_string()));
-    }
-    for name in &workload_names {
-        results.push(explore_one_workload(opts, name)?);
-    }
-    Ok(results)
+    let kernels = opts.kernels.iter().map(|k| explore_asm_kernel(opts, k));
+    let workloads = opts.workloads.iter().map(|&w| explore_workload(opts, w));
+    kernels.chain(workloads).collect()
 }
 
 fn verdict(opts: &Opts, results: &[TargetResult]) -> Result<(), String> {
-    if results.is_empty() && !opts.list {
-        return Err(format!("nothing to explore\n{USAGE}"));
-    }
     let any_failure = results.iter().any(|r| r.failures > 0);
     let all_exhausted = results.iter().all(|r| r.exhausted);
     if opts.expect_failure && !any_failure {
@@ -353,16 +269,10 @@ fn verdict(opts: &Opts, results: &[TargetResult]) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("hmtx-explore: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let opts = parse_args(Args::from_env()).unwrap_or_else(|e| e.exit("hmtx-explore", USAGE));
     if opts.list {
         list();
-        if opts.kernels.is_empty() && opts.workloads.is_empty() && !opts.all_kernels {
+        if opts.kernels.is_empty() && opts.workloads.is_empty() {
             return ExitCode::SUCCESS;
         }
     }

@@ -69,6 +69,17 @@ impl Failure {
         }
     }
 
+    /// The `"invariant"` failure for violation `v`, rendered as
+    /// `{context}: {rule}: {detail}` so that [`Failure::rule`] reads the
+    /// rule back.
+    #[must_use]
+    pub fn invariant(context: &str, v: &hmtx_core::Violation) -> Self {
+        Failure {
+            kind: "invariant",
+            detail: format!("{context}: {}: {}", v.rule, v.detail),
+        }
+    }
+
     /// The `"panic"` failure for a caught panic payload: debug assertions
     /// inside the protocol (e.g. hit-uniqueness) classify as failures
     /// instead of tearing down the search.

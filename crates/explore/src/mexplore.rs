@@ -217,10 +217,10 @@ impl SchedulePolicy for ExplorePolicy<'_> {
     ) -> Result<(), SimError> {
         let violations = mem.check_invariants();
         if let Some(v) = violations.first() {
-            self.violations.push(Failure {
-                kind: "invariant",
-                detail: format!("after commit of v{}: {v:?}", vid.0),
-            });
+            self.violations.push(Failure::invariant(
+                &format!("after commit of v{}", vid.0),
+                v,
+            ));
             return Ok(());
         }
         if let Some(oracle) = self.oracle {
@@ -362,10 +362,7 @@ fn check_quiescent(
 ) {
     let violations = machine.mem().check_invariants();
     if let Some(v) = violations.first() {
-        outcome.failure = Some(Failure {
-            kind: "invariant",
-            detail: format!("at end of run: {v:?}"),
-        });
+        outcome.failure = Some(Failure::invariant("at end of run", v));
         return;
     }
     let Some(oracle) = oracle else { return };
@@ -563,18 +560,12 @@ fn run_workload_once(
                 // to be sound.
                 outcome.misspec = Some(format!("{cause:?} at cycle {cycle}"));
                 if let Some(v) = machine.mem().check_invariants().first() {
-                    outcome.failure = Some(Failure {
-                        kind: "invariant",
-                        detail: format!("after abort: {v:?}"),
-                    });
+                    outcome.failure = Some(Failure::invariant("after abort", v));
                 }
             }
             RunEvent::AllHalted => {
                 if let Some(v) = machine.mem().check_invariants().first() {
-                    outcome.failure = Some(Failure {
-                        kind: "invariant",
-                        detail: format!("at end of run: {v:?}"),
-                    });
+                    outcome.failure = Some(Failure::invariant("at end of run", v));
                 } else if machine.committed_output() != reference {
                     outcome.failure = Some(Failure {
                         kind: "oracle",
@@ -687,6 +678,29 @@ mod tests {
             report.failures.is_empty(),
             "first failure: {}",
             report.failures[0].failure.as_ref().unwrap()
+        );
+    }
+
+    #[test]
+    fn machine_invariant_failures_name_their_rule() {
+        let bug = Some(SeedBug::StaleMigrationReplica);
+        let report =
+            explore_kernel(&kernel("race_detect"), 3, true, 10_000, 2, bug, 50_000).unwrap();
+        let first = report
+            .failures
+            .first()
+            .expect("the planted defect is found");
+        assert_eq!(first.picks, vec![(7, 0)]);
+        let failure = first.failure.as_ref().unwrap();
+        assert_eq!(failure.kind, "invariant");
+        assert_eq!(
+            failure.rule(),
+            "at most one responding version hits per VID"
+        );
+        assert!(
+            !failure.detail.contains("Violation {"),
+            "{}",
+            failure.detail
         );
     }
 }

@@ -181,10 +181,7 @@ impl OpMachine {
         };
         match violations.first() {
             None => Ok(()),
-            Some(v) => Err(Failure {
-                kind: "invariant",
-                detail: format!("{}: {}: {}", context(), v.rule, v.detail),
-            }),
+            Some(v) => Err(Failure::invariant(&context(), v)),
         }
     }
 

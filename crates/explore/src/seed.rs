@@ -10,7 +10,19 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use hmtx_machine::ScheduleSeed;
-use hmtx_types::{Json, SimError};
+use hmtx_types::{Json, SeedBug, SimError};
+
+/// The file stem `hmtx-explore --shrink` pins a failing machine schedule
+/// of `kernel` under: `regression_{kernel}`, plus the planted defect's
+/// name when one is set, so machine seeds never overwrite each other or
+/// the model checker's `regression_{bug}` op seeds.
+#[must_use]
+pub fn corpus_stem(kernel: &str, seed_bug: Option<SeedBug>) -> String {
+    match seed_bug {
+        Some(bug) => format!("regression_{kernel}_{}", bug.name().replace('-', "_")),
+        None => format!("regression_{kernel}"),
+    }
+}
 
 /// Reads and parses a seed file.
 ///
@@ -86,5 +98,29 @@ mod tests {
         assert_eq!(bytes1, std::fs::read(&p2).unwrap());
         assert!(list_seeds(&dir).unwrap().contains(&p1));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn machine_seed_stems_never_collide_with_the_pinned_corpus() {
+        let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+        let pinned: Vec<String> = list_seeds(&corpus)
+            .unwrap()
+            .iter()
+            .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect();
+        assert!(pinned.contains(&"regression_stale_migration_replica".to_string()));
+        let bug = Some(SeedBug::StaleMigrationReplica);
+        for kernel in crate::asm_kernels() {
+            let stem = corpus_stem(kernel.name, bug);
+            assert!(
+                !pinned.contains(&stem),
+                "{stem} would overwrite a pinned seed"
+            );
+            assert_ne!(stem, corpus_stem(kernel.name, None));
+        }
+        assert_eq!(
+            corpus_stem("race_detect", bug),
+            "regression_race_detect_stale_migration_replica"
+        );
     }
 }

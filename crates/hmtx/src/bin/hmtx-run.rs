@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! hmtx-run [--cores N] [--trace N] [--budget N] [--quick]
+//!          [--faults SEED] [--fault-rate PPM] [--replay SEED.json]
 //!          [--mem addr=value]... [--dump addr]...
-//!          [--replay seed.json]
 //!          thread0.asm [thread1.asm ...]
 //! ```
 //!
@@ -18,32 +18,32 @@
 //!
 //! ```text
 //! hmtx-run --remote HOST:PORT --workload NAME [--paradigm P] [--scale S]
+//!          [--quick|--paper-config] [--deadline-ms N] [--faults SEED]
+//!          [--fault-rate PPM]
 //! ```
+//!
+//! Exits 0 on success, 1 when the run (or the remote request) fails, and
+//! 2 on a usage error.
 
-use hmtx::cli::{parse_args, run};
-use hmtx::remote::{parse_remote_args, run_remote};
+use hmtx::cli::{parse_args, run, USAGE};
+use hmtx::remote::{self, parse_remote_args, run_remote};
+use hmtx_types::cli::Args;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--remote") {
-        match parse_remote_args(args).and_then(|opts| run_remote(&opts)) {
-            Ok(summary) => {
-                println!("{summary}");
-                return;
-            }
+        let opts = parse_remote_args(Args::new(args))
+            .unwrap_or_else(|e| e.exit("hmtx-run", remote::USAGE));
+        match run_remote(&opts) {
+            Ok(summary) => println!("{summary}"),
             Err(e) => {
                 eprintln!("{e}");
                 std::process::exit(1);
             }
         }
+        return;
     }
-    let opts = match parse_args(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let opts = parse_args(Args::new(args)).unwrap_or_else(|e| e.exit("hmtx-run", USAGE));
     match run(&opts) {
         Ok(report) => {
             println!("outcome: {}", report.outcome);

@@ -7,19 +7,14 @@
 //! hmtx-verify --all-workloads [--scale quick|standard|stress] [--json]
 //! ```
 //!
-//! Exits 0 when clean, 1 when any diagnostic is reported, 2 on bad
-//! arguments or assembly errors.
+//! Exits 0 when clean, 1 when any diagnostic is reported, 2 on usage
+//! or assembly errors.
 
-use hmtx::vcli::{parse_args, run};
+use hmtx::vcli::{parse_args, run, USAGE};
+use hmtx_types::cli::Args;
 
 fn main() {
-    let opts = match parse_args(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let opts = parse_args(Args::from_env()).unwrap_or_else(|e| e.exit("hmtx-verify", USAGE));
     match run(&opts) {
         Ok(report) => {
             print!("{}", report.output);

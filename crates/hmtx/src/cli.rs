@@ -1,11 +1,13 @@
 //! Implementation of the `hmtx-run` command-line tool: assemble one guest
 //! program per hardware thread and run them on the simulated HMTX machine.
 
+use std::path::Path;
 use std::sync::Arc;
 
 use hmtx_isa::assemble;
 use hmtx_machine::{Machine, MinClock, ReplayPolicy, RunEvent, SchedulePolicy, ScheduleSeed, ThreadContext};
-use hmtx_types::{Addr, FaultConfig, Json, MachineConfig, SeedBug, SimError, ThreadId, Vid};
+use hmtx_types::cli::{positional, Args, UsageError};
+use hmtx_types::{Addr, FaultConfig, MachineConfig, SeedBug, SimError, ThreadId, Vid};
 
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
@@ -67,94 +69,59 @@ pub struct CliReport {
     pub trace: String,
 }
 
-/// Parses CLI arguments (everything after the program name).
+/// The `hmtx-run` usage line (the `--remote` form is [`crate::remote::USAGE`]).
+pub const USAGE: &str = "usage: hmtx-run [--cores N] [--trace N] [--budget N] [--quick] \
+    [--faults SEED] [--fault-rate PPM] [--replay SEED.json] \
+    [--mem addr=value]... [--dump addr]... thread0.asm [thread1.asm ...]";
+
+/// Parses the command line (everything after the program name) and reads
+/// the assembly files it names.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::BadProgram`] on malformed flags.
-pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, SimError> {
+/// Returns a [`UsageError`] on malformed flags, unreadable files, or a
+/// command line with nothing to run.
+pub fn parse_args(mut args: Args) -> Result<Options, UsageError> {
     let mut opts = Options::default();
-    let mut it = args.into_iter();
-    let bad = |msg: String| SimError::BadProgram(msg);
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--cores" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| bad("--cores needs a value".into()))?;
-                opts.cores = Some(
-                    v.parse()
-                        .map_err(|_| bad(format!("bad core count `{v}`")))?,
-                );
-            }
-            "--trace" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| bad("--trace needs a value".into()))?;
-                opts.trace = v
-                    .parse()
-                    .map_err(|_| bad(format!("bad trace capacity `{v}`")))?;
-            }
-            "--budget" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| bad("--budget needs a value".into()))?;
-                opts.budget = v.parse().map_err(|_| bad(format!("bad budget `{v}`")))?;
-            }
-            "--mem" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| bad("--mem needs addr=value".into()))?;
-                let (a, val) = v
-                    .split_once('=')
-                    .ok_or_else(|| bad(format!("--mem wants addr=value, got `{v}`")))?;
-                opts.init.push((parse_u64(a)?, parse_u64(val)?));
-            }
-            "--dump" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| bad("--dump needs an address".into()))?;
-                opts.dump.push(parse_u64(&v)?);
-            }
+            "--cores" => opts.cores = Some(args.parse(&arg)?),
+            "--trace" => opts.trace = args.parse(&arg)?,
+            "--budget" => opts.budget = args.parse(&arg)?,
+            "--mem" => opts.init.push(args.parse_with(&arg, |v| {
+                let (addr, value) = v.split_once('=')?;
+                Some((word(addr)?, word(value)?))
+            })?),
+            "--dump" => opts.dump.push(args.parse_with(&arg, word)?),
             "--quick" => opts.quick = true,
-            "--faults" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| bad("--faults needs a seed".into()))?;
-                opts.fault_seed = Some(parse_u64(&v)?);
-            }
-            "--fault-rate" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| bad("--fault-rate needs parts-per-million".into()))?;
-                opts.fault_rate_ppm = v
-                    .parse()
-                    .map_err(|_| bad(format!("bad fault rate `{v}`")))?;
-            }
-            "--replay" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| bad("--replay needs a schedule seed file".into()))?;
-                opts.replay = Some(v);
-            }
-            path => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| bad(format!("cannot read `{path}`: {e}")))?;
-                opts.programs.push(text);
-            }
+            "--faults" => opts.fault_seed = Some(args.parse_with(&arg, word)?),
+            "--fault-rate" => opts.fault_rate_ppm = args.parse(&arg)?,
+            "--replay" => opts.replay = Some(args.value(&arg)?),
+            _ => opts.programs.push(read_source(arg)?),
         }
     }
     // `ops` replay seeds name their kernel, so `--replay` alone is a
     // complete invocation; assembly programs are only mandatory without it.
     if opts.programs.is_empty() && opts.replay.is_none() {
-        return Err(bad(
-            "usage: hmtx-run [--cores N] [--trace N] [--budget N] [--quick] \
-             [--faults SEED] [--fault-rate PPM] [--replay SEED.json] \
-             [--mem addr=value]... [--dump addr]... thread0.asm [thread1.asm ...]"
-                .into(),
-        ));
+        return Err(UsageError::new("no assembly programs given"));
     }
     Ok(opts)
+}
+
+/// The text of the assembly file a positional argument names.
+pub(crate) fn read_source(arg: String) -> Result<String, UsageError> {
+    let path = positional(arg)?;
+    std::fs::read_to_string(&path)
+        .map_err(|e| UsageError::new(format!("cannot read `{path}`: {e}")))
+}
+
+/// A decimal or `0x`-prefixed hexadecimal word.
+fn word(s: &str) -> Option<u64> {
+    let s = s.trim();
+    match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
+    }
 }
 
 /// Replays an `"ops"` schedule seed: the named op kernel (a hand-written
@@ -168,13 +135,7 @@ fn replay_ops_seed(seed: &ScheduleSeed) -> Result<CliReport, SimError> {
     let bad = |msg: String| SimError::BadProgram(msg);
     let kernel = hmtx_explore::resolve_kernel(&seed.name)
         .ok_or_else(|| bad(format!("unknown op kernel `{}`", seed.name)))?;
-    let seed_bug = match &seed.seed_bug {
-        None => None,
-        Some(name) => Some(
-            SeedBug::from_name(name).ok_or_else(|| bad(format!("unknown seed bug `{name}`")))?,
-        ),
-    };
-    let outcome = hmtx_explore::execute_order_checked(&kernel, &seed.order, seed_bug);
+    let outcome = hmtx_explore::execute_order_checked(&kernel, &seed.order, seed_bug(seed)?);
     if let Some(f) = &outcome.failure {
         return Err(SimError::Replay(format!(
             "ops replay of `{}` violated [{}]: {}",
@@ -211,14 +172,13 @@ fn replay_ops_seed(seed: &ScheduleSeed) -> Result<CliReport, SimError> {
     })
 }
 
-fn parse_u64(s: &str) -> Result<u64, SimError> {
-    let s = s.trim();
-    let v = if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-    } else {
-        s.parse()
+/// The planted defect a seed replays under, if it names one.
+fn seed_bug(seed: &ScheduleSeed) -> Result<Option<SeedBug>, SimError> {
+    let known = |name: &str| {
+        SeedBug::from_name(name)
+            .ok_or_else(|| SimError::BadProgram(format!("unknown seed bug `{name}`")))
     };
-    v.map_err(|_| SimError::BadProgram(format!("bad number `{s}`")))
+    seed.seed_bug.as_deref().map(known).transpose()
 }
 
 /// Assembles and runs the configured programs.
@@ -231,10 +191,7 @@ pub fn run(opts: &Options) -> Result<CliReport, SimError> {
     let schedule = match &opts.replay {
         None => None,
         Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| bad(format!("cannot read `{path}`: {e}")))?;
-            let doc = Json::parse(&text).map_err(|e| bad(format!("`{path}`: {e}")))?;
-            let seed = ScheduleSeed::from_json(&doc)?;
+            let seed = hmtx_explore::seed::read_seed(Path::new(path))?;
             match seed.kind.as_str() {
                 // Op-kernel seeds (the op corpus and `hmtx-model`
                 // counterexamples) carry their whole program:
@@ -266,12 +223,7 @@ pub fn run(opts: &Options) -> Result<CliReport, SimError> {
         cfg.faults = Some(FaultConfig::chaos(seed, opts.fault_rate_ppm));
     }
     if let Some(seed) = &schedule {
-        if let Some(name) = &seed.seed_bug {
-            cfg.hmtx.seed_bug = Some(
-                SeedBug::from_name(name)
-                    .ok_or_else(|| bad(format!("unknown seed bug `{name}`")))?,
-            );
-        }
+        cfg.hmtx.seed_bug = seed_bug(seed)?;
     }
     if cfg.num_cores < opts.programs.len() {
         return Err(SimError::BadProgram(format!(
@@ -448,16 +400,26 @@ mod tests {
 
     #[test]
     fn parse_args_handles_flags_and_errors() {
-        let err = parse_args(Vec::<String>::new()).unwrap_err();
-        assert!(err.to_string().contains("usage"));
-        let err = parse_args(vec!["--cores".to_string()]).unwrap_err();
-        assert!(err.to_string().contains("--cores"));
-        let err = parse_args(vec!["--mem".to_string(), "nope".to_string()]).unwrap_err();
-        assert!(err.to_string().contains("addr=value"));
-        let err = parse_args(vec!["--faults".to_string()]).unwrap_err();
-        assert!(err.to_string().contains("--faults"));
-        let err = parse_args(vec!["--fault-rate".to_string(), "abc".to_string()]).unwrap_err();
-        assert!(err.to_string().contains("fault rate"));
+        let err = |args: &[&str]| {
+            parse_args(Args::new(args.to_vec()))
+                .unwrap_err()
+                .to_string()
+        };
+        assert_eq!(err(&[]), "no assembly programs given");
+        assert_eq!(err(&["--cores"]), "--cores needs a value");
+        assert_eq!(err(&["--mem", "nope"]), "invalid value `nope` for --mem");
+        assert_eq!(err(&["--faults"]), "--faults needs a value");
+        assert_eq!(
+            err(&["--fault-rate", "abc"]),
+            "invalid value `abc` for --fault-rate"
+        );
+        // A misspelt flag is a usage error, not a file to assemble.
+        assert_eq!(err(&["--trce", "5", "a.asm"]), "unknown flag `--trce`");
+        let opts = parse_args(Args::new([
+            "--mem", "0x10=7", "--dump", "16", "--replay", "s.json",
+        ]))
+        .unwrap();
+        assert_eq!((opts.init, opts.dump), (vec![(16, 7)], vec![16]));
     }
 
     #[test]
@@ -488,6 +450,14 @@ mod tests {
         );
     }
 
+    fn replay_args(seed: &std::path::Path) -> Options {
+        parse_args(Args::new([
+            "--replay".to_string(),
+            seed.display().to_string(),
+        ]))
+        .unwrap()
+    }
+
     fn write_seed(tag: &str, seed: &ScheduleSeed) -> std::path::PathBuf {
         let path = std::env::temp_dir().join(format!(
             "hmtx-cli-{}-{tag}.json",
@@ -510,7 +480,7 @@ mod tests {
             note: "serial order".to_string(),
         };
         let path = write_seed("clean", &seed);
-        let opts = parse_args(vec!["--replay".to_string(), path.display().to_string()]).unwrap();
+        let opts = replay_args(&path);
         let report = run(&opts).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(report.outcome, "ops replay clean");
@@ -541,8 +511,7 @@ mod tests {
             });
             let seed = hmtx_modelcheck::lower(&kernel, &cfg, v);
             let path = write_seed(&format!("defect-{}", kernel.name), &seed);
-            let opts =
-                parse_args(vec!["--replay".to_string(), path.display().to_string()]).unwrap();
+            let opts = replay_args(&path);
             let err = run(&opts).unwrap_err().to_string();
             std::fs::remove_file(&path).ok();
             assert!(
@@ -571,7 +540,7 @@ mod tests {
             note: String::new(),
         };
         let path = write_seed("unknown", &seed);
-        let opts = parse_args(vec!["--replay".to_string(), path.display().to_string()]).unwrap();
+        let opts = replay_args(&path);
         let err = run(&opts).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(err.to_string().contains("unknown op kernel"), "{err}");

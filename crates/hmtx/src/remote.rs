@@ -2,8 +2,9 @@
 //! `hmtx-serve` server instead of simulating in-process.
 //!
 //! ```text
-//! hmtx-run --remote HOST:PORT --workload NAME [--paradigm P] [--scale S]
-//!          [--quick] [--deadline-ms N] [--faults SEED] [--fault-rate PPM]
+//! hmtx-run --remote HOST:PORT --workload NAME [--paradigm P]
+//!          [--scale quick|standard|stress] [--quick|--paper-config]
+//!          [--deadline-ms N] [--faults SEED] [--fault-rate PPM]
 //! ```
 //!
 //! The spec is the same wire-format [`JobSpec`] the server caches by
@@ -13,8 +14,9 @@
 //! `suite:N` index.
 
 use hmtx_server::{parse_response, response_type, Client};
+use hmtx_types::cli::{Args, UsageError};
 use hmtx_types::{BenchRef, FaultSpec, JobSpec, Json, SimError, WireBase, WireParadigm, WireScale};
-use hmtx_workloads::{suite, Scale};
+use hmtx_workloads::resolve_workload;
 
 /// Parsed `--remote` mode options.
 #[derive(Debug, Clone)]
@@ -31,113 +33,50 @@ fn bad(msg: impl Into<String>) -> SimError {
     SimError::BadProgram(msg.into())
 }
 
-/// Resolves a workload name (exact, unambiguous substring, or `suite:N`)
-/// to its suite index.
-///
-/// # Errors
-///
-/// Returns [`SimError::BadProgram`] on unknown or ambiguous names.
-pub fn resolve_workload(name: &str) -> Result<u32, SimError> {
-    if let Some(i) = name.strip_prefix("suite:") {
-        return i.parse().map_err(|_| bad(format!("bad suite index `{i}`")));
-    }
-    let workloads = suite(Scale::Quick);
-    let matches: Vec<(usize, &str)> = workloads
-        .iter()
-        .enumerate()
-        .map(|(i, w)| (i, w.meta().name))
-        .filter(|(_, n)| n == &name || n.contains(name))
-        .collect();
-    match matches.as_slice() {
-        [(i, _)] => Ok(*i as u32),
-        [] => Err(bad(format!(
-            "unknown workload `{name}`; known: {}",
-            workloads
-                .iter()
-                .map(|w| w.meta().name)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ))),
-        many => Err(bad(format!(
-            "ambiguous workload `{name}`: {}",
-            many.iter()
-                .map(|(_, n)| *n)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ))),
-    }
-}
+/// The `hmtx-run --remote` usage line.
+pub const USAGE: &str = "usage: hmtx-run --remote HOST:PORT --workload NAME [--paradigm P] \
+    [--scale quick|standard|stress] [--quick|--paper-config] \
+    [--deadline-ms N] [--faults SEED] [--fault-rate PPM]";
 
 /// Parses `--remote` mode arguments (everything after the program name;
 /// the leading `--remote ADDR` included).
 ///
 /// # Errors
 ///
-/// Returns [`SimError::BadProgram`] on malformed flags.
-pub fn parse_remote_args<I: IntoIterator<Item = String>>(args: I) -> Result<RemoteOptions, SimError> {
-    let mut it = args.into_iter();
-    let mut addr: Option<String> = None;
-    let mut workload: Option<String> = None;
-    let mut paradigm = WireParadigm::Paper;
-    let mut scale = WireScale::Quick;
-    let mut base = WireBase::Test;
-    let mut deadline_ms: Option<u64> = None;
-    let mut fault_seed: Option<u64> = None;
-    let mut fault_rate_ppm: u32 = 200;
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .ok_or_else(|| bad(format!("{flag} needs a value")))
-        };
+/// Returns a [`UsageError`] on malformed flags or an unknown workload.
+pub fn parse_remote_args(mut args: Args) -> Result<RemoteOptions, UsageError> {
+    let (mut addr, mut workload, mut deadline_ms, mut fault_seed) = (None, None, None, None);
+    let mut fault_rate_ppm = 200;
+    let mut spec = JobSpec::new(
+        BenchRef::Suite(0),
+        WireParadigm::Paper,
+        WireScale::Quick,
+        WireBase::Test,
+    );
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--remote" => addr = Some(value("--remote")?),
-            "--workload" => workload = Some(value("--workload")?),
+            "--remote" => addr = Some(args.value(&arg)?),
+            "--workload" => workload = Some(resolve_workload(&args.value(&arg)?)?),
             "--paradigm" => {
-                let v = value("--paradigm")?;
-                paradigm = WireParadigm::from_name(&v).map_err(|e| bad(e.to_string()))?;
+                spec.paradigm = args.parse_with(&arg, |v| WireParadigm::from_name(v).ok())?;
             }
-            "--scale" => {
-                let v = value("--scale")?;
-                scale = WireScale::from_name(&v).map_err(|e| bad(e.to_string()))?;
-            }
-            "--quick" => base = WireBase::Test,
-            "--paper-config" => base = WireBase::Paper,
-            "--deadline-ms" => {
-                let v = value("--deadline-ms")?;
-                deadline_ms = Some(v.parse().map_err(|_| bad(format!("bad deadline `{v}`")))?);
-            }
-            "--faults" => {
-                let v = value("--faults")?;
-                fault_seed = Some(v.parse().map_err(|_| bad(format!("bad seed `{v}`")))?);
-            }
-            "--fault-rate" => {
-                let v = value("--fault-rate")?;
-                fault_rate_ppm = v.parse().map_err(|_| bad(format!("bad fault rate `{v}`")))?;
-            }
-            other => {
-                return Err(bad(format!(
-                    "unknown --remote mode flag `{other}` \
-                     (usage: hmtx-run --remote HOST:PORT --workload NAME [--paradigm P] \
-                     [--scale quick|standard|stress] [--quick|--paper-config] \
-                     [--deadline-ms N] [--faults SEED] [--fault-rate PPM])"
-                )))
-            }
+            "--scale" => spec.scale = args.parse_with(&arg, |v| WireScale::from_name(v).ok())?,
+            "--quick" => spec.base = WireBase::Test,
+            "--paper-config" => spec.base = WireBase::Paper,
+            "--deadline-ms" => deadline_ms = Some(args.parse(&arg)?),
+            "--faults" => fault_seed = Some(args.parse(&arg)?),
+            "--fault-rate" => fault_rate_ppm = args.parse(&arg)?,
+            _ => return Err(UsageError::unknown(&arg)),
         }
     }
-    let addr = addr.ok_or_else(|| bad("--remote needs an address"))?;
-    let workload = workload.ok_or_else(|| bad("--remote mode needs --workload NAME"))?;
-    let mut spec = JobSpec::new(
-        BenchRef::Suite(resolve_workload(&workload)?),
-        paradigm,
-        scale,
-        base,
-    );
-    if let Some(seed) = fault_seed {
-        spec.fault = Some(FaultSpec {
-            seed,
-            rate_ppm: fault_rate_ppm,
-        });
-    }
+    let addr = addr.ok_or_else(|| UsageError::new("--remote needs an address"))?;
+    let workload =
+        workload.ok_or_else(|| UsageError::new("--remote mode needs --workload NAME"))?;
+    spec.benchmark = BenchRef::Suite(workload as u32);
+    spec.fault = fault_seed.map(|seed| FaultSpec {
+        seed,
+        rate_ppm: fault_rate_ppm,
+    });
     Ok(RemoteOptions {
         addr,
         spec,
@@ -228,50 +167,51 @@ mod tests {
     use super::*;
 
     #[test]
-    fn workload_names_resolve_exactly_and_by_substring() {
-        assert_eq!(resolve_workload("suite:3").unwrap(), 3);
-        let li = resolve_workload("130.li").unwrap();
-        assert_eq!(resolve_workload("li").unwrap(), li);
-        assert!(resolve_workload("nope").is_err());
-    }
-
-    #[test]
     fn remote_args_build_a_spec() {
-        let opts = parse_remote_args(
-            [
-                "--remote",
-                "127.0.0.1:7870",
-                "--workload",
-                "ispell",
-                "--paradigm",
-                "seq",
-                "--deadline-ms",
-                "2500",
-                "--faults",
-                "9",
-            ]
-            .into_iter()
-            .map(String::from),
-        )
+        let opts = parse_remote_args(Args::new([
+            "--remote",
+            "127.0.0.1:7870",
+            "--workload",
+            "ispell",
+            "--paradigm",
+            "seq",
+            "--deadline-ms",
+            "2500",
+            "--faults",
+            "9",
+        ]))
         .unwrap();
         assert_eq!(opts.addr, "127.0.0.1:7870");
         assert_eq!(opts.spec.paradigm, WireParadigm::Sequential);
         assert_eq!(opts.deadline_ms, Some(2500));
         let fault = opts.spec.fault.unwrap();
         assert_eq!((fault.seed, fault.rate_ppm), (9, 200));
-        assert!(matches!(opts.spec.benchmark, BenchRef::Suite(_)));
+        assert_eq!(opts.spec.benchmark, BenchRef::Suite(7));
     }
 
     #[test]
     fn remote_args_reject_nonsense() {
-        for bad_args in [
-            vec!["--remote", "addr"],                       // no workload
-            vec!["--workload", "li"],                       // no addr
-            vec!["--remote", "a", "--workload", "li", "x"], // stray flag
-            vec!["--remote", "a", "--workload", "li", "--paradigm", "warp"],
+        for (bad_args, error) in [
+            (
+                &["--remote", "addr"][..],
+                "--remote mode needs --workload NAME",
+            ),
+            (&["--workload", "li"], "--remote needs an address"),
+            (
+                &["--remote", "a", "--workload", "li", "x"],
+                "unknown flag `x`",
+            ),
+            (
+                &["--remote", "a", "--workload", "li", "--paradigm", "warp"],
+                "invalid value `warp` for --paradigm",
+            ),
+            (
+                &["--remote", "a", "--workload", "i"],
+                "ambiguous workload `i`",
+            ),
         ] {
-            let args = bad_args.into_iter().map(String::from);
-            assert!(parse_remote_args(args).is_err());
+            let err = parse_remote_args(Args::new(bad_args.to_vec())).unwrap_err();
+            assert!(err.to_string().starts_with(error), "{bad_args:?}: {err}");
         }
     }
 

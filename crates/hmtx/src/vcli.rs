@@ -14,15 +14,20 @@
 //!   bug, either in the emitter or in the analyzer.
 //!
 //! Exit status (via [`VcliReport::exit_code`]): 0 clean, 1 diagnostics
-//! found; the binary maps argument/assembly errors to 2.
+//! found; the binary maps usage and assembly errors to 2.
 
 use hmtx_analysis::{verify_set, VerifyReport};
 use hmtx_isa::{assemble, Program};
-use hmtx_runtime::{build_paradigm, emit, squeezed_config, verify_generated, LoopEnv, Paradigm};
+use hmtx_runtime::{
+    build_paradigm, emit, squeezed_config, verify_generated, GeneratedThreads, LoopEnv, Paradigm,
+};
 use hmtx_smtx::emit::build_smtx_pipeline;
 use hmtx_smtx::RwSetMode;
-use hmtx_types::{MachineConfig, SimError};
+use hmtx_types::cli::{Args, UsageError};
+use hmtx_types::{MachineConfig, SimError, WireScale};
 use hmtx_workloads::{suite, Scale};
+
+use crate::cli::read_source;
 
 /// Every paradigm `--all-workloads` emits, in report order.
 const PARADIGMS: [Paradigm; 5] = [
@@ -34,30 +39,18 @@ const PARADIGMS: [Paradigm; 5] = [
 ];
 
 /// Parsed command-line options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Options {
     /// Assembly source text, one entry per core (core `i` = file `i`).
     pub programs: Vec<String>,
     /// Verify every workload emitter instead of assembly files.
     pub all_workloads: bool,
-    /// Workload scale for `--all-workloads`.
+    /// Workload scale for `--all-workloads` (default quick).
     pub scale: Scale,
     /// Emit the report as JSON.
     pub json: bool,
     /// Also print the CFG-annotated disassembly of each verified program.
     pub disasm: bool,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            programs: Vec::new(),
-            all_workloads: false,
-            scale: Scale::Quick,
-            json: false,
-            disasm: false,
-        }
-    }
 }
 
 /// Outcome of a verify run, pre-rendered for printing.
@@ -82,51 +75,40 @@ impl VcliReport {
     }
 }
 
-/// Parses CLI arguments (everything after the program name).
+/// The `hmtx-verify` usage lines.
+pub const USAGE: &str = "usage: hmtx-verify [--json] [--disasm] thread0.asm \
+    [thread1.asm ...]\n       hmtx-verify --all-workloads [--scale quick|standard|stress] \
+    [--json]";
+
+/// Parses the command line (everything after the program name) and reads
+/// the assembly files it names.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::BadProgram`] on malformed flags or missing inputs.
-pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, SimError> {
+/// Returns a [`UsageError`] on malformed flags, unreadable files, or
+/// missing or conflicting inputs.
+pub fn parse_args(mut args: Args) -> Result<Options, UsageError> {
     let mut opts = Options::default();
-    let mut it = args.into_iter();
-    let bad = |msg: String| SimError::BadProgram(msg);
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--all-workloads" => opts.all_workloads = true,
             "--json" => opts.json = true,
             "--disasm" => opts.disasm = true,
             "--scale" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| bad("--scale needs quick|standard|stress".into()))?;
-                opts.scale = match v.as_str() {
-                    "quick" => Scale::Quick,
-                    "standard" => Scale::Standard,
-                    "stress" => Scale::Stress,
-                    other => return Err(bad(format!("bad scale `{other}`"))),
-                };
+                opts.scale = args
+                    .parse_with(&arg, |v| WireScale::from_name(v).ok())?
+                    .into();
             }
-            path => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| bad(format!("cannot read `{path}`: {e}")))?;
-                opts.programs.push(text);
-            }
+            _ => opts.programs.push(read_source(arg)?),
         }
     }
-    if opts.programs.is_empty() && !opts.all_workloads {
-        return Err(bad(
-            "usage: hmtx-verify [--json] [--disasm] thread0.asm [thread1.asm ...]\n       \
-             hmtx-verify --all-workloads [--scale quick|standard|stress] [--json]"
-                .into(),
-        ));
+    match (opts.programs.is_empty(), opts.all_workloads) {
+        (true, false) => Err(UsageError::new("no assembly programs given")),
+        (false, true) => Err(UsageError::new(
+            "--all-workloads and assembly files are mutually exclusive",
+        )),
+        _ => Ok(opts),
     }
-    if !opts.programs.is_empty() && opts.all_workloads {
-        return Err(bad(
-            "--all-workloads and assembly files are mutually exclusive".into(),
-        ));
-    }
-    Ok(opts)
 }
 
 /// One verified set: a label plus its report (and the programs, for
@@ -135,6 +117,30 @@ struct SetResult {
     label: String,
     report: VerifyReport,
     programs: Vec<Program>,
+}
+
+impl SetResult {
+    fn generated(label: String, generated: &GeneratedThreads) -> Self {
+        SetResult {
+            label,
+            report: verify_generated(generated),
+            programs: generated
+                .threads
+                .iter()
+                .map(|t| (*t.program).clone())
+                .collect(),
+        }
+    }
+}
+
+/// Worker threads `paradigm` runs on `cores` cores, as `runtime::run_loop`
+/// sizes them.
+fn workers(paradigm: Paradigm, cores: usize) -> usize {
+    match paradigm {
+        Paradigm::Sequential | Paradigm::Dswp => 1,
+        Paradigm::Doall | Paradigm::Doacross => cores,
+        Paradigm::PsDswp => cores.saturating_sub(1).max(1),
+    }
 }
 
 /// Runs the configured verification.
@@ -185,36 +191,18 @@ fn verify_all_workloads(scale: Scale) -> Result<Vec<SetResult>, SimError> {
         let name = workload.meta().name;
         let body = workload.as_ref();
         for paradigm in PARADIGMS {
-            let workers = match paradigm {
-                Paradigm::Sequential | Paradigm::Dswp => 1,
-                Paradigm::Doall | Paradigm::Doacross => cfg.num_cores,
-                Paradigm::PsDswp => cfg.num_cores.saturating_sub(1).max(1),
-            };
-            let env = LoopEnv::new(max_vid, workers).with_pipeline_window(cfg.pipeline_window);
+            let env = LoopEnv::new(max_vid, workers(paradigm, cfg.num_cores))
+                .with_pipeline_window(cfg.pipeline_window);
             let generated = build_paradigm(paradigm, body, &env, 1)?;
-            results.push(SetResult {
-                label: format!("{name}/{}", paradigm.name()),
-                report: verify_generated(&generated),
-                programs: generated
-                    .threads
-                    .iter()
-                    .map(|t| (*t.program).clone())
-                    .collect(),
-            });
+            let label = format!("{name}/{}", paradigm.name());
+            results.push(SetResult::generated(label, &generated));
         }
         // The recovery ladder's single-transaction shape.
         {
             let env = LoopEnv::new(max_vid, 1).with_pipeline_window(cfg.pipeline_window);
             let generated = emit::build_single_tx(body, &env, 1)?;
-            results.push(SetResult {
-                label: format!("{name}/single-tx"),
-                report: verify_generated(&generated),
-                programs: generated
-                    .threads
-                    .iter()
-                    .map(|t| (*t.program).clone())
-                    .collect(),
-            });
+            let label = format!("{name}/single-tx");
+            results.push(SetResult::generated(label, &generated));
         }
         // The HyTM fast path: the workload's own paradigm emitted with the
         // VID-exhaustion watchdog armed, exactly as `smtx::hytm::run_hytm`
@@ -226,39 +214,20 @@ fn verify_all_workloads(scale: Scale) -> Result<Vec<SetResult>, SimError> {
                 base.hytm = hmtx_types::HytmConfig::paper_default();
             }
             let paradigm = workload.meta().paradigm;
-            let workers = match paradigm {
-                Paradigm::Sequential | Paradigm::Dswp => 1,
-                Paradigm::Doall | Paradigm::Doacross => base.num_cores,
-                Paradigm::PsDswp => base.num_cores.saturating_sub(1).max(1),
-            };
             let (run_cfg, hytm_max_vid) = squeezed_config(&base);
-            let env = LoopEnv::new(hytm_max_vid, workers)
+            let env = LoopEnv::new(hytm_max_vid, workers(paradigm, base.num_cores))
                 .with_pipeline_window(run_cfg.pipeline_window)
                 .with_vid_watchdog(run_cfg.hytm.watchdog_spins);
             let generated = build_paradigm(paradigm, body, &env, 1)?;
-            results.push(SetResult {
-                label: format!("{name}/hytm-{}", paradigm.name()),
-                report: verify_generated(&generated),
-                programs: generated
-                    .threads
-                    .iter()
-                    .map(|t| (*t.program).clone())
-                    .collect(),
-            });
+            let label = format!("{name}/hytm-{}", paradigm.name());
+            results.push(SetResult::generated(label, &generated));
         }
         for mode in [RwSetMode::Minimal, RwSetMode::Substantial, RwSetMode::Maximal] {
             let workers = cfg.num_cores.saturating_sub(2).max(1);
             let env = LoopEnv::new(max_vid, workers);
             let generated = build_smtx_pipeline(body, &env, &cfg.smtx, mode)?;
-            results.push(SetResult {
-                label: format!("{name}/smtx-{}", mode.name()),
-                report: verify_generated(&generated),
-                programs: generated
-                    .threads
-                    .iter()
-                    .map(|t| (*t.program).clone())
-                    .collect(),
-            });
+            let label = format!("{name}/smtx-{}", mode.name());
+            results.push(SetResult::generated(label, &generated));
         }
     }
     Ok(results)
@@ -316,19 +285,20 @@ mod tests {
 
     #[test]
     fn parse_args_wants_input() {
-        let err = parse_args(Vec::<String>::new()).unwrap_err();
-        assert!(err.to_string().contains("usage"));
-        let err = parse_args(vec!["--scale".to_string()]).unwrap_err();
-        assert!(err.to_string().contains("--scale"));
-        let err = parse_args(vec!["--scale".to_string(), "huge".to_string()]).unwrap_err();
-        assert!(err.to_string().contains("bad scale"));
-        let opts = parse_args(vec![
-            "--all-workloads".to_string(),
-            "--scale".to_string(),
-            "standard".to_string(),
-            "--json".to_string(),
-        ])
-        .unwrap();
+        let err = |args: &[&str]| {
+            parse_args(Args::new(args.to_vec()))
+                .unwrap_err()
+                .to_string()
+        };
+        assert_eq!(err(&[]), "no assembly programs given");
+        assert_eq!(err(&["--scale"]), "--scale needs a value");
+        assert_eq!(
+            err(&["--scale", "huge"]),
+            "invalid value `huge` for --scale"
+        );
+        assert_eq!(err(&["--all-wrkloads"]), "unknown flag `--all-wrkloads`");
+        let args = Args::new(["--all-workloads", "--scale", "standard", "--json"]);
+        let opts = parse_args(args).unwrap();
         assert!(opts.all_workloads);
         assert!(opts.json);
         assert_eq!(opts.scale, Scale::Standard);

@@ -15,77 +15,65 @@ use std::process::ExitCode;
 
 use hmtx_explore::{model_kernel, resolve_kernel, OpKernel};
 use hmtx_modelcheck::{check_kernel, lower};
+use hmtx_types::cli::{Args, UsageError};
 use hmtx_types::{Diagnostic, Json, ModelCheckConfig, ModelCheckReport, SeedBug, Severity};
 
 /// The most cores or lines a symmetry-reduced model may have.
 const MAX_SYMMETRIC: usize = 10;
 
+const USAGE: &str = "usage: hmtx-model [--cores N] [--lines K] [--vid-bits V] [--kernel NAME] \
+    [--seed-bug NAME] [--no-symmetry] [--max-states N] [--seed-out FILE] [--json]";
+
 struct Options {
     cfg: ModelCheckConfig,
-    kernel: Option<String>,
+    kernel: OpKernel,
     seed_out: Option<String>,
     json: bool,
 }
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        cfg: ModelCheckConfig::default(),
-        kernel: None,
-        seed_out: None,
-        json: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
+fn parse_args(mut args: Args) -> Result<Options, UsageError> {
+    let mut cfg = ModelCheckConfig::default();
+    let mut kernel = None;
+    let mut seed_out = None;
+    let mut json = false;
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--cores" => {
-                opts.cfg.cores = value("--cores")?
-                    .parse()
-                    .map_err(|_| "bad --cores".to_string())?;
-            }
-            "--lines" => {
-                opts.cfg.lines = value("--lines")?
-                    .parse()
-                    .map_err(|_| "bad --lines".to_string())?;
-            }
-            "--vid-bits" => {
-                opts.cfg.vid_bits = value("--vid-bits")?
-                    .parse()
-                    .map_err(|_| "bad --vid-bits".to_string())?;
-            }
-            "--max-states" => {
-                opts.cfg.max_states = value("--max-states")?
-                    .parse()
-                    .map_err(|_| "bad --max-states".to_string())?;
-            }
-            "--seed-bug" => {
-                let name = value("--seed-bug")?;
-                opts.cfg.seed_bug =
-                    Some(SeedBug::from_name(&name).ok_or(format!("unknown seed bug `{name}`"))?);
-            }
-            "--kernel" => opts.kernel = Some(value("--kernel")?),
-            "--seed-out" => opts.seed_out = Some(value("--seed-out")?),
-            "--no-symmetry" => opts.cfg.symmetry = false,
-            "--json" => opts.json = true,
-            other => return Err(format!("unknown flag `{other}`")),
+            "--cores" => cfg.cores = args.parse(&arg)?,
+            "--lines" => cfg.lines = args.parse(&arg)?,
+            "--vid-bits" => cfg.vid_bits = args.parse(&arg)?,
+            "--max-states" => cfg.max_states = args.parse(&arg)?,
+            "--seed-bug" => cfg.seed_bug = Some(args.parse_with(&arg, SeedBug::from_name)?),
+            "--kernel" => kernel = Some(args.value(&arg)?),
+            "--seed-out" => seed_out = Some(args.value(&arg)?),
+            "--no-symmetry" => cfg.symmetry = false,
+            "--json" => json = true,
+            _ => return Err(UsageError::unknown(&arg)),
         }
     }
-    if opts.cfg.cores == 0 || opts.cfg.lines == 0 || !(1..=12).contains(&opts.cfg.vid_bits) {
-        return Err("cores/lines must be nonzero and vid-bits in 1..=12".into());
+    if cfg.cores == 0 || cfg.lines == 0 || !(1..=12).contains(&cfg.vid_bits) {
+        return Err(UsageError::new(
+            "cores/lines must be nonzero and vid-bits in 1..=12",
+        ));
     }
     // The symmetry reduction enumerates every core and every line
     // permutation up front: 11! of them would exhaust memory.
-    if opts.cfg.symmetry && opts.cfg.cores.max(opts.cfg.lines) > MAX_SYMMETRIC {
-        return Err(format!(
+    if cfg.symmetry && cfg.cores.max(cfg.lines) > MAX_SYMMETRIC {
+        return Err(UsageError::new(format!(
             "symmetry reduction supports at most {MAX_SYMMETRIC} cores and {MAX_SYMMETRIC} lines; \
              pass --no-symmetry for larger models"
-        ));
+        )));
     }
-    Ok(opts)
+    let kernel = match kernel {
+        None => model_kernel(&cfg),
+        Some(name) => resolve_kernel(&name)
+            .ok_or_else(|| UsageError::new(format!("unknown kernel `{name}`")))?,
+    };
+    Ok(Options {
+        cfg,
+        kernel,
+        seed_out,
+        json,
+    })
 }
 
 /// The stable `&'static str` form of a rule for `Diagnostic` (whose rule
@@ -150,32 +138,12 @@ fn render_json(kernel: &OpKernel, report: &ModelCheckReport) -> String {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("hmtx-model: {e}");
-            eprintln!(
-                "usage: hmtx-model [--cores N] [--lines K] [--vid-bits V] [--kernel NAME] \
-                 [--seed-bug NAME] [--no-symmetry] [--max-states N] [--seed-out FILE] [--json]"
-            );
-            return ExitCode::from(2);
-        }
-    };
-    let kernel = match &opts.kernel {
-        None => model_kernel(&opts.cfg),
-        Some(name) => match resolve_kernel(name) {
-            Some(k) => k,
-            None => {
-                eprintln!("hmtx-model: unknown kernel `{name}`");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    let report = check_kernel(&kernel, &opts.cfg);
+    let opts = parse_args(Args::from_env()).unwrap_or_else(|e| e.exit("hmtx-model", USAGE));
+    let kernel = &opts.kernel;
+    let report = check_kernel(kernel, &opts.cfg);
 
     if let (Some(path), Some(v)) = (&opts.seed_out, report.violations.first()) {
-        let seed = lower(&kernel, &opts.cfg, v);
+        let seed = lower(kernel, &opts.cfg, v);
         let mut text = seed.to_json().pretty();
         text.push('\n');
         if let Err(e) = std::fs::write(path, text) {
@@ -186,7 +154,7 @@ fn main() -> ExitCode {
     }
 
     if opts.json {
-        println!("{}", render_json(&kernel, &report));
+        println!("{}", render_json(kernel, &report));
     } else {
         println!("{report}");
     }

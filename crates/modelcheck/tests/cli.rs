@@ -1,5 +1,5 @@
 //! Command-line tests for `hmtx-model`: argument validation happens before
-//! any model is built.
+//! any model is built, and every usage error exits 2.
 
 use std::process::{Command, Output};
 
@@ -8,6 +8,45 @@ fn hmtx_model(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("spawning hmtx-model")
+}
+
+/// Runs `bin` with `args` and checks the usage-error contract shared by
+/// every workspace binary: exit status 2, nothing on stdout, and stderr
+/// naming `needle` above the usage line.
+fn usage_error(bin: &str, args: &[&str], needle: &str) -> String {
+    let out = Command::new(bin)
+        .args(args)
+        .output()
+        .expect("spawning the binary");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+    assert!(
+        stderr.contains(needle),
+        "{args:?}: `{needle}` not in {stderr}"
+    );
+    assert!(
+        stderr.contains("usage:"),
+        "{args:?}: no usage line in {stderr}"
+    );
+    stderr
+}
+
+/// An unknown flag, `flag` without its value, and `flag` with a value that
+/// does not parse, each after `prefix`.
+fn flag_contract(bin: &str, prefix: &[&str], flag: &str) {
+    for tail in [&["--bogus"][..], &[flag], &[flag, "x1"]] {
+        let args: Vec<&str> = prefix.iter().chain(tail).copied().collect();
+        usage_error(bin, &args, tail[0]);
+    }
+}
+
+#[test]
+fn usage_errors_exit_2() {
+    let model = env!("CARGO_BIN_EXE_hmtx-model");
+    flag_contract(model, &["--lines", "2"], "--cores");
+    usage_error(model, &["--kernel", "nope"], "unknown kernel `nope`");
+    usage_error(model, &["--seed-bug", "nope"], "--seed-bug");
 }
 
 #[test]

@@ -54,6 +54,19 @@ impl Paradigm {
             Paradigm::PsDswp => "PS-DSWP",
         }
     }
+
+    /// Parses a command-line spelling: the lower-cased [`Paradigm::name`],
+    /// or `psdswp` for PS-DSWP.
+    pub fn from_name(name: &str) -> Option<Paradigm> {
+        match name {
+            "sequential" => Some(Paradigm::Sequential),
+            "doall" => Some(Paradigm::Doall),
+            "doacross" => Some(Paradigm::Doacross),
+            "dswp" => Some(Paradigm::Dswp),
+            "ps-dswp" | "psdswp" => Some(Paradigm::PsDswp),
+            _ => None,
+        }
+    }
 }
 
 /// A generated parallelization: one program per hardware thread, with the
@@ -432,4 +445,18 @@ pub fn verify_generated(generated: &GeneratedThreads) -> hmtx_analysis::VerifyRe
         per_core[t.core] = &t.program;
     }
     hmtx_analysis::verify_set(&per_core)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Paradigm::{self, *};
+
+    #[test]
+    fn paradigm_names_parse_back_lower_cased() {
+        for p in [Sequential, Doall, Doacross, Dswp, PsDswp] {
+            assert_eq!(Paradigm::from_name(&p.name().to_lowercase()), Some(p));
+        }
+        assert_eq!(Paradigm::from_name("psdswp"), Some(PsDswp));
+        assert_eq!(Paradigm::from_name("DSWP"), None);
+    }
 }

@@ -26,22 +26,72 @@
 //! offered rate (the closed-loop coordinated-omission trap). The report
 //! carries offered vs achieved throughput and p50/p99/p999.
 
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use hmtx_core::LatencyHistogram;
 use hmtx_server::{response_type, Client};
+use hmtx_types::cli::{Args, UsageError};
 use hmtx_types::{Json, JobSpec, StatsSnapshot, WireScale};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: hmtx-load --addr HOST:PORT [--clients N] [--rounds N] \
-         [--scale quick|standard|stress] [--limit N] [--deadline-ms N] \
-         [--retries N] [--json PATH] [--check] \
-         [--sustained --rate R --duration-s D]"
-    );
-    std::process::exit(2);
+const USAGE: &str = "usage: hmtx-load --addr HOST:PORT [--clients N] [--rounds N] \
+    [--scale quick|standard|stress] [--limit N] [--deadline-ms N] \
+    [--retries N] [--json PATH] [--check] \
+    [--sustained --rate R --duration-s D]";
+
+#[derive(Default)]
+struct Opts {
+    addr: String,
+    clients: usize,
+    rounds: usize,
+    scale: WireScale,
+    limit: Option<usize>,
+    deadline_ms: Option<u64>,
+    retries: u32,
+    json_path: Option<String>,
+    check: bool,
+    sustained: bool,
+    rate: f64,
+    duration_s: f64,
+}
+
+fn parse_args(mut args: Args) -> Result<Opts, UsageError> {
+    let mut addr = None;
+    let mut opts = Opts {
+        clients: 4,
+        rounds: 2,
+        retries: 60,
+        rate: 200.0,
+        duration_s: 10.0,
+        ..Opts::default()
+    };
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--addr" => addr = Some(args.value(&arg)?),
+            "--clients" => opts.clients = args.parse::<NonZeroUsize>(&arg)?.get(),
+            "--rounds" => opts.rounds = args.parse::<NonZeroUsize>(&arg)?.get(),
+            "--scale" => opts.scale = args.parse_with(&arg, |v| WireScale::from_name(v).ok())?,
+            "--limit" => opts.limit = Some(args.parse(&arg)?),
+            "--deadline-ms" => opts.deadline_ms = Some(args.parse(&arg)?),
+            "--retries" => opts.retries = args.parse(&arg)?,
+            "--json" => opts.json_path = Some(args.value(&arg)?),
+            "--check" => opts.check = true,
+            "--sustained" => opts.sustained = true,
+            "--rate" => opts.rate = args.parse(&arg)?,
+            "--duration-s" => opts.duration_s = args.parse(&arg)?,
+            _ => return Err(UsageError::unknown(&arg)),
+        }
+    }
+    opts.addr = addr.ok_or_else(|| UsageError::new("--addr is required"))?;
+    let positive = |x: f64| x.is_finite() && x > 0.0;
+    if opts.sustained && !(positive(opts.rate) && positive(opts.duration_s)) {
+        return Err(UsageError::new(
+            "--sustained needs a positive --rate and --duration-s",
+        ));
+    }
+    Ok(opts)
 }
 
 struct RoundResult {
@@ -53,91 +103,43 @@ struct RoundResult {
 }
 
 fn main() {
-    let mut addr: Option<String> = None;
-    let mut clients: usize = 4;
-    let mut rounds: usize = 2;
-    let mut scale = WireScale::Quick;
-    let mut limit: Option<usize> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut retries: u32 = 60;
-    let mut json_path: Option<String> = None;
-    let mut check = false;
-    let mut sustained = false;
-    let mut rate: f64 = 200.0;
-    let mut duration_s: f64 = 10.0;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = || args.next().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--addr" => addr = Some(value()),
-            "--clients" => clients = value().parse().unwrap_or_else(|_| usage()),
-            "--rounds" => rounds = value().parse().unwrap_or_else(|_| usage()),
-            "--scale" => scale = WireScale::from_name(&value()).unwrap_or_else(|_| usage()),
-            "--limit" => limit = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--deadline-ms" => deadline_ms = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--retries" => retries = value().parse().unwrap_or_else(|_| usage()),
-            "--json" => json_path = Some(value()),
-            "--check" => check = true,
-            "--sustained" => sustained = true,
-            "--rate" => rate = value().parse().unwrap_or_else(|_| usage()),
-            "--duration-s" => duration_s = value().parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
-        }
-    }
-    let addr = addr.unwrap_or_else(|| usage());
-    if clients == 0 || rounds == 0 {
-        usage();
-    }
-
-    let mut specs = hmtx_bench::standard_sweep(scale);
-    if let Some(n) = limit {
+    let opts = parse_args(Args::from_env()).unwrap_or_else(|e| e.exit("hmtx-load", USAGE));
+    let mut specs = hmtx_bench::standard_sweep(opts.scale);
+    if let Some(n) = opts.limit {
         specs.truncate(n);
     }
     if specs.is_empty() {
-        eprintln!("hmtx-load: nothing to submit");
-        std::process::exit(2);
+        UsageError::new("nothing to submit").exit("hmtx-load", USAGE);
     }
 
-    if sustained {
-        if !rate.is_finite() || rate <= 0.0 || !duration_s.is_finite() || duration_s <= 0.0 {
-            usage();
-        }
-        run_sustained(
-            &addr,
-            &specs,
-            clients,
-            rate,
-            duration_s,
-            deadline_ms,
-            retries,
-            json_path.as_deref(),
-            check,
-        );
+    if opts.sustained {
+        run_sustained(&opts, &specs);
         return;
     }
 
-    let mut round_results: Vec<RoundResult> = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        let before = Client::connect(&addr).and_then(|mut c| c.stats()).ok();
+    let mut round_results: Vec<RoundResult> = Vec::with_capacity(opts.rounds);
+    for round in 0..opts.rounds {
+        let before = Client::connect(&opts.addr).and_then(|mut c| c.stats()).ok();
         let responses: Mutex<Vec<Option<Vec<u8>>>> = Mutex::new(vec![None; specs.len()]);
         let latencies: Mutex<LatencyHistogram> = Mutex::new(LatencyHistogram::new());
         let started = Instant::now();
         std::thread::scope(|s| {
-            for worker in 0..clients.min(specs.len()) {
+            for worker in 0..opts.clients.min(specs.len()) {
                 let specs = &specs;
                 let responses = &responses;
                 let latencies = &latencies;
-                let addr = &addr;
+                let addr = &opts.addr;
                 s.spawn(move || {
                     let Ok(mut client) = Client::connect(addr) else {
                         return;
                     };
                     for (i, spec) in specs.iter().enumerate() {
-                        if i % clients != worker {
+                        if i % opts.clients != worker {
                             continue;
                         }
                         let req_started = Instant::now();
-                        let Ok(response) = client.job_with_retry(spec, deadline_ms, retries)
+                        let Ok(response) =
+                            client.job_with_retry(spec, opts.deadline_ms, opts.retries)
                         else {
                             return;
                         };
@@ -150,7 +152,7 @@ fn main() {
             }
         });
         let wall_seconds = started.elapsed().as_secs_f64();
-        let after = Client::connect(&addr).and_then(|mut c| c.stats()).ok();
+        let after = Client::connect(&opts.addr).and_then(|mut c| c.stats()).ok();
         let responses = responses.into_inner().unwrap();
         let ok = responses
             .iter()
@@ -173,7 +175,7 @@ fn main() {
     }
 
     let mut failures = 0usize;
-    if check {
+    if opts.check {
         for (i, spec) in specs.iter().enumerate() {
             let first = round_results[0].responses[i].as_deref();
             for (round, result) in round_results.iter().enumerate() {
@@ -202,9 +204,9 @@ fn main() {
         }
     }
 
-    if let Some(path) = json_path {
-        let report = render_report(&specs.len(), clients, &round_results);
-        if let Err(e) = std::fs::write(&path, report.pretty()) {
+    if let Some(path) = &opts.json_path {
+        let report = render_report(&specs.len(), opts.clients, &round_results);
+        if let Err(e) = std::fs::write(path, report.pretty()) {
             eprintln!("hmtx-load: writing {path}: {e}");
             std::process::exit(1);
         }
@@ -222,36 +224,26 @@ fn main() {
 /// time, so a saturated server's queueing shows up as tail latency and a
 /// shortfall of `achieved_rps` against `offered_rps` — never as a quietly
 /// slower offered rate.
-#[allow(clippy::too_many_arguments)]
-fn run_sustained(
-    addr: &str,
-    specs: &[JobSpec],
-    clients: usize,
-    rate: f64,
-    duration_s: f64,
-    deadline_ms: Option<u64>,
-    retries: u32,
-    json_path: Option<&str>,
-    check: bool,
-) {
+fn run_sustained(opts: &Opts, specs: &[JobSpec]) {
+    let (rate, duration_s) = (opts.rate, opts.duration_s);
     let next_arrival = AtomicUsize::new(0);
     let ok = AtomicUsize::new(0);
     let still_busy = AtomicUsize::new(0);
     let failed = AtomicUsize::new(0);
     let latencies: Mutex<LatencyHistogram> = Mutex::new(LatencyHistogram::new());
-    let before = Client::connect(addr).and_then(|mut c| c.stats()).ok();
+    let before = Client::connect(&opts.addr).and_then(|mut c| c.stats()).ok();
 
     let start = Instant::now();
     let deadline = start + Duration::from_secs_f64(duration_s);
     std::thread::scope(|s| {
-        for _ in 0..clients {
+        for _ in 0..opts.clients {
             let next_arrival = &next_arrival;
             let ok = &ok;
             let still_busy = &still_busy;
             let failed = &failed;
             let latencies = &latencies;
             s.spawn(move || {
-                let mut client = match Client::connect(addr) {
+                let mut client = match Client::connect(&opts.addr) {
                     Ok(c) => c,
                     Err(_) => return,
                 };
@@ -266,7 +258,7 @@ fn run_sustained(
                         std::thread::sleep(scheduled - now);
                     }
                     let spec = &specs[i % specs.len()];
-                    match client.job_with_retry(spec, deadline_ms, retries) {
+                    match client.job_with_retry(spec, opts.deadline_ms, opts.retries) {
                         Ok(response) => {
                             let us = u64::try_from(scheduled.elapsed().as_micros())
                                 .unwrap_or(u64::MAX);
@@ -281,7 +273,7 @@ fn run_sustained(
                             failed.fetch_add(1, Ordering::Relaxed);
                             // Reconnect; a dropped connection must not
                             // silently retire this generator thread.
-                            match Client::connect(addr) {
+                            match Client::connect(&opts.addr) {
                                 Ok(c) => client = c,
                                 Err(_) => return,
                             }
@@ -292,7 +284,7 @@ fn run_sustained(
         }
     });
     let wall_seconds = start.elapsed().as_secs_f64();
-    let after = Client::connect(addr).and_then(|mut c| c.stats()).ok();
+    let after = Client::connect(&opts.addr).and_then(|mut c| c.stats()).ok();
 
     let ok = ok.into_inner();
     let still_busy = still_busy.into_inner();
@@ -313,7 +305,7 @@ fn run_sustained(
 
     let mut fields = vec![
         ("schema", Json::Str("hmtx-load-sustained/1".into())),
-        ("clients", Json::Uint(clients as u64)),
+        ("clients", Json::Uint(opts.clients as u64)),
         ("offered_rps", Json::Num(rate)),
         ("duration_s", Json::Num(duration_s)),
         ("wall_seconds", Json::Num(wall_seconds)),
@@ -341,7 +333,7 @@ fn run_sustained(
         ));
     }
     let report = Json::obj(fields);
-    if let Some(path) = json_path {
+    if let Some(path) = &opts.json_path {
         if let Err(e) = std::fs::write(path, report.pretty()) {
             eprintln!("hmtx-load: writing {path}: {e}");
             std::process::exit(1);
@@ -349,7 +341,7 @@ fn run_sustained(
     } else {
         print!("{}", report.pretty());
     }
-    if check && (ok == 0 || failed > 0) {
+    if opts.check && (ok == 0 || failed > 0) {
         eprintln!("hmtx-load: sustained check failed: ok={ok} failed={failed}");
         std::process::exit(1);
     }

@@ -19,36 +19,28 @@
 use std::time::Duration;
 
 use hmtx_server::{ServerConfig, ServerHandle};
+use hmtx_types::cli::{Args, UsageError};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: hmtx-serve [--addr HOST:PORT] [--workers N] [--queue-cap N] \
-         [--mem-cache N] [--shards N] [--cache-dir DIR] [--mem-only] \
-         [--deadline-ms N] [--retry-after-ms N]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: hmtx-serve [--addr HOST:PORT] [--workers N] [--queue-cap N] \
+    [--mem-cache N] [--shards N] [--cache-dir DIR] [--mem-only] \
+    [--deadline-ms N] [--retry-after-ms N]";
 
-fn main() {
+fn parse_args(mut args: Args) -> Result<(String, ServerConfig), UsageError> {
     let mut addr = "127.0.0.1:7870".to_string();
     let mut cfg = ServerConfig::default();
     let mut mem_only = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = || args.next().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--addr" => addr = value(),
-            "--workers" => cfg.workers = value().parse().unwrap_or_else(|_| usage()),
-            "--queue-cap" => cfg.queue_cap = value().parse().unwrap_or_else(|_| usage()),
-            "--mem-cache" => cfg.mem_cache_cap = value().parse().unwrap_or_else(|_| usage()),
-            "--shards" => cfg.shards = value().parse().unwrap_or_else(|_| usage()),
-            "--cache-dir" => cfg.cache_dir = Some(value().into()),
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--addr" => addr = args.value(&arg)?,
+            "--workers" => cfg.workers = args.parse(&arg)?,
+            "--queue-cap" => cfg.queue_cap = args.parse(&arg)?,
+            "--mem-cache" => cfg.mem_cache_cap = args.parse(&arg)?,
+            "--shards" => cfg.shards = args.parse(&arg)?,
+            "--cache-dir" => cfg.cache_dir = Some(args.value(&arg)?.into()),
             "--mem-only" => mem_only = true,
-            "--deadline-ms" => {
-                cfg.default_deadline_ms = value().parse().unwrap_or_else(|_| usage());
-            }
-            "--retry-after-ms" => cfg.retry_after_ms = value().parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
+            "--deadline-ms" => cfg.default_deadline_ms = args.parse(&arg)?,
+            "--retry-after-ms" => cfg.retry_after_ms = args.parse(&arg)?,
+            _ => return Err(UsageError::unknown(&arg)),
         }
     }
     if mem_only {
@@ -58,7 +50,11 @@ fn main() {
         // warm each other without polluting the tree.
         cfg.cache_dir = Some("target/hmtx-serve-cache".into());
     }
+    Ok((addr, cfg))
+}
 
+fn main() {
+    let (addr, cfg) = parse_args(Args::from_env()).unwrap_or_else(|e| e.exit("hmtx-serve", USAGE));
     hmtx_server::install_drain_handlers();
 
     let handle = match ServerHandle::start(&addr, cfg) {

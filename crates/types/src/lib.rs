@@ -21,6 +21,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod config;
 pub mod diag;
 pub mod error;

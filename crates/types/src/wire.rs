@@ -120,9 +120,10 @@ impl WireParadigm {
 }
 
 /// Workload scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WireScale {
-    /// Small test instances (seconds).
+    /// Small test instances (seconds); the command-line default.
+    #[default]
     Quick,
     /// The paper-figure instances.
     Standard,

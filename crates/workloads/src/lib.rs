@@ -44,4 +44,4 @@ pub mod parser;
 pub mod suite;
 
 pub use meta::{paper_table1, PaperRow, WorkloadMeta};
-pub use suite::{meta_for, suite, Scale, Workload};
+pub use suite::{meta_for, resolve_workload, suite, Scale, Workload};

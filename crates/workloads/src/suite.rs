@@ -2,18 +2,30 @@
 
 use crate::meta::{paper_table1, WorkloadMeta};
 use hmtx_runtime::LoopBody;
-use hmtx_types::SimError;
+use hmtx_types::cli::UsageError;
+use hmtx_types::{SimError, WireScale};
 
 /// How large to build a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Scale {
-    /// Small instances for unit/integration tests (seconds).
+    /// Small instances for unit/integration tests (seconds); the default.
+    #[default]
     Quick,
     /// The benchmark-harness instances used for the paper figures.
     Standard,
     /// Long-transaction stress instances (hundreds of thousands of
     /// speculative accesses per transaction) for resilience tests.
     Stress,
+}
+
+impl From<WireScale> for Scale {
+    fn from(scale: WireScale) -> Scale {
+        match scale {
+            WireScale::Quick => Scale::Quick,
+            WireScale::Standard => Scale::Standard,
+            WireScale::Stress => Scale::Stress,
+        }
+    }
 }
 
 /// A benchmark workload: a parallelizable loop plus its paper metadata.
@@ -41,6 +53,40 @@ pub fn meta_for(name: &str) -> Result<WorkloadMeta, SimError> {
                 valid.join(", ")
             ))
         })
+}
+
+/// Resolves a command-line workload name to its index in [`suite`]: an
+/// exact name, a substring of exactly one name (`li`, `gzip`), or a raw
+/// `suite:N` index.
+///
+/// # Errors
+///
+/// A [`UsageError`] listing the valid names when `name` matches none of
+/// them, or the candidates when it matches several.
+pub fn resolve_workload(name: &str) -> Result<usize, UsageError> {
+    let names: Vec<&str> = paper_table1().iter().map(|m| m.name).collect();
+    let hits: Vec<usize> = if let Some(i) = name.strip_prefix("suite:") {
+        i.parse().into_iter().filter(|&i| i < names.len()).collect()
+    } else if let Some(i) = names.iter().position(|&n| n == name) {
+        vec![i]
+    } else {
+        (0..names.len())
+            .filter(|&i| names[i].contains(name))
+            .collect()
+    };
+    let matched: Vec<&str> = hits.iter().map(|&i| names[i]).collect();
+    match hits[..] {
+        [i] => Ok(i),
+        [] => Err(UsageError::new(format!(
+            "unknown workload `{name}`; known: {} (or suite:N, N < {})",
+            names.join(", "),
+            names.len()
+        ))),
+        _ => Err(UsageError::new(format!(
+            "ambiguous workload `{name}`: {}",
+            matched.join(", ")
+        ))),
+    }
 }
 
 /// Builds the full 8-benchmark suite at the given scale, in Table 1 order.
@@ -95,6 +141,34 @@ mod tests {
         assert!(msg.contains("999.nonesuch"), "{msg}");
         for m in paper_table1() {
             assert!(msg.contains(m.name), "missing {} in: {msg}", m.name);
+        }
+    }
+
+    #[test]
+    fn workload_names_resolve_exactly_and_by_substring() {
+        let names: Vec<&str> = paper_table1().iter().map(|m| m.name).collect();
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(resolve_workload(name).unwrap(), i);
+            assert_eq!(resolve_workload(&format!("suite:{i}")).unwrap(), i);
+        }
+        assert_eq!(resolve_workload("li").unwrap(), 1);
+        assert_eq!(resolve_workload("gzip").unwrap(), 2);
+        let err = resolve_workload("i").unwrap_err().to_string();
+        assert!(
+            err.starts_with("ambiguous workload `i`: 052.alvinn, 130.li"),
+            "{err}"
+        );
+        let err = resolve_workload("nope").unwrap_err().to_string();
+        assert!(
+            err.contains("unknown workload `nope`") && err.contains("ispell"),
+            "{err}"
+        );
+        for bad in ["suite:8", "suite:x"] {
+            let err = resolve_workload(bad).unwrap_err().to_string();
+            assert!(
+                err.starts_with(&format!("unknown workload `{bad}`")),
+                "{err}"
+            );
         }
     }
 

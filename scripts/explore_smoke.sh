@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke gate for schedule exploration (see DESIGN.md §9): every interleaving
 # of the op kernels must check clean under hmtx-model, the planted defect
-# must be found, lowered to a short seed and replayed by hmtx-run, bounded
+# must be found, lowered to a short seed and replayed by hmtx-run, found
+# again at machine level and pinned as a one-divergence seed, bounded
 # exploration must terminate clean on the two-thread machine kernels, and a
 # bound-limited sweep over every workload must finish within the smoke
 # budget. Nonzero exit on any failure.
@@ -50,6 +51,35 @@ RULE=$(sed -n 's/^VIOLATION \[\([^]]*\)\].*/\1/p' "$SCRATCH/model.txt" | head -n
 if [ "$REPLAY_EXIT" -ne 1 ] || ! grep -qF "[$RULE]" "$SCRATCH/replay.txt"; then
   echo "hmtx-run --replay exited $REPLAY_EXIT without naming [$RULE]:" >&2
   cat "$SCRATCH/replay.txt" >&2
+  exit 1
+fi
+
+# --- machine-level planted defect -----------------------------------------
+# Under the same defect, full-machine exploration of race_detect must fail,
+# shrink the failing schedule to one divergence, and pin it under a
+# kernel-named stem in the corpus dir it is given. The seed's note must name
+# the violated rule in plain text, and tests/corpus/ must stay untouched.
+CORPUS_BEFORE=$(cksum tests/corpus/*.json)
+"$BIN/hmtx-explore" --kernel race_detect --preemptions 3 \
+  --seed-bug stale-migration-replica --shrink --corpus-dir "$SCRATCH" \
+  --expect-failure --max-shrunk-len 1
+MSEED="$SCRATCH/regression_race_detect_stale_migration_replica.json"
+if [ ! -f "$MSEED" ]; then
+  echo "hmtx-explore --shrink did not write $MSEED" >&2
+  exit 1
+fi
+NOTE=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["note"])' "$MSEED")
+case "$NOTE" in
+  *"Violation {"*)
+    echo "machine seed note renders the violation as Debug text: $NOTE" >&2
+    exit 1 ;;
+  *": at most one responding version hits per VID: "*) ;;
+  *)
+    echo "machine seed note does not name the rule: $NOTE" >&2
+    exit 1 ;;
+esac
+if [ "$(cksum tests/corpus/*.json)" != "$CORPUS_BEFORE" ]; then
+  echo "hmtx-explore --corpus-dir wrote into tests/corpus/" >&2
   exit 1
 fi
 
