@@ -11,6 +11,11 @@
 //! cycles of every job, and reports `cycles / wall_seconds` for the best of
 //! `--reps` repetitions (default 3; best-of filters scheduler noise).
 //!
+//! It also sums two deterministic schedule counters over the sweep
+//! (`MachineStats::steps` and `MachineStats::core_switches`): scheduling
+//! decisions that advanced a core, and those that changed core. Like the
+//! cycle total they are identical on every host and every rep.
+//!
 //! `--json PATH` writes the measurement (plus the optional `--baseline`
 //! cycles/sec for speedup bookkeeping) as a `BENCH_pr6.json`-style report.
 //!
@@ -65,6 +70,9 @@ fn parse_args(mut args: Args) -> Result<Opts, UsageError> {
 struct Measurement {
     jobs: usize,
     total_cycles: u64,
+    /// Summed `MachineStats::{steps, core_switches}`.
+    steps: u64,
+    core_switches: u64,
     best_wall_seconds: f64,
     reps: usize,
 }
@@ -79,25 +87,29 @@ impl Measurement {
 /// count (the sweep is deterministic), and the fastest rep is the score.
 fn measure(reps: usize) -> Measurement {
     let sweep = standard_sweep(WireScale::Quick);
-    let mut total_cycles = 0u64;
+    let mut totals = (0u64, 0u64, 0u64);
     let mut best = f64::INFINITY;
     for rep in 0..reps {
         let started = Instant::now();
-        let mut cycles = 0u64;
+        let (mut cycles, mut steps, mut switches) = (0u64, 0u64, 0u64);
         for spec in &sweep {
             let result = run_job(spec).unwrap_or_else(|e| {
                 eprintln!("cyclebench: job {} failed: {e:?}", spec.key());
                 std::process::exit(1);
             });
             cycles += result.cycles;
+            steps += result.machine.stats().steps;
+            switches += result.machine.stats().core_switches;
         }
         let wall = started.elapsed().as_secs_f64();
         if rep == 0 {
-            total_cycles = cycles;
-        } else if cycles != total_cycles {
+            totals = (cycles, steps, switches);
+        } else if (cycles, steps, switches) != totals {
             eprintln!(
                 "cyclebench: nondeterministic sweep: rep {rep} committed {cycles} \
-                 cycles, rep 0 committed {total_cycles}"
+                 cycles in {steps} steps ({switches} core switches), rep 0 \
+                 committed {} in {} ({})",
+                totals.0, totals.1, totals.2
             );
             std::process::exit(1);
         }
@@ -109,7 +121,9 @@ fn measure(reps: usize) -> Measurement {
     }
     Measurement {
         jobs: sweep.len(),
-        total_cycles,
+        total_cycles: totals.0,
+        steps: totals.1,
+        core_switches: totals.2,
         best_wall_seconds: best,
         reps,
     }
@@ -123,6 +137,8 @@ fn render(m: &Measurement, baseline_cps: Option<f64>) -> Json {
         ("jobs", Json::Uint(m.jobs as u64)),
         ("reps", Json::Uint(m.reps as u64)),
         ("total_committed_cycles", Json::Uint(m.total_cycles)),
+        ("schedule_steps", Json::Uint(m.steps)),
+        ("core_switches", Json::Uint(m.core_switches)),
         ("best_wall_seconds", Json::Num(m.best_wall_seconds)),
         ("cycles_per_sec", Json::Num(m.cycles_per_sec())),
     ];
@@ -189,6 +205,10 @@ fn main() {
         m.total_cycles,
         m.best_wall_seconds,
         m.cycles_per_sec()
+    );
+    println!(
+        "cyclebench: schedule: {} steps, {} core switches",
+        m.steps, m.core_switches
     );
 
     if let Some(path) = &opts.json_path {

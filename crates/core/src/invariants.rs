@@ -82,7 +82,7 @@ impl<B: ProtocolBackend> MemorySystem<B> {
     /// is the position in [`Self::caches`].
     fn for_each_served_line(&self, mut f: impl FnMut(usize, &LineMeta)) {
         for (idx, cache) in self.caches().enumerate() {
-            for set_idx in 0..cache.config().num_sets() {
+            for set_idx in 0..cache.num_sets() {
                 for stored in cache.set_metas(set_idx) {
                     let mut processed = *stored;
                     if processed.commit_epoch < cache.commit_epoch()
@@ -598,7 +598,7 @@ mod tests {
     fn served(mem: &MemorySystem) -> Vec<(String, LineMeta)> {
         let mut out = Vec::new();
         for (name, cache) in named_caches(mem) {
-            for set_idx in 0..cache.config().num_sets() {
+            for set_idx in 0..cache.num_sets() {
                 for stored in cache.set_metas(set_idx) {
                     let mut processed = *stored;
                     if processed.commit_epoch < cache.commit_epoch()

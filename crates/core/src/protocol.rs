@@ -348,6 +348,12 @@ impl<B: ProtocolBackend> MemorySystem<B> {
                 }
             }
         }
+        if !self.cfg.hytm.enabled && !self.tracer.enabled() {
+            // Nothing to check or record: return `access_impl`'s result
+            // directly. (Unwrapping and rebuilding it costs a copy of the
+            // response through the stack on every access.)
+            return self.access_impl(now, req);
+        }
         let mut response = self.access_impl(now, req)?;
         // HyTM capacity bounds (§11): with `hytm.enabled`, a speculative
         // correct-path access whose transaction's distinct-line read or
@@ -1335,7 +1341,7 @@ impl<B: ProtocolBackend> MemorySystem<B> {
     fn restore_coherence_after_abort(&mut self) {
         let mut copies: HashMap<LineAddr, u32> = HashMap::new();
         for cache in self.l1s.iter().chain(std::iter::once(&self.l2)) {
-            for set in 0..cache.config().num_sets() {
+            for set in 0..cache.num_sets() {
                 for l in cache.set_metas(set) {
                     *copies.entry(l.addr).or_insert(0) += 1;
                 }

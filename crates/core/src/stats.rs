@@ -10,8 +10,6 @@
 //! a counter that wraps (or panics in debug builds) is a worse outcome
 //! than one that pins at `u64::MAX`.
 
-use std::collections::BTreeMap;
-
 use hmtx_types::{hash::FxHashSet, LineAddr, Vid};
 
 /// Saturating in-place increment for long-run `u64` counters.
@@ -125,11 +123,70 @@ pub struct MemStats {
     pub injected_conflicts: u64,
 
     rw_totals: RwSetTotals,
-    // BTreeMap so that finalization walks transactions in ascending VID
-    // order — committed transactions must be accounted in a deterministic
-    // (commit) order, never in whatever order a hash function produces.
-    live_read_sets: BTreeMap<Vid, FxHashSet<LineAddr>>,
-    live_write_sets: BTreeMap<Vid, FxHashSet<LineAddr>>,
+    live: LiveSets,
+}
+
+/// The read and write sets of live (uncommitted) transactions, indexed
+/// densely by VID: VIDs are small (`vid_bits <= 12`), so a vector slot per
+/// VID replaces a tree lookup on every speculative access. A transaction
+/// is live iff either of its sets is nonempty.
+#[derive(Debug, Clone, Default)]
+struct LiveSets {
+    txs: Vec<TxSets>,
+    /// Every slot below `lo` is empty, so finalization starts its
+    /// ascending-VID walk here instead of at VID 0.
+    lo: usize,
+}
+
+/// One transaction's distinct lines.
+#[derive(Debug, Clone)]
+struct TxSets {
+    reads: FxHashSet<LineAddr>,
+    writes: FxHashSet<LineAddr>,
+    /// The line last added to each set ([`NO_LINE`] before the first):
+    /// runs of accesses to one line skip the hash probe.
+    last_read: LineAddr,
+    last_write: LineAddr,
+}
+
+/// No line: line addresses are byte addresses shifted right by the line
+/// size, so they never reach `u64::MAX`.
+const NO_LINE: LineAddr = LineAddr(u64::MAX);
+
+impl Default for TxSets {
+    fn default() -> Self {
+        TxSets {
+            reads: FxHashSet::default(),
+            writes: FxHashSet::default(),
+            last_read: NO_LINE,
+            last_write: NO_LINE,
+        }
+    }
+}
+
+impl TxSets {
+    fn is_live(&self) -> bool {
+        !self.reads.is_empty() || !self.writes.is_empty()
+    }
+}
+
+impl LiveSets {
+    /// The sets of `vid`, growing the vector to cover it.
+    #[inline]
+    fn slot(&mut self, vid: Vid) -> &mut TxSets {
+        let v = usize::from(vid.0);
+        if v >= self.txs.len() {
+            self.txs.resize_with(v + 1, TxSets::default);
+        }
+        if v < self.lo {
+            self.lo = v;
+        }
+        &mut self.txs[v]
+    }
+
+    fn get(&self, vid: Vid) -> Option<&TxSets> {
+        self.txs.get(usize::from(vid.0))
+    }
 }
 
 impl MemStats {
@@ -140,57 +197,59 @@ impl MemStats {
 
     /// Records a speculative read of `line` by transaction `vid`.
     pub fn record_spec_read(&mut self, vid: Vid, line: LineAddr) {
-        self.live_read_sets.entry(vid).or_default().insert(line);
+        let tx = self.live.slot(vid);
+        if tx.last_read != line {
+            tx.last_read = line;
+            tx.reads.insert(line);
+        }
     }
 
     /// Records a speculative write of `line` by transaction `vid`.
     pub fn record_spec_write(&mut self, vid: Vid, line: LineAddr) {
-        self.live_write_sets.entry(vid).or_default().insert(line);
+        let tx = self.live.slot(vid);
+        if tx.last_write != line {
+            tx.last_write = line;
+            tx.writes.insert(line);
+        }
     }
 
     /// Finalizes the read/write sets of every transaction with VID `<= lc`
     /// (called at group commit), in ascending VID order — the order the
     /// transactions logically committed in.
     pub fn finalize_committed(&mut self, lc: Vid) {
-        // Both maps are sorted, so the smaller of their first keys is the
-        // next VID of the union.
-        loop {
-            let first = |sets: &BTreeMap<Vid, FxHashSet<LineAddr>>| sets.keys().next().copied();
-            let next = first(&self.live_read_sets)
-                .into_iter()
-                .chain(first(&self.live_write_sets))
-                .min();
-            let Some(vid) = next.filter(|v| *v <= lc) else {
-                break;
-            };
-            let reads = self.live_read_sets.remove(&vid).unwrap_or_default();
-            let writes = self.live_write_sets.remove(&vid).unwrap_or_default();
+        let live = &mut self.live;
+        let end = (usize::from(lc.0) + 1).min(live.txs.len());
+        for v in live.lo..end {
+            if !live.txs[v].is_live() {
+                continue;
+            }
+            let tx = std::mem::take(&mut live.txs[v]);
             inc(&mut self.rw_totals.transactions);
-            add(&mut self.rw_totals.read_lines, reads.len() as u64);
-            add(&mut self.rw_totals.write_lines, writes.len() as u64);
+            add(&mut self.rw_totals.read_lines, tx.reads.len() as u64);
+            add(&mut self.rw_totals.write_lines, tx.writes.len() as u64);
             add(
                 &mut self.rw_totals.combined_lines,
-                reads.union(&writes).count() as u64,
+                tx.reads.union(&tx.writes).count() as u64,
             );
         }
+        live.lo = live.lo.max(end);
     }
 
     /// Discards the live sets of every uncommitted transaction (on abort).
     pub fn discard_uncommitted(&mut self) {
-        self.live_read_sets.clear();
-        self.live_write_sets.clear();
+        self.live = LiveSets::default();
     }
 
     /// Distinct cache lines speculatively read so far by live transaction
     /// `vid` (HyTM fast-path capacity bound checks).
     pub fn live_read_lines(&self, vid: Vid) -> usize {
-        self.live_read_sets.get(&vid).map_or(0, FxHashSet::len)
+        self.live.get(vid).map_or(0, |tx| tx.reads.len())
     }
 
     /// Distinct cache lines speculatively written so far by live transaction
     /// `vid` (HyTM fast-path capacity bound checks).
     pub fn live_write_lines(&self, vid: Vid) -> usize {
-        self.live_write_sets.get(&vid).map_or(0, FxHashSet::len)
+        self.live.get(vid).map_or(0, |tx| tx.writes.len())
     }
 
     /// Read/write set totals over committed transactions (Figure 9).
@@ -369,10 +428,18 @@ mod tests {
         assert_eq!(t.combined_lines, 3, "union of {{1,2}} and {{2,3}}");
     }
 
+    /// The VIDs whose read or write set is live, ascending.
+    fn live_vids(s: &MemStats) -> Vec<u16> {
+        (0..s.live.txs.len())
+            .filter(|&v| s.live.txs[v].is_live())
+            .map(|v| v as u16)
+            .collect()
+    }
+
     #[test]
     fn live_sets_iterate_in_sorted_vid_order() {
-        // Pinned: insertion order is scrambled, iteration (and therefore
-        // finalization) order must be ascending VID regardless.
+        // Pinned: insertion order is scrambled, the live VIDs (and therefore
+        // finalization) come out in ascending VID order regardless.
         let mut s = MemStats::new();
         for vid in [7u16, 2, 5, 1, 6] {
             s.record_spec_read(Vid(vid), LineAddr(u64::from(vid)));
@@ -380,14 +447,87 @@ mod tests {
         for vid in [4u16, 3] {
             s.record_spec_write(Vid(vid), LineAddr(u64::from(vid)));
         }
-        let read_vids: Vec<u16> = s.live_read_sets.keys().map(|v| v.0).collect();
-        let write_vids: Vec<u16> = s.live_write_sets.keys().map(|v| v.0).collect();
-        assert_eq!(read_vids, vec![1, 2, 5, 6, 7]);
-        assert_eq!(write_vids, vec![3, 4]);
+        assert_eq!(live_vids(&s), vec![1, 2, 3, 4, 5, 6, 7]);
+        // Finalizing through VID 4 takes exactly the four lowest, leaving
+        // 5..=7 live; the walk then resumes above the finalized prefix.
+        s.finalize_committed(Vid(4));
+        assert_eq!(s.rw_totals().transactions, 4);
+        assert_eq!(live_vids(&s), vec![5, 6, 7]);
+        assert_eq!(s.live.lo, 5);
         s.finalize_committed(Vid(7));
         assert_eq!(s.rw_totals().transactions, 7);
-        assert!(s.live_read_sets.is_empty());
-        assert!(s.live_write_sets.is_empty());
+        assert!(live_vids(&s).is_empty());
+    }
+
+    #[test]
+    fn dense_sets_restart_below_the_finalized_prefix_after_a_vid_reset() {
+        // After a VID reset the low VIDs come back: a record below the
+        // finalized prefix must be found by the next finalization.
+        let mut s = MemStats::new();
+        s.record_spec_read(Vid(3), LineAddr(1));
+        s.finalize_committed(Vid(3));
+        s.record_spec_write(Vid(1), LineAddr(9));
+        s.record_spec_read(Vid(2), LineAddr(9));
+        assert_eq!(live_vids(&s), vec![1, 2]);
+        s.finalize_committed(Vid(2));
+        let t = s.rw_totals();
+        assert_eq!((t.transactions, t.read_lines, t.write_lines), (3, 2, 1));
+    }
+
+    #[test]
+    fn repeated_lines_are_counted_once_across_finalization() {
+        // Runs of one line skip the set probe; a finalized transaction's
+        // VID reused later must still count that line afresh.
+        let mut s = MemStats::new();
+        for l in [4u64, 4, 4, 5, 4, 5, 5] {
+            s.record_spec_read(Vid(1), LineAddr(l));
+            s.record_spec_write(Vid(1), LineAddr(l));
+        }
+        assert_eq!(
+            (s.live_read_lines(Vid(1)), s.live_write_lines(Vid(1))),
+            (2, 2)
+        );
+        s.finalize_committed(Vid(1));
+        s.record_spec_read(Vid(1), LineAddr(5));
+        s.record_spec_write(Vid(1), LineAddr(5));
+        assert_eq!(
+            (s.live_read_lines(Vid(1)), s.live_write_lines(Vid(1))),
+            (1, 1)
+        );
+        s.discard_uncommitted();
+        s.record_spec_read(Vid(1), LineAddr(5));
+        assert_eq!(s.live_read_lines(Vid(1)), 1);
+        s.finalize_committed(Vid(1));
+        let t = s.rw_totals();
+        let counts = (t.transactions, t.read_lines, t.write_lines);
+        assert_eq!((counts, t.combined_lines), ((2, 3, 2), 3));
+    }
+
+    #[test]
+    fn bound_reads_count_distinct_live_lines_per_vid() {
+        let mut s = MemStats::new();
+        assert_eq!(
+            (s.live_read_lines(Vid(4000)), s.live_write_lines(Vid(4000))),
+            (0, 0)
+        );
+        for l in [5u64, 6, 5, 7] {
+            s.record_spec_read(Vid(2), LineAddr(l));
+        }
+        s.record_spec_write(Vid(2), LineAddr(5));
+        s.record_spec_write(Vid(3), LineAddr(5));
+        assert_eq!(s.live_read_lines(Vid(2)), 3);
+        assert_eq!(s.live_write_lines(Vid(2)), 1);
+        assert_eq!(s.live_read_lines(Vid(3)), 0);
+        assert_eq!(s.live_write_lines(Vid(3)), 1);
+        assert_eq!(s.live_read_lines(Vid(9)), 0, "beyond the dense slots");
+        s.finalize_committed(Vid(2));
+        assert_eq!(
+            (s.live_read_lines(Vid(2)), s.live_write_lines(Vid(2))),
+            (0, 0)
+        );
+        assert_eq!(s.live_write_lines(Vid(3)), 1, "VID 3 stays live");
+        s.discard_uncommitted();
+        assert_eq!(s.live_write_lines(Vid(3)), 0);
     }
 
     #[test]
@@ -428,9 +568,15 @@ mod tests {
     fn discard_uncommitted_drops_live_sets() {
         let mut s = MemStats::new();
         s.record_spec_read(Vid(3), LineAddr(1));
+        s.record_spec_write(Vid(5), LineAddr(2));
         s.discard_uncommitted();
+        assert!(live_vids(&s).is_empty());
         s.finalize_committed(Vid(10));
         assert_eq!(s.rw_totals().transactions, 0);
+        // The sets are reusable after a discard.
+        s.record_spec_read(Vid(1), LineAddr(1));
+        s.finalize_committed(Vid(1));
+        assert_eq!(s.rw_totals().transactions, 1);
     }
 
     #[test]

@@ -73,3 +73,54 @@ fn hmtx_verify_usage_errors_exit_2() {
     usage_error(VERIFY, &["--all-workloads", asm], "mutually exclusive");
     usage_error(VERIFY, &["no-such.asm"], "cannot read `no-such.asm`");
 }
+
+/// Runs `hmtx-run --budget 1000` on one assembly program, killing it after
+/// 10 s; returns its exit code and stderr.
+fn run_asm_bounded(name: &str, asm: &str) -> (Option<i32>, String) {
+    let path = std::env::temp_dir().join(format!("hmtx-cli-{}-{name}.asm", std::process::id()));
+    std::fs::write(&path, asm).expect("writing the program");
+    let mut child = Command::new(RUN)
+        .args(["--budget", "1000"])
+        .arg(&path)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawning hmtx-run");
+    let started = std::time::Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("polling hmtx-run") {
+            break status;
+        }
+        if started.elapsed() > std::time::Duration::from_secs(10) {
+            child.kill().ok();
+            panic!("{name}: hmtx-run did not finish within 10 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).ok();
+    std::fs::remove_file(&path).ok();
+    (status.code(), stderr)
+}
+
+#[test]
+fn hmtx_run_ends_runaway_clocks_and_queue_deadlocks_with_named_errors() {
+    // A `compute` of u64::MAX cycles used to wrap the clock; two of them
+    // hung the run.
+    let (code, stderr) = run_asm_bounded(
+        "compute",
+        "li r1, -1\ncompute r1\ncompute r1\nli r2, 7\nout r2\nhalt\n",
+    );
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("reached the simulated-clock ceiling"),
+        "{stderr}"
+    );
+    // A consume nothing will ever feed used to spin past any budget.
+    let (code, stderr) = run_asm_bounded("consume", "consume r1, q0\nhalt\n");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("queue deadlock: core 0 pc 0: consume on empty q0"),
+        "{stderr}"
+    );
+}

@@ -53,7 +53,8 @@ pub use machine::{CoreStats, Machine, MachineStats, MarkerEvent, RunEvent, Threa
 pub use predictor::{BranchPredictor, Gshare};
 pub use queue::{ConsumeOutcome, ProduceOutcome, QueueSet};
 pub use schedule::{
-    CoreEvent, EventSummary, JitterPolicy, MinClock, ReplayPolicy, SchedulePolicy, ScheduleSeed,
+    with_general_path, CoreEvent, EventSummary, JitterPolicy, MinClock, ReplayPolicy,
+    SchedulePolicy, ScheduleSeed,
 };
 
 // The bench harness fans complete simulations out across host threads

@@ -10,11 +10,14 @@ use hmtx_core::{
     AccessKind, AccessRequest, AccessResponse, FaultPlan, FaultSite, MemorySystem, MisspecCause,
 };
 use hmtx_isa::{Instr, Operand, Program, Reg};
-use hmtx_types::{Addr, CoreId, Cycle, MachineConfig, SimError, ThreadId, Vid};
+use hmtx_types::{
+    Addr, BlockedCore, CoreId, Cycle, MachineConfig, QueueId, SimError, ThreadId, Vid,
+    CORE_KEY_BITS, CYCLE_CEILING,
+};
 
 use crate::predictor::BranchPredictor;
 use crate::queue::{ConsumeOutcome, ProduceOutcome, QueueSet};
-use crate::schedule::{CoreEvent, EventSummary, MinClock, SchedulePolicy};
+use crate::schedule::{CoreEvent, EventSummary, JitterPolicy, MinClock, SchedulePolicy};
 
 /// Cycles a core waits before retrying a blocked queue operation.
 const RETRY_QUANTUM: u64 = 4;
@@ -25,6 +28,36 @@ const MIGRATION_COST: u64 = 100;
 /// Base of the per-core kernel scratch region touched by the interrupt
 /// handler (disjoint from any guest data by construction).
 const KERNEL_REGION_BASE: u64 = 0xFFFF_0000_0000;
+
+/// No core: the initial previous-step core, and a clean lazy-stats slot.
+const NO_CORE: usize = usize::MAX;
+
+/// The scheduler's packed pick key: the clock in the high 48 bits, the core
+/// index in the low [`CORE_KEY_BITS`], so `u64` order is `(clock, core)`
+/// order — the min-clock pick with its lowest-core tie-break. Clocks at or
+/// past [`CYCLE_CEILING`] clamp to it: such a core is out of the run (see
+/// [`SimError::CycleLimit`]) and only ever compares above every live clock.
+/// `MachineConfig::validate` bounds the core count so the index fits.
+#[inline]
+fn clock_key(clock: Cycle, core: usize) -> u64 {
+    (clock.min(CYCLE_CEILING) << CORE_KEY_BITS) | core as u64
+}
+
+/// Keys at or above this belong to a core whose clock hit the ceiling.
+const CEILING_KEY: u64 = CYCLE_CEILING << CORE_KEY_BITS;
+
+/// The packed key of `core`'s next interrupt deadline. A deadline at or
+/// past the ceiling — including the disabled-interrupt sentinel
+/// `u64::MAX` — can never be reached by a live clock, so it maps to
+/// `u64::MAX` (never) instead of being shifted.
+#[inline]
+fn interrupt_key(deadline: Cycle, core: usize) -> u64 {
+    if deadline >= CYCLE_CEILING {
+        u64::MAX
+    } else {
+        clock_key(deadline, core)
+    }
+}
 
 /// Maximum retained marker events (markers are a diagnostic facility; the
 /// log is bounded so marker-heavy runs don't grow without bound).
@@ -107,7 +140,7 @@ pub enum RunEvent {
 
 /// Aggregate machine statistics (memory statistics live in
 /// [`MemorySystem::stats`]).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MachineStats {
     /// Instructions retired (correct path only).
     pub instructions: u64,
@@ -126,6 +159,12 @@ pub struct MachineStats {
     /// Forced wrong-path load storms injected on retired branches (chaos
     /// testing).
     pub injected_wrong_path_storms: u64,
+    /// Scheduling decisions that advanced a core: instruction steps
+    /// (including blocked queue retries) and serviced timer interrupts.
+    pub steps: u64,
+    /// Steps whose core differs from the previous step's core (the
+    /// machine's first step is not a switch).
+    pub core_switches: u64,
 }
 
 impl MachineStats {
@@ -149,7 +188,7 @@ impl MachineStats {
 }
 
 /// Per-core activity counters (pipeline balance analysis).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Instructions retired on this core.
     pub instructions: u64,
@@ -161,7 +200,26 @@ pub struct CoreStats {
 
 enum StepOutcome {
     Continue,
+    /// The thread halted (`halt`, or ran off the end of its program).
+    Halted,
+}
+
+/// Why a step ended the run. Both cases are rare, so they travel boxed:
+/// the hot `Result<StepOutcome, Box<Stop>>` then fits in two registers
+/// instead of round-tripping a large value through the stack every step.
+enum Stop {
     Misspec(MisspecCause),
+    Error(SimError),
+}
+
+impl From<SimError> for Box<Stop> {
+    fn from(e: SimError) -> Self {
+        Box::new(Stop::Error(e))
+    }
+}
+
+fn misspec(cause: MisspecCause) -> Box<Stop> {
+    Box::new(Stop::Misspec(cause))
 }
 
 /// The simulated multicore machine.
@@ -201,7 +259,29 @@ pub struct Machine {
     stats: MachineStats,
     core_stats: Vec<CoreStats>,
     high_water: Cycle,
+    /// The core whose latest clock advance is not yet published to
+    /// `core_stats[..].ready_at` and `high_water` ([`NO_CORE`] when both
+    /// are current). See [`Machine::bump`].
+    unsettled: usize,
+    /// The core of the previous step (`core_switches` bookkeeping).
+    prev_core: usize,
+    /// Per core, its latest blocked queue retry in this run, stamped with
+    /// the retired-instruction count at that moment (deadlock detection).
+    retries: Vec<Option<(u64, BlockedCore)>>,
     faults: Option<FaultPlan>,
+    /// Debug builds keep the eagerly published clocks beside the lazy ones
+    /// and check that they agree whenever a run returns.
+    #[cfg(debug_assertions)]
+    eager: EagerClocks,
+}
+
+/// What `core_stats[..].ready_at` and `high_water` would hold had every
+/// clock advance published them at once (see [`Machine::bump`]).
+#[cfg(debug_assertions)]
+#[derive(Debug)]
+struct EagerClocks {
+    core_ready: Vec<Cycle>,
+    high_water: Cycle,
 }
 
 impl Machine {
@@ -242,6 +322,14 @@ impl Machine {
             stats: MachineStats::default(),
             core_stats: vec![CoreStats::default(); n],
             high_water: 0,
+            unsettled: NO_CORE,
+            prev_core: NO_CORE,
+            retries: vec![None; n],
+            #[cfg(debug_assertions)]
+            eager: EagerClocks {
+                core_ready: vec![0; n],
+                high_water: 0,
+            },
             // The machine draws from its own fault plan, independent of the
             // memory system's: both are deterministic in the shared seed.
             faults: cfg.faults.map(FaultPlan::new),
@@ -330,7 +418,10 @@ impl Machine {
         assert!(self.threads[to].is_none(), "target core occupied");
         let t = self.threads[from].take().expect("no thread to migrate");
         self.threads[to] = Some(t);
-        self.ready_at[to] = self.ready_at[to].max(self.ready_at[from]) + MIGRATION_COST;
+        self.settle();
+        self.ready_at[to] = self.ready_at[to]
+            .max(self.ready_at[from])
+            .saturating_add(MIGRATION_COST);
     }
 
     /// Runs until every thread halts, misspeculation aborts the machine, or
@@ -339,8 +430,13 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`SimError`] for guest-program bugs (unaligned access,
-    /// malformed VIDs, out-of-order commits).
+    /// malformed VIDs, out-of-order commits), a core clock reaching
+    /// [`CYCLE_CEILING`] ([`SimError::CycleLimit`]), or a queue deadlock
+    /// ([`SimError::Deadlock`]).
     pub fn run(&mut self, budget: u64) -> Result<RunEvent, SimError> {
+        if crate::schedule::general_path_forced() {
+            return self.run_with_policy(budget, &mut JitterPolicy::new(0, 0));
+        }
         self.run_with_policy(budget, &mut MinClock)
     }
 
@@ -358,16 +454,39 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] for guest-program bugs, or any error raised by
+    /// Returns [`SimError`] as [`Machine::run`] does, or any error raised by
     /// the policy's `observe_commit` hook.
     pub fn run_with_policy(
         &mut self,
         budget: u64,
         policy: &mut dyn SchedulePolicy,
     ) -> Result<RunEvent, SimError> {
-        if policy.is_min_clock() {
-            return self.run_min_clock(budget, policy);
+        self.retries.fill(None);
+        let result = if policy.is_min_clock() {
+            self.run_min_clock(budget, policy)
+        } else {
+            self.run_general(budget, policy)
+        };
+        self.settle();
+        #[cfg(debug_assertions)]
+        {
+            let published: Vec<Cycle> = self.core_stats.iter().map(|c| c.ready_at).collect();
+            assert_eq!(published, self.eager.core_ready, "lazy per-core clocks");
+            assert_eq!(
+                self.high_water, self.eager.high_water,
+                "lazy completion time"
+            );
         }
+        result
+    }
+
+    /// The general scheduling loop: materializes the sorted `enabled` list
+    /// at every decision and lets `policy` pick from it.
+    fn run_general(
+        &mut self,
+        budget: u64,
+        policy: &mut dyn SchedulePolicy,
+    ) -> Result<RunEvent, SimError> {
         let start_instructions = self.stats.instructions;
         let mut enabled: Vec<CoreEvent> = Vec::with_capacity(self.threads.len());
         let mut sched_now: Cycle = 0;
@@ -387,21 +506,22 @@ impl Machine {
             // Time warp: keep scheduled timestamps monotone under arbitrary
             // policies (see run_with_policy docs).
             if self.ready_at[core] < sched_now {
+                self.settle();
                 self.ready_at[core] = sched_now;
             }
             sched_now = self.ready_at[core];
+            if sched_now >= CYCLE_CEILING {
+                return Err(self.cycle_limit(core));
+            }
+            self.stats.steps += 1;
+            self.count_switch(core);
             if self.ready_at[core] >= self.next_interrupt[core] {
                 self.service_interrupt(core)?;
                 continue;
             }
             let committed_before = self.mem.last_committed();
-            match self.step(core)? {
-                StepOutcome::Continue => {}
-                StepOutcome::Misspec(cause) => {
-                    let cycle = self.ready_at[core];
-                    self.machine_abort(cycle);
-                    return Ok(RunEvent::Misspeculation { cause, cycle });
-                }
+            if let Err(stop) = self.step(core) {
+                return self.stopped(core, *stop);
             }
             let committed_after = self.mem.last_committed();
             if committed_after > committed_before {
@@ -413,11 +533,11 @@ impl Machine {
     /// The allocation-free fast path behind [`Machine::run_with_policy`]
     /// for policies whose pick is always the min-clock core
     /// ([`SchedulePolicy::is_min_clock`]): instead of materializing and
-    /// sorting the `enabled` list at every decision, scan for the core
-    /// with the smallest `(ready_at, core)` directly. The schedule — and
-    /// therefore every simulated cycle count and output byte — is
-    /// identical to the general path; the time warp is skipped because
-    /// the minimum clock never regresses.
+    /// sorting the `enabled` list at every decision, take the smallest
+    /// packed [`clock_key`] directly. The schedule — and therefore every
+    /// simulated cycle count and output byte — is identical to the general
+    /// path; the time warp is skipped because the minimum clock never
+    /// regresses.
     fn run_min_clock(
         &mut self,
         budget: u64,
@@ -425,73 +545,80 @@ impl Machine {
     ) -> Result<RunEvent, SimError> {
         let start_instructions = self.stats.instructions;
         let observes = policy.observes_commits();
-        // Enabled cores, maintained across the loop: while `run` holds
-        // `&mut self` the only possible transition is the stepped core
-        // halting, handled below — so the Option/halted checks run once
-        // here instead of on every rescan.
-        let mut enabled: Vec<u32> = (0..self.threads.len() as u32)
-            .filter(|&i| self.threads[i as usize].as_ref().is_some_and(|t| !t.halted))
-            .collect();
-        loop {
-            // Two-min argmin over packed (ready_at, core) keys: the
-            // lexicographic order reproduces the sorted list's index-0
-            // tie-break exactly, and the runner-up key lets the inner loop
-            // below keep stepping the winner without rescanning.
-            let mut best = u128::MAX;
-            let mut second = u128::MAX;
-            for &i in &enabled {
-                let k = ((self.ready_at[i as usize] as u128) << 32) | i as u128;
-                if k < best {
-                    second = best;
-                    best = k;
-                } else if k < second {
-                    second = k;
+        // Per core, a key mask: 0 while the core is enabled, `u64::MAX`
+        // (never the minimum) once it is not. While `run` holds `&mut self`
+        // the only possible transition is the stepped core halting,
+        // reported by `step` — so the Option/halted checks run once here
+        // instead of on every rescan.
+        let mut disabled: Vec<u64> = self
+            .threads
+            .iter()
+            .map(|t| {
+                if t.as_ref().is_some_and(|t| !t.halted) {
+                    0
+                } else {
+                    u64::MAX
                 }
-            }
-            if best == u128::MAX {
+            })
+            .collect();
+        let mut live = disabled.iter().filter(|&&d| d == 0).count();
+        loop {
+            if live == 0 {
                 return Ok(RunEvent::AllHalted);
             }
-            let core = (best & 0xffff_ffff) as usize;
+            // Branch-free two-min over the packed keys; the runner-up key
+            // lets the inner loop below keep stepping the winner without
+            // rescanning.
+            let mut best = u64::MAX;
+            let mut second = u64::MAX;
+            for (i, (&clock, &off)) in self.ready_at.iter().zip(&disabled).enumerate() {
+                let k = clock_key(clock, i) | off;
+                second = second.min(best.max(k));
+                best = best.min(k);
+            }
+            let core = (best & ((1 << CORE_KEY_BITS) - 1)) as usize;
+            if self.stats.instructions - start_instructions >= budget {
+                return Ok(RunEvent::BudgetExhausted);
+            }
+            if best >= CEILING_KEY {
+                return Err(self.cycle_limit_among(&disabled));
+            }
+            // The inner loop's first pass steps `core`: the checks above
+            // passed.
+            self.count_switch(core);
             // Run the picked core until the runner-up overtakes it. Between
             // steps only this core's clock moves (monotonically forward), so
             // the global argmin stays `core` while its key is below the
             // cached runner-up key. Machine-wide stalls (VID reset) can only
             // move other cores *later*, which at worst ends this inner run
             // early and falls back to a rescan — never a wrong pick. The
-            // pending-interrupt deadline folds into the same bound so the
-            // steady state pays one comparison per step.
-            let mut int_key =
-                ((self.next_interrupt[core] as u128) << 32) | core as u128;
-            let mut bound = second.min(int_key);
+            // pending-interrupt deadline and the clock ceiling fold into the
+            // same bound, so the steady state pays one comparison per step.
+            let mut int_key = interrupt_key(self.next_interrupt[core], core);
+            let mut bound = second.min(int_key).min(CEILING_KEY);
             loop {
                 if self.stats.instructions - start_instructions >= budget {
                     return Ok(RunEvent::BudgetExhausted);
                 }
-                let k = ((self.ready_at[core] as u128) << 32) | core as u128;
+                let k = clock_key(self.ready_at[core], core);
                 if k >= bound {
-                    if k >= int_key {
-                        self.service_interrupt(core)?;
-                        int_key =
-                            ((self.next_interrupt[core] as u128) << 32) | core as u128;
-                        bound = second.min(int_key);
-                        let k = ((self.ready_at[core] as u128) << 32) | core as u128;
-                        if k >= second {
-                            break;
-                        }
-                        continue;
+                    if k >= second {
+                        break; // overtaken by the runner-up
                     }
-                    break; // overtaken by the runner-up
+                    if k >= CEILING_KEY {
+                        return Err(self.cycle_limit_among(&disabled));
+                    }
+                    // The interrupt is due.
+                    self.stats.steps += 1;
+                    self.service_interrupt(core)?;
+                    int_key = interrupt_key(self.next_interrupt[core], core);
+                    bound = second.min(int_key).min(CEILING_KEY);
+                    continue;
                 }
-                if observes {
+                self.stats.steps += 1;
+                let outcome = if observes {
                     let committed_before = self.mem.last_committed();
-                    match self.step(core)? {
-                        StepOutcome::Continue => {}
-                        StepOutcome::Misspec(cause) => {
-                            let cycle = self.ready_at[core];
-                            self.machine_abort(cycle);
-                            return Ok(RunEvent::Misspeculation { cause, cycle });
-                        }
-                    }
+                    let outcome = self.step(core);
                     let committed_after = self.mem.last_committed();
                     if committed_after > committed_before {
                         policy.observe_commit(
@@ -500,21 +627,63 @@ impl Machine {
                             &self.committed_output,
                         )?;
                     }
+                    outcome
                 } else {
-                    match self.step(core)? {
-                        StepOutcome::Continue => {}
-                        StepOutcome::Misspec(cause) => {
-                            let cycle = self.ready_at[core];
-                            self.machine_abort(cycle);
-                            return Ok(RunEvent::Misspeculation { cause, cycle });
-                        }
+                    self.step(core)
+                };
+                match outcome {
+                    Ok(StepOutcome::Continue) => {}
+                    Ok(StepOutcome::Halted) => {
+                        disabled[core] = u64::MAX;
+                        live -= 1;
+                        break;
                     }
-                }
-                if self.threads[core].as_ref().is_none_or(|t| t.halted) {
-                    enabled.retain(|&i| i as usize != core);
-                    break;
+                    Err(stop) => return self.stopped(core, *stop),
                 }
             }
+        }
+    }
+
+    /// Ends a run on a step's [`Stop`]: a misspeculation flushes all
+    /// speculative state at the stepping core's clock.
+    fn stopped(&mut self, core: usize, stop: Stop) -> Result<RunEvent, SimError> {
+        match stop {
+            Stop::Misspec(cause) => {
+                let cycle = self.ready_at[core];
+                self.machine_abort(cycle);
+                Ok(RunEvent::Misspeculation { cause, cycle })
+            }
+            Stop::Error(e) => Err(e),
+        }
+    }
+
+    /// Counts a step of `core` in `core_switches` if the previous step ran
+    /// on another core.
+    fn count_switch(&mut self, core: usize) {
+        if core != self.prev_core {
+            self.stats.core_switches += u64::from(self.prev_core != NO_CORE);
+            self.prev_core = core;
+        }
+    }
+
+    /// The fast path's [`SimError::CycleLimit`]: every enabled core is at
+    /// or past the ceiling (the minimum key is), where clamped keys order
+    /// by core alone, so name the core the general path would pick — the
+    /// smallest exact `(ready_at, core)` among the enabled ones.
+    fn cycle_limit_among(&self, disabled: &[u64]) -> SimError {
+        let core = (0..self.ready_at.len())
+            .filter(|&i| disabled[i] == 0)
+            .min_by_key(|&i| (self.ready_at[i], i))
+            .unwrap_or(0);
+        self.cycle_limit(core)
+    }
+
+    /// The [`SimError::CycleLimit`] naming `core`.
+    fn cycle_limit(&self, core: usize) -> SimError {
+        SimError::CycleLimit {
+            core,
+            pc: self.threads[core].as_ref().map_or(0, |t| t.pc),
+            cycle: self.ready_at[core],
         }
     }
 
@@ -523,8 +692,10 @@ impl Machine {
     /// re-dispatch (the paper's recovery-code jump).
     pub fn machine_abort(&mut self, cycle: Cycle) {
         let latency = self.mem.abort_all(cycle);
+        self.settle();
+        let until = cycle.saturating_add(latency);
         for r in &mut self.ready_at {
-            *r = (*r).max(cycle + latency);
+            *r = (*r).max(until);
         }
         self.queues.flush();
         self.pending_outputs.clear();
@@ -537,9 +708,10 @@ impl Machine {
         if cycles == 0 {
             return;
         }
-        let now = self.high_water;
+        self.settle();
+        let until = self.high_water.saturating_add(cycles);
         for r in &mut self.ready_at {
-            *r = (*r).max(now + cycles);
+            *r = (*r).max(until);
         }
     }
 
@@ -547,10 +719,12 @@ impl Machine {
     /// stalling every core for the reset latency. The runtime must have
     /// committed every outstanding transaction first.
     pub fn vid_reset(&mut self) {
+        self.settle();
         let now = self.high_water;
         let latency = self.mem.vid_reset(now);
+        let until = now.saturating_add(latency);
         for r in &mut self.ready_at {
-            *r = (*r).max(now + latency);
+            *r = (*r).max(until);
         }
     }
 
@@ -612,12 +786,68 @@ impl Machine {
         }
     }
 
+    /// Advances `core`'s clock by `cycles` (saturating: the run ends at
+    /// [`CYCLE_CEILING`] long before `u64::MAX`).
+    ///
+    /// `core_stats[core].ready_at` is the clock after the core's latest
+    /// advance, and `high_water` the largest such clock. Both are published
+    /// lazily: `core` stays "unsettled" while it keeps advancing, and
+    /// [`Machine::settle`] publishes its clock — which only grows through
+    /// `bump` meanwhile — when another core advances, before any clock
+    /// changes outside `bump` (queue waits, stalls, aborts, resets,
+    /// migration, time warps), and when a run returns.
+    #[inline(always)]
     fn bump(&mut self, core: usize, cycles: u64) {
-        self.ready_at[core] += cycles;
-        self.core_stats[core].ready_at = self.ready_at[core];
-        if self.ready_at[core] > self.high_water {
-            self.high_water = self.ready_at[core];
+        if self.unsettled != core {
+            self.settle();
+            self.unsettled = core;
         }
+        self.ready_at[core] = self.ready_at[core].saturating_add(cycles);
+        #[cfg(debug_assertions)]
+        {
+            self.eager.core_ready[core] = self.ready_at[core];
+            self.eager.high_water = self.eager.high_water.max(self.ready_at[core]);
+        }
+    }
+
+    /// Publishes the unsettled core's clock (see [`Machine::bump`]).
+    fn settle(&mut self) {
+        if let Some(&clock) = self.ready_at.get(self.unsettled) {
+            self.core_stats[self.unsettled].ready_at = clock;
+            self.high_water = self.high_water.max(clock);
+            self.unsettled = NO_CORE;
+        }
+    }
+
+    /// Records that `core` retried a blocked queue operation and checks for
+    /// a deadlock: every live core's latest retry happened at the current
+    /// retired-instruction count, so none can unblock another. Runs only on
+    /// the retry path; retiring steps pay nothing.
+    fn note_retry(
+        &mut self,
+        core: usize,
+        pc: usize,
+        q: QueueId,
+        produce: bool,
+    ) -> Result<(), SimError> {
+        let now = self.stats.instructions;
+        let blocked = BlockedCore {
+            core,
+            pc,
+            queue: q.0,
+            produce,
+        };
+        self.retries[core] = Some((now, blocked));
+        let live = |c: usize| self.threads[c].as_ref().is_some_and(|t| !t.halted);
+        let stuck = |c: usize| matches!(self.retries[c], Some((at, _)) if at == now);
+        if (0..self.threads.len()).all(|c| !live(c) || stuck(c)) {
+            let cores = (0..self.threads.len())
+                .filter(|&c| live(c))
+                .filter_map(|c| self.retries[c].map(|(_, b)| b))
+                .collect();
+            return Err(SimError::Deadlock(cores));
+        }
+        Ok(())
     }
 
     fn service_interrupt(&mut self, core: usize) -> Result<(), SimError> {
@@ -649,7 +879,7 @@ impl Machine {
             }
         }
         self.bump(core, self.cfg.interrupt_handler_instrs);
-        self.next_interrupt[core] = self.ready_at[core] + self.cfg.interrupt_period;
+        self.next_interrupt[core] = self.ready_at[core].saturating_add(self.cfg.interrupt_period);
         Ok(())
     }
 
@@ -668,35 +898,31 @@ impl Machine {
         }
     }
 
-    fn step(&mut self, core: usize) -> Result<StepOutcome, SimError> {
-        let now = self.ready_at[core];
-        // Hot arms below hold this one borrow for the whole instruction and
-        // update `pc` themselves; only the cold tail re-borrows. `self.mem`,
-        // `self.stats`, and `self.ready_at` are disjoint fields, so they
-        // stay accessible while `t` is live.
+    /// Executes one instruction of the thread on `core`. The register-only
+    /// instructions — the bulk of every workload — are decoded here, inlined
+    /// into the scheduling loops; everything else goes to [`Self::step_mem`].
+    #[inline(always)]
+    fn step(&mut self, core: usize) -> Result<StepOutcome, Box<Stop>> {
+        // The arms below hold this one borrow for the whole instruction and
+        // update `pc` themselves. `self.stats` and `self.ready_at` are
+        // disjoint fields, so they stay accessible while `t` is live.
         let t = self.threads[core].as_mut().unwrap();
         let pc = t.pc;
         let Some(&instr) = t.program.get(pc) else {
             t.halted = true;
-            return Ok(StepOutcome::Continue);
+            return Ok(StepOutcome::Halted);
         };
-        let vid = t.vid;
-        let tid = t.tid;
         hmtx_core::stats::inc(&mut self.stats.instructions);
         hmtx_core::stats::inc(&mut self.core_stats[core].instructions);
 
-        match instr {
+        let (next_pc, cycles) = match instr {
             Instr::Li { rd, imm } => {
                 t.regs[rd.index()] = imm as u64;
-                t.pc = pc + 1;
-                self.bump(core, 1);
-                return Ok(StepOutcome::Continue);
+                (pc + 1, 1)
             }
             Instr::Mov { rd, rs } => {
                 t.regs[rd.index()] = t.regs[rs.index()];
-                t.pc = pc + 1;
-                self.bump(core, 1);
-                return Ok(StepOutcome::Continue);
+                (pc + 1, 1)
             }
             Instr::Alu { op, rd, rs, rhs } => {
                 let a = t.regs[rs.index()];
@@ -705,24 +931,32 @@ impl Machine {
                     Operand::Imm(i) => i as u64,
                 };
                 t.regs[rd.index()] = op.apply(a, b);
-                t.pc = pc + 1;
-                self.bump(core, 1);
-                return Ok(StepOutcome::Continue);
+                (pc + 1, 1)
             }
-            Instr::Jump { target } => {
-                t.pc = target;
-                self.bump(core, 1);
-                return Ok(StepOutcome::Continue);
-            }
+            Instr::Jump { target } => (target, 1),
             Instr::Compute { amount } => {
                 let cycles = match amount {
                     Operand::Reg(r) => t.regs[r.index()],
                     Operand::Imm(i) => i as u64,
                 };
-                t.pc = pc + 1;
-                self.bump(core, cycles.max(1));
-                return Ok(StepOutcome::Continue);
+                (pc + 1, cycles.max(1))
             }
+            _ => return self.step_mem(core, pc, instr),
+        };
+        t.pc = next_pc;
+        self.bump(core, cycles);
+        Ok(StepOutcome::Continue)
+    }
+
+    /// [`Self::step`] for memory, control, MTX, queue and output
+    /// instructions (already counted as retired).
+    #[inline(never)]
+    fn step_mem(&mut self, core: usize, pc: usize, instr: Instr) -> Result<StepOutcome, Box<Stop>> {
+        let now = self.ready_at[core];
+        let t = self.threads[core].as_mut().unwrap();
+        let vid = t.vid;
+        let tid = t.tid;
+        match instr {
             Instr::Load { rd, base, disp } => {
                 let addr = Addr(t.regs[base.index()].wrapping_add(disp as u64));
                 let req = AccessRequest {
@@ -743,7 +977,7 @@ impl Machine {
                         // `pc` stays put on a misspeculation, as in the
                         // early return of the cold tail.
                         self.bump(core, latency);
-                        return Ok(StepOutcome::Misspec(cause));
+                        return Err(misspec(cause));
                     }
                 }
             }
@@ -765,7 +999,7 @@ impl Machine {
                     }
                     AccessResponse::Misspec { cause, latency } => {
                         self.bump(core, latency);
-                        return Ok(StepOutcome::Misspec(cause));
+                        return Err(misspec(cause));
                     }
                 }
             }
@@ -773,6 +1007,7 @@ impl Machine {
         }
 
         let mut next_pc = pc + 1;
+        let mut outcome = StepOutcome::Continue;
         match instr {
             Instr::Branch {
                 cond,
@@ -794,7 +1029,7 @@ impl Machine {
                     self.bump(core, self.cfg.mispredict_penalty);
                     let wrong_pc = if taken { pc + 1 } else { target };
                     if let Some(cause) = self.run_wrong_path(core, wrong_pc, vid, now)? {
-                        return Ok(StepOutcome::Misspec(cause));
+                        return Err(misspec(cause));
                     }
                 } else if vid.is_speculative()
                     && self
@@ -812,13 +1047,14 @@ impl Machine {
                     self.bump(core, self.cfg.mispredict_penalty);
                     let wrong_pc = if taken { pc + 1 } else { target };
                     if let Some(cause) = self.run_wrong_path(core, wrong_pc, vid, now)? {
-                        return Ok(StepOutcome::Misspec(cause));
+                        return Err(misspec(cause));
                     }
                 }
             }
             Instr::Halt => {
                 self.threads[core].as_mut().unwrap().halted = true;
                 self.bump(core, 1);
+                outcome = StepOutcome::Halted;
             }
             Instr::BeginMtx { rvid } => {
                 let raw = self.reg(core, rvid);
@@ -827,7 +1063,8 @@ impl Machine {
                     return Err(SimError::BadProgram(format!(
                         "beginMTX with VID {raw} exceeds the {}-bit limit",
                         self.cfg.hmtx.vid_bits
-                    )));
+                    ))
+                    .into());
                 }
                 self.threads[core].as_mut().unwrap().vid = Vid(raw as u16);
                 self.bump(core, 1);
@@ -844,7 +1081,7 @@ impl Machine {
                 let raw = self.reg(core, rvid);
                 hmtx_core::stats::inc(&mut self.stats.explicit_aborts);
                 self.bump(core, 1);
-                return Ok(StepOutcome::Misspec(MisspecCause::ExplicitAbort {
+                return Err(misspec(MisspecCause::ExplicitAbort {
                     vid: Vid(raw as u16),
                 }));
             }
@@ -856,8 +1093,10 @@ impl Machine {
                 let latency = self.mem.vid_reset(now);
                 // The reset broadcast stalls every core (the §4.6 pipeline
                 // stall), not just the issuer.
+                self.settle();
+                let until = now.saturating_add(latency);
                 for r in &mut self.ready_at {
-                    *r = (*r).max(now + latency);
+                    *r = (*r).max(until);
                 }
                 self.bump(core, 1);
             }
@@ -874,6 +1113,7 @@ impl Machine {
                         self.core_stats[core].instructions -= 1;
                         hmtx_core::stats::add(&mut self.core_stats[core].queue_stall_cycles, RETRY_QUANTUM);
                         self.bump(core, RETRY_QUANTUM);
+                        self.note_retry(core, pc, q, true)?;
                     }
                 }
             }
@@ -888,11 +1128,16 @@ impl Machine {
                     self.stats.instructions -= 1;
                     self.core_stats[core].instructions -= 1;
                     hmtx_core::stats::add(
-                            &mut self.core_stats[core].queue_stall_cycles,
-                            at.saturating_sub(self.ready_at[core]),
-                        );
+                        &mut self.core_stats[core].queue_stall_cycles,
+                        at.saturating_sub(self.ready_at[core]),
+                    );
+                    self.settle();
                     self.ready_at[core] = at;
                     self.high_water = self.high_water.max(at);
+                    #[cfg(debug_assertions)]
+                    {
+                        self.eager.high_water = self.eager.high_water.max(at);
+                    }
                 }
                 ConsumeOutcome::Empty => {
                     next_pc = pc;
@@ -900,6 +1145,7 @@ impl Machine {
                     self.core_stats[core].instructions -= 1;
                     hmtx_core::stats::add(&mut self.core_stats[core].queue_stall_cycles, RETRY_QUANTUM);
                     self.bump(core, RETRY_QUANTUM);
+                    self.note_retry(core, pc, q, false)?;
                 }
             },
             Instr::Out { rs } => {
@@ -932,7 +1178,8 @@ impl Machine {
                 }
                 self.bump(core, 1);
             }
-            // Hot instructions returned from the first match above.
+            // Register-only instructions are executed by `step`; loads and
+            // stores returned from the first match above.
             Instr::Li { .. }
             | Instr::Mov { .. }
             | Instr::Alu { .. }
@@ -942,7 +1189,7 @@ impl Machine {
             | Instr::Store { .. } => unreachable!("handled on the fast path"),
         }
         self.threads[core].as_mut().unwrap().pc = next_pc;
-        Ok(StepOutcome::Continue)
+        Ok(outcome)
     }
 
     /// Chaos fault: charge a completed queue operation deterministic extra

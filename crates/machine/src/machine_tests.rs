@@ -568,3 +568,204 @@ fn core_stats_reveal_pipeline_balance() {
         "per-core instructions sum to the machine total"
     );
 }
+
+#[test]
+fn huge_compute_ends_the_run_at_the_clock_ceiling() {
+    // `compute` of u64::MAX cycles used to wrap the clock (the run then
+    // reported 3 cycles); a second one hung, servicing a bogus interrupt on
+    // every step once the wrapped clock met the disabled-interrupt sentinel.
+    for computes in [1, 2] {
+        for interrupts in [false, true] {
+            let p = build(|b| {
+                b.li(Reg::R1, -1);
+                for _ in 0..computes {
+                    b.compute_reg(Reg::R1);
+                }
+                b.li(Reg::R2, 7).out(Reg::R2).halt();
+            });
+            let mut c = cfg();
+            if interrupts {
+                c.interrupt_period = 1_000;
+            }
+            let mut m = Machine::new(c);
+            m.load_thread(0, ThreadContext::new(ThreadId(0), p));
+            let err = m.run(1_000).unwrap_err();
+            assert_eq!(
+                err,
+                SimError::CycleLimit {
+                    core: 0,
+                    pc: 2,
+                    cycle: u64::MAX
+                },
+                "{computes} compute(s), interrupts {interrupts}"
+            );
+            assert!(m.committed_output().is_empty());
+            assert_eq!(m.cycles(), u64::MAX, "the clock saturates, never wraps");
+        }
+    }
+}
+
+#[test]
+fn clock_ceiling_names_the_earliest_stuck_core() {
+    // Both cores end past the ceiling; the error names the one the
+    // min-clock schedule would step next, on either scheduling path.
+    let far = |n: i64| {
+        build(move |b| {
+            b.li(Reg::R1, n);
+            b.compute_reg(Reg::R1);
+            b.compute_reg(Reg::R1);
+            b.halt();
+        })
+    };
+    let run = |general: bool| {
+        let mut m = Machine::new(cfg());
+        m.load_thread(0, ThreadContext::new(ThreadId(0), far(-1)));
+        m.load_thread(1, ThreadContext::new(ThreadId(1), far(1 << 48)));
+        if general {
+            crate::with_general_path(|| m.run(1_000))
+        } else {
+            m.run(1_000)
+        }
+        .unwrap_err()
+    };
+    let expected = SimError::CycleLimit {
+        core: 1,
+        pc: 2,
+        cycle: 1 + (1 << 48),
+    };
+    assert_eq!(run(false), expected);
+    assert_eq!(run(true), expected);
+}
+
+#[test]
+fn consume_with_no_producer_is_a_named_deadlock() {
+    let p = build(|b| {
+        b.consume(Reg::R1, QueueId(0));
+        b.halt();
+    });
+    let mut m = Machine::new(cfg());
+    m.load_thread(0, ThreadContext::new(ThreadId(0), p));
+    let err = m.run(1_000).unwrap_err();
+    assert_eq!(
+        err,
+        SimError::Deadlock(vec![hmtx_types::BlockedCore {
+            core: 0,
+            pc: 0,
+            queue: 0,
+            produce: false
+        }])
+    );
+    assert_eq!(m.stats().instructions, 0);
+}
+
+#[test]
+fn cross_waiting_cores_deadlock_and_name_every_queue() {
+    // Core 0 fills q3 past capacity with no consumer, core 1 waits on q5
+    // that nobody feeds: once both have retried, neither can ever move.
+    let filler = build(|b| {
+        let head = b.new_label();
+        b.li(Reg::R1, 1);
+        b.bind(head).unwrap();
+        b.produce(QueueId(3), Reg::R1);
+        b.jump(head);
+    });
+    let waiter = build(|b| {
+        b.compute(50);
+        b.consume(Reg::R2, QueueId(5));
+        b.halt();
+    });
+    let mut m = Machine::new(cfg());
+    m.load_thread(0, ThreadContext::new(ThreadId(0), filler));
+    m.load_thread(2, ThreadContext::new(ThreadId(1), waiter));
+    let Err(SimError::Deadlock(blocked)) = m.run(1_000_000) else {
+        panic!("expected a deadlock");
+    };
+    let named: Vec<_> = blocked
+        .iter()
+        .map(|b| (b.core, b.pc, b.queue, b.produce))
+        .collect();
+    assert_eq!(named, vec![(0, 1, 3, true), (2, 1, 5, false)]);
+}
+
+#[test]
+fn a_slow_producer_is_not_a_deadlock() {
+    // The consumer retries on an empty queue for a long time, but the
+    // producer keeps retiring instructions, so the run completes.
+    let producer = build(|b| {
+        let head = b.new_label();
+        b.li(Reg::R1, 0);
+        b.bind(head).unwrap();
+        b.addi(Reg::R1, Reg::R1, 1);
+        b.branch_imm(Cond::LtU, Reg::R1, 500, head);
+        b.produce(QueueId(1), Reg::R1);
+        b.halt();
+    });
+    let consumer = build(|b| {
+        b.consume(Reg::R2, QueueId(1));
+        b.out(Reg::R2);
+        b.halt();
+    });
+    let mut m = Machine::new(cfg());
+    m.load_thread(0, ThreadContext::new(ThreadId(0), producer));
+    m.load_thread(1, ThreadContext::new(ThreadId(1), consumer));
+    assert_eq!(m.run(100_000).unwrap(), RunEvent::AllHalted);
+    assert_eq!(m.committed_output(), &[500]);
+    assert!(m.core_stats()[1].queue_stall_cycles > 0);
+}
+
+#[test]
+fn published_core_clock_skips_a_trailing_queue_wait() {
+    // `CoreStats::ready_at` is the clock after the core's last advance
+    // through the interpreter; a consume that waits for an in-flight value
+    // moves the clock without publishing it. Core 1 advances and then
+    // waits back to back; core 0 then retires the budget's last
+    // instruction.
+    let producer = build(|b| {
+        b.li(Reg::R1, 9);
+        b.produce(QueueId(0), Reg::R1);
+        b.compute(10);
+        b.li(Reg::R2, 0);
+        b.halt();
+    });
+    let consumer = build(|b| {
+        b.compute(3);
+        b.li(Reg::R3, 0);
+        b.consume(Reg::R4, QueueId(0));
+        b.halt();
+    });
+    let mut m = Machine::new(cfg());
+    m.load_thread(0, ThreadContext::new(ThreadId(0), producer));
+    m.load_thread(1, ThreadContext::new(ThreadId(1), consumer));
+    assert_eq!(m.run(6).unwrap(), RunEvent::BudgetExhausted);
+    let stats = m.core_stats()[1];
+    assert_eq!(stats.ready_at, 4, "the li's clock, not the wait's");
+    assert_eq!(stats.queue_stall_cycles, 1 + cfg().queue_latency - 4);
+    assert_eq!(m.cycles(), 1 + cfg().queue_latency, "the wait still counts");
+}
+
+#[test]
+fn schedule_counters_count_steps_and_switches() {
+    // Two independent 3-instruction threads alternate under min-clock.
+    let p = build(|b| {
+        b.li(Reg::R1, 1).li(Reg::R2, 2).halt();
+    });
+    for general in [false, true] {
+        let mut m = Machine::new(cfg());
+        m.load_thread(0, ThreadContext::new(ThreadId(0), p.clone()));
+        m.load_thread(1, ThreadContext::new(ThreadId(1), p.clone()));
+        if general {
+            crate::with_general_path(|| m.run(100)).unwrap();
+        } else {
+            m.run(100).unwrap();
+        }
+        assert_eq!(m.stats().steps, 6);
+        assert_eq!(m.stats().core_switches, 5, "0,1,0,1,0,1");
+    }
+}
+
+#[test]
+fn core_counts_beyond_the_packed_key_are_rejected() {
+    let mut c = cfg();
+    c.num_cores = hmtx_types::MAX_CORES + 1;
+    assert!(matches!(Machine::try_new(c), Err(SimError::Config(_))));
+}

@@ -28,6 +28,7 @@
 //! statistics bookkeeping assume monotone time). Under [`MinClock`] the warp
 //! is provably a no-op: the minimum clock never regresses.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -169,6 +170,32 @@ impl SchedulePolicy for MinClock {
     fn observes_commits(&self) -> bool {
         false
     }
+}
+
+thread_local! {
+    static GENERAL_PATH: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with every [`Machine::run`](crate::Machine::run) on this
+/// thread scheduled through the general `run_with_policy` loop, by a
+/// [`JitterPolicy`] at rate 0 (always index 0, but not declared min-clock),
+/// instead of the min-clock fast path. The two produce the same schedule; this is the seam differential
+/// tests use to prove it on whole runtime runs (recovery ladders, HyTM
+/// demotion, faults), whose machines are built and run out of reach.
+pub fn with_general_path<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            GENERAL_PATH.set(self.0);
+        }
+    }
+    let _restore = Restore(GENERAL_PATH.replace(true));
+    f()
+}
+
+/// Whether [`with_general_path`] is active on this thread.
+pub(crate) fn general_path_forced() -> bool {
+    GENERAL_PATH.get()
 }
 
 /// A seeded policy that deterministically perturbs the min-clock pick:

@@ -82,6 +82,9 @@ unsafe fn zeroed_slice<T>(n: usize) -> Box<[T]> {
 pub struct Cache {
     cfg: CacheConfig,
     ways: usize,
+    /// `num_sets - 1` (the set count is a power of two): the set index is
+    /// a mask, with no division on the probe path.
+    set_mask: usize,
     /// `num_sets * ways` metadata slots; set `s` lives at `s*ways ..`.
     metas: Box<[LineMeta]>,
     /// Payload handle per slot, parallel to `metas`.
@@ -105,15 +108,17 @@ impl Cache {
     /// [`CacheConfig::validate`]).
     pub fn new(cfg: CacheConfig) -> Result<Self, SimError> {
         cfg.validate()?;
-        let slots = cfg.num_sets() * cfg.ways;
+        let num_sets = cfg.num_sets();
+        let slots = num_sets * cfg.ways;
         // SAFETY: zeroed `LineMeta` and `PayloadId` are valid values (see
         // `zeroed_slice`); slots beyond a set's `set_len` are never read.
         let (metas, payloads) = unsafe { (zeroed_slice(slots), zeroed_slice(slots)) };
         Ok(Cache {
             ways: cfg.ways,
+            set_mask: num_sets - 1,
             metas,
             payloads,
-            set_len: vec![0u32; cfg.num_sets()].into_boxed_slice(),
+            set_len: vec![0u32; num_sets].into_boxed_slice(),
             arena: Vec::new(),
             arena_gen: Vec::new(),
             free: Vec::new(),
@@ -158,8 +163,14 @@ impl Cache {
     }
 
     /// The set index for an address.
+    #[inline]
     pub fn set_index(&self, addr: LineAddr) -> usize {
-        addr.set_index(self.cfg.num_sets())
+        (addr.0 as usize) & self.set_mask
+    }
+
+    /// Number of sets (`set_index` is always below it).
+    pub fn num_sets(&self) -> usize {
+        self.set_mask + 1
     }
 
     #[inline]
@@ -437,7 +448,7 @@ impl Cache {
     /// The versions of [`Self::abstract_view`] in set and way order,
     /// without collecting or sorting them.
     pub fn abstract_lines(&self) -> impl Iterator<Item = AbstractLine> + '_ {
-        (0..self.cfg.num_sets()).flat_map(move |set| {
+        (0..self.num_sets()).flat_map(move |set| {
             let metas = self.set_metas(set);
             metas.iter().enumerate().map(move |(w, l)| {
                 // Per-set LRU rank: the number of ways with a smaller
@@ -814,6 +825,27 @@ mod tests {
         let c = small_cache();
         assert_eq!(c.capacity(), 4);
         assert_eq!(c.config().num_sets(), 2);
+        assert_eq!(c.num_sets(), 2);
+    }
+
+    #[test]
+    fn cached_set_mask_matches_the_geometry() {
+        for (size_bytes, ways) in [(64, 1), (1024, 4), (64 * 1024, 8), (32 << 20, 32)] {
+            let cfg = CacheConfig {
+                size_bytes,
+                ways,
+                latency: 1,
+            };
+            let c = Cache::new(cfg).unwrap();
+            assert_eq!(c.num_sets(), cfg.num_sets());
+            for line in [0u64, 1, 63, 64, 0x1234_5678, u64::MAX] {
+                assert_eq!(
+                    c.set_index(LineAddr(line)),
+                    LineAddr(line).set_index(cfg.num_sets()),
+                    "line {line:#x} in {size_bytes} B / {ways}-way"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,20 @@ pub const LINE_SIZE: usize = 64;
 /// `log2(LINE_SIZE)`.
 pub const LINE_SIZE_BITS: u32 = 6;
 
+/// Bits of a core index in the scheduler's packed `(clock, core)` key; the
+/// clock takes the remaining 48 bits.
+pub const CORE_KEY_BITS: u32 = 16;
+
+/// Largest core count [`MachineConfig::validate`] accepts: every core index
+/// must fit in [`CORE_KEY_BITS`].
+pub const MAX_CORES: usize = 1 << CORE_KEY_BITS;
+
+/// The simulated-clock ceiling: a core whose clock reaches it ends the run
+/// with `SimError::CycleLimit`, so clocks never wrap (and always fit the
+/// scheduler's packed key). Far above any workload: 2^48 cycles is about
+/// three days at 1 GHz.
+pub const CYCLE_CEILING: u64 = (1 << (64 - CORE_KEY_BITS)) - 1;
+
 /// Geometry and latency of one cache level.
 ///
 /// # Examples
@@ -530,10 +544,16 @@ impl MachineConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if any cache geometry is invalid, the core
-    /// count is zero, or the VID width is out of the supported 2..=12 range.
+    /// count is zero or above [`MAX_CORES`], or the VID width is out of the
+    /// supported 2..=12 range.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_cores == 0 {
             return Err(ConfigError::new("machine must have at least one core"));
+        }
+        if self.num_cores > MAX_CORES {
+            return Err(ConfigError::new(format!(
+                "machine supports at most {MAX_CORES} cores"
+            )));
         }
         self.l1.validate()?;
         self.l2.validate()?;
@@ -620,6 +640,21 @@ mod tests {
         assert!(cfg.validate().is_err());
         cfg.hmtx.vid_bits = 6;
         assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn core_count_must_fit_the_packed_schedule_key() {
+        let mut cfg = MachineConfig::test_default();
+        cfg.num_cores = MAX_CORES;
+        cfg.validate().unwrap();
+        cfg.num_cores = MAX_CORES + 1;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.to_string().contains("at most 65536 cores"), "{err}");
+        // The largest core index and the ceiling clock pack into one u64
+        // key without overlapping.
+        let top = (CYCLE_CEILING << CORE_KEY_BITS) | (MAX_CORES as u64 - 1);
+        assert_eq!(top, u64::MAX);
+        assert_eq!(top >> CORE_KEY_BITS, CYCLE_CEILING);
     }
 
     #[test]

@@ -63,6 +63,43 @@ pub enum SimError {
     /// a model-checker counterexample; the message names the violated
     /// rule.
     Replay(String),
+    /// A core's simulated clock reached [`crate::CYCLE_CEILING`] (for
+    /// example after `compute` of a huge register value). Names the core,
+    /// the pc it would execute next and its clock.
+    CycleLimit { core: usize, pc: usize, cycle: u64 },
+    /// Every live core is retrying a full or empty hardware queue and no
+    /// instruction retired since: the guest program can never make
+    /// progress. Names each blocked core, in core order.
+    Deadlock(Vec<BlockedCore>),
+}
+
+/// One core of a [`SimError::Deadlock`]: the queue operation it retries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockedCore {
+    /// The blocked core.
+    pub core: usize,
+    /// The pc of its `produce`/`consume`.
+    pub pc: usize,
+    /// The queue it waits on.
+    pub queue: usize,
+    /// `true` for a `produce` into a full queue, `false` for a `consume`
+    /// from an empty one.
+    pub produce: bool,
+}
+
+impl fmt::Display for BlockedCore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (op, state) = if self.produce {
+            ("produce", "full")
+        } else {
+            ("consume", "empty")
+        };
+        write!(
+            f,
+            "core {} pc {}: {op} on {state} q{}",
+            self.core, self.pc, self.queue
+        )
+    }
 }
 
 impl fmt::Display for SimError {
@@ -110,6 +147,22 @@ impl fmt::Display for SimError {
                 Ok(())
             }
             SimError::Replay(msg) => write!(f, "replay failed: {msg}"),
+            SimError::CycleLimit { core, pc, cycle } => write!(
+                f,
+                "core {core} at pc {pc}: clock {cycle} reached the simulated-clock \
+                 ceiling of {} cycles",
+                crate::CYCLE_CEILING
+            ),
+            SimError::Deadlock(blocked) => {
+                write!(f, "queue deadlock: ")?;
+                for (i, b) in blocked.iter().enumerate() {
+                    if i > 0 {
+                        write!(f, "; ")?;
+                    }
+                    write!(f, "{b}")?;
+                }
+                Ok(())
+            }
         }
     }
 }
@@ -157,6 +210,37 @@ mod tests {
         };
         assert!(e.to_string().contains("1000 recoveries"));
         assert!(e.to_string().contains("StoreBelowHighVid"));
+    }
+
+    #[test]
+    fn clock_and_deadlock_errors_name_their_cores() {
+        let e = SimError::CycleLimit {
+            core: 1,
+            pc: 2,
+            cycle: u64::MAX,
+        };
+        let s = e.to_string();
+        assert!(s.contains("core 1 at pc 2"), "{s}");
+        assert!(s.contains(&crate::CYCLE_CEILING.to_string()), "{s}");
+        let e = SimError::Deadlock(vec![
+            BlockedCore {
+                core: 0,
+                pc: 3,
+                queue: 7,
+                produce: false,
+            },
+            BlockedCore {
+                core: 2,
+                pc: 5,
+                queue: 1,
+                produce: true,
+            },
+        ]);
+        assert_eq!(
+            e.to_string(),
+            "queue deadlock: core 0 pc 3: consume on empty q7; \
+             core 2 pc 5: produce on full q1"
+        );
     }
 
     #[test]

@@ -33,10 +33,10 @@ pub mod wire;
 
 pub use config::{
     CacheConfig, FaultConfig, HmtxConfig, HytmConfig, Interconnect, MachineConfig, SeedBug,
-    SmtxConfig, VictimPolicy, LINE_SIZE, LINE_SIZE_BITS,
+    SmtxConfig, VictimPolicy, CORE_KEY_BITS, CYCLE_CEILING, LINE_SIZE, LINE_SIZE_BITS, MAX_CORES,
 };
 pub use diag::{Diagnostic, Severity};
-pub use error::{ConfigError, SimError};
+pub use error::{BlockedCore, ConfigError, SimError};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{Addr, CoreId, Cycle, LineAddr, QueueId, ThreadId, Vid, VID_EXHAUSTION_SENTINEL};
 pub use json::{Json, JsonError};

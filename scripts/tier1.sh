@@ -64,10 +64,17 @@ bash scripts/cluster_smoke.sh
 # defect, and terminate bound-limited on every workload (DESIGN.md §9).
 bash scripts/explore_smoke.sh
 
-# Full harness at quick scale across all host cores; the JSON report lands
-# next to the sources as a regenerated artifact (see EXPERIMENTS.md).
+# Full harness at quick scale across all host cores. The JSON report holds
+# host wall-clock, so it goes under target/ rather than over a tracked file
+# (a tier-1 run leaves the tree clean).
 cargo run --release -p hmtx-bench --bin experiments -- \
-  all --quick --jobs "$(nproc)" --json BENCH_pr1.json >/dev/null
+  all --quick --jobs "$(nproc)" --json target/quick-report.json >/dev/null
+
+# Byte identity: the standard-scale harness output must equal the checked-in
+# artifact exactly. Any simulator change that moves a cycle shows up here.
+cargo run --release -p hmtx-bench --bin experiments -- \
+  all --jobs "$(nproc)" > target/experiments_output.txt
+cmp target/experiments_output.txt experiments_output.txt
 
 # Determinism differentials: two identical runs must produce identical
 # traces and stats (overflow-table order), and the full sweep must render
