@@ -46,17 +46,27 @@ impl Pool {
     ///
     /// Propagates connection errors from a fresh dial.
     pub fn checkout(&self) -> io::Result<Client> {
-        if let Some(client) = self.idle.lock().unwrap().pop() {
-            return Ok(client);
+        match self.take_idle() {
+            Some(client) => Ok(client),
+            None => Client::connect(&self.addr),
         }
-        Client::connect(&self.addr)
+    }
+
+    /// An idle pooled connection, if there is one (never dials).
+    #[must_use]
+    pub fn take_idle(&self) -> Option<Client> {
+        self.idle.lock().unwrap().pop()
     }
 
     /// Returns a healthy connection to the pool (dropped if the pool is
     /// full). Do not check in a connection that has errored: its stream
     /// may hold a half-read frame, which would desynchronize the next
-    /// checkout's request/response pairing.
+    /// checkout's request/response pairing. A connection holding bytes
+    /// past its last response is dropped here for the same reason.
     pub fn checkin(&self, client: Client) {
+        if client.buffered() > 0 {
+            return;
+        }
         let mut idle = self.idle.lock().unwrap();
         if idle.len() < POOL_IDLE_CAP {
             idle.push(client);
@@ -70,8 +80,8 @@ impl Pool {
     }
 
     /// Idle connections currently pooled.
-    #[must_use]
-    pub fn idle_len(&self) -> usize {
+    #[cfg(test)]
+    fn idle_len(&self) -> usize {
         self.idle.lock().unwrap().len()
     }
 }

@@ -6,7 +6,9 @@
 //! to the backend that homes the spec's content-addressed key on the
 //! consistent-hash [`Ring`], and the backend's response frame is spliced
 //! back verbatim — the router never re-serializes either direction, so the
-//! byte-identity guarantee of the caching tiers survives routing.
+//! byte-identity guarantee of the caching tiers survives routing. Nor does
+//! it parse a response: a `draining` backend is recognized by the exact
+//! bytes of [`proto::DRAINING`], the only draining frame a backend emits.
 //!
 //! Failure handling is two layered views over one static ring:
 //!
@@ -31,7 +33,7 @@
 //! additionally itemizes per-backend snapshots, liveness, and the router's
 //! own counters.
 
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -39,8 +41,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hmtx_core::LatencyHistogram;
-use hmtx_server::proto::{self, Request};
-use hmtx_server::{backoff_ms, response_type, spec_jitter_seed, Client};
+use hmtx_server::proto::{self, FrameBuf, Request};
+use hmtx_server::{backoff_ms, spec_jitter_seed, Client};
 use hmtx_types::{Json, StatsSnapshot};
 
 use crate::pool::Pool;
@@ -286,39 +288,52 @@ fn probe(backend: &Backend) -> bool {
 fn serve_conn(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     // The timeout is an idle tick, not a deadline: it lets the thread
-    // notice a drain between requests. (A client stalling mid-frame longer
-    // than this desynchronizes its own connection — clients here write
-    // whole frames in one call.)
+    // notice a drain between requests. A frame that straddles a tick stays
+    // buffered in `rbuf` and completes on a later read.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+    let mut rbuf = FrameBuf::new();
+    let mut out = Vec::new();
     loop {
-        match proto::read_frame(&mut stream) {
-            Ok(None) => break,
-            Ok(Some(frame)) => {
-                let response = handle_frame(shared, &frame);
-                if proto::write_frame(&mut stream, &response).is_err() {
-                    break;
-                }
+        // Serve every complete frame already buffered (pipelined frames
+        // that arrived in one segment), in order, answering each before
+        // the next is forwarded. (An oversized prefix stops this loop and
+        // fails the `fill` below, closing the connection.)
+        while let Ok(Some(frame)) = rbuf.next_frame() {
+            out.clear();
+            handle_frame(shared, frame, &mut out);
+            if stream.write_all(&out).is_err() {
+                return;
             }
+        }
+        match rbuf.fill(&mut stream) {
+            Ok(0) => return,
+            Ok(_) => {}
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut =>
             {
                 if shared.draining.load(Ordering::SeqCst) {
-                    break;
+                    return;
                 }
             }
-            Err(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return,
         }
     }
 }
 
-fn handle_frame(shared: &Shared, frame: &[u8]) -> Vec<u8> {
-    match Request::parse(frame) {
+/// Answers one client frame (length prefix included), appending the
+/// response frame to `out`.
+fn handle_frame(shared: &Shared, frame: &[u8], out: &mut Vec<u8>) {
+    let response = match Request::parse(&frame[4..]) {
         Ok(Request::Job { spec, .. }) => {
             if shared.draining.load(Ordering::SeqCst) {
-                return proto::draining_response();
+                proto::DRAINING.to_vec()
+            } else if route_job(shared, frame, &spec, out) {
+                return;
+            } else {
+                unrouteable(shared, &spec)
             }
-            route_job(shared, frame, &spec)
         }
         Ok(Request::Stats) => proto::stats_response(&aggregate_stats(shared)),
         Ok(Request::Cluster) => cluster_response(shared),
@@ -328,18 +343,26 @@ fn handle_frame(shared: &Shared, frame: &[u8]) -> Vec<u8> {
             proto::ok_response()
         }
         Err(message) => proto::error_response(&message, &[]),
-    }
+    };
+    proto::push_response(out, &response);
 }
 
-fn route_job(shared: &Shared, frame: &[u8], spec: &hmtx_types::JobSpec) -> Vec<u8> {
+/// Forwards a job frame along its key's candidate backends, splicing the
+/// first non-`draining` answer into `out` verbatim. The answer is never
+/// parsed: `draining` is recognized by its exact bytes, and every other
+/// frame (`result`, `busy`, `timeout`, `error`) goes to the client as the
+/// backend wrote it. Returns `false` when no backend answered within the
+/// retry budget.
+fn route_job(shared: &Shared, frame: &[u8], spec: &hmtx_types::JobSpec, out: &mut Vec<u8>) -> bool {
     let key = spec.key();
     let candidates = shared.ring.candidates(&key);
     let home = candidates[0];
-    let seed = spec_jitter_seed(spec);
     let start = Instant::now();
     for attempt in 0..=shared.cfg.failover_retries {
         if attempt > 0 {
             shared.metrics.retry_rounds.fetch_add(1, Ordering::Relaxed);
+            // Derived only on the retry path: it hashes the key once more.
+            let seed = spec_jitter_seed(spec);
             let wait = backoff_ms(shared.cfg.retry_base_ms, attempt - 1, seed);
             std::thread::sleep(Duration::from_millis(wait));
         }
@@ -354,17 +377,16 @@ fn route_job(shared: &Shared, frame: &[u8], spec: &hmtx_types::JobSpec) -> Vec<u
             .collect();
         for index in order {
             let backend = &shared.backends[index];
-            let Ok(response) = forward_once(backend, frame) else {
-                backend.up.store(false, Ordering::SeqCst);
-                backend.pool.clear();
-                continue;
-            };
-            if response_type(&response).as_deref() == Some("draining") {
-                // The backend announced its exit; treat like down and keep
-                // walking the ring.
-                backend.up.store(false, Ordering::SeqCst);
-                backend.pool.clear();
-                continue;
+            match forward_once(backend, frame, out) {
+                Ok(true) => {}
+                // Unreachable, or answered `draining` (the backend
+                // announced its exit): treat as down and keep walking the
+                // ring.
+                Ok(false) | Err(_) => {
+                    backend.up.store(false, Ordering::SeqCst);
+                    backend.pool.clear();
+                    continue;
+                }
             }
             backend.up.store(true, Ordering::SeqCst);
             shared.metrics.forwarded.fetch_add(1, Ordering::Relaxed);
@@ -373,40 +395,46 @@ fn route_job(shared: &Shared, frame: &[u8], spec: &hmtx_types::JobSpec) -> Vec<u
             }
             let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
             shared.metrics.forward.lock().unwrap().record_us(us);
-            return response;
+            return true;
         }
     }
+    false
+}
+
+fn unrouteable(shared: &Shared, spec: &hmtx_types::JobSpec) -> Vec<u8> {
     shared.metrics.unrouteable.fetch_add(1, Ordering::Relaxed);
     proto::error_response(
         "no backend reachable for job",
-        &[Json::obj(vec![("key", Json::Str(key))])],
+        &[Json::obj(vec![("key", Json::Str(spec.key()))])],
     )
 }
 
-/// One forward attempt against one backend. A failure on a *pooled*
-/// connection gets a single fresh-dial retry first: a stale socket left
-/// over from a backend restart must not read as a dead backend.
-fn forward_once(backend: &Backend, frame: &[u8]) -> io::Result<Vec<u8>> {
-    let had_idle = backend.pool.idle_len() > 0;
-    let first = backend
-        .pool
-        .checkout()
-        .and_then(|mut client| {
-            let response = client.request_raw(frame)?;
+/// One forward attempt against one backend: appends the answer frame to
+/// `out` and returns `true`, or returns `false` (appending nothing) when
+/// the backend answered `draining`. A failure on a *pooled* connection
+/// gets a single fresh-dial retry first: a stale socket left over from a
+/// backend restart must not read as a dead backend.
+fn forward_once(backend: &Backend, frame: &[u8], out: &mut Vec<u8>) -> io::Result<bool> {
+    if let Some(mut client) = backend.pool.take_idle() {
+        if let Ok(answered) = relay(&mut client, frame, out) {
             backend.pool.checkin(client);
-            Ok(response)
-        });
-    match first {
-        Ok(response) => Ok(response),
-        Err(_) if had_idle => {
-            backend.pool.clear();
-            let mut client = Client::connect(backend.pool.addr())?;
-            let response = client.request_raw(frame)?;
-            backend.pool.checkin(client);
-            Ok(response)
+            return Ok(answered);
         }
-        Err(e) => Err(e),
+        backend.pool.clear();
     }
+    let mut client = Client::connect(backend.pool.addr())?;
+    let answered = relay(&mut client, frame, out)?;
+    backend.pool.checkin(client);
+    Ok(answered)
+}
+
+fn relay(client: &mut Client, frame: &[u8], out: &mut Vec<u8>) -> io::Result<bool> {
+    let response = client.exchange(frame)?;
+    if &response[4..] == proto::DRAINING {
+        return Ok(false);
+    }
+    out.extend_from_slice(response);
+    Ok(true)
 }
 
 /// Counter-wise sum of every reachable backend's snapshot, quantiles from

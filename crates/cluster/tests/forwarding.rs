@@ -1,0 +1,295 @@
+//! The router's forwarding contract, pinned through a real `hmtx-router`:
+//! client frames are assembled in a per-connection buffer (pipelined
+//! frames, frames split anywhere, frames that straddle an idle tick), and
+//! backend answers splice back verbatim without being parsed. `draining`
+//! is recognized by its exact bytes; a `result` that merely contains the
+//! word is forwarded as-is.
+
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use hmtx_cluster::{Ring, RouterConfig, RouterHandle, DEFAULT_REPLICAS};
+use hmtx_server::proto::{self, FrameBuf, Request};
+use hmtx_server::{response_type, Client, ServerConfig, ServerHandle};
+use hmtx_types::{BenchRef, JobSpec, WireBase, WireParadigm, WireScale, WireVariant};
+
+fn spec(workload: u32) -> JobSpec {
+    JobSpec::new(
+        BenchRef::Suite(workload),
+        WireParadigm::Paper,
+        WireScale::Quick,
+        WireBase::Test,
+    )
+}
+
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    proto::push_frame(&mut out, payload).expect("frame fits");
+    out
+}
+
+fn job_frame(s: &JobSpec) -> Vec<u8> {
+    framed(
+        &Request::Job {
+            spec: *s,
+            deadline_ms: None,
+        }
+        .to_bytes(),
+    )
+}
+
+fn router_over(addrs: Vec<String>) -> RouterHandle {
+    let mut cfg = RouterConfig::new(addrs);
+    cfg.health_interval = Duration::from_millis(50);
+    RouterHandle::start("127.0.0.1:0", cfg).expect("bind router")
+}
+
+/// A raw client socket and the buffer its answers are read through.
+fn connect(addr: &str) -> (TcpStream, FrameBuf) {
+    let s = TcpStream::connect(addr).expect("connect");
+    s.set_nodelay(true).expect("nodelay");
+    s.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    (s, FrameBuf::new())
+}
+
+/// Reads the next answer's payload off a raw socket.
+fn read_payload(s: &mut TcpStream, rx: &mut FrameBuf) -> Vec<u8> {
+    rx.read_frame(s)
+        .expect("read")
+        .expect("an answer, not EOF")[4..]
+        .to_vec()
+}
+
+/// One real backend behind a router, with `specs` already cached so every
+/// job below is a hit.
+struct Fixture {
+    backend: ServerHandle,
+    router: RouterHandle,
+    /// Direct answers for each cached spec, the byte-identity reference.
+    direct: Vec<Vec<u8>>,
+}
+
+impl Fixture {
+    fn new(specs: &[JobSpec]) -> Fixture {
+        let backend = ServerHandle::start("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let mut c = Client::connect(&backend.addr().to_string()).expect("connect");
+        let direct = specs.iter().map(|s| c.job(s, None).expect("job")).collect();
+        let router = router_over(vec![backend.addr().to_string()]);
+        Fixture {
+            backend,
+            router,
+            direct,
+        }
+    }
+
+    fn router_addr(&self) -> String {
+        self.router.addr().to_string()
+    }
+
+    fn stop(self) {
+        self.router.drain();
+        self.router.wait();
+        self.backend.drain();
+        self.backend.wait();
+    }
+}
+
+#[test]
+fn pipelined_frames_in_one_write_are_answered_in_order() {
+    let specs = [spec(0), spec(3), spec(5)];
+    let fx = Fixture::new(&specs);
+    let (mut s, mut rx) = connect(&fx.router_addr());
+    let mut burst = Vec::new();
+    for sp in &specs {
+        burst.extend_from_slice(&job_frame(sp));
+    }
+    burst.extend_from_slice(&framed(&Request::Ping.to_bytes()));
+    burst.extend_from_slice(&job_frame(&specs[0]));
+    s.write_all(&burst).expect("one write");
+    for (i, want) in fx.direct.iter().enumerate() {
+        assert_eq!(&read_payload(&mut s, &mut rx), want, "answer {i} out of order");
+    }
+    assert_eq!(read_payload(&mut s, &mut rx), proto::pong_response());
+    assert_eq!(&read_payload(&mut s, &mut rx), &fx.direct[0]);
+    fx.stop();
+}
+
+#[test]
+fn frames_split_at_every_byte_boundary_are_answered() {
+    let specs = [spec(2)];
+    let fx = Fixture::new(&specs);
+    let (mut s, mut rx) = connect(&fx.router_addr());
+    let job = job_frame(&specs[0]);
+    for cut in 1..job.len() {
+        s.write_all(&job[..cut]).expect("head");
+        s.flush().expect("flush");
+        std::thread::sleep(Duration::from_millis(1));
+        s.write_all(&job[cut..]).expect("tail");
+        assert_eq!(read_payload(&mut s, &mut rx), fx.direct[0], "split at byte {cut}");
+    }
+    let ping = framed(&Request::Ping.to_bytes());
+    for cut in 1..ping.len() {
+        s.write_all(&ping[..cut]).expect("head");
+        std::thread::sleep(Duration::from_millis(1));
+        s.write_all(&ping[cut..]).expect("tail");
+        assert_eq!(
+            read_payload(&mut s, &mut rx),
+            proto::pong_response(),
+            "ping split at {cut}"
+        );
+    }
+    fx.stop();
+}
+
+#[test]
+fn a_frame_paused_across_an_idle_tick_is_still_answered() {
+    let fx = Fixture::new(&[]);
+    let (mut s, mut rx) = connect(&fx.router_addr());
+    let ping = framed(&Request::Ping.to_bytes());
+    // The router's idle tick is 500 ms; the pause outlasts it.
+    s.write_all(&ping[..2]).expect("head");
+    std::thread::sleep(Duration::from_millis(700));
+    s.write_all(&ping[2..]).expect("tail");
+    assert_eq!(read_payload(&mut s, &mut rx), proto::pong_response());
+    fx.stop();
+}
+
+#[test]
+fn a_pooled_client_carries_many_requests_without_leftover_bytes() {
+    let specs: Vec<JobSpec> = (0..4).map(spec).collect();
+    let fx = Fixture::new(&specs);
+    let mut c = Client::connect(&fx.router_addr()).expect("connect");
+    for round in 0..50 {
+        for (s, want) in specs.iter().zip(&fx.direct) {
+            assert_eq!(&c.job(s, None).expect("job"), want, "round {round}");
+            assert_eq!(c.buffered(), 0, "round {round}: bytes past the answer");
+        }
+        assert!(c.ping().expect("ping"));
+        assert_eq!(c.buffered(), 0);
+    }
+    let stats = c.stats().expect("stats");
+    assert_eq!(c.buffered(), 0);
+    // 200 routed hits, none re-dialed: the router's pooled backend
+    // connection stayed in step the whole time.
+    assert_eq!(fx.router.counters().forwarded, 200);
+    assert_eq!(stats.mem_hits, 200);
+    fx.stop();
+}
+
+/// A scripted backend: answers `ping` with `pong` (so health checks pass)
+/// and every other frame with `answer`, counting the job frames it saw.
+fn scripted_backend(answer: Vec<u8>) -> (String, Arc<AtomicU64>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let jobs = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&jobs);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { continue };
+            let answer = answer.clone();
+            let seen = Arc::clone(&seen);
+            std::thread::spawn(move || {
+                let mut frames = FrameBuf::new();
+                while let Ok(Some(frame)) = frames.read_frame(&mut stream) {
+                    let reply = if Request::parse(&frame[4..]) == Ok(Request::Ping) {
+                        proto::pong_response()
+                    } else {
+                        seen.fetch_add(1, Ordering::SeqCst);
+                        answer.clone()
+                    };
+                    if proto::write_frame(&mut stream, &reply).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    (addr, jobs)
+}
+
+/// A spec whose ring home among `addrs` is `addrs[home]`. Ring placement
+/// depends on the ephemeral ports in `addrs`, so the search spans 8 suite
+/// workloads × 13 VID widths: that none of them homes on a given one of two
+/// backends is about a 2^-104 event.
+fn spec_homed_on(addrs: &[String], home: usize) -> JobSpec {
+    let ring = Ring::new(addrs, DEFAULT_REPLICAS);
+    (4..=16)
+        .flat_map(|bits| {
+            (0..8).map(move |w| JobSpec {
+                variant: WireVariant::VidBits(bits),
+                ..spec(w)
+            })
+        })
+        .find(|s| ring.home(&s.key()) == home)
+        .expect("some spec homes on each of two backends")
+}
+
+#[test]
+fn a_draining_answer_fails_over_to_the_next_backend() {
+    let (fake, jobs) = scripted_backend(proto::DRAINING.to_vec());
+    let real = ServerHandle::start("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addrs = vec![fake, real.addr().to_string()];
+    let s = spec_homed_on(&addrs, 0);
+    let router = router_over(addrs);
+    let mut c = Client::connect(&router.addr().to_string()).expect("connect");
+    let response = c.job(&s, None).expect("job");
+    assert_eq!(response_type(&response).as_deref(), Some("result"));
+    assert_eq!(
+        jobs.load(Ordering::SeqCst),
+        1,
+        "the home backend was asked first"
+    );
+    let counters = router.counters();
+    assert_eq!(counters.failovers, 1);
+    assert_eq!(counters.forwarded, 1);
+    router.drain();
+    router.wait();
+    real.drain();
+    real.wait();
+}
+
+#[test]
+fn a_result_mentioning_draining_is_forwarded_verbatim() {
+    let s = spec(1);
+    let answer = proto::result_response(&s.key(), br#"{"type":"draining"}"#);
+    let (fake, jobs) = scripted_backend(answer.clone());
+    let router = router_over(vec![fake]);
+    let mut c = Client::connect(&router.addr().to_string()).expect("connect");
+    for _ in 0..3 {
+        assert_eq!(c.job(&s, None).expect("job"), answer);
+    }
+    assert_eq!(jobs.load(Ordering::SeqCst), 3);
+    let counters = router.counters();
+    assert_eq!((counters.forwarded, counters.failovers), (3, 0));
+    assert!(
+        router.backend_up(0),
+        "a result never marks its backend down"
+    );
+    router.drain();
+    router.wait();
+}
+
+/// The router answers an unparseable request itself; when that `error`
+/// would outgrow `MAX_FRAME` (an unknown `type` just under it, echoed by
+/// the message), it sends one short `error` frame instead, keeps the
+/// connection in step and keeps serving.
+#[test]
+fn an_error_too_large_to_frame_answers_a_short_error_through_the_router() {
+    let fx = Fixture::new(&[]);
+    let (mut s, mut rx) = connect(&fx.router_addr());
+    let mut payload = br#"{"type":""#.to_vec();
+    payload.resize(proto::MAX_FRAME - 22, b'x');
+    payload.extend_from_slice(br#""}"#);
+    let mut wire = framed(&payload);
+    wire.extend_from_slice(&framed(&Request::Ping.to_bytes()));
+    s.write_all(&wire).expect("send");
+    assert_eq!(read_payload(&mut s, &mut rx), proto::OVERSIZED);
+    assert_eq!(read_payload(&mut s, &mut rx), proto::pong_response());
+    let mut other = Client::connect(&fx.router_addr()).expect("connect");
+    assert!(other.ping().expect("a second connection"));
+    fx.stop();
+}

@@ -279,20 +279,56 @@ impl MemStats {
 
 // ------------------------------------------------------ service latencies
 
-/// Number of log-scale buckets in a [`LatencyHistogram`] (one per power of
-/// two of microseconds, up to `2^63`).
-pub const LATENCY_BUCKETS: usize = 64;
+/// Sub-buckets per power of two in a [`LatencyHistogram`], as a bit
+/// count: each octave `[2^e, 2^(e+1))` splits into `2^6 = 64` equal-width
+/// buckets, so a bucket's upper edge is within `1/64` (1.6%) of any sample
+/// in it.
+const SUB_BITS: u32 = 6;
 
-/// A fixed-footprint log₂ histogram of service times in microseconds.
+/// Samples below this many microseconds get one exact bucket each.
+const LINEAR_LIMIT: u64 = 2 << SUB_BITS;
+
+/// Number of log-linear buckets in a [`LatencyHistogram`]: the exact
+/// buckets below [`LINEAR_LIMIT`], then 64 per octave up to `2^64`.
+pub const LATENCY_BUCKETS: usize =
+    LINEAR_LIMIT as usize + (63 - SUB_BITS as usize) * (1 << SUB_BITS);
+
+/// The bucket holding `us`: exact below [`LINEAR_LIMIT`], else octave
+/// `e = floor(log2 us)` and the `SUB_BITS` bits below its leading one.
+fn latency_bucket(us: u64) -> usize {
+    if us < LINEAR_LIMIT {
+        return us as usize;
+    }
+    let e = 63 - us.leading_zeros();
+    let shift = e - SUB_BITS;
+    let sub = (us >> shift) as usize - (1 << SUB_BITS);
+    LINEAR_LIMIT as usize + (shift as usize - 1) * (1 << SUB_BITS) + sub
+}
+
+/// The largest value [`latency_bucket`] maps to `bucket`.
+fn latency_bucket_upper(bucket: usize) -> u64 {
+    if bucket < LINEAR_LIMIT as usize {
+        return bucket as u64;
+    }
+    let k = bucket - LINEAR_LIMIT as usize;
+    let shift = (k >> SUB_BITS) as u32 + 1;
+    let next = ((1u128 << SUB_BITS) + (k as u128 & ((1 << SUB_BITS) - 1)) + 1) << shift;
+    u64::try_from(next - 1).unwrap_or(u64::MAX)
+}
+
+/// A fixed-footprint log-linear histogram of service times in
+/// microseconds.
 ///
-/// Built for long-running servers: recording is O(1), memory is constant,
-/// counts saturate rather than wrap, and quantile estimation never needs
-/// the raw samples. Bucket `i` holds samples in `[2^i, 2^(i+1))` µs
-/// (bucket 0 also holds 0 µs), so a reported quantile is exact to within
-/// a factor of two — plenty for p50/p99 service-time counters.
+/// Built for long-running servers: recording is O(1) and allocation-free,
+/// memory is constant, counts saturate rather than wrap, and quantile
+/// estimation never needs the raw samples. Samples below 128 µs are
+/// counted exactly; above, every power of two splits into 64 equal
+/// buckets. A reported quantile is the upper edge of the bucket holding
+/// the nearest-rank sample, clamped to the observed maximum, so it is
+/// never below that sample and at most 1.6% above it.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
-    buckets: [u64; LATENCY_BUCKETS],
+    buckets: Box<[u64]>,
     count: u64,
     sum_us: u64,
     max_us: u64,
@@ -309,7 +345,7 @@ impl LatencyHistogram {
     #[must_use]
     pub fn new() -> Self {
         LatencyHistogram {
-            buckets: [0; LATENCY_BUCKETS],
+            buckets: vec![0; LATENCY_BUCKETS].into_boxed_slice(),
             count: 0,
             sum_us: 0,
             max_us: 0,
@@ -318,12 +354,7 @@ impl LatencyHistogram {
 
     /// Records one service time in microseconds.
     pub fn record_us(&mut self, us: u64) {
-        let bucket = if us == 0 {
-            0
-        } else {
-            63 - us.leading_zeros() as usize
-        };
-        inc(&mut self.buckets[bucket]);
+        inc(&mut self.buckets[latency_bucket(us)]);
         inc(&mut self.count);
         add(&mut self.sum_us, us);
         self.max_us = self.max_us.max(us);
@@ -353,9 +384,9 @@ impl LatencyHistogram {
         self.sum_us.checked_div(self.count).unwrap_or(0)
     }
 
-    /// The `q`-quantile (`0.0..=1.0`) as the upper edge of the bucket the
-    /// quantile sample falls in, clamped to the observed maximum. Returns 0
-    /// when no samples were recorded.
+    /// The nearest-rank `q`-quantile (`0.0..=1.0`) as the upper edge of
+    /// the bucket that sample falls in, clamped to the observed maximum.
+    /// Returns 0 when no samples were recorded.
     #[must_use]
     pub fn quantile_us(&self, q: f64) -> u64 {
         if self.count == 0 {
@@ -368,8 +399,7 @@ impl LatencyHistogram {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen = seen.saturating_add(n);
             if seen >= rank {
-                let upper = if i >= 63 { u64::MAX } else { (1u64 << (i + 1)) - 1 };
-                return upper.min(self.max_us);
+                return latency_bucket_upper(i).min(self.max_us);
             }
         }
         self.max_us
@@ -589,6 +619,93 @@ mod tests {
         assert_eq!(c, u64::MAX);
     }
 
+    /// SplitMix64: a seeded sample stream for the histogram tests.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn every_value_lands_in_a_bucket_whose_edge_bounds_it_within_1_6_percent() {
+        let mut probes: Vec<u64> = (0..4096).collect();
+        for e in 0..64 {
+            let p = 1u64 << e;
+            probes.extend([p - 1, p, p + 1, p | (p >> 1), p.wrapping_mul(3) / 2]);
+        }
+        probes.push(u64::MAX);
+        let mut seed = 17;
+        probes.extend((0..10_000).map(|_| splitmix(&mut seed) >> (splitmix(&mut seed) % 64)));
+        for v in probes {
+            let b = latency_bucket(v);
+            assert!(b < LATENCY_BUCKETS, "{v} -> bucket {b}");
+            let upper = latency_bucket_upper(b);
+            assert!(upper >= v, "{v}: upper edge {upper}");
+            assert!(
+                (upper - v) as f64 <= v as f64 / 64.0,
+                "{v}: upper edge {upper} too far"
+            );
+            assert_eq!(latency_bucket(upper), b, "{v}: edge leaves its bucket");
+        }
+        // Buckets tile the range in order.
+        for b in 1..LATENCY_BUCKETS {
+            assert_eq!(latency_bucket(latency_bucket_upper(b - 1) + 1), b);
+        }
+        assert_eq!(latency_bucket_upper(LATENCY_BUCKETS - 1), u64::MAX);
+    }
+
+    #[test]
+    fn quantiles_match_exact_nearest_rank_within_3_percent() {
+        for seed in [1u64, 7, 42, 90_210] {
+            let mut state = seed;
+            let mut h = LatencyHistogram::new();
+            // Log-uniform over 1 µs .. 10 s, plus a few exact repeats.
+            let mut samples: Vec<u64> = (0..20_000)
+                .map(|_| {
+                    let u = (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+                    (10f64.powf(7.0 * u)).round().max(1.0) as u64
+                })
+                .collect();
+            samples.extend([1, 1, 10_000_000, 10_000_000]);
+            for &s in &samples {
+                h.record_us(s);
+            }
+            samples.sort_unstable();
+            for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
+                let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
+                let exact = samples[rank - 1];
+                let got = h.quantile_us(q);
+                let err = got.abs_diff(exact) as f64 / exact as f64;
+                assert!(
+                    err <= 0.03,
+                    "seed {seed} q {q}: histogram {got}, exact {exact} ({:.2}%)",
+                    err * 100.0
+                );
+                assert!(got >= exact, "seed {seed} q {q}: never under the sample");
+            }
+        }
+    }
+
+    #[test]
+    fn combine_is_associative() {
+        let mut state = 3;
+        let mut parts: Vec<LatencyHistogram> = (0..3).map(|_| LatencyHistogram::new()).collect();
+        for (i, h) in parts.iter_mut().enumerate() {
+            for _ in 0..500 {
+                h.record_us((splitmix(&mut state) % 1_000_000) << i);
+            }
+        }
+        let left = parts[0].combine(&parts[1]).combine(&parts[2]);
+        let right = parts[0].combine(&parts[1].combine(&parts[2]));
+        assert_eq!(left.buckets, right.buckets);
+        assert_eq!(
+            (left.count(), left.sum_us(), left.max_us()),
+            (right.count(), right.sum_us(), right.max_us())
+        );
+    }
+
     #[test]
     fn histogram_quantiles_bracket_samples() {
         let mut h = LatencyHistogram::new();
@@ -710,11 +827,15 @@ mod tests {
         assert_eq!(pinned.count(), 8);
         let mut maxed = LatencyHistogram::new();
         maxed.record_us(8);
-        maxed.buckets[3] = u64::MAX;
+        maxed.buckets[latency_bucket(8)] = u64::MAX;
         maxed.count = u64::MAX;
         let over = maxed.combine(&pinned);
         assert_eq!(over.count(), u64::MAX, "count saturates, never wraps");
-        assert_eq!(over.buckets[3], u64::MAX, "bucket saturates, never wraps");
+        assert_eq!(
+            over.buckets[latency_bucket(8)],
+            u64::MAX,
+            "bucket saturates, never wraps"
+        );
     }
 
     #[test]

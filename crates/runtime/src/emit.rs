@@ -55,6 +55,25 @@ impl Paradigm {
         }
     }
 
+    /// The fewest cores the paradigm's thread layout can place its threads
+    /// on: the (PS-)DSWP pipelines put the sequential stage on core 0 and
+    /// their workers beside it.
+    pub fn min_cores(self) -> usize {
+        match self {
+            Paradigm::Dswp | Paradigm::PsDswp => 2,
+            Paradigm::Sequential | Paradigm::Doall | Paradigm::Doacross => 1,
+        }
+    }
+
+    /// Parallel-stage workers the layout runs on `num_cores` cores.
+    pub fn workers(self, num_cores: usize) -> usize {
+        match self {
+            Paradigm::Sequential | Paradigm::Dswp => 1,
+            Paradigm::Doall | Paradigm::Doacross => num_cores,
+            Paradigm::PsDswp => num_cores.saturating_sub(1).max(1),
+        }
+    }
+
     /// Parses a command-line spelling: the lower-cased [`Paradigm::name`],
     /// or `psdswp` for PS-DSWP.
     pub fn from_name(name: &str) -> Option<Paradigm> {

@@ -26,9 +26,11 @@
 //! [`SimError::Livelock`]; `SimError::BadProgram` is reserved for genuine
 //! bugs (e.g. misspeculation *during* non-speculative execution).
 
+use std::ops::RangeInclusive;
+
 use hmtx_core::{faults, AccessKind, AccessRequest, AccessResponse, MisspecCause};
 use hmtx_machine::{Machine, MachineStats, RunEvent, ThreadContext};
-use hmtx_types::{CoreId, Cycle, MachineConfig, SimError, ThreadId, Vid};
+use hmtx_types::{ConfigError, CoreId, Cycle, MachineConfig, SimError, ThreadId, Vid, MAX_CORES};
 
 use crate::body::LoopBody;
 use crate::emit::{build_paradigm, Paradigm};
@@ -219,6 +221,33 @@ pub fn speedup(baseline_cycles: Cycle, cycles: Cycle) -> f64 {
     baseline_cycles as f64 / cycles.max(1) as f64
 }
 
+/// Rejects a machine whose core count a thread layout cannot place its
+/// threads on (`cores` is the range it can), as a named
+/// [`SimError::Config`] returned before any thread is loaded.
+///
+/// # Errors
+///
+/// [`SimError::Config`] naming `layout`, the range and the machine's core
+/// count.
+pub fn check_cores(
+    layout: &str,
+    cores: RangeInclusive<usize>,
+    cfg: &MachineConfig,
+) -> Result<(), SimError> {
+    let n = cfg.num_cores;
+    if cores.contains(&n) {
+        return Ok(());
+    }
+    let limit = if n < *cores.start() {
+        format!("needs at least {} cores", cores.start())
+    } else {
+        format!("supports at most {} cores", cores.end())
+    };
+    Err(SimError::Config(ConfigError::new(format!(
+        "{layout} {limit}; the machine has {n}"
+    ))))
+}
+
 /// Applies the deterministic pre-run squeezes of the fault configuration:
 /// a shrunk usable VID space (forcing §4.6 overflow/reset traffic) and
 /// halved L1 ways/capacity (forcing §5.4 overflow traffic). Both are pure
@@ -264,12 +293,8 @@ pub fn run_loop(
     cfg: &MachineConfig,
     budget: u64,
 ) -> Result<(Machine, RunReport), SimError> {
-    let workers = match paradigm {
-        Paradigm::Sequential => 1,
-        Paradigm::Doall | Paradigm::Doacross => cfg.num_cores,
-        Paradigm::Dswp => 1,
-        Paradigm::PsDswp => cfg.num_cores.saturating_sub(1).max(1),
-    };
+    check_cores(paradigm.name(), paradigm.min_cores()..=MAX_CORES, cfg)?;
+    let workers = paradigm.workers(cfg.num_cores);
     let (run_cfg, max_vid) = squeezed_config(cfg);
     let env = LoopEnv::new(max_vid, workers).with_pipeline_window(run_cfg.pipeline_window);
     let mut machine = Machine::new(run_cfg);

@@ -2,18 +2,21 @@
 //! `hmtx-load` generator, the `hmtx-run --remote` mode, and the
 //! integration tests.
 
-use std::io;
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use hmtx_types::{JobSpec, Json, StatsSnapshot};
 
-use crate::proto::{self, Request};
+use crate::proto::{self, FrameBuf, Request};
 
 /// One connection to a server. Requests are serial per connection (the
 /// protocol has no multiplexing; open more connections for concurrency).
+/// Responses are read through a per-connection [`FrameBuf`], so a response
+/// that fits it costs one `read(2)`.
 pub struct Client {
     stream: TcpStream,
+    rbuf: FrameBuf,
 }
 
 impl Client {
@@ -25,32 +28,53 @@ impl Client {
     pub fn connect(addr: &str) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream })
+        Ok(Client {
+            stream,
+            rbuf: FrameBuf::new(),
+        })
     }
 
-    /// Sends one request and reads its response frame.
+    /// Sends one request and reads its response frame's payload.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; an EOF before the response is an error.
     pub fn request(&mut self, req: &Request) -> io::Result<Vec<u8>> {
-        self.request_raw(&req.to_bytes())
+        let mut frame = Vec::new();
+        proto::push_frame(&mut frame, &req.to_bytes())?;
+        Ok(self.exchange(&frame)?[4..].to_vec())
     }
 
-    /// Sends an already-serialized request payload verbatim and reads the
-    /// response frame. `hmtx-router` forwards client frames through this
-    /// without re-serializing, so the bytes a backend sees (and hashes into
-    /// nothing — responses splice back verbatim too) are exactly the bytes
-    /// the client produced.
+    /// Sends a complete frame (length prefix included) verbatim and returns
+    /// the response frame, prefix included, borrowed from the connection's
+    /// buffer until the next request. `hmtx-router` forwards client frames
+    /// through this, so the bytes a backend sees are exactly the bytes the
+    /// client produced, and the answer splices back without a copy of its
+    /// own.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; an EOF before the response is an error.
-    pub fn request_raw(&mut self, payload: &[u8]) -> io::Result<Vec<u8>> {
-        proto::write_frame(&mut self.stream, payload)?;
-        proto::read_frame(&mut self.stream)?.ok_or_else(|| {
+    pub fn exchange(&mut self, frame: &[u8]) -> io::Result<&[u8]> {
+        self.stream.write_all(frame)?;
+        self.read_response()
+    }
+
+    /// Reads until one whole response frame is buffered and pops it.
+    fn read_response(&mut self) -> io::Result<&[u8]> {
+        self.rbuf.read_frame(&mut self.stream)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed mid-request")
         })
+    }
+
+    /// Bytes received past the last response. A conforming server answers
+    /// each request with exactly one frame, so this is 0 between requests;
+    /// anything else (a late answer after a read timeout) would pair the
+    /// next request with the wrong response, and a pool must not reuse the
+    /// connection.
+    #[must_use]
+    pub fn buffered(&self) -> usize {
+        self.rbuf.buffered()
     }
 
     /// Submits a job; returns the raw response bytes (result, busy,

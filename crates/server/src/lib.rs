@@ -53,6 +53,6 @@ pub use client::{
     backoff_ms, busy_retry_after, parse_response, response_type, spec_jitter_seed, Client,
 };
 pub use metrics::Metrics;
-pub use proto::{read_frame, write_frame, Request, MAX_FRAME};
+pub use proto::{write_frame, Request, MAX_FRAME};
 pub use server::{ServerConfig, ServerHandle};
 pub use signals::{drain_requested, install_drain_handlers};

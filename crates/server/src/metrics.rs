@@ -2,9 +2,9 @@
 //!
 //! Counters are relaxed atomics — they are monotone tallies, not
 //! synchronization — and service times feed an
-//! [`hmtx_core::LatencyHistogram`] (log₂ microsecond buckets, saturating),
-//! so a multi-day serve session can neither overflow a counter nor grow
-//! unbounded timing state.
+//! [`hmtx_core::LatencyHistogram`] (log-linear microsecond buckets, within
+//! 1.6% of the sample, saturating), so a multi-day serve session can
+//! neither overflow a counter nor grow unbounded timing state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -62,40 +62,201 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame. Returns `Ok(None)` on a clean EOF at a frame boundary;
-/// an EOF *inside* the length prefix (a partially-received frame) is an
-/// `UnexpectedEof` error, not a clean shutdown.
+/// Appends one length-prefixed frame holding `payload` to `out`: the
+/// in-memory form of [`write_frame`], for callers that assemble output in
+/// a buffer of their own.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors; rejects frames over [`MAX_FRAME`].
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    let mut filled = 0;
-    while filled < len_buf.len() {
-        match r.read(&mut len_buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF inside a frame length prefix",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
+/// Rejects payloads over [`MAX_FRAME`], leaving `out` untouched.
+pub fn push_frame(out: &mut Vec<u8>, payload: &[u8]) -> io::Result<()> {
+    if payload.len() > MAX_FRAME {
         return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds MAX_FRAME"),
+            io::ErrorKind::InvalidInput,
+            format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    out.extend_from_slice(payload);
+    Ok(())
+}
+
+/// The `error` payload a server sends in place of an answer too large to
+/// frame. Error messages can echo request bytes (an unknown `type` string
+/// from a frame just under [`MAX_FRAME`]), so an answer may outgrow the
+/// request it answers.
+pub const OVERSIZED: &[u8] =
+    br#"{"type":"error","message":"response exceeds MAX_FRAME","diagnostics":[]}"#;
+
+/// Appends `payload` to `out` as one response frame, or the frame of
+/// [`OVERSIZED`] when `payload` exceeds [`MAX_FRAME`]. Never fails: the
+/// connection gets exactly one answer per request and stays in step.
+pub fn push_response(out: &mut Vec<u8>, payload: &[u8]) {
+    if push_frame(out, payload).is_err() {
+        push_frame(out, OVERSIZED).expect("OVERSIZED fits a frame");
+    }
+}
+
+/// Initial [`FrameBuf`] capacity: a request or a cached report answer
+/// (about 1 KB) arrives whole in one `read(2)`.
+const FRAME_BUF_INITIAL: usize = 4 * 1024;
+
+/// An emptied [`FrameBuf`] larger than this shrinks back to
+/// [`FRAME_BUF_INITIAL`].
+const FRAME_BUF_KEEP: usize = 64 * 1024;
+
+/// A per-connection read buffer that splits a byte stream into frames.
+///
+/// [`FrameBuf::fill`] issues **one** `read(2)` into the free tail, so a
+/// frame that fits the buffer costs one syscall, not one for the prefix and
+/// one for the payload; [`FrameBuf::next_frame`] then pops complete frames
+/// without copying them. Bytes of an incomplete frame stay buffered across
+/// reads (and across read timeouts), and several pipelined frames that
+/// arrive in one segment are popped one by one, in order. A length prefix
+/// over [`MAX_FRAME`] is refused before the buffer grows for it.
+#[derive(Debug)]
+pub struct FrameBuf {
+    /// Backing storage; only `start..end` holds unconsumed bytes.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl Default for FrameBuf {
+    fn default() -> Self {
+        FrameBuf::new()
+    }
+}
+
+impl FrameBuf {
+    /// An empty buffer.
+    #[must_use]
+    pub fn new() -> FrameBuf {
+        FrameBuf {
+            buf: vec![0; FRAME_BUF_INITIAL],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Unconsumed bytes: a partial frame, or frames not yet popped.
+    #[must_use]
+    pub fn buffered(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// The total length (prefix included) of the frame at the head of the
+    /// buffer, once its prefix has arrived.
+    fn head_len(&self) -> io::Result<Option<usize>> {
+        if self.buffered() < 4 {
+            return Ok(None);
+        }
+        let p = &self.buf[self.start..self.start + 4];
+        let len = u32::from_be_bytes([p[0], p[1], p[2], p[3]]) as usize;
+        if len > MAX_FRAME {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame of {len} bytes exceeds MAX_FRAME"),
+            ));
+        }
+        Ok(Some(4 + len))
+    }
+
+    /// Whether a complete frame is buffered.
+    ///
+    /// # Errors
+    ///
+    /// Refuses an oversized head prefix like [`FrameBuf::next_frame`].
+    pub fn has_frame(&self) -> io::Result<bool> {
+        Ok(self.head_len()?.is_some_and(|len| self.buffered() >= len))
+    }
+
+    /// Pops the next complete frame, length prefix included (the payload is
+    /// `&frame[4..]`), or `None` until one has fully arrived.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`] on a length prefix over
+    /// [`MAX_FRAME`]; the stream cannot be resynchronized after that.
+    pub fn next_frame(&mut self) -> io::Result<Option<&[u8]>> {
+        match self.head_len()? {
+            Some(len) if self.buffered() >= len => {
+                let at = self.start;
+                self.start += len;
+                Ok(Some(&self.buf[at..at + len]))
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// Reads from `r` until a whole frame is buffered, then pops it like
+    /// [`FrameBuf::next_frame`]. `Ok(None)` is a clean end of stream at a
+    /// frame boundary; an end of stream inside a frame is
+    /// [`io::ErrorKind::UnexpectedEof`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates read errors other than `Interrupted` (buffered bytes are
+    /// kept) and refuses an oversized head prefix.
+    pub fn read_frame(&mut self, r: &mut impl Read) -> io::Result<Option<&[u8]>> {
+        while !self.has_frame()? {
+            match self.fill(r) {
+                Ok(0) if self.buffered() == 0 => return Ok(None),
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "EOF inside a frame",
+                    ))
+                }
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.next_frame()
+    }
+
+    /// Reads once from `r` into the free tail, first making room for the
+    /// whole head frame when its prefix is known. Returns the bytes read;
+    /// 0 is end of stream.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the read's error (including `WouldBlock`/`TimedOut` on
+    /// nonblocking or timed sockets; buffered bytes are kept) and refuses
+    /// an oversized head prefix like [`FrameBuf::next_frame`].
+    pub fn fill(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+            if self.buf.len() > FRAME_BUF_KEEP {
+                // One large frame passed; do not pin its buffer forever.
+                self.buf = vec![0; FRAME_BUF_INITIAL];
+            }
+        }
+        let head = self.head_len()?.unwrap_or(0);
+        if self.start + head > self.buf.len() || self.end == self.buf.len() {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            let needed = head.max(self.end + 1);
+            if needed > self.buf.len() {
+                self.buf.resize(needed.max(2 * self.buf.len()), 0);
+            }
+        }
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Free space left behind the buffered bytes. Zero right after
+    /// [`FrameBuf::fill`] means the read filled the buffer, so the socket
+    /// may hold more; anything else was a short read that took all there
+    /// was.
+    #[must_use]
+    pub fn tail_room(&self) -> usize {
+        self.buf.len() - self.end
+    }
 }
 
 /// A parsed request.
@@ -179,16 +340,37 @@ impl Request {
     }
 }
 
+const RESULT_HEAD: &[u8] = br#"{"type":"result","key":""#;
+const RESULT_MID: &[u8] = br#"","report":"#;
+
+fn push_result(out: &mut Vec<u8>, key: &str, report_bytes: &[u8]) {
+    out.extend_from_slice(RESULT_HEAD);
+    out.extend_from_slice(key.as_bytes());
+    out.extend_from_slice(RESULT_MID);
+    out.extend_from_slice(report_bytes);
+    out.push(b'}');
+}
+
 /// Assembles a `result` response, splicing the report bytes verbatim.
 #[must_use]
 pub fn result_response(key: &str, report_bytes: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(report_bytes.len() + 64);
-    out.extend_from_slice(br#"{"type":"result","key":""#);
-    out.extend_from_slice(key.as_bytes());
-    out.extend_from_slice(br#"","report":"#);
-    out.extend_from_slice(report_bytes);
-    out.push(b'}');
+    push_result(&mut out, key, report_bytes);
     out
+}
+
+/// Appends the frame of [`result_response`] to `out`, built in place: a
+/// cache hit goes from the cached report straight into the connection's
+/// output buffer. An envelope over [`MAX_FRAME`] is answered with
+/// [`OVERSIZED`] instead, as in [`push_response`].
+pub fn push_result_frame(out: &mut Vec<u8>, key: &str, report_bytes: &[u8]) {
+    let len = RESULT_HEAD.len() + key.len() + RESULT_MID.len() + report_bytes.len() + 1;
+    if len > MAX_FRAME {
+        push_response(out, OVERSIZED);
+        return;
+    }
+    out.extend_from_slice(&(len as u32).to_be_bytes());
+    push_result(out, key, report_bytes);
 }
 
 /// A `busy` backpressure response.
@@ -197,11 +379,10 @@ pub fn busy_response(retry_after_ms: u64) -> Vec<u8> {
     format!(r#"{{"type":"busy","retry_after_ms":{retry_after_ms}}}"#).into_bytes()
 }
 
-/// A `draining` rejection response.
-#[must_use]
-pub fn draining_response() -> Vec<u8> {
-    br#"{"type":"draining"}"#.to_vec()
-}
+/// The exact payload of every `draining` rejection a server emits. A
+/// router recognizes a draining backend by comparing bytes, without
+/// parsing.
+pub const DRAINING: &[u8] = br#"{"type":"draining"}"#;
 
 /// A `timeout` response (the job keeps running and will cache).
 #[must_use]
@@ -277,17 +458,40 @@ mod tests {
         write_frame(&mut buf, b"hello").unwrap();
         write_frame(&mut buf, b"").unwrap();
         let mut r = buf.as_slice();
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
-        assert_eq!(read_frame(&mut r).unwrap(), None);
+        let mut frames = FrameBuf::new();
+        assert_eq!(frames.read_frame(&mut r).unwrap().unwrap(), b"\0\0\0\x05hello");
+        assert_eq!(frames.read_frame(&mut r).unwrap().unwrap(), b"\0\0\0\0");
+        assert_eq!(frames.read_frame(&mut r).unwrap(), None);
     }
 
     #[test]
     fn oversized_frames_are_rejected_without_allocating() {
         let mut buf = Vec::new();
         buf.extend_from_slice(&u32::MAX.to_be_bytes());
-        let err = read_frame(&mut buf.as_slice()).unwrap_err();
+        let err = FrameBuf::new().read_frame(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn oversized_answers_become_one_short_error_frame() {
+        assert_eq!(
+            OVERSIZED,
+            error_response("response exceeds MAX_FRAME", &[]).as_slice()
+        );
+        let too_big = vec![b' '; MAX_FRAME + 1];
+        let mut out = b"kept".to_vec();
+        let err = push_frame(&mut out, &too_big).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(out, b"kept", "a refused frame appends nothing");
+
+        let mut expected = Vec::new();
+        push_frame(&mut expected, OVERSIZED).unwrap();
+        let mut out = Vec::new();
+        push_response(&mut out, &too_big);
+        assert_eq!(out, expected);
+        let mut out = Vec::new();
+        push_result_frame(&mut out, "k", &too_big);
+        assert_eq!(out, expected);
     }
 
     #[test]
@@ -341,7 +545,7 @@ mod tests {
     fn canned_responses_parse() {
         for bytes in [
             busy_response(250),
-            draining_response(),
+            DRAINING.to_vec(),
             timeout_response("deadbeef"),
             error_response("boom", &[]),
             pong_response(),

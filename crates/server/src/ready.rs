@@ -32,14 +32,14 @@
 //! (clients see EOF) and exits.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use crate::proto;
-use crate::server::{handle_frame, poll_pending, Inner, Outcome};
+use crate::proto::FrameBuf;
+use crate::server::{handle_frame, poll_pending, Inner, Wait};
 
 /// Thin libc layer. `hmtx-server` is one of the two crates the workspace
 /// exempts from `unsafe_code = "forbid"`; the exemption is spent here and
@@ -157,22 +157,17 @@ impl Drop for WakePipe {
     }
 }
 
-/// A job the connection is parked on: resolved by worker publish (via the
-/// wake pipe) or by its deadline.
-struct Pending {
-    cell: std::sync::Arc<crate::server::JobCell>,
-    key: String,
-    deadline: Instant,
-}
-
 struct Conn {
     stream: TcpStream,
     /// Bytes read but not yet framed.
-    rbuf: Vec<u8>,
-    /// Bytes queued to write; `wpos` marks how far the socket has taken.
+    rbuf: FrameBuf,
+    /// Framed responses queued to write; `wpos` marks how far the socket
+    /// has taken.
     wbuf: Vec<u8>,
     wpos: usize,
-    pending: Option<Pending>,
+    /// The job this connection is parked on: resolved by worker publish
+    /// (via the wake pipe) or by its deadline.
+    pending: Option<Wait>,
     /// Peer sent EOF; finish writing, then close.
     peer_closed: bool,
     /// Protocol violation (oversized frame) or I/O error; close as soon as
@@ -184,7 +179,7 @@ impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            rbuf: Vec::new(),
+            rbuf: FrameBuf::new(),
             wbuf: Vec::new(),
             wpos: 0,
             pending: None,
@@ -197,15 +192,13 @@ impl Conn {
         self.wpos < self.wbuf.len()
     }
 
-    fn queue_response(&mut self, payload: &[u8]) {
-        // Compact the buffer once the socket has consumed everything.
+    /// Empties the output buffer once the socket has taken all of it, so
+    /// the next response is appended at its start.
+    fn compact_output(&mut self) {
         if self.wpos == self.wbuf.len() {
             self.wbuf.clear();
             self.wpos = 0;
         }
-        // write_frame to a Vec cannot fail below MAX_FRAME, and responses
-        // are produced by this server, so the cap holds by construction.
-        let _ = proto::write_frame(&mut self.wbuf, payload);
     }
 
     /// Flushes as much of `wbuf` as the socket accepts right now.
@@ -227,22 +220,21 @@ impl Conn {
         }
     }
 
-    /// Reads everything available, marking EOF and errors on the way.
+    /// Reads what arrived, marking EOF and errors on the way. A read that
+    /// leaves buffer room took everything the socket held, so it returns
+    /// without a second read to collect `EAGAIN`: poll is level-triggered
+    /// and reports later bytes (or EOF) on its next round. A hostile peer
+    /// cannot grow the buffer unboundedly: an over-[`crate::proto::MAX_FRAME`]
+    /// prefix kills the connection before the buffer grows for it.
     fn fill(&mut self) {
-        let mut chunk = [0u8; 16 * 1024];
         loop {
-            match self.stream.read(&mut chunk) {
+            match self.rbuf.fill(&mut self.stream) {
                 Ok(0) => {
                     self.peer_closed = true;
                     return;
                 }
-                Ok(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
-                    // A hostile peer cannot grow the buffer unboundedly:
-                    // frames over MAX_FRAME kill the connection in
-                    // `take_frame`, so at most one frame (+ prefix) is ever
-                    // buffered beyond what gets processed this iteration.
-                }
+                Ok(_) if self.rbuf.tail_room() > 0 => return,
+                Ok(_) => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
@@ -251,26 +243,6 @@ impl Conn {
                 }
             }
         }
-    }
-
-    /// Pops one complete frame off `rbuf`, or `Err(())` on an oversized
-    /// length prefix (protocol violation — the connection dies, matching
-    /// the old blocking reader's behavior).
-    fn take_frame(&mut self) -> Result<Option<Vec<u8>>, ()> {
-        if self.rbuf.len() < 4 {
-            return Ok(None);
-        }
-        let len =
-            u32::from_be_bytes([self.rbuf[0], self.rbuf[1], self.rbuf[2], self.rbuf[3]]) as usize;
-        if len > proto::MAX_FRAME {
-            return Err(());
-        }
-        if self.rbuf.len() < 4 + len {
-            return Ok(None);
-        }
-        let frame = self.rbuf[4..4 + len].to_vec();
-        self.rbuf.drain(..4 + len);
-        Ok(Some(frame))
     }
 
     /// Should this connection be dropped now?
@@ -283,26 +255,15 @@ impl Conn {
 }
 
 /// Processes buffered frames until the connection parks on a job or runs
-/// out of complete frames.
+/// out of complete frames. An oversized length prefix is a protocol
+/// violation: the connection dies, matching the blocking reader.
 fn process_frames(inner: &Inner, conn: &mut Conn) {
     while conn.pending.is_none() && !conn.dead {
-        match conn.take_frame() {
-            Ok(Some(frame)) => match handle_frame(inner, &frame) {
-                Outcome::Respond(bytes) => conn.queue_response(&bytes),
-                Outcome::Wait {
-                    cell,
-                    key,
-                    deadline,
-                } => {
-                    conn.pending = Some(Pending {
-                        cell,
-                        key,
-                        deadline,
-                    });
-                }
-            },
+        conn.compact_output();
+        match conn.rbuf.next_frame() {
+            Ok(Some(frame)) => conn.pending = handle_frame(inner, &frame[4..], &mut conn.wbuf),
             Ok(None) => return,
-            Err(()) => {
+            Err(_) => {
                 conn.dead = true;
                 return;
             }
@@ -430,13 +391,14 @@ pub(crate) fn event_loop(inner: &Inner, listener: &TcpListener) {
         // Resolve pending jobs (worker publishes and deadline expiries).
         let now = Instant::now();
         for conn in conns.values_mut() {
-            if let Some(p) = &conn.pending {
-                if let Some(response) = poll_pending(inner, &p.cell, &p.key, p.deadline, now) {
-                    conn.pending = None;
-                    conn.queue_response(&response);
+            if let Some(wait) = conn.pending.take() {
+                conn.compact_output();
+                if poll_pending(inner, &wait, now, &mut conn.wbuf) {
                     // The connection may have pipelined more requests while
                     // parked; serve them now, in order.
                     process_frames(inner, conn);
+                } else {
+                    conn.pending = Some(wait);
                 }
             }
             if conn.has_unflushed() && !conn.dead {

@@ -273,71 +273,74 @@ fn execute(inner: &Inner, cell: &JobCell) {
     inner.wake.wake();
 }
 
-/// What one request frame resolved to: an immediate response, or a pending
-/// wait on an admitted (possibly coalesced) job cell.
-pub(crate) enum Outcome {
-    Respond(Vec<u8>),
-    Wait {
-        cell: Arc<JobCell>,
-        key: String,
-        deadline: Instant,
-    },
+/// A request parked on an admitted (possibly coalesced) job cell.
+pub(crate) struct Wait {
+    pub(crate) cell: Arc<JobCell>,
+    pub(crate) key: String,
+    pub(crate) deadline: Instant,
 }
 
-/// Parses and dispatches one request frame. Called from the event loop;
-/// everything here is non-blocking except short shard/scheduler lock holds
-/// and (worst case) a disk-tier cache read.
-pub(crate) fn handle_frame(inner: &Inner, frame: &[u8]) -> Outcome {
+/// Parses and dispatches one request payload, appending an immediate
+/// response frame to `out`, or returning the [`Wait`] of an admitted job.
+/// Called from the event loop; everything here is non-blocking except
+/// short shard/scheduler lock holds and (worst case) a disk-tier cache
+/// read.
+pub(crate) fn handle_frame(inner: &Inner, frame: &[u8], out: &mut Vec<u8>) -> Option<Wait> {
     bump(&inner.metrics.requests);
-    match Request::parse(frame) {
+    let response = match Request::parse(frame) {
         Err(message) => {
             bump(&inner.metrics.errors);
-            Outcome::Respond(proto::error_response(&message, &[]))
+            proto::error_response(&message, &[])
         }
-        Ok(Request::Ping) => Outcome::Respond(proto::pong_response()),
+        Ok(Request::Ping) => proto::pong_response(),
         Ok(Request::Shutdown) => {
             inner.begin_drain();
-            Outcome::Respond(proto::ok_response())
+            proto::ok_response()
         }
         Ok(Request::Stats) => {
             let (queue_depth, executing) = inner.queue_gauges();
-            Outcome::Respond(proto::stats_response(
-                &inner.metrics.snapshot(queue_depth, executing),
-            ))
+            proto::stats_response(&inner.metrics.snapshot(queue_depth, executing))
         }
-        Ok(Request::Cluster) => {
-            // Only `hmtx-router` aggregates cluster stats; a lone backend
-            // says so instead of pretending to be a one-node cluster.
-            Outcome::Respond(proto::error_response(
-                "cluster stats are served by hmtx-router, not a backend",
-                &[],
-            ))
-        }
+        // Only `hmtx-router` aggregates cluster stats; a lone backend says
+        // so instead of pretending to be a one-node cluster.
+        Ok(Request::Cluster) => proto::error_response(
+            "cluster stats are served by hmtx-router, not a backend",
+            &[],
+        ),
         Ok(Request::Job { spec, deadline_ms }) => {
             bump(&inner.metrics.job_requests);
-            admit_job(inner, &spec, deadline_ms)
+            return admit_job(inner, &spec, deadline_ms, out);
         }
-    }
+    };
+    proto::push_response(out, &response);
+    None
 }
 
-fn cache_answer(inner: &Inner, key: &str, bytes: &[u8], tier: Tier) -> Vec<u8> {
+fn cache_answer(inner: &Inner, key: &str, bytes: &[u8], tier: Tier, out: &mut Vec<u8>) {
     match tier {
         Tier::Mem => bump(&inner.metrics.mem_hits),
         Tier::Disk => bump(&inner.metrics.disk_hits),
     }
-    proto::result_response(key, bytes)
+    proto::push_result_frame(out, key, bytes);
 }
 
-fn admit_job(inner: &Inner, spec: &JobSpec, deadline_ms: Option<u64>) -> Outcome {
+fn admit_job(
+    inner: &Inner,
+    spec: &JobSpec,
+    deadline_ms: Option<u64>,
+    out: &mut Vec<u8>,
+) -> Option<Wait> {
     let key = spec.key();
 
     // Fast path: cached report, no shard-registry involvement.
     if let Some((bytes, tier)) = inner.cache.get(&key) {
-        return Outcome::Respond(cache_answer(inner, &key, &bytes, tier));
+        cache_answer(inner, &key, &bytes, tier, out);
+        return None;
     }
     if inner.draining.load(Ordering::SeqCst) {
         bump(&inner.metrics.rejected_draining);
-        return Outcome::Respond(proto::draining_response());
+        proto::push_response(out, proto::DRAINING);
+        return None;
     }
 
     // Admission, under the key's shard lock.
@@ -351,12 +354,14 @@ fn admit_job(inner: &Inner, spec: &JobSpec, deadline_ms: Option<u64>) -> Outcome
             // The job finished between the unlocked probe and here; the
             // worker caches before leaving the flight shard, so this
             // re-probe closes the race window completely.
-            return Outcome::Respond(cache_answer(inner, &key, &bytes, tier));
+            cache_answer(inner, &key, &bytes, tier, out);
+            return None;
         } else {
             let mut sched = inner.sched.lock().unwrap();
             if sched.queue.len() >= inner.cfg.queue_cap {
                 bump(&inner.metrics.rejected_busy);
-                return Outcome::Respond(proto::busy_response(inner.cfg.retry_after_ms));
+                proto::push_response(out, &proto::busy_response(inner.cfg.retry_after_ms));
+                return None;
             }
             bump(&inner.metrics.misses);
             let cell = Arc::new(JobCell {
@@ -373,34 +378,31 @@ fn admit_job(inner: &Inner, spec: &JobSpec, deadline_ms: Option<u64>) -> Outcome
 
     let deadline = Instant::now()
         + Duration::from_millis(deadline_ms.unwrap_or(inner.cfg.default_deadline_ms));
-    Outcome::Wait {
+    Some(Wait {
         cell,
         key,
         deadline,
-    }
+    })
 }
 
 /// Resolves a pending wait if its cell has published or its deadline has
-/// passed. Returns the response to send, or `None` to keep waiting.
-pub(crate) fn poll_pending(
-    inner: &Inner,
-    cell: &JobCell,
-    key: &str,
-    deadline: Instant,
-    now: Instant,
-) -> Option<Vec<u8>> {
-    if let Some(outcome) = cell.state.lock().unwrap().as_ref() {
-        return Some(match outcome {
-            Ok(bytes) => proto::result_response(key, bytes),
+/// passed, appending the response frame to `out`. Returns whether it
+/// resolved (`false`: keep waiting).
+pub(crate) fn poll_pending(inner: &Inner, wait: &Wait, now: Instant, out: &mut Vec<u8>) -> bool {
+    if let Some(outcome) = wait.cell.state.lock().unwrap().as_ref() {
+        match outcome {
+            Ok(bytes) => proto::push_result_frame(out, &wait.key, bytes),
             Err(error_bytes) => {
                 bump(&inner.metrics.errors);
-                error_bytes.to_vec()
+                proto::push_response(out, error_bytes);
             }
-        });
+        }
+        return true;
     }
-    if now >= deadline {
+    if now >= wait.deadline {
         bump(&inner.metrics.deadline_timeouts);
-        return Some(proto::timeout_response(key));
+        proto::push_response(out, &proto::timeout_response(&wait.key));
+        return true;
     }
-    None
+    false
 }

@@ -393,3 +393,108 @@ fn malformed_and_failing_jobs_answer_errors() {
     handle.drain();
     handle.wait();
 }
+
+#[test]
+fn an_unplaceable_job_answers_error_and_the_only_worker_keeps_serving() {
+    let handle = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = connect(&handle);
+    // SMTX needs a core each for stage 1, a worker and the commit process;
+    // on two cores it once panicked the worker that ran it, and every later
+    // miss on a one-worker server timed out.
+    let two_core_smtx = JobSpec {
+        paradigm: WireParadigm::SmtxMin,
+        variant: WireVariant::ScalingFabric {
+            cores: 2,
+            directory: false,
+        },
+        ..spec(1)
+    };
+    let response = client.job(&two_core_smtx, Some(30_000)).expect("smtx job");
+    assert_eq!(response_type(&response).as_deref(), Some("error"));
+    let text = String::from_utf8(response).expect("utf-8");
+    assert!(text.contains("needs at least 3 cores"), "{text}");
+    let good = client.job(&spec(2), Some(30_000)).expect("good job");
+    assert_eq!(response_type(&good).as_deref(), Some("result"));
+    handle.drain();
+    handle.wait();
+}
+
+#[test]
+fn pipelined_frames_and_a_trailing_eof_in_one_write_are_all_answered() {
+    use std::io::Write;
+    use std::net::{Shutdown, TcpStream};
+
+    use hmtx_server::proto::{self, Request};
+
+    let handle = start(ServerConfig::default());
+    let mut client = connect(&handle);
+    let direct: Vec<Vec<u8>> = [spec(0), spec(1)]
+        .iter()
+        .map(|s| client.job(s, None).expect("warm"))
+        .collect();
+    // Hits, a ping and EOF arrive in one segment. The readiness loop reads
+    // once, serves every frame, and learns of the EOF on a later poll.
+    let mut burst = Vec::new();
+    for req in [
+        Request::Job {
+            spec: spec(0),
+            deadline_ms: None,
+        },
+        Request::Ping,
+        Request::Job {
+            spec: spec(1),
+            deadline_ms: None,
+        },
+    ] {
+        proto::push_frame(&mut burst, &req.to_bytes()).expect("frame fits");
+    }
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect");
+    raw.write_all(&burst).expect("burst");
+    raw.shutdown(Shutdown::Write).expect("half-close");
+    let mut answers = Vec::new();
+    let mut frames = proto::FrameBuf::new();
+    while let Some(frame) = frames.read_frame(&mut raw).expect("read") {
+        answers.push(frame[4..].to_vec());
+    }
+    assert_eq!(
+        answers,
+        vec![direct[0].clone(), proto::pong_response(), direct[1].clone()]
+    );
+    handle.drain();
+    handle.wait();
+}
+
+/// A request whose `error` answer would outgrow `MAX_FRAME` (an unknown
+/// `type` just under it, echoed by the message) gets one short `error`
+/// frame instead; the connection stays in step and the readiness loop,
+/// which serves every connection, keeps running.
+#[test]
+fn an_error_too_large_to_frame_answers_a_short_error_and_serving_goes_on() {
+    use std::io::Write;
+    use std::net::TcpStream;
+
+    use hmtx_server::proto::{self, FrameBuf, Request};
+    use hmtx_server::MAX_FRAME;
+
+    let handle = start(ServerConfig::default());
+    let mut payload = br#"{"type":""#.to_vec();
+    payload.resize(MAX_FRAME - 22, b'x');
+    payload.extend_from_slice(br#""}"#);
+    let mut wire = Vec::new();
+    proto::push_frame(&mut wire, &payload).expect("request fits");
+    proto::push_frame(&mut wire, &Request::Ping.to_bytes()).expect("frame fits");
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    raw.write_all(&wire).expect("send");
+    let mut rx = FrameBuf::new();
+    let mut answer = || rx.read_frame(&mut raw).expect("read").expect("answer")[4..].to_vec();
+    assert_eq!(answer(), proto::OVERSIZED);
+    assert_eq!(answer(), proto::pong_response());
+    assert!(connect(&handle).ping().expect("a second connection"));
+    handle.drain();
+    handle.wait();
+}

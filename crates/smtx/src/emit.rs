@@ -6,11 +6,43 @@ use std::sync::Arc;
 use hmtx_isa::{Cond, ProgramBuilder, Reg};
 use hmtx_runtime::env::{regs, LoopEnv};
 use hmtx_runtime::{GeneratedThread, GeneratedThreads, LoopBody};
-use hmtx_types::{QueueId, SimError, SmtxConfig};
+use hmtx_types::{ConfigError, QueueId, SimError, SmtxConfig};
 
 /// Queue carrying `(worker_tag << 56) | record_count` messages (and
 /// all-ones sentinels) to the commit process.
 const COMMIT_QUEUE: QueueId = QueueId(15);
+
+/// The commit process's per-source log read offsets, indexed by source
+/// (workers `0..W`, then stage 1). The first six are `r4..r9`, so
+/// pipelines of up to five workers (the 4-core runs of the experiments
+/// among them) simulate exactly as before; the rest are registers the
+/// commit process leaves alone (it uses `r2`, `r10..r13` and the runtime
+/// scratch pair).
+const OFFSET_REGS: [Reg; SMTX_MAX_WORKERS + 1] = [
+    Reg::R4,
+    Reg::R5,
+    Reg::R6,
+    Reg::R7,
+    Reg::R8,
+    Reg::R9,
+    Reg::R0,
+    Reg::R1,
+    Reg::R3,
+    Reg::R14,
+    Reg::R15,
+    Reg::R16,
+    Reg::R17,
+    Reg::R18,
+];
+
+/// The most stage-2 workers the pipeline layout places: their queues stay
+/// below [`COMMIT_QUEUE`], the stage-1 log region (after the workers')
+/// stays below the workload region, and every source has an offset
+/// register in [`OFFSET_REGS`].
+pub const SMTX_MAX_WORKERS: usize = 13;
+
+// Worker queues `0..W` stay clear of the commit queue.
+const _: () = assert!(SMTX_MAX_WORKERS <= COMMIT_QUEUE.0);
 
 /// Log regions are 64 KiB rings; offsets wrap with this mask (8-byte
 /// records).
@@ -107,6 +139,11 @@ pub fn build_smtx_pipeline(
     mode: RwSetMode,
 ) -> Result<GeneratedThreads, SimError> {
     let w_count = env.workers;
+    if !(1..=SMTX_MAX_WORKERS).contains(&w_count) {
+        return Err(SimError::Config(ConfigError::new(format!(
+            "the SMTX pipeline places 1..={SMTX_MAX_WORKERS} workers, not {w_count}"
+        ))));
+    }
     let mut threads = Vec::new();
 
     // ---- stage 1 (core 0) ----
@@ -195,9 +232,9 @@ pub fn build_smtx_pipeline(
         let sentinel = b.new_label();
         let done = b.new_label();
         let handlers: Vec<_> = (0..sources).map(|_| b.new_label()).collect();
-        // R4..R4+sources: per-source log read offsets; R10: live sources.
-        for s in 0..sources {
-            b.li(Reg::from_index(4 + s), 0);
+        // OFFSET_REGS: per-source log read offsets; R10: live sources.
+        for &ptr in &OFFSET_REGS[..sources] {
+            b.li(ptr, 0);
         }
         b.li(Reg::R10, sources as i64);
         b.bind(head)?;
@@ -212,7 +249,7 @@ pub fn build_smtx_pipeline(
         }
         b.jump(head); // unknown tag: ignore (cannot happen)
         for (s, label) in handlers.iter().enumerate() {
-            let ptr = Reg::from_index(4 + s);
+            let ptr = OFFSET_REGS[s];
             let vloop = b.new_label();
             let vdone = b.new_label();
             b.bind(*label)?;
@@ -242,4 +279,33 @@ pub fn build_smtx_pipeline(
     }
 
     Ok(GeneratedThreads { threads })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hmtx_runtime::env::WORKLOAD_REGION_BASE;
+
+    #[test]
+    fn the_largest_pipeline_fits_its_queues_logs_and_registers() {
+        let env = LoopEnv::new(63, SMTX_MAX_WORKERS);
+        // The stage-1 log (source W, the last) ends below workload data.
+        let last = env.smtx_log_region(SMTX_MAX_WORKERS).0 + LOG_OFFSET_MASK as u64 + 8;
+        assert!(last <= WORKLOAD_REGION_BASE, "log region ends at {last:#x}");
+        // One distinct offset register per source, none the commit process
+        // uses for anything else.
+        let busy = [
+            Reg::R2,
+            Reg::R10,
+            Reg::R11,
+            Reg::R12,
+            Reg::R13,
+            regs::T0,
+            regs::T1,
+        ];
+        for (i, r) in OFFSET_REGS.iter().enumerate() {
+            assert!(!busy.contains(r), "{r} is commit-process scratch");
+            assert!(!OFFSET_REGS[..i].contains(r), "{r} repeats");
+        }
+    }
 }

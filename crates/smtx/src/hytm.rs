@@ -32,10 +32,10 @@ use hmtx_isa::{Cond, ProgramBuilder};
 use hmtx_machine::{Machine, RunEvent, ThreadContext};
 use hmtx_runtime::env::regs;
 use hmtx_runtime::{
-    build_paradigm, chaos_invariant_check, resync_rcb, squeezed_config, DemotionCause, HytmMix,
-    LoopBody, LoopEnv, Paradigm, RecoveryRecord, RecoveryRung, RunReport,
+    build_paradigm, chaos_invariant_check, check_cores, resync_rcb, squeezed_config, DemotionCause,
+    HytmMix, LoopBody, LoopEnv, Paradigm, RecoveryRecord, RecoveryRung, RunReport,
 };
-use hmtx_types::{HytmConfig, MachineConfig, SimError, SmtxConfig, ThreadId, Vid};
+use hmtx_types::{HytmConfig, MachineConfig, SimError, SmtxConfig, ThreadId, Vid, MAX_CORES};
 
 /// Stream tag for the deterministic backoff jitter.
 const BACKOFF_STREAM: u64 = 0x4859_544D_424F_4646; // "HYTMBOFF"
@@ -185,12 +185,8 @@ pub fn run_hytm(
     if !base.hytm.enabled {
         base.hytm = HytmConfig::paper_default();
     }
-    let workers = match paradigm {
-        Paradigm::Sequential => 1,
-        Paradigm::Doall | Paradigm::Doacross => base.num_cores,
-        Paradigm::Dswp => 1,
-        Paradigm::PsDswp => base.num_cores.saturating_sub(1).max(1),
-    };
+    check_cores(paradigm.name(), paradigm.min_cores()..=MAX_CORES, &base)?;
+    let workers = paradigm.workers(base.num_cores);
     let (run_cfg, max_vid) = squeezed_config(&base);
     let hytm = run_cfg.hytm;
     let smtx = run_cfg.smtx;

@@ -31,7 +31,7 @@ pub mod emit;
 pub mod hytm;
 pub mod runner;
 
-pub use emit::RwSetMode;
+pub use emit::{RwSetMode, SMTX_MAX_WORKERS};
 pub use hytm::run_hytm;
 pub use runner::{run_smtx, SmtxReport};
 

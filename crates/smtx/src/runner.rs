@@ -3,9 +3,9 @@
 use hmtx_machine::{Machine, MachineStats, RunEvent, ThreadContext};
 use hmtx_types::{Cycle, MachineConfig, SimError, ThreadId};
 
-use hmtx_runtime::{LoopBody, LoopEnv};
+use hmtx_runtime::{check_cores, LoopBody, LoopEnv};
 
-use crate::emit::{build_smtx_pipeline, RwSetMode};
+use crate::emit::{build_smtx_pipeline, RwSetMode, SMTX_MAX_WORKERS};
 
 /// Result of an SMTX pipeline run.
 #[derive(Debug, Clone)]
@@ -28,7 +28,9 @@ pub struct SmtxReport {
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] for guest-program bugs or budget exhaustion. SMTX
+/// Returns [`SimError::Config`] on fewer than 3 or more than
+/// [`SMTX_MAX_WORKERS`]` + 2` cores, before any thread is loaded, and
+/// [`SimError`] for guest-program bugs or budget exhaustion. SMTX
 /// runs never abort in this model (the paper's benchmarks never
 /// misspeculate; conflict-freedom is the workload's responsibility).
 pub fn run_smtx(
@@ -37,7 +39,9 @@ pub fn run_smtx(
     mode: RwSetMode,
     budget: u64,
 ) -> Result<(Machine, SmtxReport), SimError> {
-    let workers = cfg.num_cores.saturating_sub(2).max(1);
+    // Stage 1, the workers and the commit process each need a core.
+    check_cores("SMTX", 3..=SMTX_MAX_WORKERS + 2, cfg)?;
+    let workers = cfg.num_cores - 2;
     let env = LoopEnv::new(cfg.hmtx.max_vid().0, workers);
     let mut machine = Machine::new(cfg.clone());
     body.build_image(&mut machine, &env);

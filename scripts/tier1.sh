@@ -17,6 +17,13 @@ for CRATE in hmtx-types hmtx-isa hmtx-analysis hmtx-mem hmtx-core \
   cargo test -q -p "$CRATE"
 done
 
+# The benchmark (`perfbench/`, a Cargo workspace of its own) builds against
+# this workspace's crates: test it here, so a change to an API it uses
+# fails this gate rather than only the benchmark run. Its build goes under
+# target/, so the tree stays clean.
+CARGO_TARGET_DIR=target/perfbench \
+  cargo test --offline --locked --manifest-path perfbench/Cargo.toml
+
 # Chaos differential: committed outputs under any seeded fault schedule
 # (including the pinned regression seeds) must match the fault-free run.
 cargo test -q -p hmtx --test chaos
