@@ -1,11 +1,11 @@
 //! `hmtx-explore`: systematic schedule exploration with a serializability
 //! oracle.
 //!
-//! Enumerates interleavings of small two-thread machine kernels under a
-//! preemption bound, checks protocol invariants plus a sequential TM oracle
-//! at every group commit, greedily shrinks failing schedules, and writes
-//! them to the replayable corpus (`tests/corpus/`, replayed by
-//! `hmtx-run --replay` and `tests/explore_corpus.rs`). Also drives bounded
+//! Enumerates interleavings of small two-thread machine kernels breadth-first
+//! under a preemption bound and checks protocol invariants plus a sequential
+//! TM oracle at every group commit. With `--corpus-dir DIR`, the first
+//! failing kernel schedule (found at its fewest divergences) is pinned into
+//! `DIR` as a seed that `hmtx-run --replay` replays. Also drives bounded
 //! exploration of the 8 benchmark workloads' generated parallel code
 //! (invariants + termination + sequential-output reference). Op kernels
 //! are checked exhaustively by `hmtx-model --kernel NAME` instead.
@@ -22,10 +22,11 @@
 //! `--expect-*` flags demand), 1 on a failure or an unmet expectation,
 //! and 2 on a usage error.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use hmtx_explore::{asm_kernels, mexplore, resolve_kernel, seed, shrink, AsmKernel};
+use hmtx_explore::mexplore::{explore, MachineOutcome, MachineReport, MachineSpec};
+use hmtx_explore::{asm_kernels, resolve_kernel, seed, AsmKernel};
 use hmtx_machine::ScheduleSeed;
 use hmtx_runtime::Paradigm;
 use hmtx_types::cli::{Args, UsageError};
@@ -41,30 +42,24 @@ struct Opts {
     paradigm: Option<Paradigm>,
     preemptions: u32,
     bound: usize,
-    jobs: usize,
     json: bool,
     no_reduce: bool,
     seed_bug: Option<SeedBug>,
-    shrink: bool,
-    corpus_dir: PathBuf,
+    corpus_dir: Option<PathBuf>,
     expect_failure: bool,
     expect_exhausted: bool,
-    max_shrunk_len: Option<usize>,
     budget: Option<u64>,
 }
 
 const USAGE: &str = "usage: hmtx-explore [--list] [--kernel NAME]... [--all-kernels] \
     [--workload NAME]... [--all-workloads] [--paradigm P] [--preemptions N] \
-    [--bound N] [--jobs N] [--json] [--no-reduce] [--seed-bug NAME] [--shrink] \
-    [--corpus-dir DIR] [--expect-failure] [--expect-exhausted] \
-    [--max-shrunk-len N] [--budget N]";
+    [--bound N] [--json] [--no-reduce] [--seed-bug NAME] [--corpus-dir DIR] \
+    [--expect-failure] [--expect-exhausted] [--budget N]";
 
 fn parse_args(mut args: Args) -> Result<Opts, UsageError> {
     let mut opts = Opts {
         preemptions: 3,
         bound: 100_000,
-        jobs: std::thread::available_parallelism().map_or(2, |n| n.get().min(8)),
-        corpus_dir: PathBuf::from("tests/corpus"),
         ..Opts::default()
     };
     let (mut all_kernels, mut all_workloads) = (false, false);
@@ -78,15 +73,12 @@ fn parse_args(mut args: Args) -> Result<Opts, UsageError> {
             "--paradigm" => opts.paradigm = Some(args.parse_with(&arg, Paradigm::from_name)?),
             "--preemptions" => opts.preemptions = args.parse(&arg)?,
             "--bound" => opts.bound = args.parse(&arg)?,
-            "--jobs" => opts.jobs = args.parse(&arg)?,
             "--json" => opts.json = true,
             "--no-reduce" => opts.no_reduce = true,
             "--seed-bug" => opts.seed_bug = Some(args.parse_with(&arg, SeedBug::from_name)?),
-            "--shrink" => opts.shrink = true,
-            "--corpus-dir" => opts.corpus_dir = args.value(&arg)?.into(),
+            "--corpus-dir" => opts.corpus_dir = Some(args.value(&arg)?.into()),
             "--expect-failure" => opts.expect_failure = true,
             "--expect-exhausted" => opts.expect_exhausted = true,
-            "--max-shrunk-len" => opts.max_shrunk_len = Some(args.parse(&arg)?),
             "--budget" => opts.budget = Some(args.parse(&arg)?),
             _ => return Err(UsageError::unknown(&arg)),
         }
@@ -115,108 +107,93 @@ fn machine_kernel(name: &str) -> Result<AsmKernel, UsageError> {
     }))
 }
 
-/// One explored target's result, normalized across the two modes.
+/// One exploration target: a built spec, its display name, and its mode
+/// (`"machine"` kernels can be pinned as corpus seeds, workloads cannot).
+struct Target {
+    name: String,
+    mode: &'static str,
+    spec: MachineSpec,
+}
+
+/// One explored target's result.
 struct TargetResult {
     target: String,
     mode: &'static str,
-    runs: usize,
-    exhausted: bool,
-    misspecs: usize,
-    failures: usize,
-    first_failure: Option<String>,
-    shrunk: Option<(usize, PathBuf)>,
+    report: MachineReport,
+    pinned: Option<PathBuf>,
 }
 
 impl TargetResult {
-    fn new(target: String, mode: &'static str, report: &mexplore::MachineReport) -> Self {
-        TargetResult {
-            target,
-            mode,
-            runs: report.runs,
-            exhausted: report.exhausted,
-            misspecs: report.misspecs,
-            failures: report.failures.len(),
-            first_failure: report
-                .failures
-                .first()
-                .map(|f| format!("{} (picks {:?})", f.failure.as_ref().unwrap(), f.picks)),
-            shrunk: None,
-        }
+    fn first_failure(&self) -> Option<String> {
+        let first = self.report.failures.first()?;
+        Some(format!(
+            "{} (picks {:?})",
+            first.failure.as_ref()?,
+            first.picks
+        ))
     }
 
     fn to_json(&self) -> Json {
+        let opt_str = |s: Option<String>| s.map_or(Json::Null, Json::Str);
         Json::obj(vec![
             ("target", Json::Str(self.target.clone())),
             ("mode", Json::Str(self.mode.to_string())),
-            ("runs", Json::Uint(self.runs as u64)),
-            ("exhausted", Json::Bool(self.exhausted)),
-            ("misspecs", Json::Uint(self.misspecs as u64)),
-            ("failures", Json::Uint(self.failures as u64)),
+            ("runs", Json::Uint(self.report.runs as u64)),
+            ("exhausted", Json::Bool(self.report.exhausted)),
+            ("misspecs", Json::Uint(self.report.misspecs as u64)),
+            ("failures", Json::Uint(self.report.failures.len() as u64)),
+            ("first_failure", opt_str(self.first_failure())),
             (
-                "first_failure",
-                self.first_failure
-                    .as_ref()
-                    .map_or(Json::Null, |s| Json::Str(s.clone())),
-            ),
-            (
-                "shrunk",
-                self.shrunk.as_ref().map_or(Json::Null, |(len, path)| {
-                    Json::obj(vec![
-                        ("len", Json::Uint(*len as u64)),
-                        ("seed", Json::Str(path.display().to_string())),
-                    ])
-                }),
+                "pinned",
+                opt_str(self.pinned.as_ref().map(|p| p.display().to_string())),
             ),
         ])
     }
 }
 
-fn explore_asm_kernel(opts: &Opts, kernel: &AsmKernel) -> Result<TargetResult, SimError> {
-    let budget = opts.budget.unwrap_or(50_000);
-    let spec = mexplore::MachineSpec::from_kernel(kernel, budget, opts.seed_bug)?;
-    let oracle = spec.oracle()?;
-    let report = mexplore::explore_spec(
-        &spec,
-        Some(&oracle),
-        opts.preemptions,
-        !opts.no_reduce,
-        opts.bound,
-        opts.jobs,
-    );
-    let mut result = TargetResult::new(kernel.name.to_string(), "machine", &report);
-    if opts.shrink {
-        if let Some(first) = report.failures.first() {
-            let kind = first.failure.as_ref().unwrap().kind;
-            let (kept, _attempts) = shrink::shrink_items(&first.picks, |candidate| {
-                let (o, _) = mexplore::run_one(&spec, candidate, Some(&oracle), !opts.no_reduce);
-                o.failure.is_some_and(|f| f.kind == kind)
-            });
-            let stored = ScheduleSeed {
-                kind: "machine".into(),
-                name: kernel.name.to_string(),
-                seed_bug: opts.seed_bug.map(|b| b.name().to_string()),
-                picks: kept.clone(),
-                order: Vec::new(),
-                note: format!("pinned by hmtx-explore: {}", first.failure.as_ref().unwrap()),
-            };
-            let stem = seed::corpus_stem(kernel.name, opts.seed_bug);
-            let path = seed::write_seed(&opts.corpus_dir, &stem, &stored)
-                .map_err(|e| SimError::BadProgram(format!("writing corpus seed: {e}")))?;
-            result.shrunk = Some((kept.len(), path));
-        }
+/// Builds every requested target, so that a target that cannot be built
+/// is an error before any schedule runs.
+fn targets(opts: &Opts) -> Result<Vec<Target>, SimError> {
+    let mut out = Vec::new();
+    for kernel in &opts.kernels {
+        out.push(Target {
+            name: kernel.name.to_string(),
+            mode: "machine",
+            spec: MachineSpec::from_kernel(kernel, opts.budget.unwrap_or(50_000), opts.seed_bug)?,
+        });
     }
-    Ok(result)
+    let workloads = suite(Scale::Quick);
+    for &index in &opts.workloads {
+        let w = &workloads[index];
+        let paradigm = opts.paradigm.unwrap_or(w.meta().paradigm);
+        let budget = opts.budget.unwrap_or(50_000_000);
+        out.push(Target {
+            name: format!("{} [{}]", w.meta().name, paradigm.name()),
+            mode: "workload",
+            spec: MachineSpec::from_workload(w.as_ref(), paradigm, budget, opts.seed_bug)?,
+        });
+    }
+    Ok(out)
 }
 
-fn explore_workload(opts: &Opts, index: usize) -> Result<TargetResult, SimError> {
-    let workloads = suite(Scale::Quick);
-    let w = &workloads[index];
-    let paradigm = opts.paradigm.unwrap_or(w.meta().paradigm);
-    let budget = opts.budget.unwrap_or(50_000_000);
-    let report =
-        mexplore::explore_workload(w.as_ref(), paradigm, opts.preemptions, opts.bound, budget)?;
-    let target = format!("{} [{}]", w.meta().name, paradigm.name());
-    Ok(TargetResult::new(target, "workload", &report))
+/// Pins `failing`, a schedule of kernel `name`, into `dir`.
+fn pin(opts: &Opts, dir: &Path, name: &str, failing: &MachineOutcome) -> Result<PathBuf, SimError> {
+    let stored = ScheduleSeed {
+        kind: "machine".into(),
+        name: name.to_string(),
+        seed_bug: opts.seed_bug.map(|b| b.name().to_string()),
+        picks: failing.picks.clone(),
+        order: Vec::new(),
+        note: format!(
+            "pinned by hmtx-explore: {}",
+            failing
+                .failure
+                .as_ref()
+                .expect("a failing outcome carries its failure")
+        ),
+    };
+    seed::write_seed(dir, &seed::corpus_stem(name, opts.seed_bug), &stored)
+        .map_err(|e| SimError::BadProgram(format!("writing corpus seed: {e}")))
 }
 
 fn list() {
@@ -231,39 +208,46 @@ fn list() {
 }
 
 fn run(opts: &Opts) -> Result<Vec<TargetResult>, SimError> {
-    let kernels = opts.kernels.iter().map(|k| explore_asm_kernel(opts, k));
-    let workloads = opts.workloads.iter().map(|&w| explore_workload(opts, w));
-    kernels.chain(workloads).collect()
+    let mut results = Vec::new();
+    for t in targets(opts)? {
+        let report = explore(
+            &t.spec,
+            opts.preemptions,
+            !opts.no_reduce,
+            opts.bound,
+            |_| {},
+        );
+        let pinned = match (&opts.corpus_dir, report.failures.first()) {
+            (Some(dir), Some(first)) if t.mode == "machine" => {
+                Some(pin(opts, dir, &t.spec.name, first)?)
+            }
+            _ => None,
+        };
+        results.push(TargetResult {
+            target: t.name,
+            mode: t.mode,
+            report,
+            pinned,
+        });
+    }
+    Ok(results)
 }
 
 fn verdict(opts: &Opts, results: &[TargetResult]) -> Result<(), String> {
-    let any_failure = results.iter().any(|r| r.failures > 0);
-    let all_exhausted = results.iter().all(|r| r.exhausted);
-    if opts.expect_failure && !any_failure {
-        return Err("expected a failure, found none".into());
-    }
-    if !opts.expect_failure && any_failure {
-        let r = results.iter().find(|r| r.failures > 0).unwrap();
-        return Err(format!(
-            "{}: {}",
-            r.target,
-            r.first_failure.as_deref().unwrap_or("failure")
-        ));
-    }
-    if opts.expect_exhausted && !all_exhausted {
-        return Err("expected exhaustive enumeration, hit the run cap".into());
-    }
-    if let Some(max) = opts.max_shrunk_len {
-        for r in results {
-            if let Some((len, _)) = &r.shrunk {
-                if *len > max {
-                    return Err(format!(
-                        "{}: shrunk schedule has {len} elements, limit {max}",
-                        r.target
-                    ));
-                }
-            }
+    let failing = results.iter().find(|r| !r.report.failures.is_empty());
+    match failing {
+        None if opts.expect_failure => return Err("expected a failure, found none".into()),
+        Some(r) if !opts.expect_failure => {
+            return Err(format!(
+                "{}: {}",
+                r.target,
+                r.first_failure().as_deref().unwrap_or("failure")
+            ))
         }
+        _ => {}
+    }
+    if opts.expect_exhausted && !results.iter().all(|r| r.report.exhausted) {
+        return Err("expected exhaustive enumeration, hit the run cap".into());
     }
     Ok(())
 }
@@ -295,16 +279,20 @@ fn main() -> ExitCode {
                 "{} ({}): {} runs{}, {} misspecs, {} failures",
                 r.target,
                 r.mode,
-                r.runs,
-                if r.exhausted { ", exhausted" } else { " (capped)" },
-                r.misspecs,
-                r.failures
+                r.report.runs,
+                if r.report.exhausted {
+                    ", exhausted"
+                } else {
+                    " (capped)"
+                },
+                r.report.misspecs,
+                r.report.failures.len()
             );
-            if let Some(f) = &r.first_failure {
+            if let Some(f) = r.first_failure() {
                 println!("  first failure: {f}");
             }
-            if let Some((len, path)) = &r.shrunk {
-                println!("  shrunk to {len} elements -> {}", path.display());
+            if let Some(path) = &r.pinned {
+                println!("  pinned -> {}", path.display());
             }
         }
     }

@@ -266,7 +266,9 @@ pub fn asm_kernels() -> Vec<AsmKernel> {
         // store of A. Schedules where the read lands first must
         // misspeculate (a VID-1 write under a VID-2 read mark, §4.4);
         // schedules where the store lands first must forward 5 and commit.
-        // Either way no invariant or oracle violation is allowed.
+        // Either way no invariant or oracle violation is allowed. The
+        // commit token goes out only after tx 1 commits (as `handoff` does
+        // with q1), so tx 2 can never commit first.
         AsmKernel {
             name: "race_detect",
             threads: vec![
@@ -276,9 +278,9 @@ pub fn asm_kernels() -> Vec<AsmKernel> {
                     li r1, 0x40000
                     li r2, 5
                     st r2, (r1)
+                    commitMTX r10
                     li r3, 1
                     produce q0, r3
-                    commitMTX r10
                     halt
                 ",
                 r"

@@ -13,24 +13,22 @@
 //!   `hmtx-modelcheck`) searches every interleaving of these kernels
 //!   breadth-first; [`execute_order_checked`] replays one of its traces;
 //! * **machine-level** ([`mexplore`]) — whole guest programs on the full
-//!   machine through the [`hmtx_machine::SchedulePolicy`] seam, with
-//!   iterative context bounding (CHESS-style divergence extension) and the
-//!   [`hmtx_isa::run_serial_tm`] sequential TM interpreter as the oracle.
-//!   `hmtx-explore` drives this level.
+//!   machine through the [`hmtx_machine::SchedulePolicy`] seam, searched
+//!   breadth-first with iterative context bounding (CHESS-style divergence
+//!   extension) and the [`hmtx_isa::run_serial_tm`] sequential TM
+//!   interpreter as the oracle. `hmtx-explore` drives this level.
 //!
-//! Failing machine schedules are greedily shrunk ([`shrink`]) and written to
-//! `tests/corpus/` as replayable [`hmtx_machine::ScheduleSeed`]s
-//! ([`seed`]); `hmtx-run --replay` and `tests/explore_corpus.rs` replay
-//! them byte-deterministically.
+//! Breadth-first search finds a failing machine schedule at its fewest
+//! divergences; `hmtx-explore --corpus-dir` pins it as a replayable
+//! [`hmtx_machine::ScheduleSeed`] ([`seed`]), and `hmtx-run --replay` and
+//! `tests/explore_corpus.rs` replay seeds byte-deterministically.
 
 #![warn(missing_docs)]
 
-pub mod frontier;
 pub mod kernel;
 pub mod mexplore;
 pub mod opexplore;
 pub mod seed;
-pub mod shrink;
 
 pub use kernel::{
     asm_kernels, model_kernel, op_kernels, resolve_kernel, AsmKernel, OpKernel, OpSpec,
@@ -41,8 +39,7 @@ pub use opexplore::{execute_order_checked, model_machine_config, OpMachine};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Failure {
     /// Stable failure class: `"invariant"`, `"oracle"`, `"drain"`,
-    /// `"sim-error"`, `"budget"`, or `"panic"`. The shrinker preserves the
-    /// class while minimizing.
+    /// `"sim-error"`, `"budget"`, or `"panic"`.
     pub kind: &'static str,
     /// Human-readable detail.
     pub detail: String,
@@ -102,11 +99,3 @@ impl std::fmt::Display for Failure {
         write!(f, "{}: {}", self.kind, self.detail)
     }
 }
-
-// Exploration results cross the parallel frontier's worker threads.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync + 'static>() {}
-    assert_send_sync::<Failure>();
-    assert_send_sync::<OpKernel>();
-    assert_send_sync::<AsmKernel>();
-};

@@ -10,21 +10,23 @@
 //! could matter (the chosen core's next event conflicts with an
 //! alternative's — same line with a write, MTX control, same queue). Each
 //! recorded `(step, alternative core)` spawns a child divergence list, and
-//! the frontier explores children breadth-first up to the preemption bound
-//! (= divergence count). Every run executes on a fresh machine, so state
-//! never leaks between schedules.
+//! [`explore`] runs children breadth-first up to the preemption bound
+//! (= divergence count). Breadth-first order finds every failure at its
+//! fewest divergences, so failing schedules need no shrinking.
 //!
-//! Oracles: assembly kernels are compared against the
-//! [`hmtx_isa::run_serial_tm`] sequential TM interpreter — at every group
-//! commit the tracked words of the machine's committed-prefix view must
-//! equal the oracle's snapshot for that VID, and halted runs must reproduce
-//! the oracle's final memory and output. Workload runs (generated runtime
-//! code spin-waits on the runtime control block, which a sequential TM
-//! interpreter cannot follow) are checked for protocol invariants and
-//! termination only, with the Sequential-paradigm output as the end-state
-//! reference.
+//! A target is one [`MachineSpec`]: a loaded, ready-to-run machine template
+//! plus the reference its runs are held to. Every schedule runs on a
+//! clone of the template, so state never leaks between schedules.
+//! Assembly kernels are compared against the [`hmtx_isa::run_serial_tm`]
+//! sequential TM interpreter — at every group commit the tracked words of
+//! the machine's committed-prefix view must equal the oracle's snapshot for
+//! that VID, and halted runs must reproduce the oracle's final memory and
+//! output. Workload runs (generated runtime code spin-waits on the runtime
+//! control block, which a sequential TM interpreter cannot follow) are
+//! checked for protocol invariants and termination only, with the
+//! Sequential-paradigm output as the end-state reference.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -32,10 +34,10 @@ use std::sync::Arc;
 use hmtx_core::MemorySystem;
 use hmtx_isa::{assemble, run_serial_tm, Program, TmRefState};
 use hmtx_machine::{CoreEvent, Machine, RunEvent, SchedulePolicy, ThreadContext};
-use hmtx_runtime::{build_paradigm, LoopBody, LoopEnv, Paradigm};
+use hmtx_runtime::{build_paradigm, run_loop, LoopEnv, Paradigm};
 use hmtx_types::{Addr, MachineConfig, SeedBug, SimError, ThreadId, Vid};
+use hmtx_workloads::Workload;
 
-use crate::frontier;
 use crate::kernel::AsmKernel;
 use crate::Failure;
 
@@ -43,7 +45,7 @@ use crate::Failure;
 /// each an extension candidate for iterative context bounding.
 pub type BranchPoints = Vec<(u64, Vec<usize>)>;
 
-/// Per-run cap on recorded branch points: bounds the frontier's branching
+/// Per-run cap on recorded branch points: bounds the search's branching
 /// factor; exploration that hits it still replays correctly, it just stops
 /// proposing new divergences for that run.
 const MAX_BRANCH_POINTS: usize = 64;
@@ -51,61 +53,188 @@ const MAX_BRANCH_POINTS: usize = 64;
 /// Instruction-step budget for the serial TM oracle.
 const ORACLE_STEPS: u64 = 1_000_000;
 
-/// A fully prepared machine-level exploration target.
+/// What a target's committed state is held to.
+#[derive(Debug)]
+pub(crate) enum Reference {
+    /// Assembly kernels: the serial TM oracle's per-commit snapshots and
+    /// final output.
+    SerialTm {
+        /// The oracle's run over the kernel's programs.
+        oracle: TmRefState,
+        /// Initial memory words (the expectation before any commit).
+        init: Vec<(u64, u64)>,
+        /// Word addresses the comparison checks.
+        tracked: Vec<u64>,
+    },
+    /// Workloads: the Sequential-paradigm committed output.
+    Output(Vec<u64>),
+}
+
+/// A machine-level exploration target.
+#[derive(Debug)]
 pub struct MachineSpec {
     /// Kernel/workload name (stamped into corpus seeds).
     pub name: String,
-    /// Assembled guest programs, thread `i` on core `i`.
-    pub programs: Vec<Arc<Program>>,
-    /// Machine configuration every run starts from.
-    pub cfg: MachineConfig,
-    /// Initial memory words.
-    pub init: Vec<(u64, u64)>,
-    /// Word addresses the oracle comparison checks.
-    pub tracked: Vec<u64>,
+    /// The loaded machine every schedule starts from (cloned per run).
+    pub template: Machine,
     /// Instruction budget per run.
-    pub budget: u64,
+    budget: u64,
+    /// What every run is held to.
+    pub(crate) reference: Reference,
 }
 
 impl MachineSpec {
-    /// Assembles an [`AsmKernel`] into a spec (quick configuration, one
-    /// core per thread, optional planted defect).
+    /// Builds an [`AsmKernel`] target (quick configuration, one core per
+    /// thread, optional planted defect) and runs its serial TM oracle.
     ///
     /// # Errors
     ///
-    /// Returns assembly errors.
+    /// Returns assembly errors and oracle interpretation errors (deadlock,
+    /// unsupported instructions, step budget).
     pub fn from_kernel(
         kernel: &AsmKernel,
         budget: u64,
         seed_bug: Option<SeedBug>,
     ) -> Result<Self, SimError> {
-        let mut programs = Vec::with_capacity(kernel.threads.len());
-        for t in &kernel.threads {
-            programs.push(Arc::new(assemble(t)?));
-        }
+        let programs = kernel
+            .threads
+            .iter()
+            .map(|t| assemble(t).map(Arc::new))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut cfg = MachineConfig::test_default();
-        cfg.num_cores = kernel.threads.len().max(2);
+        cfg.num_cores = programs.len().max(2);
         cfg.hmtx.seed_bug = seed_bug;
+        let mut template = Machine::new(cfg);
+        for &(addr, value) in &kernel.init {
+            template
+                .mem_mut()
+                .memory_mut()
+                .write_word(Addr(addr), value);
+        }
+        for (i, p) in programs.iter().enumerate() {
+            template.load_thread(i, ThreadContext::new(ThreadId(i), Arc::clone(p)));
+        }
+        let refs: Vec<&Program> = programs.iter().map(Arc::as_ref).collect();
+        let init: HashMap<u64, u64> = kernel.init.iter().copied().collect();
+        let oracle = run_serial_tm(&refs, ORACLE_STEPS, &init)?;
         Ok(MachineSpec {
             name: kernel.name.to_string(),
-            programs,
-            cfg,
-            init: kernel.init.clone(),
-            tracked: kernel.tracked.clone(),
+            template,
             budget,
+            reference: Reference::SerialTm {
+                oracle,
+                init: kernel.init.clone(),
+                tracked: kernel.tracked.clone(),
+            },
         })
     }
 
-    /// Runs the serial TM oracle over this spec's programs.
+    /// Builds a workload target: the generated `paradigm` code on the quick
+    /// configuration (with an optional planted defect), held to the
+    /// Sequential paradigm's committed output on the real protocol.
     ///
     /// # Errors
     ///
-    /// Propagates oracle interpretation errors (deadlock, unsupported
-    /// instructions, step budget).
-    pub fn oracle(&self) -> Result<TmRefState, SimError> {
-        let refs: Vec<&Program> = self.programs.iter().map(Arc::as_ref).collect();
-        let init: HashMap<u64, u64> = self.init.iter().copied().collect();
-        run_serial_tm(&refs, ORACLE_STEPS, &init)
+    /// Returns [`SimError`] when the reference run or code generation
+    /// fails — code generation bugs, not schedule-dependent outcomes.
+    pub fn from_workload(
+        body: &dyn Workload,
+        paradigm: Paradigm,
+        budget: u64,
+        seed_bug: Option<SeedBug>,
+    ) -> Result<Self, SimError> {
+        let mut cfg = MachineConfig::test_default();
+        let reference = run_loop(Paradigm::Sequential, body, &cfg, budget)?
+            .1
+            .outputs;
+        cfg.hmtx.seed_bug = seed_bug;
+        let env = LoopEnv::new(cfg.hmtx.max_vid().0, paradigm.workers(cfg.num_cores))
+            .with_pipeline_window(cfg.pipeline_window);
+        let mut template = Machine::new(cfg);
+        body.build_image(&mut template, &env);
+        let generated = build_paradigm(paradigm, body, &env, 1)?;
+        for (i, t) in generated.threads.into_iter().enumerate() {
+            template.load_thread(t.core, ThreadContext::new(ThreadId(i), t.program));
+        }
+        Ok(MachineSpec {
+            name: body.meta().name.to_string(),
+            template,
+            budget,
+            reference: Reference::Output(reference),
+        })
+    }
+}
+
+impl Reference {
+    /// Checks a run that ended quiescent — halted (`halted`) or after a
+    /// misspeculation aborted all speculative state: protocol invariants,
+    /// then the tracked words of the committed prefix against the oracle
+    /// snapshot for `committed` (the initial memory when nothing
+    /// committed), then, for halted runs, the final output.
+    fn check(&self, machine: &Machine, committed: u16, halted: bool) -> Option<Failure> {
+        let context = match self {
+            Reference::Output(_) if !halted => "after abort",
+            _ => "at end of run",
+        };
+        if let Some(v) = machine.mem().check_invariants().first() {
+            return Some(Failure::invariant(context, v));
+        }
+        let oracle = |detail: String| {
+            Some(Failure {
+                kind: "oracle",
+                detail,
+            })
+        };
+        match self {
+            Reference::SerialTm {
+                oracle: tm,
+                init,
+                tracked,
+            } => {
+                // Oracle snapshots clone the full interpreter memory,
+                // initial words included, so only a missing snapshot
+                // falls back to the initial image.
+                let snap = tm.commits.iter().find(|c| c.vid == committed);
+                let init_val = |addr: u64| init.iter().find(|(a, _)| *a == addr).map_or(0, |p| p.1);
+                for &addr in tracked {
+                    let got = machine.mem().peek_word(Addr(addr), Vid(committed));
+                    let want = snap
+                        .and_then(|s| s.memory.get(&addr).copied())
+                        .unwrap_or_else(|| init_val(addr));
+                    if got != want {
+                        return oracle(format!(
+                            "end of run (v{committed} committed): word {addr:#x} is {got}, \
+                             oracle says {want}"
+                        ));
+                    }
+                }
+                if !halted {
+                    return None;
+                }
+                let mut got = machine.committed_output().to_vec();
+                let mut want = tm.output.clone();
+                got.sort_unstable();
+                want.sort_unstable();
+                if got != want {
+                    oracle(format!("halted with output {got:?}, oracle says {want:?}"))
+                } else if committed as usize != tm.commits.len() {
+                    oracle(format!(
+                        "halted having committed v{committed}, oracle committed {}",
+                        tm.commits.len()
+                    ))
+                } else {
+                    None
+                }
+            }
+            Reference::Output(reference) if halted && machine.committed_output() != reference => {
+                oracle(format!(
+                    "halted with {} outputs, sequential reference has {}",
+                    machine.committed_output().len(),
+                    reference.len()
+                ))
+            }
+            Reference::Output(_) => None,
+        }
     }
 }
 
@@ -117,7 +246,7 @@ pub struct MachineOutcome {
     /// Highest VID committed.
     pub committed: u16,
     /// Misspeculation that ended the run (legal; committed prefix is still
-    /// checked against the oracle).
+    /// checked against the reference).
     pub misspec: Option<String>,
     /// Failure, if any.
     pub failure: Option<Failure>,
@@ -147,9 +276,8 @@ struct ExplorePolicy<'a> {
     /// schedule *after* its existing divergences).
     frontier_after: u64,
     reduce: bool,
-    branches: Vec<(u64, Vec<usize>)>,
-    oracle: Option<&'a TmRefState>,
-    tracked: &'a [u64],
+    branches: BranchPoints,
+    reference: &'a Reference,
     violations: Vec<Failure>,
 }
 
@@ -159,27 +287,6 @@ impl fmt::Debug for ExplorePolicy<'_> {
             .field("divergences", &self.divergences)
             .field("branches", &self.branches.len())
             .finish()
-    }
-}
-
-impl<'a> ExplorePolicy<'a> {
-    fn new(
-        picks: &[(u64, usize)],
-        reduce: bool,
-        oracle: Option<&'a TmRefState>,
-        tracked: &'a [u64],
-    ) -> Self {
-        let divergences: BTreeMap<u64, usize> = picks.iter().copied().collect();
-        let frontier_after = divergences.keys().next_back().map_or(0, |s| s + 1);
-        ExplorePolicy {
-            divergences,
-            frontier_after,
-            reduce,
-            branches: Vec::new(),
-            oracle,
-            tracked,
-            violations: Vec::new(),
-        }
     }
 }
 
@@ -215,395 +322,157 @@ impl SchedulePolicy for ExplorePolicy<'_> {
         mem: &MemorySystem,
         _committed_output: &[u64],
     ) -> Result<(), SimError> {
-        let violations = mem.check_invariants();
-        if let Some(v) = violations.first() {
+        if let Some(v) = mem.check_invariants().first() {
             self.violations.push(Failure::invariant(
                 &format!("after commit of v{}", vid.0),
                 v,
             ));
             return Ok(());
         }
-        if let Some(oracle) = self.oracle {
-            let Some(snap) = oracle.commits.iter().find(|c| c.vid == vid.0) else {
+        let Reference::SerialTm {
+            oracle, tracked, ..
+        } = self.reference
+        else {
+            return Ok(());
+        };
+        let Some(snap) = oracle.commits.iter().find(|c| c.vid == vid.0) else {
+            self.violations.push(Failure {
+                kind: "oracle",
+                detail: format!("machine committed v{} but the oracle never did", vid.0),
+            });
+            return Ok(());
+        };
+        for &addr in tracked {
+            let got = mem.peek_word(Addr(addr), vid);
+            let want = *snap.memory.get(&addr).unwrap_or(&0);
+            if got != want {
                 self.violations.push(Failure {
                     kind: "oracle",
-                    detail: format!("machine committed v{} but the oracle never did", vid.0),
+                    detail: format!(
+                        "after commit of v{}: word {addr:#x} is {got}, oracle says {want}",
+                        vid.0
+                    ),
                 });
                 return Ok(());
-            };
-            for &addr in self.tracked {
-                let got = mem.peek_word(Addr(addr), vid);
-                let want = *snap.memory.get(&addr).unwrap_or(&0);
-                if got != want {
-                    self.violations.push(Failure {
-                        kind: "oracle",
-                        detail: format!(
-                            "after commit of v{}: word {addr:#x} is {got}, oracle says {want}",
-                            vid.0
-                        ),
-                    });
-                    return Ok(());
-                }
             }
         }
         Ok(())
     }
 }
 
-/// Executes one schedule (divergence list) of `spec` on a fresh machine.
-/// Returns the outcome plus the branch points recorded past the last
-/// divergence (each an extension candidate for iterative context bounding).
+/// Executes one schedule (divergence list) of `spec` on a clone of its
+/// template. Returns the outcome plus the branch points recorded past the
+/// last divergence (each an extension candidate for iterative context
+/// bounding). A panic inside the machine becomes a `"panic"` failure.
 pub fn run_one(
     spec: &MachineSpec,
     picks: &[(u64, usize)],
-    oracle: Option<&TmRefState>,
     reduce: bool,
 ) -> (MachineOutcome, BranchPoints) {
-    let result = catch_unwind(AssertUnwindSafe(|| run_inner(spec, picks, oracle, reduce)));
-    match result {
-        Ok(pair) => pair,
-        Err(payload) => (
-            MachineOutcome {
-                picks: picks.to_vec(),
-                committed: 0,
-                misspec: None,
-                failure: Some(Failure::from_panic(payload)),
-            },
-            Vec::new(),
-        ),
-    }
+    catch_unwind(AssertUnwindSafe(|| run_inner(spec, picks, reduce))).unwrap_or_else(|payload| {
+        let outcome = MachineOutcome {
+            picks: picks.to_vec(),
+            committed: 0,
+            misspec: None,
+            failure: Some(Failure::from_panic(payload)),
+        };
+        (outcome, Vec::new())
+    })
 }
 
 fn run_inner(
     spec: &MachineSpec,
     picks: &[(u64, usize)],
-    oracle: Option<&TmRefState>,
     reduce: bool,
 ) -> (MachineOutcome, BranchPoints) {
-    let mut machine = Machine::new(spec.cfg.clone());
-    for (addr, value) in &spec.init {
-        machine.mem_mut().memory_mut().write_word(Addr(*addr), *value);
-    }
-    for (i, p) in spec.programs.iter().enumerate() {
-        machine.load_thread(i, ThreadContext::new(ThreadId(i), Arc::clone(p)));
-    }
-    let mut policy = ExplorePolicy::new(picks, reduce, oracle, &spec.tracked);
-    let event = machine.run_with_policy(spec.budget, &mut policy);
-    let mut outcome = MachineOutcome {
-        picks: picks.to_vec(),
-        committed: machine.mem().last_committed().0,
-        misspec: None,
-        failure: None,
+    let divergences: BTreeMap<u64, usize> = picks.iter().copied().collect();
+    let mut policy = ExplorePolicy {
+        frontier_after: divergences.keys().next_back().map_or(0, |s| s + 1),
+        divergences,
+        reduce,
+        branches: Vec::new(),
+        reference: &spec.reference,
+        violations: Vec::new(),
     };
-    if let Some(v) = policy.violations.first() {
-        outcome.failure = Some(v.clone());
-        return (outcome, policy.branches);
-    }
-    match event {
-        Err(e) => {
-            outcome.failure = Some(Failure {
+    let mut machine = spec.template.clone();
+    let event = machine.run_with_policy(spec.budget, &mut policy);
+    let committed = machine.mem().last_committed().0;
+    let mut misspec = None;
+    let failure = match policy.violations.into_iter().next() {
+        Some(v) => Some(v),
+        None => match event {
+            Err(e) => Some(Failure {
                 kind: "sim-error",
                 detail: e.to_string(),
-            });
-        }
-        Ok(RunEvent::BudgetExhausted) => {
-            outcome.failure = Some(Failure {
+            }),
+            Ok(RunEvent::BudgetExhausted) => Some(Failure {
                 kind: "budget",
                 detail: format!("instruction budget ({}) exhausted", spec.budget),
-            });
-        }
-        Ok(RunEvent::Misspeculation { cause, cycle }) => {
-            outcome.misspec = Some(format!("{cause:?} at cycle {cycle}"));
-            // The machine already aborted all speculative state; the
-            // committed prefix must be sound and must match the oracle's
-            // prefix for the last committed VID.
-            check_quiescent(&machine, oracle, spec, outcome.committed, &mut outcome);
-        }
-        Ok(RunEvent::AllHalted) => {
-            check_quiescent(&machine, oracle, spec, outcome.committed, &mut outcome);
-            if outcome.failure.is_none() {
-                if let Some(oracle) = oracle {
-                    let mut got = machine.committed_output().to_vec();
-                    let mut want = oracle.output.clone();
-                    got.sort_unstable();
-                    want.sort_unstable();
-                    if got != want {
-                        outcome.failure = Some(Failure {
-                            kind: "oracle",
-                            detail: format!("halted with output {got:?}, oracle says {want:?}"),
-                        });
-                    } else if outcome.committed as usize != oracle.commits.len() {
-                        outcome.failure = Some(Failure {
-                            kind: "oracle",
-                            detail: format!(
-                                "halted having committed v{}, oracle committed {}",
-                                outcome.committed,
-                                oracle.commits.len()
-                            ),
-                        });
-                    }
-                }
+            }),
+            Ok(RunEvent::Misspeculation { cause, cycle }) => {
+                // Legal: the machine already aborted all speculative state
+                // (the runtime's recovery ladder would re-dispatch here);
+                // the committed prefix must still be sound.
+                misspec = Some(format!("{cause:?} at cycle {cycle}"));
+                spec.reference.check(&machine, committed, false)
             }
-        }
-    }
+            Ok(RunEvent::AllHalted) => spec.reference.check(&machine, committed, true),
+        },
+    };
+    let outcome = MachineOutcome {
+        picks: picks.to_vec(),
+        committed,
+        misspec,
+        failure,
+    };
     (outcome, policy.branches)
 }
 
-/// Quiescent-point checks shared by halted and aborted runs: protocol
-/// invariants, then the tracked words of the committed prefix against the
-/// oracle snapshot for `committed` (or the initial memory when nothing
-/// committed).
-fn check_quiescent(
-    machine: &Machine,
-    oracle: Option<&TmRefState>,
+/// Explores `spec` breadth-first up to `preemptions` divergences per
+/// schedule, stopping after `cap` runs. Failing runs are not extended.
+/// `visit` sees every outcome, in exploration order.
+pub fn explore(
     spec: &MachineSpec,
-    committed: u16,
-    outcome: &mut MachineOutcome,
-) {
-    let violations = machine.mem().check_invariants();
-    if let Some(v) = violations.first() {
-        outcome.failure = Some(Failure::invariant("at end of run", v));
-        return;
-    }
-    let Some(oracle) = oracle else { return };
-    // Nothing committed yet: the expectation is the initial memory image
-    // (oracle snapshots clone the full interpreter memory, initial words
-    // included, so the snapshot arm needs no init fallback).
-    let snap = oracle.commits.iter().find(|c| c.vid == committed);
-    let init_val = |addr: u64| {
-        spec.init
-            .iter()
-            .find(|(a, _)| *a == addr)
-            .map_or(0, |(_, v)| *v)
-    };
-    for &addr in &spec.tracked {
-        let got = machine.mem().peek_word(Addr(addr), Vid(committed));
-        let want = match snap {
-            Some(s) => s.memory.get(&addr).copied().unwrap_or_else(|| init_val(addr)),
-            None => init_val(addr),
-        };
-        if got != want {
-            outcome.failure = Some(Failure {
-                kind: "oracle",
-                detail: format!(
-                    "end of run (v{committed} committed): word {addr:#x} is {got}, \
-                     oracle says {want}"
-                ),
-            });
-            return;
-        }
-    }
-}
-
-/// Explores a machine spec to the preemption bound.
-pub fn explore_spec(
-    spec: &MachineSpec,
-    oracle: Option<&TmRefState>,
     preemptions: u32,
     reduce: bool,
     cap: usize,
-    jobs: usize,
+    mut visit: impl FnMut(&MachineOutcome),
 ) -> MachineReport {
-    let (outcomes, exhausted) =
-        frontier::run_frontier(vec![Vec::new()], jobs, cap, |picks: &Vec<(u64, usize)>| {
-            let (outcome, branches) = run_one(spec, picks, oracle, reduce);
-            let children = if picks.len() < preemptions as usize && outcome.failure.is_none() {
-                branches
-                    .iter()
-                    .flat_map(|(step, alts)| {
-                        alts.iter().map(|&core| {
-                            let mut d = picks.clone();
-                            d.push((*step, core));
-                            d
-                        })
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            (outcome, children)
-        });
-    summarize(outcomes, exhausted)
-}
-
-fn summarize(outcomes: Vec<MachineOutcome>, exhausted: bool) -> MachineReport {
     let mut report = MachineReport {
-        runs: outcomes.len(),
-        exhausted,
+        runs: 0,
+        exhausted: true,
         misspecs: 0,
         halts: 0,
         failures: Vec::new(),
     };
-    for o in outcomes {
-        if o.misspec.is_some() {
+    let mut queue: VecDeque<Vec<(u64, usize)>> = [Vec::new()].into();
+    while let Some(picks) = queue.pop_front() {
+        if report.runs >= cap {
+            report.exhausted = false;
+            break;
+        }
+        let (outcome, branches) = run_one(spec, &picks, reduce);
+        report.runs += 1;
+        visit(&outcome);
+        if outcome.failure.is_none() && picks.len() < preemptions as usize {
+            for (step, alts) in branches {
+                for core in alts {
+                    let mut child = picks.clone();
+                    child.push((step, core));
+                    queue.push_back(child);
+                }
+            }
+        }
+        if outcome.misspec.is_some() {
             report.misspecs += 1;
-        } else if o.failure.is_none() {
+        } else if outcome.failure.is_none() {
             report.halts += 1;
         }
-        if o.failure.is_some() {
-            report.failures.push(o);
+        if outcome.failure.is_some() {
+            report.failures.push(outcome);
         }
     }
     report
-}
-
-/// Assembles, oracles, and explores a built-in assembly kernel.
-///
-/// # Errors
-///
-/// Returns assembly or oracle errors.
-pub fn explore_kernel(
-    kernel: &AsmKernel,
-    preemptions: u32,
-    reduce: bool,
-    cap: usize,
-    jobs: usize,
-    seed_bug: Option<SeedBug>,
-    budget: u64,
-) -> Result<MachineReport, SimError> {
-    let spec = MachineSpec::from_kernel(kernel, budget, seed_bug)?;
-    let oracle = spec.oracle()?;
-    Ok(explore_spec(&spec, Some(&oracle), preemptions, reduce, cap, jobs))
-}
-
-/// Explores a workload's generated parallel code under schedule
-/// perturbation: protocol invariants at every commit, termination within
-/// the budget, and — for runs that halt — the Sequential-paradigm committed
-/// output as the reference. Runs serially (workload bodies are trait
-/// objects without a `Sync` bound).
-///
-/// # Errors
-///
-/// Returns [`SimError`] when the baseline (zero-divergence) setup fails —
-/// code generation bugs, not schedule-dependent outcomes.
-pub fn explore_workload(
-    body: &dyn LoopBody,
-    paradigm: Paradigm,
-    preemptions: u32,
-    cap: usize,
-    budget: u64,
-) -> Result<MachineReport, SimError> {
-    let cfg = MachineConfig::test_default();
-    // Reference output: the sequential paradigm on the untouched scheduler.
-    let reference = hmtx_runtime::run_loop(Paradigm::Sequential, body, &cfg, budget)?
-        .1
-        .outputs;
-
-    let mut queue: std::collections::VecDeque<Vec<(u64, usize)>> = [Vec::new()].into();
-    let mut outcomes = Vec::new();
-    let mut exhausted = true;
-    while let Some(picks) = queue.pop_front() {
-        if outcomes.len() >= cap {
-            exhausted = false;
-            break;
-        }
-        let (outcome, branches) = run_workload_once(body, paradigm, &cfg, &picks, budget, &reference);
-        let extend = picks.len() < preemptions as usize && outcome.failure.is_none();
-        if extend {
-            for (step, alts) in &branches {
-                for &core in alts {
-                    let mut d = picks.clone();
-                    d.push((*step, core));
-                    queue.push_back(d);
-                }
-            }
-        }
-        outcomes.push(outcome);
-    }
-    Ok(summarize(outcomes, exhausted))
-}
-
-fn run_workload_once(
-    body: &dyn LoopBody,
-    paradigm: Paradigm,
-    cfg: &MachineConfig,
-    picks: &[(u64, usize)],
-    budget: u64,
-    reference: &[u64],
-) -> (MachineOutcome, BranchPoints) {
-    let inner = || -> Result<(MachineOutcome, BranchPoints), SimError> {
-        let workers = match paradigm {
-            Paradigm::Sequential | Paradigm::Dswp => 1,
-            Paradigm::Doall | Paradigm::Doacross => cfg.num_cores,
-            Paradigm::PsDswp => cfg.num_cores.saturating_sub(1).max(1),
-        };
-        let env =
-            LoopEnv::new(cfg.hmtx.max_vid().0, workers).with_pipeline_window(cfg.pipeline_window);
-        let mut machine = Machine::new(cfg.clone());
-        body.build_image(&mut machine, &env);
-        let generated = build_paradigm(paradigm, body, &env, 1)?;
-        for (i, t) in generated.threads.into_iter().enumerate() {
-            machine.load_thread(t.core, ThreadContext::new(ThreadId(i), t.program));
-        }
-        let mut policy = ExplorePolicy::new(picks, true, None, &[]);
-        let event = machine.run_with_policy(budget, &mut policy)?;
-        let mut outcome = MachineOutcome {
-            picks: picks.to_vec(),
-            committed: machine.mem().last_committed().0,
-            misspec: None,
-            failure: None,
-        };
-        if let Some(v) = policy.violations.first() {
-            outcome.failure = Some(v.clone());
-            return Ok((outcome, policy.branches));
-        }
-        match event {
-            RunEvent::BudgetExhausted => {
-                outcome.failure = Some(Failure {
-                    kind: "budget",
-                    detail: format!("instruction budget ({budget}) exhausted"),
-                });
-            }
-            RunEvent::Misspeculation { cause, cycle } => {
-                // Legal: the runtime's recovery ladder would re-dispatch
-                // here; for exploration the post-abort hierarchy just has
-                // to be sound.
-                outcome.misspec = Some(format!("{cause:?} at cycle {cycle}"));
-                if let Some(v) = machine.mem().check_invariants().first() {
-                    outcome.failure = Some(Failure::invariant("after abort", v));
-                }
-            }
-            RunEvent::AllHalted => {
-                if let Some(v) = machine.mem().check_invariants().first() {
-                    outcome.failure = Some(Failure::invariant("at end of run", v));
-                } else if machine.committed_output() != reference {
-                    outcome.failure = Some(Failure {
-                        kind: "oracle",
-                        detail: format!(
-                            "halted with {} outputs, sequential reference has {}",
-                            machine.committed_output().len(),
-                            reference.len()
-                        ),
-                    });
-                }
-            }
-        }
-        Ok((outcome, policy.branches))
-    };
-    match catch_unwind(AssertUnwindSafe(inner)) {
-        Ok(Ok(pair)) => pair,
-        Ok(Err(e)) => (
-            MachineOutcome {
-                picks: picks.to_vec(),
-                committed: 0,
-                misspec: None,
-                failure: Some(Failure {
-                    kind: "sim-error",
-                    detail: e.to_string(),
-                }),
-            },
-            Vec::new(),
-        ),
-        Err(payload) => (
-            MachineOutcome {
-                picks: picks.to_vec(),
-                committed: 0,
-                misspec: None,
-                failure: Some(Failure::from_panic(payload)),
-            },
-            Vec::new(),
-        ),
-    }
 }
 
 #[cfg(test)]
@@ -611,40 +480,60 @@ mod tests {
     use super::*;
     use crate::kernel::{asm_kernels, ADDR_A, ADDR_B};
 
-    fn kernel(name: &str) -> AsmKernel {
-        asm_kernels().into_iter().find(|k| k.name == name).unwrap()
+    fn kernel_spec(name: &str, seed_bug: Option<SeedBug>) -> MachineSpec {
+        let kernel = asm_kernels().into_iter().find(|k| k.name == name).unwrap();
+        MachineSpec::from_kernel(&kernel, 50_000, seed_bug).unwrap()
+    }
+
+    fn workload_spec(name: &str, paradigm: Paradigm, seed_bug: Option<SeedBug>) -> MachineSpec {
+        let suite = hmtx_workloads::suite(hmtx_workloads::Scale::Quick);
+        let body = suite.iter().find(|w| w.meta().name == name).unwrap();
+        MachineSpec::from_workload(body.as_ref(), paradigm, 50_000_000, seed_bug).unwrap()
+    }
+
+    fn assert_clean(report: &MachineReport) {
+        assert!(
+            report.failures.is_empty(),
+            "first failure: {} (picks {:?})",
+            report.failures[0].failure.as_ref().unwrap(),
+            report.failures[0].picks
+        );
     }
 
     #[test]
     fn handoff_is_clean_to_preemption_bound_three() {
-        let report = explore_kernel(&kernel("handoff"), 3, true, 10_000, 2, None, 20_000).unwrap();
+        let report = explore(&kernel_spec("handoff", None), 3, true, 10_000, |_| {});
         assert!(report.exhausted, "bounded space must drain");
         assert!(report.runs > 1, "branch points must be found");
-        assert!(
-            report.failures.is_empty(),
-            "first failure: {}",
-            report.failures[0].failure.as_ref().unwrap()
-        );
+        assert_clean(&report);
         assert!(report.halts >= 1);
     }
 
     #[test]
     fn race_detect_misspeculates_on_some_schedules_and_stays_sound() {
-        let report =
-            explore_kernel(&kernel("race_detect"), 3, true, 10_000, 2, None, 20_000).unwrap();
+        let report = explore(&kernel_spec("race_detect", None), 3, true, 10_000, |_| {});
         assert!(report.exhausted);
-        assert!(
-            report.failures.is_empty(),
-            "first failure: {}",
-            report.failures[0].failure.as_ref().unwrap()
-        );
+        assert_clean(&report);
         assert!(report.halts >= 1, "store-first schedules commit");
     }
 
     #[test]
+    fn machine_kernels_explore_clean_to_bound_four_reduced_and_unreduced() {
+        for kernel in asm_kernels() {
+            let spec = kernel_spec(kernel.name, None);
+            for reduce in [true, false] {
+                let report = explore(&spec, 4, reduce, usize::MAX, |_| {});
+                assert!(report.exhausted);
+                assert_clean(&report);
+            }
+        }
+    }
+
+    #[test]
     fn oracle_knows_the_handoff_answer() {
-        let spec = MachineSpec::from_kernel(&kernel("handoff"), 20_000, None).unwrap();
-        let oracle = spec.oracle().unwrap();
+        let Reference::SerialTm { oracle, .. } = kernel_spec("handoff", None).reference else {
+            panic!("kernels are held to the serial TM oracle");
+        };
         assert_eq!(oracle.output, vec![8]);
         assert_eq!(oracle.commits.len(), 2);
         let last = oracle.commits.last().unwrap();
@@ -654,10 +543,9 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic_per_divergence_list() {
-        let spec = MachineSpec::from_kernel(&kernel("race_detect"), 20_000, None).unwrap();
-        let oracle = spec.oracle().unwrap();
-        let (first, b1) = run_one(&spec, &[], Some(&oracle), true);
-        let (second, b2) = run_one(&spec, &[], Some(&oracle), true);
+        let spec = kernel_spec("race_detect", None);
+        let (first, b1) = run_one(&spec, &[], true);
+        let (second, b2) = run_one(&spec, &[], true);
         assert_eq!(first.committed, second.committed);
         assert_eq!(first.misspec, second.misspec);
         assert_eq!(b1, b2);
@@ -665,32 +553,70 @@ mod tests {
     }
 
     #[test]
-    fn workload_exploration_terminates_under_a_bound() {
-        let suite = hmtx_workloads::suite(hmtx_workloads::Scale::Quick);
-        let body = suite
-            .iter()
-            .find(|w| w.meta().name.contains("alvinn"))
-            .unwrap();
-        let report =
-            explore_workload(body.as_ref(), Paradigm::Doacross, 1, 4, 50_000_000).unwrap();
-        assert!(report.runs >= 1 && report.runs <= 4);
+    fn the_cap_cuts_exploration_short_in_breadth_first_order() {
+        let spec = kernel_spec("race_detect", None);
+        let mut all = Vec::new();
+        let full = explore(&spec, 3, true, usize::MAX, |o| all.push(o.picks.clone()));
+        assert!(full.exhausted);
+        assert_eq!(full.runs, all.len());
         assert!(
-            report.failures.is_empty(),
-            "first failure: {}",
-            report.failures[0].failure.as_ref().unwrap()
+            all.windows(2).all(|w| w[0].len() <= w[1].len()),
+            "breadth-first: divergence counts never decrease: {all:?}"
         );
+        let mut capped = Vec::new();
+        let report = explore(&spec, 3, true, 3, |o| capped.push(o.picks.clone()));
+        assert!(!report.exhausted, "the cap cuts enumeration short");
+        assert_eq!(capped, all[..3].to_vec());
+    }
+
+    #[test]
+    fn workload_exploration_terminates_under_a_bound() {
+        let report = explore(
+            &workload_spec("052.alvinn", Paradigm::Doacross, None),
+            1,
+            true,
+            4,
+            |_| {},
+        );
+        assert!(report.runs >= 1 && report.runs <= 4);
+        assert_clean(&report);
+    }
+
+    #[test]
+    fn workload_exploration_honours_no_reduce() {
+        let spec = workload_spec("052.alvinn", Paradigm::Doall, None);
+        let reduced = explore(&spec, 1, true, 10_000, |_| {});
+        let full = explore(&spec, 1, false, reduced.runs + 1, |_| {});
+        assert!(reduced.exhausted);
+        assert!(
+            full.runs > reduced.runs,
+            "unreduced {} runs, reduced {}",
+            full.runs,
+            reduced.runs
+        );
+    }
+
+    #[test]
+    fn workload_specs_carry_the_planted_defect() {
+        let bug = Some(SeedBug::StaleMigrationReplica);
+        let spec = workload_spec("052.alvinn", Paradigm::Doall, bug);
+        assert_eq!(spec.template.config().hmtx.seed_bug, bug);
+        let failure = run_one(&spec, &[], true)
+            .0
+            .failure
+            .expect("the defect bites");
+        assert_eq!(failure.kind, "invariant", "{failure}");
     }
 
     #[test]
     fn machine_invariant_failures_name_their_rule() {
         let bug = Some(SeedBug::StaleMigrationReplica);
-        let report =
-            explore_kernel(&kernel("race_detect"), 3, true, 10_000, 2, bug, 50_000).unwrap();
+        let report = explore(&kernel_spec("race_detect", bug), 3, true, 10_000, |_| {});
         let first = report
             .failures
             .first()
             .expect("the planted defect is found");
-        assert_eq!(first.picks, vec![(7, 0)]);
+        assert_eq!(first.picks, vec![(1, 0)]);
         let failure = first.failure.as_ref().unwrap();
         assert_eq!(failure.kind, "invariant");
         assert_eq!(

@@ -1,9 +1,10 @@
 //! Corpus seed I/O: replayable [`ScheduleSeed`]s on disk.
 //!
-//! `hmtx-explore --shrink` writes every minimized failing machine schedule
-//! here (`tests/corpus/` by default), next to the model checker's lowered
-//! `ops` counterexamples; `tests/explore_corpus.rs` and `hmtx-run --replay`
-//! replay them byte-deterministically.
+//! `hmtx-explore --corpus-dir DIR` pins the first failing machine schedule
+//! into `DIR`; the pinned corpus (`tests/corpus/`) holds such seeds next to
+//! the model checker's lowered `ops` counterexamples, and
+//! `tests/explore_corpus.rs` and `hmtx-run --replay` replay them
+//! byte-deterministically.
 
 use std::fs;
 use std::io;
@@ -12,7 +13,7 @@ use std::path::{Path, PathBuf};
 use hmtx_machine::ScheduleSeed;
 use hmtx_types::{Json, SeedBug, SimError};
 
-/// The file stem `hmtx-explore --shrink` pins a failing machine schedule
+/// The file stem `hmtx-explore --corpus-dir` pins a failing machine schedule
 /// of `kernel` under: `regression_{kernel}`, plus the planted defect's
 /// name when one is set, so machine seeds never overwrite each other or
 /// the model checker's `regression_{bug}` op seeds.

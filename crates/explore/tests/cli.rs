@@ -51,6 +51,10 @@ fn usage_errors_exit_2() {
         &["--all-kernels", "--paradigm", "warp"],
         "--paradigm",
     );
+    // Exploration is serial and breadth-first: no worker count, no shrinker.
+    for gone in ["--jobs", "--shrink", "--max-shrunk-len"] {
+        usage_error(EXPLORE, &["--all-kernels", gone, "1"], gone);
+    }
 }
 
 #[test]

@@ -1,36 +1,29 @@
 //! Differential test: `hmtx-explore`'s in-process schedule replay and
 //! `hmtx-run --replay` must agree on every explored schedule.
 //!
-//! Both sides build the machine the same way (quick configuration, one
-//! core per thread with a floor of two, same budget) and replay the same
-//! divergence list through [`ReplayPolicy`]; the test drives every
-//! schedule the explorer enumerates at preemption bound 2 through both
-//! paths and compares outcome, completion cycle, committed output, and the
-//! committed view of every tracked word.
+//! The in-process side clones the explorer's machine template; the CLI
+//! side builds its machine from the kernel's assembly (quick configuration,
+//! one core per thread with a floor of two, same budget). Both replay the
+//! same divergence list through [`ReplayPolicy`]; the test drives every
+//! schedule the explorer's breadth-first search visits at preemption bound
+//! 2 through both paths and compares outcome, completion cycle, committed
+//! output, and the committed view of every tracked word.
 
-use std::sync::Arc;
-
-use hmtx_explore::mexplore::{run_one, MachineSpec};
-use hmtx_explore::{asm_kernels, seed, AsmKernel};
-use hmtx_isa::assemble;
-use hmtx_machine::{Machine, ReplayPolicy, RunEvent, ScheduleSeed, ThreadContext};
-use hmtx_types::{Addr, MachineConfig, ThreadId, Vid};
+use hmtx_explore::mexplore::{explore, MachineSpec};
+use hmtx_explore::{asm_kernels, seed};
+use hmtx_machine::{ReplayPolicy, RunEvent, ScheduleSeed};
+use hmtx_types::{Addr, Vid};
 
 const BUDGET: u64 = 50_000;
 
-/// Replays one divergence list in-process, reporting the same fields
-/// `hmtx::cli::run` reports.
-fn replay_locally(kernel: &AsmKernel, picks: &[(u64, usize)]) -> (String, u64, Vec<u64>, Vec<(u64, u64)>) {
-    let mut cfg = MachineConfig::test_default();
-    cfg.num_cores = kernel.threads.len().max(2);
-    let mut machine = Machine::new(cfg);
-    for (addr, value) in &kernel.init {
-        machine.mem_mut().memory_mut().write_word(Addr(*addr), *value);
-    }
-    for (i, text) in kernel.threads.iter().enumerate() {
-        let program = Arc::new(assemble(text).unwrap());
-        machine.load_thread(i, ThreadContext::new(ThreadId(i), program));
-    }
+/// Replays one divergence list in-process on a clone of the explorer's
+/// machine template, reporting the same fields `hmtx::cli::run` reports.
+fn replay_locally(
+    spec: &MachineSpec,
+    tracked: &[u64],
+    picks: &[(u64, usize)],
+) -> (String, u64, Vec<u64>, Vec<(u64, u64)>) {
+    let mut machine = spec.template.clone();
     let mut policy = ReplayPolicy::new(picks);
     let outcome = match machine.run_with_policy(BUDGET, &mut policy).unwrap() {
         RunEvent::AllHalted => "all threads halted".to_string(),
@@ -39,8 +32,7 @@ fn replay_locally(kernel: &AsmKernel, picks: &[(u64, usize)]) -> (String, u64, V
         }
         RunEvent::BudgetExhausted => format!("instruction budget ({BUDGET}) exhausted"),
     };
-    let dumps = kernel
-        .tracked
+    let dumps = tracked
         .iter()
         .map(|a| (*a, machine.mem().peek_word(Addr(*a), Vid(0))))
         .collect();
@@ -52,47 +44,27 @@ fn replay_locally(kernel: &AsmKernel, picks: &[(u64, usize)]) -> (String, u64, V
     )
 }
 
-/// Collects every divergence list the explorer would visit at the given
-/// preemption bound (breadth-first, like `explore_spec`).
-fn explored_schedules(kernel: &AsmKernel, preemptions: usize) -> Vec<Vec<(u64, usize)>> {
-    let spec = MachineSpec::from_kernel(kernel, BUDGET, None).unwrap();
-    let oracle = spec.oracle().unwrap();
-    let mut queue = vec![Vec::new()];
-    let mut seen = Vec::new();
-    while let Some(picks) = queue.pop() {
-        let (outcome, branches) = run_one(&spec, &picks, Some(&oracle), true);
-        assert!(
-            outcome.failure.is_none(),
-            "{}: {:?}",
-            kernel.name,
-            outcome.failure
-        );
-        if picks.len() < preemptions {
-            for (step, alts) in &branches {
-                for &core in alts {
-                    let mut d = picks.clone();
-                    d.push((*step, core));
-                    queue.push(d);
-                }
-            }
-        }
-        seen.push(picks);
-    }
-    seen
-}
-
 #[test]
 fn explorer_and_cli_replay_agree_on_every_schedule() {
     let dir = std::env::temp_dir().join(format!("hmtx_differential_{}", std::process::id()));
     for kernel in asm_kernels() {
-        let schedules = explored_schedules(&kernel, 2);
+        let spec = MachineSpec::from_kernel(&kernel, BUDGET, None).unwrap();
+        let mut schedules = Vec::new();
+        let report = explore(&spec, 2, true, usize::MAX, |o| schedules.push(o.clone()));
+        assert!(
+            report.exhausted && report.failures.is_empty(),
+            "{}: {:?}",
+            kernel.name,
+            report.failures.first()
+        );
         assert!(
             schedules.len() > 1,
             "{}: expected branching, got {} schedule(s)",
             kernel.name,
             schedules.len()
         );
-        for (i, picks) in schedules.iter().enumerate() {
+        for (i, explored) in schedules.iter().enumerate() {
+            let picks = &explored.picks;
             let stored = ScheduleSeed {
                 kind: "machine".into(),
                 name: kernel.name.to_string(),
@@ -112,11 +84,17 @@ fn explorer_and_cli_replay_agree_on_every_schedule() {
                 ..hmtx::cli::Options::default()
             };
             let cli = hmtx::cli::run(&opts).unwrap();
-            let (outcome, cycles, outputs, dumps) = replay_locally(&kernel, picks);
+            let (outcome, cycles, outputs, dumps) = replay_locally(&spec, &kernel.tracked, picks);
             assert_eq!(cli.outcome, outcome, "{} picks {picks:?}", kernel.name);
             assert_eq!(cli.cycles, cycles, "{} picks {picks:?}", kernel.name);
             assert_eq!(cli.outputs, outputs, "{} picks {picks:?}", kernel.name);
             assert_eq!(cli.dumps, dumps, "{} picks {picks:?}", kernel.name);
+            assert_eq!(
+                explored.misspec.is_some(),
+                cli.outcome.starts_with("misspeculation"),
+                "{} picks {picks:?}: explorer and replay disagree on the outcome",
+                kernel.name
+            );
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

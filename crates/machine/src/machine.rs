@@ -242,7 +242,7 @@ fn misspec(cause: MisspecCause) -> Box<Stop> {
 /// assert_eq!(m.committed_output(), &[123]);
 /// # Ok::<(), hmtx_types::SimError>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Machine {
     cfg: MachineConfig,
     mem: MemorySystem,
@@ -278,7 +278,7 @@ pub struct Machine {
 /// What `core_stats[..].ready_at` and `high_water` would hold had every
 /// clock advance published them at once (see [`Machine::bump`]).
 #[cfg(debug_assertions)]
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct EagerClocks {
     core_ready: Vec<Cycle>,
     high_water: Cycle,

@@ -74,8 +74,7 @@ impl EventSummary {
                 EventSummary::Mem { line: a, write: wa },
                 EventSummary::Mem { line: b, write: wb },
             ) => a == b && (*wa || *wb),
-            (EventSummary::Mtx, EventSummary::Mem { .. } | EventSummary::Mtx)
-            | (EventSummary::Mem { .. }, EventSummary::Mtx) => true,
+            (EventSummary::Mtx, _) | (_, EventSummary::Mtx) => true,
             (EventSummary::Queue { q: a, .. }, EventSummary::Queue { q: b, .. }) => a == b,
             _ => false,
         }
@@ -456,6 +455,11 @@ mod tests {
         assert!(q0.conflicts_with(&q0));
         assert!(!q0.conflicts_with(&q1));
         assert!(!EventSummary::Other.conflicts_with(&w(0x40)));
+        // MTX control orders against everything, queue and ALU events too.
+        for other in [q0, q1, EventSummary::Other] {
+            assert!(EventSummary::Mtx.conflicts_with(&other), "{other:?}");
+            assert!(other.conflicts_with(&EventSummary::Mtx), "{other:?}");
+        }
     }
 
     #[test]

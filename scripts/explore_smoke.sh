@@ -3,7 +3,8 @@
 # of the op kernels must check clean under hmtx-model, the planted defect
 # must be found, lowered to a short seed and replayed by hmtx-run, found
 # again at machine level and pinned as a one-divergence seed, bounded
-# exploration must terminate clean on the two-thread machine kernels, and a
+# exploration must terminate clean on the two-thread machine kernels (reduced
+# to bound 3, unreduced to bound 4), and a
 # bound-limited sweep over every workload must finish within the smoke
 # budget. Nonzero exit on any failure.
 set -euo pipefail
@@ -56,16 +57,21 @@ fi
 
 # --- machine-level planted defect -----------------------------------------
 # Under the same defect, full-machine exploration of race_detect must fail,
-# shrink the failing schedule to one divergence, and pin it under a
-# kernel-named stem in the corpus dir it is given. The seed's note must name
-# the violated rule in plain text, and tests/corpus/ must stay untouched.
+# and breadth-first search must reach the failure at one divergence and pin
+# it under a kernel-named stem in the corpus dir it is given. The seed's note
+# must name the violated rule in plain text, and tests/corpus/ must stay
+# untouched.
 CORPUS_BEFORE=$(cksum tests/corpus/*.json)
 "$BIN/hmtx-explore" --kernel race_detect --preemptions 3 \
-  --seed-bug stale-migration-replica --shrink --corpus-dir "$SCRATCH" \
-  --expect-failure --max-shrunk-len 1
+  --seed-bug stale-migration-replica --corpus-dir "$SCRATCH" --expect-failure
 MSEED="$SCRATCH/regression_race_detect_stale_migration_replica.json"
 if [ ! -f "$MSEED" ]; then
-  echo "hmtx-explore --shrink did not write $MSEED" >&2
+  echo "hmtx-explore --corpus-dir did not write $MSEED" >&2
+  exit 1
+fi
+PICKS=$(python3 -c 'import json, sys; print(len(json.load(open(sys.argv[1]))["picks"]))' "$MSEED")
+if [ "$PICKS" -ne 1 ]; then
+  echo "machine planted-defect seed has $PICKS divergences, expected 1" >&2
   exit 1
 fi
 NOTE=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["note"])' "$MSEED")
@@ -87,6 +93,10 @@ fi
 # The two-thread machine kernels, to the default preemption bound of 3: the
 # bounded space must be exhausted with zero invariant or oracle violations.
 "$BIN/hmtx-explore" --all-kernels --preemptions 3 --expect-exhausted
+# The unreduced space to bound 4 (about 32k schedules, under a second):
+# the conflict reduction is a heuristic at machine granularity, so the full
+# bounded space is checked too.
+"$BIN/hmtx-explore" --all-kernels --preemptions 4 --no-reduce --expect-exhausted
 
 # --- bounded workload sweep -----------------------------------------------
 # Every paper workload analogue, bound-limited: exploration must terminate

@@ -67,7 +67,7 @@ bash scripts/serve_smoke.sh
 bash scripts/cluster_smoke.sh
 
 # Exploration smoke: bounded systematic schedule exploration (hmtx-explore)
-# must exhaust the kernel space clean, rediscover + shrink the planted
+# must exhaust the kernel space clean, rediscover + pin the planted
 # defect, and terminate bound-limited on every workload (DESIGN.md §9).
 bash scripts/explore_smoke.sh
 

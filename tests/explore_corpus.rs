@@ -46,8 +46,7 @@ fn replay_machine(stored: &ScheduleSeed) -> MachineOutcome {
         .find(|k| k.name == stored.name)
         .unwrap_or_else(|| panic!("no machine kernel `{}`", stored.name));
     let spec = MachineSpec::from_kernel(&kernel, MACHINE_BUDGET, parse_bug(stored)).unwrap();
-    let oracle = spec.oracle().unwrap();
-    run_one(&spec, &stored.picks, Some(&oracle), true).0
+    run_one(&spec, &stored.picks, true).0
 }
 
 #[test]
@@ -178,14 +177,13 @@ fn regenerate_corpus() {
             .find(|k| k.name == kernel_name)
             .unwrap();
         let spec = MachineSpec::from_kernel(&kernel, MACHINE_BUDGET, None).unwrap();
-        let oracle = spec.oracle().unwrap();
-        let (root, branches) = run_one(&spec, &[], Some(&oracle), true);
+        let (root, branches) = run_one(&spec, &[], true);
         assert!(root.failure.is_none());
         let picks = branches
             .iter()
             .flat_map(|(step, alts)| alts.iter().map(move |&c| vec![(*step, c)]))
             .find(|picks| {
-                let (o, _) = run_one(&spec, picks, Some(&oracle), true);
+                let (o, _) = run_one(&spec, picks, true);
                 o.failure.is_none() && o.misspec.is_some() == want_misspec
             })
             .unwrap_or_else(|| panic!("{kernel_name}: no single divergence flips the outcome"));
