@@ -16,18 +16,7 @@
 //! view (rather than rebuilding the ring on failure) means a backend that
 //! restarts gets its exact old partition back.
 
-/// FNV-1a over `bytes`, the same cheap hash family the job keys and
-/// jitter seeds use. 64-bit here: ring positions need spread, not
-/// collision resistance.
-#[must_use]
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+pub use hmtx_server::fnv1a_64;
 
 /// Finalizes a hash into a ring position. FNV-1a alone has weak high-bit
 /// avalanche for inputs differing only in a short suffix (sequential keys

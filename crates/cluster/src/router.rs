@@ -1,52 +1,58 @@
 //! The routing core behind the `hmtx-router` binary.
 //!
-//! A router fronts N `hmtx-serve` backends speaking the same length-prefix
-//! frame protocol the backends speak, so clients (`hmtx-load`, `hmtx-run
-//! --remote`) point at it unchanged. Job frames are forwarded **verbatim**
-//! to the backend that homes the spec's content-addressed key on the
-//! consistent-hash [`Ring`], and the backend's response frame is spliced
-//! back verbatim — the router never re-serializes either direction, so the
-//! byte-identity guarantee of the caching tiers survives routing. Nor does
-//! it parse a response: a `draining` backend is recognized by the exact
-//! bytes of [`proto::DRAINING`], the only draining frame a backend emits.
+//! A router fronts N `hmtx-serve` backends over the same frame protocol,
+//! so clients point at it unchanged. A job frame goes **verbatim** to the
+//! backend that homes the spec's content key on the consistent-hash
+//! [`Ring`], and the answer frame comes back verbatim and unparsed: a
+//! `draining` backend is recognized by the exact bytes of
+//! [`proto::DRAINING`].
 //!
-//! Failure handling is two layered views over one static ring:
+//! The router is a [`Service`] of the server's readiness loop
+//! ([`hmtx_server::ready`]): one thread holds every client connection, and
+//! a forward is a pending slot on a nonblocking backend socket, so a slow
+//! backend parks only the requests waiting on it. The loop owns the idle
+//! backend sockets; the one call that may block it is a dial, bounded by
+//! `DIAL_TIMEOUT`. A **health checker** thread pings every backend over its
+//! own blocking connections and keeps an up/down flag per backend.
 //!
-//! * a **health checker** pings every backend on an interval and keeps an
-//!   up/down flag per backend (down also flushes its connection pool);
-//! * a **forward loop** walks the key's candidate sequence — live backends
-//!   in ring order first, then known-down ones (the health view may be
-//!   stale, and probing is how a restarted backend gets rediscovered
-//!   between ticks). Exhausting every candidate starts a new round after a
-//!   seeded, jittered exponential backoff derived from the job spec, so
-//!   concurrent clients retrying the same outage de-synchronize
-//!   deterministically. A `draining` response counts as down (the backend
-//!   announced it is leaving); a `busy` response is forwarded to the client
-//!   **without** failover — backpressure is per-home-node state, and
-//!   bouncing the job elsewhere would break single-flight coalescing on
-//!   its home.
-//!
-//! `stats` answers with the counter-wise sum of every reachable backend's
-//! snapshot ([`StatsSnapshot::counter_sum`]) with the quantile fields
-//! filled from the router's own forward-latency histogram, so `hmtx-load`
-//! works against a router exactly as against a single node. `cluster`
-//! additionally itemizes per-backend snapshots, liveness, and the router's
-//! own counters.
+//! A forward walks the key's candidates, live ones in ring order first,
+//! then known-down ones (the health view may be stale). A failed reused
+//! socket gets one fresh dial before its backend counts as down. After
+//! every candidate fails, a new round starts after a seeded, jittered
+//! backoff (the slot's deadline). `draining` counts as down; `busy` is
+//! forwarded without failover: retrying elsewhere would break single-flight
+//! on the key's home. `stats` sums every reachable backend's snapshot
+//! ([`StatsSnapshot::counter_sum`]) with quantiles from the router's own
+//! forward latencies, and `cluster` itemizes backends and counters; both
+//! ask each backend in turn, giving each `STATS_TIMEOUT` to answer.
 
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::io;
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hmtx_core::LatencyHistogram;
-use hmtx_server::proto::{self, FrameBuf, Request};
-use hmtx_server::{backoff_ms, spec_jitter_seed, Client};
-use hmtx_types::{Json, StatsSnapshot};
+use hmtx_server::proto::{self, Request};
+use hmtx_server::ready::{self, Peer, Service, Waker};
+use hmtx_server::{backoff_ms, parse_response, spec_jitter_seed, Client};
+use hmtx_types::{JobSpec, Json, StatsSnapshot};
 
-use crate::pool::Pool;
 use crate::ring::{Ring, DEFAULT_REPLICAS};
+
+/// The longest one backend dial may block the readiness loop. A refused
+/// connection returns at once; this bounds an unreachable host.
+const DIAL_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// How long one backend gets to answer the router's `stats` exchange.
+const STATS_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// How long a health probe waits for its `pong`.
+const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Idle sockets kept per backend; a burst's surplus closes after use.
+const IDLE_CAP: usize = 8;
 
 /// Router configuration. `backends` is the only required field.
 #[derive(Debug, Clone)]
@@ -80,17 +86,6 @@ impl RouterConfig {
 }
 
 /// The router's own counters (distinct from the backends' serving stats).
-#[derive(Default)]
-struct RouterMetrics {
-    forwarded: AtomicU64,
-    failovers: AtomicU64,
-    retry_rounds: AtomicU64,
-    unrouteable: AtomicU64,
-    forward: Mutex<LatencyHistogram>,
-}
-
-/// A copyable snapshot of the router counters, for tests and the
-/// `cluster` frame.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterCounters {
     /// Job frames answered by a backend (any response type).
@@ -103,44 +98,43 @@ pub struct RouterCounters {
     pub unrouteable: u64,
 }
 
-struct Backend {
-    pool: Pool,
-    up: AtomicBool,
-}
-
+/// State shared by the loop, the health checker and the handle.
 struct Shared {
     ring: Ring,
-    backends: Vec<Backend>,
     cfg: RouterConfig,
-    metrics: RouterMetrics,
-    draining: AtomicBool,
-    active_conns: AtomicUsize,
-    addr: SocketAddr,
+    /// The health view, per backend.
+    up: Vec<AtomicBool>,
+    counters: Mutex<RouterCounters>,
+    draining: Mutex<bool>,
+    /// Signals `draining` to the health checker's interval wait.
+    drained: Condvar,
+    /// Wakes the readiness loop.
+    wake: Waker,
 }
 
 impl Shared {
     fn begin_drain(&self) {
-        if !self.draining.swap(true, Ordering::SeqCst) {
-            // Wake the blocking accept loop so it observes the flag.
-            let _ = TcpStream::connect(self.addr);
-        }
+        *self.draining.lock().unwrap() = true;
+        self.drained.notify_all();
+        self.wake.wake();
     }
 }
 
-/// A running router: listener plus health-checker, over a fixed backend
-/// set.
+/// A running router: the readiness loop plus the health checker, over a
+/// fixed backend set.
 pub struct RouterHandle {
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    health: Option<JoinHandle<()>>,
+    addr: SocketAddr,
+    event: JoinHandle<()>,
+    health: JoinHandle<()>,
 }
 
 impl RouterHandle {
-    /// Binds `addr` and starts the accept loop and health checker.
+    /// Binds `addr` and starts the readiness loop and health checker.
     ///
     /// # Errors
     ///
-    /// Propagates bind errors; an empty backend list is
+    /// Propagates bind and waker errors; an empty backend list is
     /// [`io::ErrorKind::InvalidInput`].
     pub fn start(addr: &str, cfg: RouterConfig) -> io::Result<RouterHandle> {
         if cfg.backends.is_empty() {
@@ -150,30 +144,27 @@ impl RouterHandle {
             ));
         }
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let ring = Ring::new(&cfg.backends, cfg.replicas);
-        let backends = cfg
-            .backends
-            .iter()
-            .map(|a| Backend {
-                pool: Pool::new(a),
-                // Optimistic until the first health sweep says otherwise:
-                // a cold router must not reject its first requests.
-                up: AtomicBool::new(true),
-            })
-            .collect();
+        let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
-            ring,
-            backends,
+            ring: Ring::new(&cfg.backends, cfg.replicas),
+            // Optimistic until the first health sweep says otherwise: a
+            // cold router must not reject its first requests.
+            up: cfg.backends.iter().map(|_| AtomicBool::new(true)).collect(),
             cfg,
-            metrics: RouterMetrics::default(),
-            draining: AtomicBool::new(false),
-            active_conns: AtomicUsize::new(0),
-            addr: local,
+            counters: Mutex::default(),
+            draining: Mutex::new(false),
+            drained: Condvar::new(),
+            wake: Waker::new()?,
         });
-        let accept = {
+        let event = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&shared, &listener))
+            let mut router = Router {
+                idle: shared.up.iter().map(|_| Vec::new()).collect(),
+                forward: LatencyHistogram::new(),
+                shared: Arc::clone(&shared),
+            };
+            std::thread::spawn(move || ready::event_loop(&mut router, &listener, &shared.wake))
         };
         let health = {
             let shared = Arc::clone(&shared);
@@ -181,27 +172,28 @@ impl RouterHandle {
         };
         Ok(RouterHandle {
             shared,
-            accept: Some(accept),
-            health: Some(health),
+            addr,
+            event,
+            health,
         })
     }
 
     /// The bound listen address.
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.addr
     }
 
     /// The current health view of backend `index` (test visibility).
     #[must_use]
     pub fn backend_up(&self, index: usize) -> bool {
-        self.shared.backends[index].up.load(Ordering::SeqCst)
+        self.shared.up[index].load(Ordering::SeqCst)
     }
 
     /// A snapshot of the router's own counters.
     #[must_use]
     pub fn counters(&self) -> RouterCounters {
-        counters(&self.shared.metrics)
+        *self.shared.counters.lock().unwrap()
     }
 
     /// Begins a graceful drain: stop accepting, answer `draining` to new
@@ -210,305 +202,425 @@ impl RouterHandle {
         self.shared.begin_drain();
     }
 
-    /// Blocks until the accept loop, health checker, and every connection
-    /// thread have exited (connections idle out within their read
-    /// timeout once draining).
-    pub fn wait(mut self) {
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.health.take() {
-            let _ = t.join();
-        }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while self.shared.active_conns.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+    /// Blocks until the readiness loop has answered every pending slot and
+    /// closed its connections, and the health checker has exited. Call
+    /// [`RouterHandle::drain`] first — otherwise this blocks until
+    /// something else does.
+    pub fn wait(self) {
+        let _ = self.event.join();
+        let _ = self.health.join();
     }
 }
 
-fn counters(m: &RouterMetrics) -> RouterCounters {
-    RouterCounters {
-        forwarded: m.forwarded.load(Ordering::Relaxed),
-        failovers: m.failovers.load(Ordering::Relaxed),
-        retry_rounds: m.retry_rounds.load(Ordering::Relaxed),
-        unrouteable: m.unrouteable.load(Ordering::Relaxed),
+fn health_loop(shared: &Shared) {
+    let mut clients: Vec<Option<Client>> = shared.up.iter().map(|_| None).collect();
+    while !*shared.draining.lock().unwrap() {
+        for (i, client) in clients.iter_mut().enumerate() {
+            let alive = probe(client, &shared.cfg.backends[i]);
+            shared.up[i].store(alive, Ordering::SeqCst);
+        }
+        let (draining, interval) = (shared.draining.lock().unwrap(), shared.cfg.health_interval);
+        let drained = &shared.drained;
+        let _ = drained.wait_timeout_while(draining, interval, |d| !*d);
     }
 }
 
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    for stream in listener.incoming() {
-        if shared.draining.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        shared.active_conns.fetch_add(1, Ordering::SeqCst);
-        let shared = Arc::clone(shared);
-        std::thread::spawn(move || {
-            serve_conn(&shared, stream);
-            shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-        });
-    }
-}
-
-fn health_loop(shared: &Arc<Shared>) {
-    while !shared.draining.load(Ordering::SeqCst) {
-        for backend in &shared.backends {
-            let alive = probe(backend);
-            let was = backend.up.swap(alive, Ordering::SeqCst);
-            if was && !alive {
-                backend.pool.clear();
-            }
-        }
-        // Sleep in slices so drain is observed promptly.
-        let mut left = shared.cfg.health_interval;
-        while !left.is_zero() && !shared.draining.load(Ordering::SeqCst) {
-            let step = left.min(Duration::from_millis(50));
-            std::thread::sleep(step);
-            left -= step;
-        }
-    }
-}
-
-/// One liveness probe: dial-or-reuse, bounded ping, return to pool.
-fn probe(backend: &Backend) -> bool {
-    let Ok(mut client) = backend.pool.checkout() else {
+/// One liveness probe over the checker's own connection, dialed afresh
+/// after any failure.
+fn probe(slot: &mut Option<Client>, addr: &str) -> bool {
+    let Ok(mut client) = slot.take().map_or_else(|| Client::connect(addr), Ok) else {
         return false;
     };
-    if client.set_read_timeout(Some(Duration::from_millis(500))).is_err() {
-        return false;
+    let bounded = client.set_read_timeout(Some(PROBE_TIMEOUT)).is_ok();
+    let alive = bounded && client.ping().unwrap_or(false);
+    if alive {
+        *slot = Some(client);
     }
-    let ponged = client.ping().unwrap_or(false);
-    if ponged && client.set_read_timeout(None).is_ok() {
-        backend.pool.checkin(client);
-    }
-    ponged
+    alive
 }
 
-fn serve_conn(shared: &Shared, mut stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    // The timeout is an idle tick, not a deadline: it lets the thread
-    // notice a drain between requests. A frame that straddles a tick stays
-    // buffered in `rbuf` and completes on a later read.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let mut rbuf = FrameBuf::new();
-    let mut out = Vec::new();
-    loop {
-        // Serve every complete frame already buffered (pipelined frames
-        // that arrived in one segment), in order, answering each before
-        // the next is forwarded. (An oversized prefix stops this loop and
-        // fails the `fill` below, closing the connection.)
-        while let Ok(Some(frame)) = rbuf.next_frame() {
-            out.clear();
-            handle_frame(shared, frame, &mut out);
-            if stream.write_all(&out).is_err() {
-                return;
-            }
+/// A frame sent to one backend, its answer awaited on the socket.
+struct Link {
+    backend: usize,
+    peer: Peer,
+    /// Taken from the idle set: a failure earns one fresh dial.
+    reused: bool,
+}
+
+impl Link {
+    /// Moves the exchange on once its socket turned ready; `Ok(true)` once
+    /// the whole answer frame is buffered.
+    fn step(&mut self) -> io::Result<bool> {
+        if self.peer.has_unflushed() {
+            self.peer.flush()?;
+            return Ok(false);
         }
-        match rbuf.fill(&mut stream) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
+        if !self.peer.fill()? {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        self.peer.rbuf.has_frame()
+    }
+}
+
+/// A request parked on backend sockets.
+struct Pending {
+    slot: Slot,
+    kind: Kind,
+}
+
+/// `frame` on its way to one backend at a time over `link`.
+struct Slot {
+    frame: Vec<u8>,
+    link: Option<Link>,
+    /// The answer bound of a stats exchange in flight, or the end of a
+    /// job's retry backoff.
+    deadline: Option<Instant>,
+}
+
+enum Kind {
+    Job(Forward),
+    /// `stats` or `cluster`: one snapshot per backend asked so far.
+    Stats {
+        cluster: bool,
+        snapshots: Vec<Option<StatsSnapshot>>,
+    },
+}
+
+/// A job on its way along its key's candidates.
+struct Forward {
+    spec: JobSpec,
+    candidates: Vec<usize>,
+    /// This round's candidates, live ones first; `next` is the next to try.
+    order: Vec<usize>,
+    next: usize,
+    round: u32,
+    started: Instant,
+}
+
+/// The router as the readiness loop runs it: the shared state plus the
+/// idle backend sockets, which only the loop thread touches.
+struct Router {
+    shared: Arc<Shared>,
+    idle: Vec<Vec<Peer>>,
+    /// Forward latency, for the `stats` quantiles.
+    forward: LatencyHistogram,
+}
+
+impl Service for Router {
+    type Pending = Pending;
+
+    fn handle(&mut self, frame: &[u8], out: &mut Vec<u8>) -> Option<Pending> {
+        let response = match Request::parse(&frame[4..]) {
+            Ok(Request::Job { spec, .. }) if !self.draining() => {
+                let candidates = self.shared.ring.candidates(&spec.key());
+                let forward = Forward {
+                    spec,
+                    order: self.round_order(&candidates),
+                    candidates,
+                    next: 0,
+                    round: 0,
+                    started: Instant::now(),
+                };
+                return self.park(Kind::Job(forward), frame.to_vec(), out);
+            }
+            Ok(Request::Job { .. }) => proto::DRAINING.to_vec(),
+            Ok(request @ (Request::Stats | Request::Cluster)) => {
+                let mut stats = Vec::new();
+                proto::push_response(&mut stats, &Request::Stats.to_bytes());
+                let kind = Kind::Stats {
+                    cluster: request == Request::Cluster,
+                    snapshots: Vec::new(),
+                };
+                return self.park(kind, stats, out);
+            }
+            Ok(Request::Ping) => proto::pong_response(),
+            Ok(Request::Shutdown) => {
+                self.shared.begin_drain();
+                proto::ok_response()
+            }
+            Err(message) => proto::error_response(&message, &[]),
+        };
+        proto::push_response(out, &response);
+        None
+    }
+
+    fn socket<'a>(&self, pending: &'a Pending) -> Option<&'a Peer> {
+        pending.slot.link.as_ref().map(|l| &l.peer)
+    }
+
+    fn deadline(&self, pending: &Pending) -> Option<Instant> {
+        pending.slot.deadline
+    }
+
+    fn resolve(&mut self, pending: &mut Pending, now: Instant, out: &mut Vec<u8>) -> bool {
+        let Pending { slot, kind } = pending;
+        match kind {
+            Kind::Job(f) => self.forward(f, slot, now, out),
+            Kind::Stats { cluster, snapshots } => {
+                if !self.sweep(snapshots, slot, now) {
+                    return false;
                 }
+                let response = if *cluster {
+                    self.cluster_response(snapshots)
+                } else {
+                    proto::stats_response(&self.aggregate_stats(snapshots))
+                };
+                proto::push_response(out, &response);
+                true
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return,
         }
+    }
+
+    fn draining(&self) -> bool {
+        *self.shared.draining.lock().unwrap()
+    }
+
+    fn begin_drain(&self) {
+        self.shared.begin_drain();
     }
 }
 
-/// Answers one client frame (length prefix included), appending the
-/// response frame to `out`.
-fn handle_frame(shared: &Shared, frame: &[u8], out: &mut Vec<u8>) {
-    let response = match Request::parse(&frame[4..]) {
-        Ok(Request::Job { spec, .. }) => {
-            if shared.draining.load(Ordering::SeqCst) {
-                proto::DRAINING.to_vec()
-            } else if route_job(shared, frame, &spec, out) {
-                return;
-            } else {
-                unrouteable(shared, &spec)
-            }
-        }
-        Ok(Request::Stats) => proto::stats_response(&aggregate_stats(shared)),
-        Ok(Request::Cluster) => cluster_response(shared),
-        Ok(Request::Ping) => proto::pong_response(),
-        Ok(Request::Shutdown) => {
-            shared.begin_drain();
-            proto::ok_response()
-        }
-        Err(message) => proto::error_response(&message, &[]),
-    };
-    proto::push_response(out, &response);
-}
+impl Router {
+    /// Starts a request at once; parks it only if it must wait.
+    fn park(&mut self, kind: Kind, frame: Vec<u8>, out: &mut Vec<u8>) -> Option<Pending> {
+        let slot = Slot {
+            frame,
+            link: None,
+            deadline: None,
+        };
+        let mut pending = Pending { slot, kind };
+        (!self.resolve(&mut pending, Instant::now(), out)).then_some(pending)
+    }
 
-/// Forwards a job frame along its key's candidate backends, splicing the
-/// first non-`draining` answer into `out` verbatim. The answer is never
-/// parsed: `draining` is recognized by its exact bytes, and every other
-/// frame (`result`, `busy`, `timeout`, `error`) goes to the client as the
-/// backend wrote it. Returns `false` when no backend answered within the
-/// retry budget.
-fn route_job(shared: &Shared, frame: &[u8], spec: &hmtx_types::JobSpec, out: &mut Vec<u8>) -> bool {
-    let key = spec.key();
-    let candidates = shared.ring.candidates(&key);
-    let home = candidates[0];
-    let start = Instant::now();
-    for attempt in 0..=shared.cfg.failover_retries {
-        if attempt > 0 {
-            shared.metrics.retry_rounds.fetch_add(1, Ordering::Relaxed);
-            // Derived only on the retry path: it hashes the key once more.
-            let seed = spec_jitter_seed(spec);
-            let wait = backoff_ms(shared.cfg.retry_base_ms, attempt - 1, seed);
-            std::thread::sleep(Duration::from_millis(wait));
-        }
-        // Live candidates in ring order, then known-down ones: stale health
-        // state must not hide a recovered backend for a whole round.
-        let up = |i: &&usize| shared.backends[**i].up.load(Ordering::SeqCst);
-        let order: Vec<usize> = candidates
+    /// Live candidates in ring order, then known-down ones: stale health
+    /// state must not hide a recovered backend for a whole round.
+    fn round_order(&self, candidates: &[usize]) -> Vec<usize> {
+        let up = |i: &&usize| self.shared.up[**i].load(Ordering::SeqCst);
+        candidates
             .iter()
             .filter(up)
             .chain(candidates.iter().filter(|i| !up(i)))
             .copied()
-            .collect();
-        for index in order {
-            let backend = &shared.backends[index];
-            match forward_once(backend, frame, out) {
-                Ok(true) => {}
-                // Unreachable, or answered `draining` (the backend
-                // announced its exit): treat as down and keep walking the
-                // ring.
-                Ok(false) | Err(_) => {
-                    backend.up.store(false, Ordering::SeqCst);
-                    backend.pool.clear();
-                    continue;
+            .collect()
+    }
+
+    /// Writes `frame` to `backend` over an idle socket, or a fresh dial when
+    /// `fresh`, the backend is down, or none is idle. A reused socket that
+    /// fails the write is retried once on a fresh dial. `None`: the backend
+    /// is unreachable.
+    fn send(&mut self, backend: usize, frame: &[u8], fresh: bool) -> Option<Link> {
+        let idle = &mut self.idle[backend];
+        if fresh || !self.shared.up[backend].load(Ordering::SeqCst) {
+            idle.clear();
+        }
+        let (peer, reused) = match idle.pop() {
+            Some(peer) => (peer, true),
+            None => (dial(&self.shared.cfg.backends[backend]).ok()?, false),
+        };
+        let mut link = Link {
+            backend,
+            peer,
+            reused,
+        };
+        link.peer.wbuf.extend_from_slice(frame);
+        match link.peer.flush() {
+            Ok(()) => Some(link),
+            Err(_) if reused => self.send(backend, frame, true),
+            Err(_) => None,
+        }
+    }
+
+    /// Returns a socket whose answer was consumed whole to the idle set.
+    fn checkin(&mut self, link: Link) {
+        let idle = &mut self.idle[link.backend];
+        if link.peer.rbuf.buffered() == 0 && idle.len() < IDLE_CAP {
+            idle.push(link.peer);
+        }
+    }
+
+    fn mark_down(&mut self, backend: usize) {
+        self.shared.up[backend].store(false, Ordering::SeqCst);
+        self.idle[backend].clear();
+    }
+
+    /// Drives a job forward as far as it goes without blocking; `true` once
+    /// its answer is in `out`. The answer is never parsed: `draining` is
+    /// recognized by its exact bytes, and every other frame (`result`,
+    /// `busy`, `timeout`, `error`) goes to the client as the backend wrote
+    /// it.
+    fn forward(&mut self, f: &mut Forward, s: &mut Slot, now: Instant, out: &mut Vec<u8>) -> bool {
+        if let Some(mut l) = s.link.take() {
+            match l.step() {
+                Ok(false) => {
+                    s.link = Some(l);
+                    return false;
                 }
+                Ok(true) => match l.peer.rbuf.next_frame() {
+                    Ok(Some(answer)) if &answer[4..] != proto::DRAINING => {
+                        out.extend_from_slice(answer);
+                        self.shared.up[l.backend].store(true, Ordering::SeqCst);
+                        {
+                            let mut c = self.shared.counters.lock().unwrap();
+                            c.forwarded += 1;
+                            c.failovers += u64::from(l.backend != f.candidates[0]);
+                        }
+                        let us = u64::try_from(f.started.elapsed().as_micros());
+                        self.forward.record_us(us.unwrap_or(u64::MAX));
+                        self.checkin(l);
+                        return true;
+                    }
+                    // The backend announced its exit: treat it as down.
+                    _ => self.mark_down(l.backend),
+                },
+                // A stale reused socket (left over from a backend restart)
+                // must not read as a dead backend: one fresh dial first.
+                Err(_) if l.reused => {
+                    s.link = self.send(l.backend, &s.frame, true);
+                    if s.link.is_some() {
+                        return false;
+                    }
+                    self.mark_down(l.backend);
+                }
+                Err(_) => self.mark_down(l.backend),
             }
-            backend.up.store(true, Ordering::SeqCst);
-            shared.metrics.forwarded.fetch_add(1, Ordering::Relaxed);
-            if index != home {
-                shared.metrics.failovers.fetch_add(1, Ordering::Relaxed);
+        }
+        loop {
+            if let Some(at) = s.deadline {
+                if now < at {
+                    return false;
+                }
+                s.deadline = None;
+                f.order = self.round_order(&f.candidates);
+                f.next = 0;
             }
-            let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-            shared.metrics.forward.lock().unwrap().record_us(us);
-            return true;
+            while let Some(&backend) = f.order.get(f.next) {
+                f.next += 1;
+                s.link = self.send(backend, &s.frame, false);
+                if s.link.is_some() {
+                    return false;
+                }
+                self.mark_down(backend);
+            }
+            if f.round == self.shared.cfg.failover_retries {
+                self.shared.counters.lock().unwrap().unrouteable += 1;
+                let key = Json::obj(vec![("key", Json::Str(f.spec.key()))]);
+                let error = proto::error_response("no backend reachable for job", &[key]);
+                proto::push_response(out, &error);
+                return true;
+            }
+            self.shared.counters.lock().unwrap().retry_rounds += 1;
+            let seed = spec_jitter_seed(&f.spec);
+            let wait = backoff_ms(self.shared.cfg.retry_base_ms, f.round, seed);
+            f.round += 1;
+            s.deadline = Some(now + Duration::from_millis(wait));
         }
     }
-    false
-}
 
-fn unrouteable(shared: &Shared, spec: &hmtx_types::JobSpec) -> Vec<u8> {
-    shared.metrics.unrouteable.fetch_add(1, Ordering::Relaxed);
-    proto::error_response(
-        "no backend reachable for job",
-        &[Json::obj(vec![("key", Json::Str(spec.key()))])],
-    )
-}
-
-/// One forward attempt against one backend: appends the answer frame to
-/// `out` and returns `true`, or returns `false` (appending nothing) when
-/// the backend answered `draining`. A failure on a *pooled* connection
-/// gets a single fresh-dial retry first: a stale socket left over from a
-/// backend restart must not read as a dead backend.
-fn forward_once(backend: &Backend, frame: &[u8], out: &mut Vec<u8>) -> io::Result<bool> {
-    if let Some(mut client) = backend.pool.take_idle() {
-        if let Ok(answered) = relay(&mut client, frame, out) {
-            backend.pool.checkin(client);
-            return Ok(answered);
+    /// Drives a stats sweep; `true` once every backend is asked. Each gets
+    /// `STATS_TIMEOUT` to answer, and one that fails or times out counts as
+    /// no snapshot.
+    fn sweep(&mut self, got: &mut Vec<Option<StatsSnapshot>>, s: &mut Slot, now: Instant) -> bool {
+        if let Some(mut l) = s.link.take() {
+            match l.step() {
+                Ok(false) if s.deadline.is_some_and(|d| now < d) => {
+                    s.link = Some(l);
+                    return false;
+                }
+                Ok(true) => {
+                    let answer = l.peer.rbuf.next_frame().ok().flatten();
+                    got.push(answer.and_then(|a| parse_stats(&a[4..])));
+                    self.checkin(l);
+                }
+                _ => got.push(None),
+            }
         }
-        backend.pool.clear();
+        while got.len() < self.idle.len() {
+            s.link = self.send(got.len(), &s.frame, false);
+            if s.link.is_some() {
+                s.deadline = Some(now + STATS_TIMEOUT);
+                return false;
+            }
+            got.push(None);
+        }
+        true
     }
-    let mut client = Client::connect(backend.pool.addr())?;
-    let answered = relay(&mut client, frame, out)?;
-    backend.pool.checkin(client);
-    Ok(answered)
 }
 
-fn relay(client: &mut Client, frame: &[u8], out: &mut Vec<u8>) -> io::Result<bool> {
-    let response = client.exchange(frame)?;
-    if &response[4..] == proto::DRAINING {
-        return Ok(false);
-    }
-    out.extend_from_slice(response);
-    Ok(true)
-}
-
-/// Counter-wise sum of every reachable backend's snapshot, quantiles from
-/// the router's forward-latency histogram.
-fn aggregate_stats(shared: &Shared) -> StatsSnapshot {
-    let mut sum = StatsSnapshot::default();
-    for backend in &shared.backends {
-        if let Some(snapshot) = backend_stats(backend) {
-            sum = sum.counter_sum(&snapshot);
+/// Dials `addr` for the loop: nonblocking once connected, and blocking the
+/// loop for at most [`DIAL_TIMEOUT`] per resolved address.
+fn dial(addr: &str) -> io::Result<Peer> {
+    let mut last = io::Error::new(io::ErrorKind::InvalidInput, "no address resolved");
+    for sa in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&sa, DIAL_TIMEOUT) {
+            Ok(stream) => {
+                stream.set_nonblocking(true)?;
+                stream.set_nodelay(true)?;
+                return Ok(Peer::new(stream));
+            }
+            Err(e) => last = e,
         }
     }
-    let (p50, p99, p999) = shared.metrics.forward.lock().unwrap().quantile_triple_us();
-    sum.p50_service_us = p50;
-    sum.p99_service_us = p99;
-    sum.p999_service_us = p999;
-    sum
+    Err(last)
 }
 
-fn backend_stats(backend: &Backend) -> Option<StatsSnapshot> {
-    let mut client = backend.pool.checkout().ok()?;
-    client
-        .set_read_timeout(Some(Duration::from_millis(1_000)))
-        .ok()?;
-    let snapshot = client.stats().ok()?;
-    if client.set_read_timeout(None).is_ok() {
-        backend.pool.checkin(client);
-    }
-    Some(snapshot)
+fn parse_stats(payload: &[u8]) -> Option<StatsSnapshot> {
+    let v = parse_response(payload).ok()?;
+    StatsSnapshot::from_json(v.get("stats")?).ok()
 }
 
-/// The `cluster` frame: per-backend liveness and stats, the aggregate,
-/// and the router's own counters.
-fn cluster_response(shared: &Shared) -> Vec<u8> {
-    let mut backends = Vec::with_capacity(shared.backends.len());
-    let mut up_count = 0u64;
-    for backend in &shared.backends {
-        let up = backend.up.load(Ordering::SeqCst);
-        let stats = backend_stats(backend);
-        if up {
-            up_count += 1;
+impl Router {
+    /// Counter-wise sum of the backends' snapshots, quantiles from the
+    /// router's forward-latency histogram.
+    fn aggregate_stats(&self, snapshots: &[Option<StatsSnapshot>]) -> StatsSnapshot {
+        let mut sum = StatsSnapshot::default();
+        for snapshot in snapshots.iter().flatten() {
+            sum = sum.counter_sum(snapshot);
         }
-        backends.push(Json::obj(vec![
-            ("addr", Json::Str(backend.pool.addr().to_string())),
-            ("up", Json::Bool(up)),
+        (sum.p50_service_us, sum.p99_service_us, sum.p999_service_us) =
+            self.forward.quantile_triple_us();
+        sum
+    }
+
+    /// The `cluster` frame: per-backend liveness and stats, the aggregate,
+    /// and the router's own counters.
+    fn cluster_response(&self, snapshots: &[Option<StatsSnapshot>]) -> Vec<u8> {
+        let shared = &self.shared;
+        let up: Vec<bool> = shared.up.iter().map(|u| u.load(Ordering::SeqCst)).collect();
+        let backends = (shared.cfg.backends.iter().zip(&up).zip(snapshots))
+            .map(|((addr, &up), stats)| {
+                Json::obj(vec![
+                    ("addr", Json::Str(addr.clone())),
+                    ("up", Json::Bool(up)),
+                    (
+                        "stats",
+                        stats.as_ref().map_or(Json::Null, StatsSnapshot::to_json),
+                    ),
+                ])
+            })
+            .collect();
+        let c = *shared.counters.lock().unwrap();
+        let up_count = up.iter().filter(|&&u| u).count() as u64;
+        let (p50, p99, p999) = self.forward.quantile_triple_us();
+        Json::obj(vec![
+            ("type", Json::Str("cluster".into())),
+            ("backends", Json::Arr(backends)),
+            ("aggregate", self.aggregate_stats(snapshots).to_json()),
             (
-                "stats",
-                stats.as_ref().map_or(Json::Null, StatsSnapshot::to_json),
+                "router",
+                Json::obj(vec![
+                    ("forwarded", Json::Uint(c.forwarded)),
+                    ("failovers", Json::Uint(c.failovers)),
+                    ("retry_rounds", Json::Uint(c.retry_rounds)),
+                    ("unrouteable", Json::Uint(c.unrouteable)),
+                    ("p50_forward_us", Json::Uint(p50)),
+                    ("p99_forward_us", Json::Uint(p99)),
+                    ("p999_forward_us", Json::Uint(p999)),
+                    ("backends_up", Json::Uint(up_count)),
+                    ("backends_total", Json::Uint(up.len() as u64)),
+                ]),
             ),
-        ]));
+        ])
+        .compact()
+        .into_bytes()
     }
-    let c = counters(&shared.metrics);
-    let (p50, p99, p999) = shared.metrics.forward.lock().unwrap().quantile_triple_us();
-    Json::obj(vec![
-        ("type", Json::Str("cluster".into())),
-        ("backends", Json::Arr(backends)),
-        ("aggregate", aggregate_stats(shared).to_json()),
-        (
-            "router",
-            Json::obj(vec![
-                ("forwarded", Json::Uint(c.forwarded)),
-                ("failovers", Json::Uint(c.failovers)),
-                ("retry_rounds", Json::Uint(c.retry_rounds)),
-                ("unrouteable", Json::Uint(c.unrouteable)),
-                ("p50_forward_us", Json::Uint(p50)),
-                ("p99_forward_us", Json::Uint(p99)),
-                ("p999_forward_us", Json::Uint(p999)),
-                ("backends_up", Json::Uint(up_count)),
-                (
-                    "backends_total",
-                    Json::Uint(shared.backends.len() as u64),
-                ),
-            ]),
-        ),
-    ])
-    .compact()
-    .into_bytes()
 }

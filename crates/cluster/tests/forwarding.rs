@@ -7,7 +7,7 @@
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -292,4 +292,192 @@ fn an_error_too_large_to_frame_answers_a_short_error_through_the_router() {
     let mut other = Client::connect(&fx.router_addr()).expect("connect");
     assert!(other.ping().expect("a second connection"));
     fx.stop();
+}
+
+fn thread_count() -> usize {
+    std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
+}
+
+/// The router serves every client connection from one readiness loop:
+/// hundreds of idle connections add no threads, and a job still routes
+/// through the crowd.
+#[test]
+fn router_idle_connections_do_not_pin_threads() {
+    let specs = [spec(4)];
+    let fx = Fixture::new(&specs);
+    let before = thread_count();
+    let idle: Vec<Client> = (0..300)
+        .map(|_| Client::connect(&fx.router_addr()).expect("connect"))
+        .collect();
+    // Give the loop a beat to accept everything.
+    std::thread::sleep(Duration::from_millis(300));
+    let with_idle = thread_count();
+    assert!(
+        with_idle < before + 50,
+        "300 idle router connections grew threads {before} -> {with_idle}; \
+         thread-per-connection would add ~300"
+    );
+    let mut c = Client::connect(&fx.router_addr()).expect("connect");
+    let answer = c.job(&specs[0], None).expect("job through the crowd");
+    assert_eq!(answer, fx.direct[0]);
+    assert!(c.ping().expect("ping"));
+    drop(idle);
+    fx.stop();
+}
+
+/// Drain does not wait on idle connections: the loop closes them at once
+/// (the client reads EOF) instead of on a per-connection read-timeout tick.
+#[test]
+fn drain_with_an_idle_client_returns_promptly_and_closes_it() {
+    let fx = Fixture::new(&[]);
+    let (mut s, mut rx) = connect(&fx.router_addr());
+    let ping = framed(&Request::Ping.to_bytes());
+    s.write_all(&ping).expect("ping");
+    assert_eq!(read_payload(&mut s, &mut rx), proto::pong_response());
+    let started = std::time::Instant::now();
+    fx.router.drain();
+    fx.router.wait();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(250),
+        "drain + wait took {took:?} with one idle client"
+    );
+    assert!(
+        rx.read_frame(&mut s).expect("clean EOF").is_none(),
+        "the idle client sees EOF"
+    );
+    fx.backend.drain();
+    fx.backend.wait();
+}
+
+/// A forward in flight when drain begins is answered before its connection
+/// closes; a job arriving on another connection meanwhile answers
+/// `draining`, and both connections then see EOF.
+#[test]
+fn drain_answers_the_forward_in_flight_and_rejects_new_jobs() {
+    let backend = ServerHandle::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            execute_delay: Duration::from_millis(400),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let router = router_over(vec![backend.addr().to_string()]);
+    let (mut slow, mut slow_rx) = connect(&router.addr().to_string());
+    let (mut late, mut late_rx) = connect(&router.addr().to_string());
+    // A ping round trip: the router has accepted `late` before drain.
+    let ping = framed(&Request::Ping.to_bytes());
+    late.write_all(&ping).expect("ping");
+    let pong = read_payload(&mut late, &mut late_rx);
+    assert_eq!(pong, proto::pong_response());
+    let job = job_frame(&spec(6));
+    slow.write_all(&job).expect("send the slow job");
+    // Drain only once the backend has admitted the forwarded job.
+    let mut probe = Client::connect(&backend.addr().to_string()).expect("connect");
+    while probe.stats().expect("stats").misses == 0 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    router.drain();
+    let job = job_frame(&spec(7));
+    late.write_all(&job).expect("send after drain");
+    assert_eq!(read_payload(&mut late, &mut late_rx), proto::DRAINING);
+    let answer = read_payload(&mut slow, &mut slow_rx);
+    assert_eq!(response_type(&answer).as_deref(), Some("result"));
+    router.wait();
+    for (s, rx) in [(&mut slow, &mut slow_rx), (&mut late, &mut late_rx)] {
+        assert!(rx.read_frame(s).expect("clean EOF").is_none());
+    }
+    backend.drain();
+    backend.wait();
+}
+
+/// A backend that answers `ping` (so health checks keep it up) and holds
+/// every other frame unanswered until `release` is set, then answers it
+/// with `answer`.
+fn silent_backend(answer: Vec<u8>, release: Arc<AtomicBool>) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { continue };
+            let (answer, release) = (answer.clone(), Arc::clone(&release));
+            std::thread::spawn(move || {
+                let mut frames = FrameBuf::new();
+                while let Ok(Some(frame)) = frames.read_frame(&mut stream) {
+                    let reply = if Request::parse(&frame[4..]) == Ok(Request::Ping) {
+                        proto::pong_response()
+                    } else {
+                        while !release.load(Ordering::SeqCst) {
+                            std::thread::sleep(Duration::from_millis(10));
+                        }
+                        answer.clone()
+                    };
+                    if proto::write_frame(&mut stream, &reply).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// A backend that never answers parks only the connections waiting on it:
+/// other connections' pings and jobs homed elsewhere answer promptly, and
+/// `stats` answers once the silent backend's one-second bound runs out.
+#[test]
+fn a_silent_backend_parks_only_its_own_forwards() {
+    let release = Arc::new(AtomicBool::new(false));
+    let s_silent = spec(1);
+    let held = proto::result_response(&s_silent.key(), b"{}");
+    let silent = silent_backend(held.clone(), Arc::clone(&release));
+    let real = ServerHandle::start("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addrs = vec![silent, real.addr().to_string()];
+    let (home_silent, home_real) = (spec_homed_on(&addrs, 0), spec_homed_on(&addrs, 1));
+    let expected = Client::connect(&addrs[1])
+        .expect("connect")
+        .job(&home_real, None)
+        .expect("warm the real backend");
+    let router = router_over(addrs);
+    let (mut stuck, mut stuck_rx) = connect(&router.addr().to_string());
+    stuck.write_all(&job_frame(&home_silent)).expect("send");
+
+    let mut other = Client::connect(&router.addr().to_string()).expect("connect");
+    for _ in 0..5 {
+        let started = std::time::Instant::now();
+        assert!(other.ping().expect("ping"));
+        assert_eq!(other.job(&home_real, None).expect("job"), expected);
+        assert!(
+            started.elapsed() < Duration::from_millis(500),
+            "a ping and a cached hit took {:?} beside a parked forward",
+            started.elapsed()
+        );
+    }
+    let started = std::time::Instant::now();
+    let stats = other.stats().expect("stats");
+    let took = started.elapsed();
+    assert!(
+        took >= Duration::from_millis(900) && took < Duration::from_millis(2_500),
+        "stats took {took:?}: one second for the silent backend, then the real one"
+    );
+    assert_eq!(stats.mem_hits, 5, "the real backend's snapshot is summed");
+
+    stuck
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .expect("timeout");
+    assert!(
+        stuck_rx.read_frame(&mut stuck).is_err(),
+        "the forward to the silent backend is still pending"
+    );
+    release.store(true, Ordering::SeqCst);
+    stuck
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    assert_eq!(read_payload(&mut stuck, &mut stuck_rx), held);
+    router.drain();
+    router.wait();
+    real.drain();
+    real.wait();
 }

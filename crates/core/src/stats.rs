@@ -289,7 +289,7 @@ const SUB_BITS: u32 = 6;
 const LINEAR_LIMIT: u64 = 2 << SUB_BITS;
 
 /// Number of log-linear buckets in a [`LatencyHistogram`]: the exact
-/// buckets below [`LINEAR_LIMIT`], then 64 per octave up to `2^64`.
+/// buckets below `LINEAR_LIMIT`, then 64 per octave up to `2^64`.
 pub const LATENCY_BUCKETS: usize =
     LINEAR_LIMIT as usize + (63 - SUB_BITS as usize) * (1 << SUB_BITS);
 

@@ -140,6 +140,7 @@ impl TargetResult {
             ("mode", Json::Str(self.mode.to_string())),
             ("runs", Json::Uint(self.report.runs as u64)),
             ("exhausted", Json::Bool(self.report.exhausted)),
+            ("truncated", Json::Bool(self.report.truncated)),
             ("misspecs", Json::Uint(self.report.misspecs as u64)),
             ("failures", Json::Uint(self.report.failures.len() as u64)),
             ("first_failure", opt_str(self.first_failure())),
@@ -246,8 +247,15 @@ fn verdict(opts: &Opts, results: &[TargetResult]) -> Result<(), String> {
         }
         _ => {}
     }
-    if opts.expect_exhausted && !results.iter().all(|r| r.report.exhausted) {
-        return Err("expected exhaustive enumeration, hit the run cap".into());
+    if let Some(r) = results.iter().find(|r| !r.report.exhausted) {
+        if opts.expect_exhausted {
+            let why = if r.report.truncated {
+                "a run dropped branch points"
+            } else {
+                "hit the run cap"
+            };
+            return Err(format!("expected exhaustive enumeration, {why}"));
+        }
     }
     Ok(())
 }
@@ -275,16 +283,21 @@ fn main() -> ExitCode {
         println!("{}", doc.pretty());
     } else {
         for r in &results {
+            let capped = !r.report.exhausted && r.report.runs >= opts.bound;
+            let truncated = " (truncated: a run offered more branch points than it records)";
+            let status: String = [
+                (r.report.exhausted, ", exhausted"),
+                (capped, " (capped)"),
+                (r.report.truncated, truncated),
+            ]
+            .iter()
+            .filter_map(|&(on, text)| on.then_some(text))
+            .collect();
             println!(
-                "{} ({}): {} runs{}, {} misspecs, {} failures",
+                "{} ({}): {} runs{status}, {} misspecs, {} failures",
                 r.target,
                 r.mode,
                 r.report.runs,
-                if r.report.exhausted {
-                    ", exhausted"
-                } else {
-                    " (capped)"
-                },
                 r.report.misspecs,
                 r.report.failures.len()
             );

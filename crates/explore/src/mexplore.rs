@@ -46,9 +46,12 @@ use crate::Failure;
 pub type BranchPoints = Vec<(u64, Vec<usize>)>;
 
 /// Per-run cap on recorded branch points: bounds the search's branching
-/// factor; exploration that hits it still replays correctly, it just stops
-/// proposing new divergences for that run.
-const MAX_BRANCH_POINTS: usize = 64;
+/// factor. A run that hits it still replays correctly, but the divergences
+/// it could not record are never explored, so a search that extends such a
+/// run is no longer exhaustive ([`MachineReport::truncated`]). At 64, handoff's
+/// spin loop overran it in the unreduced space to bound 4; both kernels'
+/// unreduced spaces to bound 4 fit under 128. Workload runs do not.
+const MAX_BRANCH_POINTS: usize = 128;
 
 /// Instruction-step budget for the serial TM oracle.
 const ORACLE_STEPS: u64 = 1_000_000;
@@ -250,6 +253,9 @@ pub struct MachineOutcome {
     pub misspec: Option<String>,
     /// Failure, if any.
     pub failure: Option<Failure>,
+    /// The run offered more branch points than the per-run cap (128); the
+    /// rest were dropped.
+    pub truncated: bool,
 }
 
 /// Aggregate result of exploring one machine spec.
@@ -257,8 +263,12 @@ pub struct MachineOutcome {
 pub struct MachineReport {
     /// Schedules executed.
     pub runs: usize,
-    /// Whether the bounded space drained before the run cap.
+    /// Whether the bounded space drained: no run cap was hit and no
+    /// extended run dropped branch points.
     pub exhausted: bool,
+    /// Whether some extended run dropped branch points at the per-run cap,
+    /// leaving part of the bounded space unexplored.
+    pub truncated: bool,
     /// Runs that ended in (legal) misspeculation.
     pub misspecs: usize,
     /// Runs that halted cleanly.
@@ -277,6 +287,8 @@ struct ExplorePolicy<'a> {
     frontier_after: u64,
     reduce: bool,
     branches: BranchPoints,
+    /// Set once a branch point is dropped at [`MAX_BRANCH_POINTS`].
+    truncated: bool,
     reference: &'a Reference,
     violations: Vec<Failure>,
 }
@@ -296,10 +308,7 @@ impl SchedulePolicy for ExplorePolicy<'_> {
             Some(&core) => enabled.iter().position(|e| e.core == core).unwrap_or(0),
             None => 0,
         };
-        if step >= self.frontier_after
-            && enabled.len() >= 2
-            && self.branches.len() < MAX_BRANCH_POINTS
-        {
+        if step >= self.frontier_after && enabled.len() >= 2 && !self.truncated {
             let chosen = enabled[idx];
             let alts: Vec<usize> = enabled
                 .iter()
@@ -310,7 +319,11 @@ impl SchedulePolicy for ExplorePolicy<'_> {
                 .map(|(_, e)| e.core)
                 .collect();
             if !alts.is_empty() {
-                self.branches.push((step, alts));
+                if self.branches.len() < MAX_BRANCH_POINTS {
+                    self.branches.push((step, alts));
+                } else {
+                    self.truncated = true;
+                }
             }
         }
         idx
@@ -375,6 +388,7 @@ pub fn run_one(
             committed: 0,
             misspec: None,
             failure: Some(Failure::from_panic(payload)),
+            truncated: false,
         };
         (outcome, Vec::new())
     })
@@ -391,6 +405,7 @@ fn run_inner(
         divergences,
         reduce,
         branches: Vec::new(),
+        truncated: false,
         reference: &spec.reference,
         violations: Vec::new(),
     };
@@ -424,6 +439,7 @@ fn run_inner(
         committed,
         misspec,
         failure,
+        truncated: policy.truncated,
     };
     (outcome, policy.branches)
 }
@@ -441,6 +457,7 @@ pub fn explore(
     let mut report = MachineReport {
         runs: 0,
         exhausted: true,
+        truncated: false,
         misspecs: 0,
         halts: 0,
         failures: Vec::new(),
@@ -455,6 +472,10 @@ pub fn explore(
         report.runs += 1;
         visit(&outcome);
         if outcome.failure.is_none() && picks.len() < preemptions as usize {
+            if outcome.truncated {
+                report.truncated = true;
+                report.exhausted = false;
+            }
             for (step, alts) in branches {
                 for core in alts {
                     let mut child = picks.clone();
@@ -587,13 +608,25 @@ mod tests {
         let spec = workload_spec("052.alvinn", Paradigm::Doall, None);
         let reduced = explore(&spec, 1, true, 10_000, |_| {});
         let full = explore(&spec, 1, false, reduced.runs + 1, |_| {});
-        assert!(reduced.exhausted);
+        assert!(reduced.runs < 10_000, "the reduced search ran to its end");
         assert!(
             full.runs > reduced.runs,
             "unreduced {} runs, reduced {}",
             full.runs,
             reduced.runs
         );
+    }
+
+    #[test]
+    fn a_run_that_drops_branch_points_is_not_exhaustive() {
+        let spec = workload_spec("052.alvinn", Paradigm::Doall, None);
+        let report = explore(&spec, 1, false, usize::MAX, |_| {});
+        assert!(!report.exhausted, "dropped divergences were never explored");
+        assert!(report.truncated, "the first run offers > 128 branch points");
+        // At the bound the extensions are not extended again, so the cap
+        // cannot cut anything short there.
+        let bounded = explore(&spec, 0, false, usize::MAX, |_| {});
+        assert!(bounded.exhausted && !bounded.truncated);
     }
 
     #[test]

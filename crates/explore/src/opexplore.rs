@@ -53,7 +53,7 @@ pub fn reference(kernel: &OpKernel, order: &[usize], upto_vid: u16, addr: u64) -
 
 /// The machine configuration the model checker and [`execute_order_checked`]
 /// share: the test geometry compacted to the kernel's lines (see
-/// [`compact_sets`]), core count covering every core the kernel names, and
+/// `compact_sets`), core count covering every core the kernel names, and
 /// a VID space of at least `txs + 1`. Checker and replay **must** build
 /// identical configurations or counterexamples would not reproduce.
 pub fn model_machine_config(kernel: &OpKernel, seed_bug: Option<SeedBug>) -> MachineConfig {

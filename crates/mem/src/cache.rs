@@ -6,7 +6,7 @@
 //!
 //! * `metas` — `num_sets * ways` [`LineMeta`] slots (tag/VID metadata, the
 //!   only thing the per-access scans read);
-//! * `payloads` — one generational [`PayloadId`] per slot, pointing into
+//! * `payloads` — one generational `PayloadId` per slot, pointing into
 //! * `arena` — a grow-only [`LineData`] pool recycled through a free list.
 //!
 //! Set `s` occupies slots `[s*ways, s*ways + set_len[s])`; the live prefix

@@ -42,22 +42,8 @@ impl Client {
     pub fn request(&mut self, req: &Request) -> io::Result<Vec<u8>> {
         let mut frame = Vec::new();
         proto::push_frame(&mut frame, &req.to_bytes())?;
-        Ok(self.exchange(&frame)?[4..].to_vec())
-    }
-
-    /// Sends a complete frame (length prefix included) verbatim and returns
-    /// the response frame, prefix included, borrowed from the connection's
-    /// buffer until the next request. `hmtx-router` forwards client frames
-    /// through this, so the bytes a backend sees are exactly the bytes the
-    /// client produced, and the answer splices back without a copy of its
-    /// own.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors; an EOF before the response is an error.
-    pub fn exchange(&mut self, frame: &[u8]) -> io::Result<&[u8]> {
-        self.stream.write_all(frame)?;
-        self.read_response()
+        self.stream.write_all(&frame)?;
+        Ok(self.read_response()?[4..].to_vec())
     }
 
     /// Reads until one whole response frame is buffered and pops it.
@@ -70,8 +56,7 @@ impl Client {
     /// Bytes received past the last response. A conforming server answers
     /// each request with exactly one frame, so this is 0 between requests;
     /// anything else (a late answer after a read timeout) would pair the
-    /// next request with the wrong response, and a pool must not reuse the
-    /// connection.
+    /// next request with the wrong response.
     #[must_use]
     pub fn buffered(&self) -> usize {
         self.rbuf.buffered()
@@ -123,8 +108,8 @@ impl Client {
     }
 
     /// Bounds how long a single response read may block (`None` removes the
-    /// bound). `hmtx-router` uses this on health-probe connections so a hung
-    /// backend costs one timeout, not a stuck checker.
+    /// bound). `hmtx-router`'s health checker uses this so a hung backend
+    /// costs one timeout, not a stuck checker.
     ///
     /// # Errors
     ///
@@ -220,9 +205,16 @@ pub fn backoff_ms(retry_after_ms: u64, attempt: u32, seed: u64) -> u64 {
 /// replays of the same job stay reproducible.
 #[must_use]
 pub fn spec_jitter_seed(spec: &JobSpec) -> u64 {
+    fnv1a_64(spec.key().as_bytes())
+}
+
+/// FNV-1a over `bytes`, the cheap hash family the job keys, jitter seeds
+/// and `hmtx-router`'s ring positions use.
+#[must_use]
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in spec.key().bytes() {
-        h ^= u64::from(byte);
+    for &b in bytes {
+        h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h

@@ -44,13 +44,13 @@ pub mod cache;
 pub mod client;
 pub mod metrics;
 pub mod proto;
-mod ready;
+pub mod ready;
 pub mod server;
 pub mod signals;
 
 pub use cache::{shard_index, ReportCache, Tier};
 pub use client::{
-    backoff_ms, busy_retry_after, parse_response, response_type, spec_jitter_seed, Client,
+    backoff_ms, busy_retry_after, fnv1a_64, parse_response, response_type, spec_jitter_seed, Client,
 };
 pub use metrics::Metrics;
 pub use proto::{write_frame, Request, MAX_FRAME};

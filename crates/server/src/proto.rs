@@ -47,17 +47,10 @@ pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 ///
 /// Propagates I/O errors; rejects payloads over [`MAX_FRAME`].
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
-        ));
-    }
     // One contiguous write: a separate 4-byte prefix write would hand
     // Nagle + delayed-ACK a ~40ms stall per frame on loopback.
     let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(payload);
+    push_frame(&mut frame, payload)?;
     w.write_all(&frame)?;
     w.flush()
 }

@@ -1,52 +1,43 @@
-//! The poll(2)-based readiness loop: every accepted connection lives in one
-//! event thread instead of pinning a thread of its own.
+//! The poll(2)-based readiness loop that serves both `hmtx-serve` and
+//! `hmtx-router`: every accepted connection lives in one event thread
+//! instead of pinning a thread of its own.
 //!
-//! The loop owns the listener, a self-pipe, and all connections. Each
-//! iteration it:
+//! The loop owns the listener and all connections; what a frame means is
+//! the [`Service`]'s business. Each iteration it:
 //!
-//! 1. builds a `pollfd` set — the wake pipe, the listener (until drain),
-//!    every connection that wants to read (no response outstanding) or
-//!    write (unflushed output buffer) — and sleeps in `poll` until
-//!    something is ready or the earliest pending deadline expires;
-//! 2. accepts new sockets, reads what arrived, and processes complete
-//!    length-prefixed frames. Immediate requests (ping/stats/cache hits/
-//!    busy/draining) answer inline; an admitted job parks the connection in
-//!    a *pending* slot. A parked connection is not read further, so
-//!    responses stay in request order and a slow job applies natural
-//!    per-connection backpressure;
-//! 3. resolves pending slots: workers publish results into the shared
-//!    [`JobCell`](crate::server::JobCell) and poke the self-pipe, which
-//!    wakes `poll`; expired deadlines answer `timeout` (the job keeps
-//!    running and will cache);
+//! 1. polls the [`Waker`], the listener (until drain), every connection
+//!    that wants to read (no slot pending) or write (unflushed output), and
+//!    the socket each pending slot waits on, until something is ready or
+//!    the earliest pending deadline expires;
+//! 2. accepts, reads, and hands complete frames to [`Service::handle`],
+//!    which answers inline or parks the connection on a *pending* slot. A
+//!    parked connection is not read further, so responses stay in request
+//!    order and a slow request applies per-connection backpressure;
+//! 3. resolves the slots whose socket turned ready, whose deadline passed,
+//!    or that wait on no socket at all (the server's job slots, which
+//!    workers complete through the waker);
 //! 4. flushes output buffers as sockets accept bytes.
 //!
-//! Idle connections therefore cost a buffer and one `pollfd` entry — no
-//! stack, no thread — which is what lets a node hold thousands of mostly
-//! idle clients. The `unsafe` in this module is confined to the five libc
-//! calls (`poll`, `pipe`, `fcntl`, `read`, `write`, `close`) in [`sys`];
-//! everything above it is safe Rust over raw fds std already exposes.
-//!
-//! **Drain:** the listener leaves the poll set, job admission answers
-//! `draining` (in `server.rs`), and once every pending slot has resolved
-//! and every output buffer has flushed, the loop drops all connections
-//! (clients see EOF) and exits.
+//! An idle connection costs a buffer and one `pollfd` entry, no thread. The
+//! only `unsafe` here is the `poll` call in `sys`. Once
+//! [`Service::draining`] holds, the listener leaves the poll set, and once
+//! every slot has resolved and every buffer has flushed, the loop drops all
+//! connections (clients see EOF) and returns.
 
-use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
-use std::sync::atomic::Ordering;
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
 use crate::proto::FrameBuf;
-use crate::server::{handle_frame, poll_pending, Inner, Wait};
 
 /// Thin libc layer. `hmtx-server` is one of the two crates the workspace
 /// exempts from `unsafe_code = "forbid"`; the exemption is spent here and
 /// on the signal handler installer, nowhere else.
 mod sys {
     use std::io;
-    use std::os::raw::{c_int, c_ulong, c_void};
+    use std::os::raw::{c_int, c_ulong};
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -62,22 +53,15 @@ mod sys {
     pub const POLLHUP: i16 = 0x010;
     pub const POLLNVAL: i16 = 0x020;
 
-    const F_GETFL: c_int = 3;
-    const F_SETFL: c_int = 4;
-    const O_NONBLOCK: c_int = 0o4000;
-
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
-        fn pipe(fds: *mut c_int) -> c_int;
-        fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
-        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        fn close(fd: c_int) -> c_int;
     }
 
     /// `poll(2)`; returns the ready count, retrying on EINTR.
     pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
         loop {
+            // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)`
+            // pollfd records, and poll(2) touches only its first `len`.
             let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
             if rc >= 0 {
                 return Ok(rc as usize);
@@ -88,180 +72,179 @@ mod sys {
             }
         }
     }
-
-    /// A nonblocking pipe: `(read_fd, write_fd)`.
-    pub fn nonblocking_pipe() -> io::Result<(c_int, c_int)> {
-        let mut fds = [0 as c_int; 2];
-        if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        for fd in fds {
-            let flags = unsafe { fcntl(fd, F_GETFL, 0) };
-            if flags < 0 || unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } < 0 {
-                let err = io::Error::last_os_error();
-                unsafe {
-                    close(fds[0]);
-                    close(fds[1]);
-                }
-                return Err(err);
-            }
-        }
-        Ok((fds[0], fds[1]))
-    }
-
-    /// Writes one byte, ignoring EAGAIN (a full pipe already wakes poll).
-    pub fn write_byte(fd: c_int) {
-        let b = [1u8];
-        let _ = unsafe { write(fd, b.as_ptr().cast(), 1) };
-    }
-
-    /// Drains all readable bytes.
-    pub fn drain_fd(fd: c_int) {
-        let mut buf = [0u8; 64];
-        while unsafe { read(fd, buf.as_mut_ptr().cast(), buf.len()) } > 0 {}
-    }
-
-    pub fn close_fd(fd: c_int) {
-        let _ = unsafe { close(fd) };
-    }
 }
 
-/// The self-pipe: workers (and drain) poke the write end; the event loop
-/// polls the read end. Both ends are nonblocking, so a wake is never more
-/// than one syscall and never blocks a worker.
-pub(crate) struct WakePipe {
-    read_fd: i32,
-    write_fd: i32,
+/// Wakes the loop from other threads (workers, drain): a nonblocking
+/// socket pair whose read end the loop polls, so a wake is one `write(2)`
+/// that never blocks the caller.
+#[derive(Debug)]
+pub struct Waker {
+    rx: UnixStream,
+    tx: UnixStream,
 }
 
-impl WakePipe {
-    pub(crate) fn new() -> io::Result<WakePipe> {
-        let (read_fd, write_fd) = sys::nonblocking_pipe()?;
-        Ok(WakePipe { read_fd, write_fd })
+impl Waker {
+    /// A fresh socket pair.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket creation failures.
+    pub fn new() -> io::Result<Waker> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(Waker { rx, tx })
     }
 
-    /// Wakes the event loop (cheap, non-blocking, callable anywhere).
-    pub(crate) fn wake(&self) {
-        sys::write_byte(self.write_fd);
+    /// Wakes the loop (a full buffer already wakes it, so `EAGAIN` is fine).
+    pub fn wake(&self) {
+        let _ = (&self.tx).write(&[1]);
     }
 
     fn drain(&self) {
-        sys::drain_fd(self.read_fd);
+        let mut buf = [0u8; 64];
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
     }
 }
 
-impl Drop for WakePipe {
-    fn drop(&mut self) {
-        sys::close_fd(self.read_fd);
-        sys::close_fd(self.write_fd);
+/// What the loop serves. It runs on the loop thread only, so it may own
+/// state the loop drives (the router's idle backend sockets).
+pub trait Service {
+    /// A request that could not be answered inline.
+    type Pending;
+
+    /// Answers one complete frame (length prefix included) by appending
+    /// response frames to `out`, or returns the slot the connection parks
+    /// on until [`Service::resolve`] answers it.
+    fn handle(&mut self, frame: &[u8], out: &mut Vec<u8>) -> Option<Self::Pending>;
+
+    /// The socket `pending` waits on: writable while it has output queued,
+    /// else readable. `None` (the default) waits on the waker and the
+    /// deadline only, and is resolved every round.
+    fn socket<'a>(&self, _pending: &'a Self::Pending) -> Option<&'a Peer> {
+        None
     }
+
+    /// When `pending` must be resolved even if its socket stays quiet.
+    fn deadline(&self, pending: &Self::Pending) -> Option<Instant>;
+
+    /// Advances `pending`; `true` once its answer is appended to `out`.
+    fn resolve(&mut self, pending: &mut Self::Pending, now: Instant, out: &mut Vec<u8>) -> bool;
+
+    /// Whether drain has begun.
+    fn draining(&self) -> bool;
+
+    /// Begins drain (the loop calls this when `poll` itself fails).
+    fn begin_drain(&self);
 }
 
-struct Conn {
+/// A nonblocking socket with its framing buffers: each client connection,
+/// and each of the router's backend sockets.
+#[derive(Debug)]
+pub struct Peer {
     stream: TcpStream,
     /// Bytes read but not yet framed.
-    rbuf: FrameBuf,
-    /// Framed responses queued to write; `wpos` marks how far the socket
-    /// has taken.
-    wbuf: Vec<u8>,
+    pub rbuf: FrameBuf,
+    /// Bytes queued to write; [`Peer::flush`] empties it once sent.
+    pub wbuf: Vec<u8>,
+    /// How far the socket has taken `wbuf`.
     wpos: usize,
-    /// The job this connection is parked on: resolved by worker publish
-    /// (via the wake pipe) or by its deadline.
-    pending: Option<Wait>,
-    /// Peer sent EOF; finish writing, then close.
-    peer_closed: bool,
-    /// Protocol violation (oversized frame) or I/O error; close as soon as
-    /// the output buffer drains.
-    dead: bool,
 }
 
-impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
+impl Peer {
+    /// Wraps a nonblocking socket.
+    #[must_use]
+    pub fn new(stream: TcpStream) -> Peer {
+        Peer {
             stream,
             rbuf: FrameBuf::new(),
             wbuf: Vec::new(),
             wpos: 0,
-            pending: None,
-            peer_closed: false,
-            dead: false,
         }
     }
 
-    fn has_unflushed(&self) -> bool {
+    /// Whether queued output is still waiting for the socket.
+    #[must_use]
+    pub fn has_unflushed(&self) -> bool {
         self.wpos < self.wbuf.len()
     }
 
-    /// Empties the output buffer once the socket has taken all of it, so
-    /// the next response is appended at its start.
-    fn compact_output(&mut self) {
-        if self.wpos == self.wbuf.len() {
-            self.wbuf.clear();
-            self.wpos = 0;
-        }
-    }
-
-    /// Flushes as much of `wbuf` as the socket accepts right now.
-    fn flush(&mut self) {
+    /// Writes as much of `wbuf` as the socket accepts right now, emptying
+    /// it once the socket has taken all of it.
+    ///
+    /// # Errors
+    ///
+    /// A write error, or a socket that takes no bytes.
+    pub fn flush(&mut self) -> io::Result<()> {
         while self.wpos < self.wbuf.len() {
             match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
-                }
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => self.wpos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
+                Err(e) => return Err(e),
+            }
+        }
+        self.wbuf.clear();
+        self.wpos = 0;
+        Ok(())
+    }
+
+    /// Reads what arrived; `Ok(false)` at end of stream. A read that
+    /// leaves buffer room took everything the socket held, so there is no
+    /// second read to collect `EAGAIN` (poll is level-triggered). An
+    /// over-[`crate::proto::MAX_FRAME`] prefix is an error before the
+    /// buffer grows for it.
+    ///
+    /// # Errors
+    ///
+    /// Read errors and oversized frame prefixes.
+    pub fn fill(&mut self) -> io::Result<bool> {
+        loop {
+            match self.rbuf.fill(&mut self.stream) {
+                Ok(0) => return Ok(false),
+                Ok(_) if self.rbuf.tail_room() > 0 => return Ok(true),
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(true),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
     }
+}
 
-    /// Reads what arrived, marking EOF and errors on the way. A read that
-    /// leaves buffer room took everything the socket held, so it returns
-    /// without a second read to collect `EAGAIN`: poll is level-triggered
-    /// and reports later bytes (or EOF) on its next round. A hostile peer
-    /// cannot grow the buffer unboundedly: an over-[`crate::proto::MAX_FRAME`]
-    /// prefix kills the connection before the buffer grows for it.
-    fn fill(&mut self) {
-        loop {
-            match self.rbuf.fill(&mut self.stream) {
-                Ok(0) => {
-                    self.peer_closed = true;
-                    return;
-                }
-                Ok(_) if self.rbuf.tail_room() > 0 => return,
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
-            }
+struct Conn<P> {
+    peer: Peer,
+    /// The slot this connection is parked on.
+    pending: Option<P>,
+    /// The pending slot's socket reported readiness this round.
+    pending_ready: bool,
+    /// Peer sent EOF; finish writing, then close.
+    peer_closed: bool,
+    /// Protocol violation (oversized frame) or I/O error: close now.
+    dead: bool,
+}
+
+impl<P> Conn<P> {
+    fn flush(&mut self) {
+        if self.peer.flush().is_err() {
+            self.dead = true;
         }
     }
 
     /// Should this connection be dropped now?
     fn finished(&self) -> bool {
-        if self.dead {
-            return true;
-        }
-        self.peer_closed && self.pending.is_none() && !self.has_unflushed()
+        self.dead || (self.peer_closed && self.pending.is_none() && !self.peer.has_unflushed())
     }
 }
 
-/// Processes buffered frames until the connection parks on a job or runs
+/// Processes buffered frames until the connection parks on a slot or runs
 /// out of complete frames. An oversized length prefix is a protocol
-/// violation: the connection dies, matching the blocking reader.
-fn process_frames(inner: &Inner, conn: &mut Conn) {
+/// violation: the connection dies.
+fn process_frames<S: Service>(service: &mut S, conn: &mut Conn<S::Pending>) {
     while conn.pending.is_none() && !conn.dead {
-        conn.compact_output();
-        match conn.rbuf.next_frame() {
-            Ok(Some(frame)) => conn.pending = handle_frame(inner, &frame[4..], &mut conn.wbuf),
+        match conn.peer.rbuf.next_frame() {
+            Ok(Some(frame)) => conn.pending = service.handle(frame, &mut conn.peer.wbuf),
             Ok(None) => return,
             Err(_) => {
                 conn.dead = true;
@@ -271,143 +254,157 @@ fn process_frames(inner: &Inner, conn: &mut Conn) {
     }
 }
 
+fn pollfd(fd: RawFd, events: i16) -> sys::PollFd {
+    sys::PollFd {
+        fd,
+        events,
+        revents: 0,
+    }
+}
+
 /// Runs the readiness loop until drain completes. Takes the pre-bound
-/// nonblocking listener; the wake pipe lives in `inner`.
-pub(crate) fn event_loop(inner: &Inner, listener: &TcpListener) {
-    let mut conns: HashMap<usize, Conn> = HashMap::new();
-    let mut next_id: usize = 0;
-    // Rebuilt every iteration: the poll set and its fd→connection mapping.
+/// nonblocking listener and the waker other threads poke.
+pub fn event_loop<S: Service>(service: &mut S, listener: &TcpListener, wake: &Waker) {
+    let mut conns: Vec<Conn<S::Pending>> = Vec::new();
+    // Rebuilt every iteration: the poll set (waker, listener, then
+    // connections) and, per connection entry, the connection it belongs to
+    // and whether it is that connection's pending socket.
     let mut pollfds: Vec<sys::PollFd> = Vec::new();
-    let mut poll_ids: Vec<Option<usize>> = Vec::new();
+    let mut poll_ids: Vec<(usize, bool)> = Vec::new();
 
     loop {
-        let draining = inner.draining.load(Ordering::SeqCst);
-        if draining {
-            let all_quiet = conns
-                .values()
-                .all(|c| c.pending.is_none() && !c.has_unflushed());
-            if all_quiet {
-                // Every waiter is answered and flushed: close everything
-                // (clients see EOF) and let `wait()` reap the workers.
-                return;
-            }
+        let draining = service.draining();
+        if draining
+            && conns
+                .iter()
+                .all(|c| c.pending.is_none() && !c.peer.has_unflushed())
+        {
+            // Every waiter is answered and flushed: close everything
+            // (clients see EOF).
+            return;
         }
 
         pollfds.clear();
         poll_ids.clear();
-        pollfds.push(sys::PollFd {
-            fd: inner.wake.read_fd,
-            events: sys::POLLIN,
-            revents: 0,
-        });
-        poll_ids.push(None);
-        if !draining {
-            pollfds.push(sys::PollFd {
-                fd: listener.as_raw_fd(),
-                events: sys::POLLIN,
-                revents: 0,
-            });
-            poll_ids.push(None);
-        }
-        let listener_slot = if draining { usize::MAX } else { 1 };
+        pollfds.push(pollfd(wake.rx.as_raw_fd(), sys::POLLIN));
+        // The listener leaves the set on drain: no events, no accepts.
+        let accepting = if draining { 0 } else { sys::POLLIN };
+        pollfds.push(pollfd(listener.as_raw_fd(), accepting));
 
         let now = Instant::now();
         let mut timeout = Duration::from_millis(100);
-        for (&id, conn) in &conns {
+        for (id, conn) in conns.iter().enumerate() {
             let mut events: i16 = 0;
             if conn.pending.is_none() && !conn.peer_closed && !conn.dead {
                 events |= sys::POLLIN;
             }
-            if conn.has_unflushed() && !conn.dead {
+            if conn.peer.has_unflushed() && !conn.dead {
                 events |= sys::POLLOUT;
             }
-            if let Some(p) = &conn.pending {
-                timeout = timeout.min(p.deadline.saturating_duration_since(now));
-            }
             if events != 0 {
-                pollfds.push(sys::PollFd {
-                    fd: conn.stream.as_raw_fd(),
-                    events,
-                    revents: 0,
-                });
-                poll_ids.push(Some(id));
+                pollfds.push(pollfd(conn.peer.stream.as_raw_fd(), events));
+                poll_ids.push((id, false));
             }
-        }
-
-        let timeout_ms = i32::try_from(timeout.as_millis().min(100)).unwrap_or(100);
-        if sys::poll_fds(&mut pollfds, timeout_ms).is_err() {
-            // poll itself failing is unrecoverable for the loop; drain so
-            // the process can exit instead of spinning.
-            inner.begin_drain();
-        }
-
-        // Wake pipe: drain it; the actual work is the pending scan below.
-        if pollfds[0].revents != 0 {
-            inner.wake.drain();
-        }
-
-        // Accept everything waiting.
-        if listener_slot < pollfds.len() && pollfds[listener_slot].revents != 0 {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        // Small request/response frames must not sit in
-                        // Nagle's buffer.
-                        let _ = stream.set_nodelay(true);
-                        conns.insert(next_id, Conn::new(stream));
-                        next_id = next_id.wrapping_add(1);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
+            if let Some(p) = &conn.pending {
+                if let Some(deadline) = service.deadline(p) {
+                    timeout = timeout.min(deadline.saturating_duration_since(now));
+                }
+                if let Some(peer) = service.socket(p) {
+                    let events = if peer.has_unflushed() {
+                        sys::POLLOUT
+                    } else {
+                        sys::POLLIN
+                    };
+                    pollfds.push(pollfd(peer.stream.as_raw_fd(), events));
+                    poll_ids.push((id, true));
                 }
             }
         }
 
+        // Round up, so a deadline a fraction of a millisecond away does
+        // not spin through zero-timeout polls.
+        let timeout_ms = i32::try_from(timeout.as_micros().div_ceil(1000)).unwrap_or(100);
+        if sys::poll_fds(&mut pollfds, timeout_ms).is_err() {
+            // poll itself failing is unrecoverable for the loop; drain so
+            // the process can exit instead of spinning.
+            service.begin_drain();
+        }
+
+        // Waker: drain it; the actual work is the pending scan below.
+        if pollfds[0].revents != 0 {
+            wake.drain();
+        }
+
+        // Accept everything waiting.
+        if pollfds[1].revents & sys::POLLIN != 0 {
+            while let Ok((stream, _)) = listener.accept() {
+                if stream.set_nonblocking(true).is_err() {
+                    continue;
+                }
+                // Small request/response frames must not sit in Nagle's
+                // buffer.
+                let _ = stream.set_nodelay(true);
+                conns.push(Conn {
+                    peer: Peer::new(stream),
+                    pending: None,
+                    pending_ready: false,
+                    peer_closed: false,
+                    dead: false,
+                });
+            }
+        }
+
         // Per-connection readiness.
-        for (slot, pfd) in pollfds.iter().enumerate() {
-            let Some(id) = poll_ids[slot] else { continue };
+        for (pfd, &(id, is_pending)) in pollfds[2..].iter().zip(&poll_ids) {
             if pfd.revents == 0 {
                 continue;
             }
-            let Some(conn) = conns.get_mut(&id) else {
+            let conn = &mut conns[id];
+            if is_pending {
+                // The slot reads its own errors off its socket.
+                conn.pending_ready = true;
                 continue;
-            };
+            }
             if pfd.revents & (sys::POLLERR | sys::POLLNVAL) != 0 {
                 conn.dead = true;
                 continue;
             }
             if pfd.revents & (sys::POLLIN | sys::POLLHUP) != 0 {
-                conn.fill();
-                process_frames(inner, conn);
+                match conn.peer.fill() {
+                    Ok(true) => {}
+                    Ok(false) => conn.peer_closed = true,
+                    Err(_) => conn.dead = true,
+                }
+                process_frames(service, conn);
             }
             if pfd.revents & sys::POLLOUT != 0 {
                 conn.flush();
             }
         }
 
-        // Resolve pending jobs (worker publishes and deadline expiries).
+        // Resolve pending slots: ready sockets, passed deadlines, and
+        // socketless slots (worker publishes arrive through the waker).
         let now = Instant::now();
-        for conn in conns.values_mut() {
-            if let Some(wait) = conn.pending.take() {
-                conn.compact_output();
-                if poll_pending(inner, &wait, now, &mut conn.wbuf) {
+        for conn in &mut conns {
+            if let Some(mut pending) = conn.pending.take() {
+                let due = std::mem::take(&mut conn.pending_ready)
+                    || service.socket(&pending).is_none()
+                    || service.deadline(&pending).is_some_and(|d| now >= d);
+                if due && service.resolve(&mut pending, now, &mut conn.peer.wbuf) {
                     // The connection may have pipelined more requests while
                     // parked; serve them now, in order.
-                    process_frames(inner, conn);
+                    process_frames(service, conn);
                 } else {
-                    conn.pending = Some(wait);
+                    conn.pending = Some(pending);
                 }
             }
-            if conn.has_unflushed() && !conn.dead {
+            if conn.peer.has_unflushed() && !conn.dead {
                 // Opportunistic flush: most responses fit the socket buffer
                 // and complete here, without waiting for the next poll.
                 conn.flush();
             }
         }
 
-        conns.retain(|_, conn| !conn.finished());
+        conns.retain(|conn| !conn.finished());
     }
 }

@@ -1,39 +1,29 @@
 //! The `hmtx-serve` server: bounded admission, sharded single-flight
-//! execution, two-tier caching, a poll-based connection loop, graceful
-//! drain.
+//! execution, two-tier caching, graceful drain.
 //!
 //! Request lifecycle for a `job`:
 //!
 //! 1. **Cache probe** — memory then disk; a hit answers immediately with the
 //!    stored bytes spliced into the response envelope.
-//! 2. **Admission** — under the key's *shard* lock (the same prefix shard
-//!    the memory cache uses): an identical in-flight job coalesces (the
-//!    request waits on the same [`JobCell`], no duplicate simulation); a
-//!    full queue answers `busy` with a retry hint; otherwise the job
-//!    enqueues and the miss is counted. There is no global single-flight
-//!    lock — two different keys almost never touch the same shard.
-//! 3. **Wait with deadline** — the connection's pending slot in the event
-//!    loop waits on the cell up to the request's deadline. A timeout
-//!    answers `timeout`, but the job keeps running and its report still
-//!    lands in the cache — a retry is a hit.
-//! 4. **Execution** — a worker pops the cell, runs
-//!    [`hmtx_bench::run_job_report`], and inserts the report bytes into the
-//!    cache *before* publishing the cell result and removing it from the
-//!    in-flight shard. A requester that misses the in-flight shard
-//!    therefore re-probes the cache under the same shard lock and can never
-//!    lose the race into a duplicate simulation.
+//! 2. **Admission** — under the key's *shard* lock (the memory cache's
+//!    prefix shard): an identical in-flight job coalesces onto the same
+//!    `JobCell`; a full queue answers `busy` with a retry hint; otherwise
+//!    the job enqueues and the miss is counted. No lock is global.
+//! 3. **Wait with deadline** — the connection parks on a `Wait` slot of the
+//!    readiness loop ([`crate::ready`]; the server is one [`Service`] of
+//!    it). A timeout answers `timeout`, but the job keeps running and its
+//!    report still lands in the cache — a retry is a hit.
+//! 4. **Execution** — a worker runs [`hmtx_bench::run_job_report`] and
+//!    caches the report bytes *before* publishing the cell and leaving the
+//!    in-flight shard, so a requester that misses the in-flight shard
+//!    re-probes the cache under the same lock and cannot race into a
+//!    duplicate simulation. The worker then pokes the loop's waker.
 //!
-//! Connections are **not** thread-per-connection: a single readiness loop
-//! ([`crate::ready`]) owns every accepted socket through a `poll(2)` set,
-//! so thousands of idle connections cost a few bytes of buffer each instead
-//! of a pinned thread. Workers hand finished results back to the loop
-//! through a self-pipe wakeup.
-//!
-//! **Drain** ([`ServerHandle::drain`], or a `shutdown` request, or SIGTERM
-//! in the binary): the listener stops accepting, queued and executing jobs
-//! finish and answer normally, and new job requests on existing connections
-//! answer `draining`. [`ServerHandle::wait`] returns once the event loop
-//! has answered every waiter and the workers have gone idle.
+//! **Drain** ([`ServerHandle::drain`], a `shutdown` request, or SIGTERM in
+//! the binary): the listener stops accepting, queued and executing jobs
+//! finish and answer normally, and new job requests answer `draining`.
+//! [`ServerHandle::wait`] returns once the loop has answered every waiter
+//! and the workers have gone idle.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -49,7 +39,7 @@ use hmtx_types::JobSpec;
 use crate::cache::{ReportCache, Tier, DEFAULT_SHARDS};
 use crate::metrics::{bump, Metrics};
 use crate::proto::{self, Request};
-use crate::ready::{self, WakePipe};
+use crate::ready::{self, Service, Waker};
 
 /// Server tunables. The defaults suit an interactive session; tests shrink
 /// the queue and add an artificial execution delay to exercise backpressure
@@ -96,7 +86,7 @@ pub(crate) type CellOutcome = Result<Arc<Vec<u8>>, Arc<Vec<u8>>>;
 
 /// One admitted job: requests for the same key share a cell, and the cell's
 /// state is published exactly once by the executing worker. Waiters are
-/// event-loop pending slots, woken through the self-pipe rather than a
+/// event-loop pending slots, woken through the loop's waker rather than a
 /// condvar.
 pub(crate) struct JobCell {
     pub(crate) key: String,
@@ -119,12 +109,15 @@ pub(crate) struct Inner {
     flights: Vec<Mutex<HashMap<String, Arc<JobCell>>>>,
     work: Condvar,
     pub(crate) draining: AtomicBool,
-    pub(crate) wake: Arc<WakePipe>,
+    pub(crate) wake: Waker,
 }
 
 impl Inner {
     pub(crate) fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
+        // Notify under the lock, so no worker can sit between its draining
+        // check and its wait and miss the wakeup.
+        let _sched = self.sched.lock().unwrap();
         self.work.notify_all();
         self.wake.wake();
     }
@@ -139,7 +132,7 @@ impl Inner {
 pub struct ServerHandle {
     inner: Arc<Inner>,
     addr: SocketAddr,
-    event: Option<JoinHandle<()>>,
+    event: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -159,12 +152,9 @@ impl ServerHandle {
     /// Waits for drain to complete (in-flight waiters answered, workers
     /// exited). Call [`ServerHandle::drain`] first — otherwise this blocks
     /// until something else does.
-    pub fn wait(mut self) {
-        if let Some(event) = self.event.take() {
-            let _ = event.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+    pub fn wait(self) {
+        for t in std::iter::once(self.event).chain(self.workers) {
+            let _ = t.join();
         }
     }
 
@@ -173,12 +163,11 @@ impl ServerHandle {
     ///
     /// # Errors
     ///
-    /// Propagates bind errors and self-pipe creation failures.
+    /// Propagates bind errors and waker creation failures.
     pub fn start(addr: &str, cfg: ServerConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let wake = Arc::new(WakePipe::new()?);
         let shards = cfg.shards.max(1);
         let inner = Arc::new(Inner {
             cache: ReportCache::with_shards(cfg.mem_cache_cap, shards, cfg.cache_dir.clone()),
@@ -190,7 +179,7 @@ impl ServerHandle {
             flights: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             work: Condvar::new(),
             draining: AtomicBool::new(false),
-            wake: Arc::clone(&wake),
+            wake: Waker::new()?,
             cfg,
         });
 
@@ -203,13 +192,13 @@ impl ServerHandle {
 
         let event = {
             let inner = Arc::clone(&inner);
-            std::thread::spawn(move || ready::event_loop(&inner, &listener))
+            std::thread::spawn(move || ready::event_loop(&mut &*inner, &listener, &inner.wake))
         };
 
         Ok(ServerHandle {
             inner,
             addr,
-            event: Some(event),
+            event,
             workers,
         })
     }
@@ -227,11 +216,7 @@ fn worker_loop(inner: &Inner) {
                 if inner.draining.load(Ordering::SeqCst) {
                     break None;
                 }
-                let (guard, _timeout) = inner
-                    .work
-                    .wait_timeout(sched, Duration::from_millis(100))
-                    .unwrap();
-                sched = guard;
+                sched = inner.work.wait(sched).unwrap();
             }
         };
         let Some(cell) = cell else { return };
@@ -273,47 +258,83 @@ fn execute(inner: &Inner, cell: &JobCell) {
     inner.wake.wake();
 }
 
-/// A request parked on an admitted (possibly coalesced) job cell.
+/// A request parked on an admitted (possibly coalesced) job cell: the
+/// server's pending slot in the readiness loop.
 pub(crate) struct Wait {
-    pub(crate) cell: Arc<JobCell>,
-    pub(crate) key: String,
-    pub(crate) deadline: Instant,
+    cell: Arc<JobCell>,
+    key: String,
+    deadline: Instant,
 }
 
-/// Parses and dispatches one request payload, appending an immediate
-/// response frame to `out`, or returning the [`Wait`] of an admitted job.
-/// Called from the event loop; everything here is non-blocking except
-/// short shard/scheduler lock holds and (worst case) a disk-tier cache
-/// read.
-pub(crate) fn handle_frame(inner: &Inner, frame: &[u8], out: &mut Vec<u8>) -> Option<Wait> {
-    bump(&inner.metrics.requests);
-    let response = match Request::parse(frame) {
-        Err(message) => {
-            bump(&inner.metrics.errors);
-            proto::error_response(&message, &[])
+/// The server as the readiness loop sees it. A [`Wait`] watches no socket:
+/// it is resolved every round, which the worker's wake makes prompt.
+impl Service for &Inner {
+    type Pending = Wait;
+
+    /// Everything here is non-blocking except short shard/scheduler lock
+    /// holds and (worst case) a disk-tier cache read.
+    fn handle(&mut self, frame: &[u8], out: &mut Vec<u8>) -> Option<Wait> {
+        bump(&self.metrics.requests);
+        let response = match Request::parse(&frame[4..]) {
+            Err(message) => {
+                bump(&self.metrics.errors);
+                proto::error_response(&message, &[])
+            }
+            Ok(Request::Ping) => proto::pong_response(),
+            Ok(Request::Shutdown) => {
+                self.begin_drain();
+                proto::ok_response()
+            }
+            Ok(Request::Stats) => {
+                let (queue_depth, executing) = self.queue_gauges();
+                proto::stats_response(&self.metrics.snapshot(queue_depth, executing))
+            }
+            // Only `hmtx-router` aggregates cluster stats; a lone backend says
+            // so instead of pretending to be a one-node cluster.
+            Ok(Request::Cluster) => proto::error_response(
+                "cluster stats are served by hmtx-router, not a backend",
+                &[],
+            ),
+            Ok(Request::Job { spec, deadline_ms }) => {
+                bump(&self.metrics.job_requests);
+                return admit_job(self, &spec, deadline_ms, out);
+            }
+        };
+        proto::push_response(out, &response);
+        None
+    }
+
+    fn deadline(&self, wait: &Wait) -> Option<Instant> {
+        Some(wait.deadline)
+    }
+
+    /// Answers once the cell has published or the deadline has passed.
+    fn resolve(&mut self, wait: &mut Wait, now: Instant, out: &mut Vec<u8>) -> bool {
+        if let Some(outcome) = wait.cell.state.lock().unwrap().as_ref() {
+            match outcome {
+                Ok(bytes) => proto::push_result_frame(out, &wait.key, bytes),
+                Err(error_bytes) => {
+                    bump(&self.metrics.errors);
+                    proto::push_response(out, error_bytes);
+                }
+            }
+            return true;
         }
-        Ok(Request::Ping) => proto::pong_response(),
-        Ok(Request::Shutdown) => {
-            inner.begin_drain();
-            proto::ok_response()
+        if now >= wait.deadline {
+            bump(&self.metrics.deadline_timeouts);
+            proto::push_response(out, &proto::timeout_response(&wait.key));
+            return true;
         }
-        Ok(Request::Stats) => {
-            let (queue_depth, executing) = inner.queue_gauges();
-            proto::stats_response(&inner.metrics.snapshot(queue_depth, executing))
-        }
-        // Only `hmtx-router` aggregates cluster stats; a lone backend says
-        // so instead of pretending to be a one-node cluster.
-        Ok(Request::Cluster) => proto::error_response(
-            "cluster stats are served by hmtx-router, not a backend",
-            &[],
-        ),
-        Ok(Request::Job { spec, deadline_ms }) => {
-            bump(&inner.metrics.job_requests);
-            return admit_job(inner, &spec, deadline_ms, out);
-        }
-    };
-    proto::push_response(out, &response);
-    None
+        false
+    }
+
+    fn draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
+    }
+
+    fn begin_drain(&self) {
+        Inner::begin_drain(self);
+    }
 }
 
 fn cache_answer(inner: &Inner, key: &str, bytes: &[u8], tier: Tier, out: &mut Vec<u8>) {
@@ -383,26 +404,4 @@ fn admit_job(
         key,
         deadline,
     })
-}
-
-/// Resolves a pending wait if its cell has published or its deadline has
-/// passed, appending the response frame to `out`. Returns whether it
-/// resolved (`false`: keep waiting).
-pub(crate) fn poll_pending(inner: &Inner, wait: &Wait, now: Instant, out: &mut Vec<u8>) -> bool {
-    if let Some(outcome) = wait.cell.state.lock().unwrap().as_ref() {
-        match outcome {
-            Ok(bytes) => proto::push_result_frame(out, &wait.key, bytes),
-            Err(error_bytes) => {
-                bump(&inner.metrics.errors);
-                proto::push_response(out, error_bytes);
-            }
-        }
-        return true;
-    }
-    if now >= wait.deadline {
-        bump(&inner.metrics.deadline_timeouts);
-        proto::push_response(out, &proto::timeout_response(&wait.key));
-        return true;
-    }
-    false
 }

@@ -36,9 +36,9 @@ const OFFSET_REGS: [Reg; SMTX_MAX_WORKERS + 1] = [
 ];
 
 /// The most stage-2 workers the pipeline layout places: their queues stay
-/// below [`COMMIT_QUEUE`], the stage-1 log region (after the workers')
+/// below `COMMIT_QUEUE`, the stage-1 log region (after the workers')
 /// stays below the workload region, and every source has an offset
-/// register in [`OFFSET_REGS`].
+/// register in `OFFSET_REGS`.
 pub const SMTX_MAX_WORKERS: usize = 13;
 
 // Worker queues `0..W` stay clear of the commit queue.

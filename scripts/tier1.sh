@@ -33,6 +33,10 @@ cargo test -q -p hmtx --test chaos
 # so a plain clippy run enforces it.
 cargo clippy --workspace --all-targets
 
+# Doc gate: the same deny policy covers rustdoc's lints, so a public doc
+# that links to a private or missing item fails here.
+cargo doc --workspace --no-deps
+
 # Static verification gate: every workload emitter, under every paradigm and
 # SMTX mode, must produce programs the analyzer certifies clean (MTX
 # protocol, register dataflow, queue matching/deadlock, store escape).
