@@ -3,13 +3,15 @@
 //! frames, frames split anywhere, frames that straddle an idle tick), and
 //! backend answers splice back verbatim without being parsed. `draining`
 //! is recognized by its exact bytes; a `result` that merely contains the
-//! word is forwarded as-is.
+//! word is forwarded as-is. Only a `result` for the forward's own key
+//! enters the router's result tier, which then answers that key without a
+//! backend; and a forward to a backend that never answers expires.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use hmtx_cluster::{Ring, RouterConfig, RouterHandle, DEFAULT_REPLICAS};
 use hmtx_server::proto::{self, FrameBuf, Request};
@@ -158,12 +160,28 @@ fn a_frame_paused_across_an_idle_tick_is_still_answered() {
     fx.stop();
 }
 
+/// 144 distinct valid specs: 9 VID widths (4..=12) × 8 suite workloads ×
+/// 2 paradigms.
+fn vid_specs() -> impl Iterator<Item = JobSpec> {
+    (4..=12).flat_map(|bits| {
+        (0..8).flat_map(move |w| {
+            [WireParadigm::Paper, WireParadigm::Hytm].map(|paradigm| JobSpec {
+                paradigm,
+                variant: WireVariant::VidBits(bits),
+                ..spec(w)
+            })
+        })
+    })
+}
+
 #[test]
 fn a_pooled_client_carries_many_requests_without_leftover_bytes() {
-    let specs: Vec<JobSpec> = (0..4).map(spec).collect();
+    let specs: Vec<JobSpec> = vid_specs().collect();
     let fx = Fixture::new(&specs);
     let mut c = Client::connect(&fx.router_addr()).expect("connect");
-    for round in 0..50 {
+    // The first round forwards every key over the pooled backend socket;
+    // the second answers each from the router's result tier.
+    for round in 0..2 {
         for (s, want) in specs.iter().zip(&fx.direct) {
             assert_eq!(&c.job(s, None).expect("job"), want, "round {round}");
             assert_eq!(c.buffered(), 0, "round {round}: bytes past the answer");
@@ -173,10 +191,12 @@ fn a_pooled_client_carries_many_requests_without_leftover_bytes() {
     }
     let stats = c.stats().expect("stats");
     assert_eq!(c.buffered(), 0);
-    // 200 routed hits, none re-dialed: the router's pooled backend
-    // connection stayed in step the whole time.
-    assert_eq!(fx.router.counters().forwarded, 200);
-    assert_eq!(stats.mem_hits, 200);
+    // 144 routed hits on the backend, none paired with another request's
+    // answer, then 144 hits in the router itself.
+    let n = specs.len() as u64;
+    let counters = fx.router.counters();
+    assert_eq!((counters.forwarded, counters.hits), (n, n));
+    assert_eq!(stats.mem_hits, 2 * n, "the aggregate counts both tiers");
     fx.stop();
 }
 
@@ -212,18 +232,12 @@ fn scripted_backend(answer: Vec<u8>) -> (String, Arc<AtomicU64>) {
 }
 
 /// A spec whose ring home among `addrs` is `addrs[home]`. Ring placement
-/// depends on the ephemeral ports in `addrs`, so the search spans 8 suite
-/// workloads × 13 VID widths: that none of them homes on a given one of two
-/// backends is about a 2^-104 event.
+/// depends on the ephemeral ports in `addrs`, so the search spans all of
+/// [`vid_specs`]: that none of them homes on a given one of two backends is
+/// about a 2^-144 event.
 fn spec_homed_on(addrs: &[String], home: usize) -> JobSpec {
     let ring = Ring::new(addrs, DEFAULT_REPLICAS);
-    (4..=16)
-        .flat_map(|bits| {
-            (0..8).map(move |w| JobSpec {
-                variant: WireVariant::VidBits(bits),
-                ..spec(w)
-            })
-        })
+    vid_specs()
         .find(|s| ring.home(&s.key()) == home)
         .expect("some spec homes on each of two backends")
 }
@@ -262,13 +276,105 @@ fn a_result_mentioning_draining_is_forwarded_verbatim() {
     for _ in 0..3 {
         assert_eq!(c.job(&s, None).expect("job"), answer);
     }
-    assert_eq!(jobs.load(Ordering::SeqCst), 3);
+    assert_eq!(
+        jobs.load(Ordering::SeqCst),
+        1,
+        "a result for the key is kept"
+    );
     let counters = router.counters();
-    assert_eq!((counters.forwarded, counters.failovers), (3, 0));
+    assert_eq!((counters.forwarded, counters.failovers), (1, 0));
+    assert_eq!(counters.hits, 2);
     assert!(
         router.backend_up(0),
         "a result never marks its backend down"
     );
+    router.drain();
+    router.wait();
+}
+
+/// A key the router has forwarded once is answered by the router itself,
+/// byte-identically, and the aggregate `stats` counts each of those
+/// answers as a memory hit.
+#[test]
+fn a_repeated_key_reaches_its_backend_once() {
+    let s = spec(3);
+    let answer = proto::result_response(&s.key(), br#"{"cycles":7}"#);
+    let (fake, jobs) = scripted_backend(answer.clone());
+    let router = router_over(vec![fake]);
+    let mut c = Client::connect(&router.addr().to_string()).expect("connect");
+    for i in 0..20 {
+        assert_eq!(c.job(&s, None).expect("job"), answer, "request {i}");
+    }
+    assert_eq!(jobs.load(Ordering::SeqCst), 1);
+    let counters = router.counters();
+    assert_eq!((counters.forwarded, counters.hits), (1, 19));
+    // The scripted backend answers `stats` with its result frame, so the
+    // router's own hits are all the aggregate holds.
+    let stats = c.stats().expect("stats");
+    assert_eq!(
+        (stats.requests, stats.job_requests, stats.mem_hits),
+        (19, 19, 19)
+    );
+    router.drain();
+    router.wait();
+}
+
+/// A key warmed through the router is still answered, byte-identically,
+/// after its only backend has drained and exited.
+#[test]
+fn a_warmed_key_outlives_its_backend() {
+    let s = spec(5);
+    let fx = Fixture::new(&[s]);
+    let mut c = Client::connect(&fx.router_addr()).expect("connect");
+    assert_eq!(c.job(&s, None).expect("job"), fx.direct[0]);
+    fx.backend.drain();
+    fx.backend.wait();
+    for i in 0..3 {
+        assert_eq!(c.job(&s, None).expect("job"), fx.direct[0], "request {i}");
+    }
+    let counters = fx.router.counters();
+    assert_eq!((counters.forwarded, counters.hits), (1, 3));
+    fx.router.drain();
+    fx.router.wait();
+}
+
+/// `busy` and `error` answers reach the client verbatim and are never
+/// stored: the backend sees every request.
+#[test]
+fn busy_and_error_answers_are_never_stored() {
+    let s = spec(4);
+    for answer in [proto::busy_response(5), proto::error_response("boom", &[])] {
+        let (fake, jobs) = scripted_backend(answer.clone());
+        let router = router_over(vec![fake]);
+        let mut c = Client::connect(&router.addr().to_string()).expect("connect");
+        for _ in 0..3 {
+            assert_eq!(c.job(&s, None).expect("job"), answer);
+        }
+        assert_eq!(jobs.load(Ordering::SeqCst), 3);
+        let counters = router.counters();
+        assert_eq!((counters.forwarded, counters.hits), (3, 0));
+        router.drain();
+        router.wait();
+    }
+}
+
+/// A `result` envelope naming another key is forwarded verbatim on every
+/// request and never stored under either key.
+#[test]
+fn a_result_for_another_key_is_never_stored() {
+    let (asked, named) = (spec(1), spec(2));
+    let answer = proto::result_response(&named.key(), b"{}");
+    let (fake, jobs) = scripted_backend(answer.clone());
+    let router = router_over(vec![fake]);
+    let mut c = Client::connect(&router.addr().to_string()).expect("connect");
+    for s in [asked, asked, named, asked] {
+        assert_eq!(c.job(&s, None).expect("job"), answer);
+    }
+    // `named` was asked once and its answer stored; `asked` never.
+    assert_eq!(c.job(&named, None).expect("job"), answer);
+    assert_eq!(jobs.load(Ordering::SeqCst), 4);
+    let counters = router.counters();
+    assert_eq!((counters.forwarded, counters.hits), (4, 1));
     router.drain();
     router.wait();
 }
@@ -480,4 +586,44 @@ fn a_silent_backend_parks_only_its_own_forwards() {
     router.wait();
     real.drain();
     real.wait();
+}
+
+/// A backend that takes a job and never answers: the router answers
+/// `timeout` once the job's own deadline plus the router's margin (1 s)
+/// has passed, and a drain then finishes while the backend stays silent.
+#[test]
+fn a_silent_backend_times_out_at_the_forward_deadline() {
+    let silent = silent_backend(Vec::new(), Arc::new(AtomicBool::new(false)));
+    let router = router_over(vec![silent]);
+    let (mut stuck, mut stuck_rx) = connect(&router.addr().to_string());
+    stuck
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let s = spec(1);
+    let job = Request::Job {
+        spec: s,
+        deadline_ms: Some(200),
+    };
+    let started = Instant::now();
+    stuck.write_all(&framed(&job.to_bytes())).expect("send");
+    assert_eq!(
+        read_payload(&mut stuck, &mut stuck_rx),
+        proto::timeout_response(&s.key())
+    );
+    let took = started.elapsed();
+    assert!(
+        took >= Duration::from_millis(1_200) && took < Duration::from_millis(3_000),
+        "the timeout came after {took:?}; want the 200 ms deadline plus the 1 s margin"
+    );
+    assert_eq!(router.counters().forwarded, 0);
+
+    let (done, waited) = mpsc::channel();
+    std::thread::spawn(move || {
+        router.drain();
+        router.wait();
+        let _ = done.send(());
+    });
+    waited
+        .recv_timeout(Duration::from_secs(5))
+        .expect("drain + wait return while the backend stays silent");
 }

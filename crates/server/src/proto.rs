@@ -366,6 +366,19 @@ pub fn push_result_frame(out: &mut Vec<u8>, key: &str, report_bytes: &[u8]) {
     push_result(out, key, report_bytes);
 }
 
+/// Whether `payload` is the `result` envelope of `key` as
+/// [`result_response`] builds it: the exact head bytes, then `key`, then
+/// the start of the report. Checks the envelope without parsing the
+/// report, so a router can tell a result from every other answer (and
+/// from a result for another key) by bytes alone.
+#[must_use]
+pub fn is_result_for(payload: &[u8], key: &str) -> bool {
+    payload
+        .strip_prefix(RESULT_HEAD)
+        .and_then(|rest| rest.strip_prefix(key.as_bytes()))
+        .is_some_and(|rest| rest.starts_with(RESULT_MID))
+}
+
 /// A `busy` backpressure response.
 #[must_use]
 pub fn busy_response(retry_after_ms: u64) -> Vec<u8> {
@@ -532,6 +545,30 @@ mod tests {
         );
         // And the spliced envelope is still valid JSON.
         Json::parse(&text).unwrap();
+    }
+
+    #[test]
+    fn only_a_result_envelope_of_the_same_key_is_a_result_for_it() {
+        let report = br#"{"type":"draining"}"#;
+        assert!(is_result_for(&result_response("abc", report), "abc"));
+        assert!(is_result_for(&result_response("abc", b""), "abc"));
+        for other in [
+            result_response("abcd", report),
+            result_response("ab", report),
+            result_response("xyz", report),
+            timeout_response("abc"),
+            busy_response(5),
+            DRAINING.to_vec(),
+            error_response("abc", &[]),
+            br#"{"type":"result","key":"abc"}"#.to_vec(),
+            br#"{"key":"abc","type":"result","report":{}}"#.to_vec(),
+        ] {
+            assert!(
+                !is_result_for(&other, "abc"),
+                "{}",
+                String::from_utf8_lossy(&other)
+            );
+        }
     }
 
     #[test]

@@ -2,9 +2,11 @@
 # Smoke gate for the cluster layer: 3 hmtx-serve backends behind an
 # hmtx-router on ephemeral ports. A checked mini-sweep through the router
 # must be all-results and byte-identical across rounds; after one backend
-# is killed hard (kill -9, not a drain) a second checked sweep must still
-# be green via ring failover; the `cluster` frame must report the fleet;
-# and SIGTERM must drain the router cleanly. Nonzero exit on any failure.
+# is killed hard (kill -9, not a drain) a second checked sweep over keys
+# the router has not seen (so its result tier cannot answer them) must
+# still be green via ring failover; the `cluster` frame must report the
+# fleet and those failovers; and SIGTERM must drain the router cleanly.
+# Nonzero exit on any failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,9 +63,11 @@ echo "cluster_smoke: router at $ADDR (pid $ROUTER_PID)"
   --json "$WORK/load1.json"
 
 # --- kill one backend hard; failover must keep the sweep green ------------
+# The router answers the keys above from its result tier, so this sweep
+# uses the standard-scale keys, which no backend has seen either.
 kill -9 "${BACKEND_PIDS[2]}"
 echo "cluster_smoke: killed backend 2 (${BACKEND_ADDRS[2]})"
-"$LOAD" --addr "$ADDR" --clients 2 --rounds 2 --limit 12 --check \
+"$LOAD" --addr "$ADDR" --clients 2 --rounds 2 --scale standard --check \
   --json "$WORK/load2.json"
 
 # --- the cluster frame reports the fleet ----------------------------------
@@ -88,11 +92,12 @@ ups = [b["up"] for b in c["backends"]]
 assert ups.count(True) == 2, f"expected 2 live backends after the kill: {c['backends']}"
 r = c["router"]
 assert r["forwarded"] > 0, r
+assert r["failovers"] > 0, f"the killed backend's keys did not fail over: {r}"
 assert r["unrouteable"] == 0, f"jobs went unrouteable: {r}"
 agg = c["aggregate"]
 assert agg["executed"] > 0, agg
 print(f"cluster_smoke: cluster frame ok: {ups.count(True)}/3 up, "
-      f"forwarded {r['forwarded']}, failovers {r['failovers']}")
+      f"forwarded {r['forwarded']}, hits {r['hits']}, failovers {r['failovers']}")
 EOF
 
 # --- graceful drain on SIGTERM --------------------------------------------
