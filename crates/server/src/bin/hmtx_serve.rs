@@ -11,6 +11,11 @@
 //! jobs finish and answer, new job requests answer `draining`, and the
 //! process exits once the workers are idle.
 //!
+//! `--deadline-ms` sets the deadline of a job that names none (default
+//! 120 s). Behind `hmtx-router` such a job gets `timeout` from the router
+//! 1 s after the 120 s default has run out, whatever the backend's own; a
+//! job that may take longer names its `deadline_ms`.
+//!
 //! `--mem-only` disables the disk tier entirely (otherwise a default cache
 //! directory under `target/` is used when `--cache-dir` is not given) —
 //! the capacity-bound configuration the cluster benchmark uses to show

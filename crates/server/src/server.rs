@@ -41,6 +41,10 @@ use crate::metrics::{bump, Metrics};
 use crate::proto::{self, Request};
 use crate::ready::{self, Service, Waker};
 
+/// The deadline of a job request that names none, unless
+/// [`ServerConfig::default_deadline_ms`] sets another.
+pub const DEFAULT_DEADLINE_MS: u64 = 120_000;
+
 /// Server tunables. The defaults suit an interactive session; tests shrink
 /// the queue and add an artificial execution delay to exercise backpressure
 /// deterministically.
@@ -73,7 +77,7 @@ impl Default for ServerConfig {
             mem_cache_cap: 512,
             shards: DEFAULT_SHARDS,
             cache_dir: None,
-            default_deadline_ms: 120_000,
+            default_deadline_ms: DEFAULT_DEADLINE_MS,
             retry_after_ms: 250,
             execute_delay: Duration::ZERO,
         }
