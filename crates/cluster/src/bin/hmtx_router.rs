@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! hmtx-router --backends HOST:PORT,HOST:PORT,... [--addr HOST:PORT]
-//!             [--replicas N] [--health-interval-ms N]
-//!             [--retries N] [--retry-base-ms N]
+//!             [--health-interval-ms N]
 //! ```
 //!
 //! Prints `listening on ADDR` once bound (scripts parse this to learn an
@@ -18,7 +17,7 @@ use hmtx_cluster::{RouterConfig, RouterHandle};
 use hmtx_types::cli::{Args, UsageError};
 
 const USAGE: &str = "usage: hmtx-router --backends HOST:PORT,... [--addr HOST:PORT] \
-    [--replicas N] [--health-interval-ms N] [--retries N] [--retry-base-ms N]";
+    [--health-interval-ms N]";
 
 fn parse_args(mut args: Args) -> Result<(String, RouterConfig), UsageError> {
     let mut addr = "127.0.0.1:7871".to_string();
@@ -35,12 +34,9 @@ fn parse_args(mut args: Args) -> Result<(String, RouterConfig), UsageError> {
                     .map(String::from)
                     .collect();
             }
-            "--replicas" => cfg.replicas = args.parse(&arg)?,
             "--health-interval-ms" => {
                 cfg.health_interval = Duration::from_millis(args.parse(&arg)?);
             }
-            "--retries" => cfg.failover_retries = args.parse(&arg)?,
-            "--retry-base-ms" => cfg.retry_base_ms = args.parse(&arg)?,
             _ => return Err(UsageError::unknown(&arg)),
         }
     }
@@ -62,12 +58,7 @@ fn main() {
         }
     };
     println!("listening on {}", handle.addr());
-
-    while !hmtx_server::drain_requested() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    eprintln!("hmtx-router: draining");
-    handle.drain();
+    // The loop begins drain on SIGINT/SIGTERM; `wait` returns once done.
     handle.wait();
     eprintln!("hmtx-router: drained, exiting");
 }

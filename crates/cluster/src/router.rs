@@ -12,22 +12,24 @@
 //! a forward is a pending slot on a nonblocking backend socket, so a slow
 //! backend parks only the requests waiting on it. The loop owns the idle
 //! backend sockets; the one call that may block it is a dial, bounded by
-//! `DIAL_TIMEOUT`. A **health checker** thread pings every backend over its
-//! own blocking connections and keeps an up/down flag per backend.
+//! `DIAL_TIMEOUT`. Health checks are loop work too ([`Service::tick`]):
+//! each interval the loop reads every backend's `ping` probe without
+//! waiting and sends the next, keeping an up/down flag per backend.
 //!
 //! A forward walks the key's candidates, live ones in ring order first,
 //! then known-down ones (the health view may be stale). A failed reused
 //! socket gets one fresh dial before its backend counts as down. After
 //! every candidate fails, a new round starts after a seeded, jittered
-//! backoff (the slot's deadline). `draining` counts as down; `busy` is
-//! forwarded without failover: retrying elsewhere would break single-flight
-//! on the key's home. A job forward expires `DEADLINE_MARGIN` after the
-//! job's own `deadline_ms` has run out, counted from when its frame went to
-//! the backend awaited: that backend took the job and never answered, so
-//! it is marked down and the client gets `timeout`. A job that names no
-//! deadline expires likewise at the servers' default
-//! ([`DEFAULT_DEADLINE_MS`]), but its backend stays up: the router cannot
-//! see a backend's `--deadline-ms`, which may be longer.
+//! backoff (the slot's deadline), up to `FAILOVER_RETRIES` rounds.
+//! `draining` counts as down; `busy` is forwarded without failover:
+//! retrying elsewhere would break single-flight on the key's home. A job
+//! forward expires `DEADLINE_MARGIN` after the job's own `deadline_ms` has
+//! run out, counted from when its frame went to the backend awaited: that
+//! backend took the job and never answered, so it is marked down and the
+//! client gets `timeout`. A job that names no deadline expires likewise at
+//! the servers' default ([`DEFAULT_DEADLINE_MS`]), but its backend stays
+//! up: the router cannot see a backend's `--deadline-ms`, which may be
+//! longer.
 //!
 //! A result is immutable per content key, so the router keeps the last
 //! `RESULT_FRAMES` `result` frames it forwarded (a memory-only
@@ -45,19 +47,17 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hmtx_core::LatencyHistogram;
 use hmtx_server::proto::{self, Request};
 use hmtx_server::ready::{self, Peer, Service, Waker};
-use hmtx_server::{
-    backoff_ms, parse_response, spec_jitter_seed, Client, ReportCache, DEFAULT_DEADLINE_MS,
-};
-use hmtx_types::{JobSpec, Json, StatsSnapshot};
+use hmtx_server::{backoff_ms, parse_response, ReportCache, DEFAULT_DEADLINE_MS};
+use hmtx_types::{Json, StatsSnapshot};
 
-use crate::ring::{Ring, DEFAULT_REPLICAS};
+use crate::ring::{fnv1a_64, Ring, DEFAULT_REPLICAS};
 
 /// The longest one backend dial may block the readiness loop. A refused
 /// connection returns at once; this bounds an unreachable host.
@@ -68,6 +68,12 @@ const STATS_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// How long a health probe waits for its `pong`.
 const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Backed-off rounds over all candidates before a job is unrouteable.
+const FAILOVER_RETRIES: u32 = 4;
+
+/// Base of the exponential, key-jittered backoff between rounds, in ms.
+const RETRY_BASE_MS: u64 = 20;
 
 /// Idle sockets kept per backend; a burst's surplus closes after use.
 const IDLE_CAP: usize = 8;
@@ -87,28 +93,17 @@ const DEADLINE_MARGIN: Duration = Duration::from_secs(1);
 pub struct RouterConfig {
     /// Backend addresses (`host:port` each).
     pub backends: Vec<String>,
-    /// Virtual ring points per backend.
-    pub replicas: usize,
-    /// Interval between health-check sweeps.
+    /// Interval between health-probe rounds.
     pub health_interval: Duration,
-    /// Full candidate-sequence rounds to retry (with backoff between
-    /// rounds) before a job is declared unrouteable.
-    pub failover_retries: u32,
-    /// Base backoff between retry rounds (grows exponentially, jittered by
-    /// the job spec's seed).
-    pub retry_base_ms: u64,
 }
 
 impl RouterConfig {
-    /// Defaults for everything but the backend list.
+    /// The default health interval (150 ms) over `backends`.
     #[must_use]
     pub fn new(backends: Vec<String>) -> RouterConfig {
         RouterConfig {
             backends,
-            replicas: DEFAULT_REPLICAS,
             health_interval: Duration::from_millis(150),
-            failover_retries: 4,
-            retry_base_ms: 20,
         }
     }
 }
@@ -128,53 +123,43 @@ pub struct RouterCounters {
     pub unrouteable: u64,
 }
 
-/// State shared by the loop, the health checker and the handle.
+/// State the loop shares with the handle.
 struct Shared {
-    ring: Ring,
-    cfg: RouterConfig,
     /// The health view, per backend.
     up: Vec<AtomicBool>,
     counters: Mutex<RouterCounters>,
-    draining: Mutex<bool>,
-    /// Signals `draining` to the health checker's interval wait.
-    drained: Condvar,
+    draining: AtomicBool,
     /// Wakes the readiness loop.
     wake: Waker,
 }
 
 impl Shared {
-    fn new(cfg: RouterConfig) -> io::Result<Shared> {
+    fn new(backends: usize) -> io::Result<Shared> {
         Ok(Shared {
-            ring: Ring::new(&cfg.backends, cfg.replicas),
-            // Optimistic until the first health sweep says otherwise: a
-            // cold router must not reject its first requests.
-            up: cfg.backends.iter().map(|_| AtomicBool::new(true)).collect(),
-            cfg,
+            // Optimistic until the first probe says otherwise: a cold
+            // router must not reject its first requests.
+            up: (0..backends).map(|_| AtomicBool::new(true)).collect(),
             counters: Mutex::default(),
-            draining: Mutex::new(false),
-            drained: Condvar::new(),
+            draining: AtomicBool::new(false),
             wake: Waker::new()?,
         })
     }
 
     fn begin_drain(&self) {
-        *self.draining.lock().unwrap() = true;
-        self.drained.notify_all();
+        self.draining.store(true, Ordering::SeqCst);
         self.wake.wake();
     }
 }
 
-/// A running router: the readiness loop plus the health checker, over a
-/// fixed backend set.
+/// A running router: the readiness loop over a fixed backend set.
 pub struct RouterHandle {
     shared: Arc<Shared>,
     addr: SocketAddr,
     event: JoinHandle<()>,
-    health: JoinHandle<()>,
 }
 
 impl RouterHandle {
-    /// Binds `addr` and starts the readiness loop and health checker.
+    /// Binds `addr` and starts the readiness loop.
     ///
     /// # Errors
     ///
@@ -190,21 +175,16 @@ impl RouterHandle {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let shared = Arc::new(Shared::new(cfg)?);
+        let shared = Arc::new(Shared::new(cfg.backends.len())?);
         let event = {
             let shared = Arc::clone(&shared);
-            let mut router = Router::new(Arc::clone(&shared));
+            let mut router = Router::new(cfg, Arc::clone(&shared));
             std::thread::spawn(move || ready::event_loop(&mut router, &listener, &shared.wake))
-        };
-        let health = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || health_loop(&shared))
         };
         Ok(RouterHandle {
             shared,
             addr,
             event,
-            health,
         })
     }
 
@@ -233,40 +213,12 @@ impl RouterHandle {
     }
 
     /// Blocks until the readiness loop has answered every pending slot and
-    /// closed its connections, and the health checker has exited. Call
-    /// [`RouterHandle::drain`] first — otherwise this blocks until
+    /// closed its connections. Call [`RouterHandle::drain`] first (or, in a
+    /// binary, let a signal begin it) — otherwise this blocks until
     /// something else does.
     pub fn wait(self) {
         let _ = self.event.join();
-        let _ = self.health.join();
     }
-}
-
-fn health_loop(shared: &Shared) {
-    let mut clients: Vec<Option<Client>> = shared.up.iter().map(|_| None).collect();
-    while !*shared.draining.lock().unwrap() {
-        for (i, client) in clients.iter_mut().enumerate() {
-            let alive = probe(client, &shared.cfg.backends[i]);
-            shared.up[i].store(alive, Ordering::SeqCst);
-        }
-        let (draining, interval) = (shared.draining.lock().unwrap(), shared.cfg.health_interval);
-        let drained = &shared.drained;
-        let _ = drained.wait_timeout_while(draining, interval, |d| !*d);
-    }
-}
-
-/// One liveness probe over the checker's own connection, dialed afresh
-/// after any failure.
-fn probe(slot: &mut Option<Client>, addr: &str) -> bool {
-    let Ok(mut client) = slot.take().map_or_else(|| Client::connect(addr), Ok) else {
-        return false;
-    };
-    let bounded = client.set_read_timeout(Some(PROBE_TIMEOUT)).is_ok();
-    let alive = bounded && client.ping().unwrap_or(false);
-    if alive {
-        *slot = Some(client);
-    }
-    alive
 }
 
 /// A frame sent to one backend, its answer awaited on the socket.
@@ -281,6 +233,20 @@ struct Link {
 }
 
 impl Link {
+    /// Writes `frame` to `backend` over `peer`, as far as the socket takes
+    /// it now.
+    fn open(backend: usize, peer: Peer, reused: bool, frame: &[u8]) -> io::Result<Link> {
+        let mut link = Link {
+            backend,
+            peer,
+            reused,
+            sent: Instant::now(),
+        };
+        link.peer.wbuf.extend_from_slice(frame);
+        link.peer.flush()?;
+        Ok(link)
+    }
+
     /// Moves the exchange on once its socket turned ready; `Ok(true)` once
     /// the whole answer frame is buffered.
     fn step(&mut self) -> io::Result<bool> {
@@ -324,7 +290,6 @@ enum Kind {
 
 /// A job on its way along its key's candidates.
 struct Forward {
-    spec: JobSpec,
     key: String,
     candidates: Vec<usize>,
     /// This round's candidates, live ones first; `next` is the next to try.
@@ -347,11 +312,17 @@ impl Forward {
     }
 }
 
-/// The router as the readiness loop runs it: the shared state plus the
-/// idle backend sockets, which only the loop thread touches.
+/// The router as the readiness loop runs it: the shared state plus what
+/// only the loop thread touches.
 struct Router {
     shared: Arc<Shared>,
+    cfg: RouterConfig,
+    ring: Ring,
     idle: Vec<Vec<Peer>>,
+    /// Each backend's `ping` in flight, on a socket of its own.
+    probes: Vec<Option<Link>>,
+    /// When the next probe round is due.
+    next_probe: Instant,
     /// Whole `result` frames by content key, prefix included.
     results: ReportCache,
     /// Forward latency, for the `stats` quantiles.
@@ -370,9 +341,8 @@ impl Service for Router {
                     self.shared.counters.lock().unwrap().hits += 1;
                     return None;
                 }
-                let candidates = self.shared.ring.candidates(&key);
+                let candidates = self.ring.candidates(&key);
                 let forward = Forward {
-                    spec,
                     key,
                     order: self.round_order(&candidates),
                     candidates,
@@ -437,21 +407,64 @@ impl Service for Router {
     }
 
     fn draining(&self) -> bool {
-        *self.shared.draining.lock().unwrap()
+        self.shared.draining.load(Ordering::SeqCst)
     }
 
     fn begin_drain(&self) {
         self.shared.begin_drain();
     }
+
+    /// Runs a probe round whenever one is due, until drain.
+    fn tick(&mut self, now: Instant) -> Option<Instant> {
+        if now >= self.next_probe && !self.draining() {
+            self.probe_round(now);
+            self.next_probe = now + self.cfg.health_interval;
+        }
+        (!self.draining()).then_some(self.next_probe)
+    }
 }
 
 impl Router {
-    fn new(shared: Arc<Shared>) -> Router {
+    fn new(cfg: RouterConfig, shared: Arc<Shared>) -> Router {
         Router {
-            idle: shared.up.iter().map(|_| Vec::new()).collect(),
+            ring: Ring::new(&cfg.backends, DEFAULT_REPLICAS),
+            idle: cfg.backends.iter().map(|_| Vec::new()).collect(),
+            probes: cfg.backends.iter().map(|_| None).collect(),
+            next_probe: Instant::now(),
             results: ReportCache::new(RESULT_FRAMES, None),
             forward: LatencyHistogram::new(),
+            cfg,
             shared,
+        }
+    }
+
+    /// Settles each backend's `ping` in flight without waiting (a `pong` is
+    /// up; an error, any other frame, or `PROBE_TIMEOUT` of silence is down),
+    /// then sends the next on the socket a `pong` came back on, or a new one.
+    fn probe_round(&mut self, now: Instant) {
+        let (mut ping, pong) = (Vec::new(), proto::pong_response());
+        proto::push_response(&mut ping, &Request::Ping.to_bytes());
+        let is_pong = |frame: Option<&[u8]>| frame.is_some_and(|f| f[4..] == pong);
+        for backend in 0..self.probes.len() {
+            let mut kept = None;
+            if let Some(mut l) = self.probes[backend].take() {
+                match l.step() {
+                    Ok(false) if now < l.sent + PROBE_TIMEOUT => {
+                        self.probes[backend] = Some(l);
+                        continue;
+                    }
+                    Ok(true) if is_pong(l.peer.rbuf.next_frame().ok().flatten()) => {
+                        self.shared.up[backend].store(true, Ordering::SeqCst);
+                        kept = Some(l.peer);
+                    }
+                    _ => self.mark_down(backend),
+                }
+            }
+            let peer = kept.map_or_else(|| dial(&self.cfg.backends[backend]), Ok);
+            match peer.and_then(|peer| Link::open(backend, peer, false, &ping)) {
+                Ok(link) => self.probes[backend] = Some(link),
+                Err(_) => self.mark_down(backend),
+            }
         }
     }
 
@@ -489,17 +502,10 @@ impl Router {
         }
         let (peer, reused) = match idle.pop() {
             Some(peer) => (peer, true),
-            None => (dial(&self.shared.cfg.backends[backend]).ok()?, false),
+            None => (dial(&self.cfg.backends[backend]).ok()?, false),
         };
-        let mut link = Link {
-            backend,
-            peer,
-            reused,
-            sent: Instant::now(),
-        };
-        link.peer.wbuf.extend_from_slice(frame);
-        match link.peer.flush() {
-            Ok(()) => Some(link),
+        match Link::open(backend, peer, reused, frame) {
+            Ok(link) => Some(link),
             Err(_) if reused => self.send(backend, frame, true),
             Err(_) => None,
         }
@@ -589,7 +595,7 @@ impl Router {
                 }
                 self.mark_down(backend);
             }
-            if f.round == self.shared.cfg.failover_retries {
+            if f.round == FAILOVER_RETRIES {
                 self.shared.counters.lock().unwrap().unrouteable += 1;
                 let key = Json::obj(vec![("key", Json::Str(f.key.clone()))]);
                 let error = proto::error_response("no backend reachable for job", &[key]);
@@ -597,8 +603,7 @@ impl Router {
                 return true;
             }
             self.shared.counters.lock().unwrap().retry_rounds += 1;
-            let seed = spec_jitter_seed(&f.spec);
-            let wait = backoff_ms(self.shared.cfg.retry_base_ms, f.round, seed);
+            let wait = backoff_ms(RETRY_BASE_MS, f.round, fnv1a_64(f.key.as_bytes()));
             f.round += 1;
             s.deadline = Some(now + Duration::from_millis(wait));
         }
@@ -681,7 +686,7 @@ impl Router {
     fn cluster_response(&self, snapshots: &[Option<StatsSnapshot>]) -> Vec<u8> {
         let shared = &self.shared;
         let up: Vec<bool> = shared.up.iter().map(|u| u.load(Ordering::SeqCst)).collect();
-        let backends = (shared.cfg.backends.iter().zip(&up).zip(snapshots))
+        let backends = (self.cfg.backends.iter().zip(&up).zip(snapshots))
             .map(|((addr, &up), stats)| {
                 Json::obj(vec![
                     ("addr", Json::Str(addr.clone())),
@@ -724,13 +729,13 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmtx_server::{response_type, ServerConfig, ServerHandle};
-    use hmtx_types::{BenchRef, WireBase, WireParadigm, WireScale};
+    use hmtx_server::{response_type, Client, ServerConfig, ServerHandle};
+    use hmtx_types::{BenchRef, JobSpec, WireBase, WireParadigm, WireScale};
 
     /// A router over one backend, driven by hand so a test picks `now`.
     fn router_over(backend: String) -> Router {
-        let shared = Shared::new(RouterConfig::new(vec![backend])).expect("waker");
-        Router::new(Arc::new(shared))
+        let shared = Shared::new(1).expect("waker");
+        Router::new(RouterConfig::new(vec![backend]), Arc::new(shared))
     }
 
     fn job_frame(spec: &JobSpec, deadline_ms: Option<u64>) -> Vec<u8> {

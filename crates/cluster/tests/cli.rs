@@ -1,7 +1,13 @@
-//! Command-line contract of `hmtx-router`. Only error paths run here:
-//! parsing fails before any socket is bound.
+//! Command-line contract of `hmtx-router`: the error paths, where parsing
+//! fails before any socket is bound, and the behaviour of a running router
+//! process at its fd limit and on SIGTERM.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader, Read};
+use std::net::TcpStream;
+use std::process::{Child, ChildStdout, Command, Stdio};
+use std::time::{Duration, Instant};
+
+use hmtx_server::proto::{self, FrameBuf, Request};
 
 const ROUTER: &str = env!("CARGO_BIN_EXE_hmtx-router");
 
@@ -36,12 +42,116 @@ fn flag_contract(bin: &str, prefix: &[&str], flag: &str) {
     }
 }
 
+const PREFIX: [&str; 4] = ["--backends", "127.0.0.1:9", "--addr", "127.0.0.1:0"];
+
 #[test]
 fn usage_errors_exit_2() {
-    flag_contract(
-        ROUTER,
-        &["--backends", "127.0.0.1:9", "--addr", "127.0.0.1:0"],
-        "--replicas",
-    );
+    flag_contract(ROUTER, &PREFIX, "--health-interval-ms");
     usage_error(ROUTER, &["--addr", "127.0.0.1:0"], "--backends is required");
+    // Ring replicas and the retry budget are constants, not flags.
+    for flag in ["--replicas", "--retries", "--retry-base-ms"] {
+        let args: Vec<&str> = PREFIX.iter().copied().chain([flag, "4"]).collect();
+        usage_error(ROUTER, &args, &format!("unknown flag `{flag}`"));
+    }
+}
+
+/// A router process, killed and reaped on drop so a failed assertion
+/// leaves nothing running.
+struct Proc(Child);
+
+impl Drop for Proc {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Starts `hmtx-router` over an unreachable backend through `sh -c`, whose
+/// `limits` (a shell prefix such as `ulimit -n 40;`) apply to it alone, and
+/// returns it with the address from its `listening on` line.
+fn spawn_router(limits: &str) -> (Proc, String, BufReader<ChildStdout>) {
+    let script = format!("{limits} exec \"$0\" \"$@\"");
+    let mut child = Command::new("sh")
+        .args(["-c", &script, ROUTER])
+        .args(PREFIX)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning hmtx-router");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("read stdout");
+    let addr = line.strip_prefix("listening on ").map(str::trim);
+    let addr = addr.unwrap_or_else(|| panic!("no address in {line:?}"));
+    (Proc(child), addr.to_string(), stdout)
+}
+
+/// Processor time `pid` has used: utime plus stime from `/proc/PID/stat`,
+/// in the kernel's 100 Hz clock ticks.
+fn cpu_time(pid: u32) -> Duration {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("stat");
+    // Past the parenthesised command name, field 3 (state) comes first.
+    let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 2..]
+        .split(' ')
+        .collect();
+    let ticks: u64 = fields[11..13]
+        .iter()
+        .map(|f| f.parse::<u64>().expect("ticks"))
+        .sum();
+    Duration::from_millis(ticks * 10)
+}
+
+/// Out of file descriptors, the router stops polling its listener instead
+/// of spinning on it: newcomers wait in the backlog, and once connections
+/// close, a waiting client is accepted and answered.
+#[test]
+fn at_its_fd_limit_the_router_waits_instead_of_spinning() {
+    let (router, addr, _stdout) = spawn_router("ulimit -n 40;");
+    let mut clients: Vec<TcpStream> = (0..60)
+        .map(|_| TcpStream::connect(&addr).expect("connect"))
+        .collect();
+    // Let the router accept what its 40 fds allow.
+    std::thread::sleep(Duration::from_millis(200));
+    let before = cpu_time(router.0.id());
+    std::thread::sleep(Duration::from_secs(2));
+    let spent = cpu_time(router.0.id()).saturating_sub(before);
+    assert!(
+        spent < Duration::from_millis(200),
+        "the router used {spent:?} of processor time in 2 s at its fd limit"
+    );
+    clients.drain(..30);
+    let mut waiting = clients.pop().expect("a client past the limit");
+    waiting
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("timeout");
+    proto::write_frame(&mut waiting, &Request::Ping.to_bytes()).expect("ping");
+    let mut rx = FrameBuf::new();
+    let answer = rx.read_frame(&mut waiting).expect("an answer in time");
+    assert_eq!(&answer.expect("not EOF")[4..], proto::pong_response());
+}
+
+/// SIGTERM drains a running `hmtx-router` at once: it exits 0 within a
+/// second, reporting `drained, exiting` on stderr.
+#[test]
+fn hmtx_router_drains_on_sigterm() {
+    let (mut router, _, _stdout) = spawn_router("");
+    let pid = router.0.id().to_string();
+    let sent = Command::new("kill").args(["-TERM", &pid]).status();
+    assert!(sent.expect("running kill").success());
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = router.0.try_wait().expect("wait") {
+            break status;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "hmtx-router still running 1 s after SIGTERM"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    let mut pipe = router.0.stderr.take().expect("stderr");
+    pipe.read_to_string(&mut stderr).expect("read stderr");
+    assert!(status.success(), "{status}: {stderr}");
+    assert!(stderr.contains("drained, exiting"), "{stderr}");
 }

@@ -5,7 +5,9 @@
 //! is recognized by its exact bytes; a `result` that merely contains the
 //! word is forwarded as-is. Only a `result` for the forward's own key
 //! enters the router's result tier, which then answers that key without a
-//! backend; and a forward to a backend that never answers expires.
+//! backend; a forward to a backend that never answers expires; and a
+//! backend that never answers its health probe is marked down without
+//! holding up a drain.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -617,6 +619,13 @@ fn a_silent_backend_times_out_at_the_forward_deadline() {
     );
     assert_eq!(router.counters().forwarded, 0);
 
+    timed_drain(router);
+}
+
+/// Runs `drain()` + `wait()` on another thread and returns how long they
+/// took; a drain that hangs fails after five seconds instead.
+fn timed_drain(router: RouterHandle) -> Duration {
+    let started = Instant::now();
     let (done, waited) = mpsc::channel();
     std::thread::spawn(move || {
         router.drain();
@@ -625,5 +634,66 @@ fn a_silent_backend_times_out_at_the_forward_deadline() {
     });
     waited
         .recv_timeout(Duration::from_secs(5))
-        .expect("drain + wait return while the backend stays silent");
+        .expect("drain + wait return");
+    started.elapsed()
+}
+
+/// A backend that takes connections (through the listen backlog) and never
+/// reads: its `ping` probe goes unanswered for the probe timeout (500 ms),
+/// which marks it down, and a job homed on it then goes straight to the
+/// live backend.
+#[test]
+fn a_hung_backend_is_probed_down_and_its_jobs_fail_over() {
+    let hung = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let real = ServerHandle::start("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addrs = vec![
+        hung.local_addr().expect("addr").to_string(),
+        real.addr().to_string(),
+    ];
+    let s = spec_homed_on(&addrs, 0);
+    let expected = Client::connect(&addrs[1])
+        .expect("connect")
+        .job(&s, None)
+        .expect("warm the live backend");
+    let started = Instant::now();
+    let router = router_over(addrs);
+    // The probe timeout plus three 50 ms intervals.
+    while router.backend_up(0) {
+        assert!(
+            started.elapsed() < Duration::from_millis(650),
+            "the hung backend still counts as up after {:?}",
+            started.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut c = Client::connect(&router.addr().to_string()).expect("connect");
+    c.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let started = Instant::now();
+    assert_eq!(c.job(&s, None).expect("job"), expected);
+    assert!(
+        started.elapsed() < Duration::from_millis(500),
+        "the failover took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(router.counters().failovers, 1);
+    timed_drain(router);
+    real.drain();
+    real.wait();
+}
+
+/// Drain does not wait on a health probe: with a `ping` unanswered on a
+/// hung backend's socket, `drain()` + `wait()` still return at once.
+#[test]
+fn drain_returns_promptly_beside_a_hung_backend() {
+    let hung = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let router = router_over(vec![hung.local_addr().expect("addr").to_string()]);
+    // Let the first probe go out and sit unanswered.
+    std::thread::sleep(Duration::from_millis(100));
+    let took = timed_drain(router);
+    assert!(
+        took < Duration::from_millis(250),
+        "drain + wait took {took:?} beside a hung backend"
+    );
+    drop(hung);
 }

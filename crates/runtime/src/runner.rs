@@ -284,8 +284,9 @@ pub fn squeezed_config(cfg: &MachineConfig) -> (MachineConfig, u16) {
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] for guest-program bugs, when the instruction budget
-/// is exceeded, or — as [`SimError::Livelock`] — when the run recovers
+/// Returns [`SimError::Config`] for an invalid machine configuration,
+/// [`SimError`] for guest-program bugs, when the instruction budget is
+/// exceeded, or — as [`SimError::Livelock`] — when the run recovers
 /// `cfg.max_recoveries` times without completing.
 pub fn run_loop(
     paradigm: Paradigm,
@@ -297,7 +298,7 @@ pub fn run_loop(
     let workers = paradigm.workers(cfg.num_cores);
     let (run_cfg, max_vid) = squeezed_config(cfg);
     let env = LoopEnv::new(max_vid, workers).with_pipeline_window(run_cfg.pipeline_window);
-    let mut machine = Machine::new(run_cfg);
+    let mut machine = Machine::try_new(run_cfg)?;
     body.build_image(&mut machine, &env);
 
     dispatch(paradigm, body, &env, &mut machine, 1)?;

@@ -21,8 +21,6 @@
 //! the capacity-bound configuration the cluster benchmark uses to show
 //! aggregate-cache scaling.
 
-use std::time::Duration;
-
 use hmtx_server::{ServerConfig, ServerHandle};
 use hmtx_types::cli::{Args, UsageError};
 
@@ -70,12 +68,7 @@ fn main() {
         }
     };
     println!("listening on {}", handle.addr());
-
-    while !hmtx_server::drain_requested() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    eprintln!("hmtx-serve: draining (finishing in-flight jobs)");
-    handle.drain();
+    // The loop begins drain on SIGINT/SIGTERM; `wait` returns once done.
     handle.wait();
     eprintln!("hmtx-serve: drained, exiting");
 }

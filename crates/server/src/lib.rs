@@ -55,4 +55,4 @@ pub use client::{
 pub use metrics::Metrics;
 pub use proto::{write_frame, Request, MAX_FRAME};
 pub use server::{ServerConfig, ServerHandle, DEFAULT_DEADLINE_MS};
-pub use signals::{drain_requested, install_drain_handlers};
+pub use signals::install_drain_handlers;

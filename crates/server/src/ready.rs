@@ -5,10 +5,11 @@
 //! The loop owns the listener and all connections; what a frame means is
 //! the [`Service`]'s business. Each iteration it:
 //!
-//! 1. polls the [`Waker`], the listener (until drain), every connection
+//! 1. runs [`Service::tick`], then polls the [`Waker`], the listener
+//!    (until drain, and below `MAX_CONNS` connections), every connection
 //!    that wants to read (no slot pending) or write (unflushed output), and
 //!    the socket each pending slot waits on, until something is ready or
-//!    the earliest pending deadline expires;
+//!    the earliest pending deadline or tick expires;
 //! 2. accepts, reads, and hands complete frames to [`Service::handle`],
 //!    which answers inline or parks the connection on a *pending* slot. A
 //!    parked connection is not read further, so responses stay in request
@@ -19,10 +20,11 @@
 //! 4. flushes output buffers as sockets accept bytes.
 //!
 //! An idle connection costs a buffer and one `pollfd` entry, no thread. The
-//! only `unsafe` here is the `poll` call in `sys`. Once
-//! [`Service::draining`] holds, the listener leaves the poll set, and once
-//! every slot has resolved and every buffer has flushed, the loop drops all
-//! connections (clients see EOF) and returns.
+//! only `unsafe` here is the `poll` call in `sys`. The loop begins drain
+//! itself on SIGINT/SIGTERM. Once [`Service::draining`] holds, the listener
+//! leaves the poll set, and once every slot has resolved and every buffer
+//! has flushed, the loop drops all connections (clients see EOF) and
+//! returns.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -57,20 +59,20 @@ mod sys {
         fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     }
 
-    /// `poll(2)`; returns the ready count, retrying on EINTR.
+    /// `poll(2)`; returns the ready count, and 0 on EINTR, so a signal
+    /// ends the wait and the loop sees the drain flag at once.
     pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-        loop {
-            // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)`
-            // pollfd records, and poll(2) touches only its first `len`.
-            let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
-            if rc >= 0 {
-                return Ok(rc as usize);
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
-            }
+        // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)`
+        // pollfd records, and poll(2) touches only its first `len`.
+        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
+        if rc >= 0 {
+            return Ok(rc as usize);
         }
+        let err = io::Error::last_os_error();
+        if err.kind() == io::ErrorKind::Interrupted {
+            return Ok(0);
+        }
+        Err(err)
     }
 }
 
@@ -134,8 +136,14 @@ pub trait Service {
     /// Whether drain has begun.
     fn draining(&self) -> bool;
 
-    /// Begins drain (the loop calls this when `poll` itself fails).
+    /// Begins drain (the loop calls this on a signal and when `poll` fails).
     fn begin_drain(&self);
+
+    /// The service's timed work, run once per round; returns when it is
+    /// next due, which caps the round's poll. The default has none.
+    fn tick(&mut self, _now: Instant) -> Option<Instant> {
+        None
+    }
 }
 
 /// A nonblocking socket with its framing buffers: each client connection,
@@ -262,10 +270,20 @@ fn pollfd(fd: RawFd, events: i16) -> sys::PollFd {
     }
 }
 
+/// Connections the loop holds at most; newcomers wait in the listen
+/// backlog. Each may park on a router backend socket, so twice this plus
+/// the router's idle sockets stays under the usual 1,024-fd limit.
+pub(crate) const MAX_CONNS: usize = 400;
+
+const IDLE_TICK: Duration = Duration::from_millis(100);
+
 /// Runs the readiness loop until drain completes. Takes the pre-bound
 /// nonblocking listener and the waker other threads poke.
 pub fn event_loop<S: Service>(service: &mut S, listener: &TcpListener, wake: &Waker) {
     let mut conns: Vec<Conn<S::Pending>> = Vec::new();
+    // A failed accept (out of fds, say) leaves the listener readable, so
+    // it sits out an idle tick instead of spinning poll.
+    let mut accept_after = Instant::now();
     // Rebuilt every iteration: the poll set (waker, listener, then
     // connections) and, per connection entry, the connection it belongs to
     // and whether it is that connection's pending socket.
@@ -273,6 +291,9 @@ pub fn event_loop<S: Service>(service: &mut S, listener: &TcpListener, wake: &Wa
     let mut poll_ids: Vec<(usize, bool)> = Vec::new();
 
     loop {
+        if !service.draining() && crate::signals::drain_requested() {
+            service.begin_drain();
+        }
         let draining = service.draining();
         if draining
             && conns
@@ -287,12 +308,16 @@ pub fn event_loop<S: Service>(service: &mut S, listener: &TcpListener, wake: &Wa
         pollfds.clear();
         poll_ids.clear();
         pollfds.push(pollfd(wake.rx.as_raw_fd(), sys::POLLIN));
-        // The listener leaves the set on drain: no events, no accepts.
-        let accepting = if draining { 0 } else { sys::POLLIN };
-        pollfds.push(pollfd(listener.as_raw_fd(), accepting));
-
         let now = Instant::now();
-        let mut timeout = Duration::from_millis(100);
+        let mut timeout = IDLE_TICK;
+        if let Some(due) = service.tick(now) {
+            timeout = timeout.min(due.saturating_duration_since(now));
+        }
+        // The listener leaves the set on drain, at the cap, and while
+        // stalled: no events, no accepts.
+        let accepting = !draining && now >= accept_after && conns.len() < MAX_CONNS;
+        let events = if accepting { sys::POLLIN } else { 0 };
+        pollfds.push(pollfd(listener.as_raw_fd(), events));
         for (id, conn) in conns.iter().enumerate() {
             let mut events: i16 = 0;
             if conn.pending.is_none() && !conn.peer_closed && !conn.dead {
@@ -335,23 +360,29 @@ pub fn event_loop<S: Service>(service: &mut S, listener: &TcpListener, wake: &Wa
             wake.drain();
         }
 
-        // Accept everything waiting.
-        if pollfds[1].revents & sys::POLLIN != 0 {
-            while let Ok((stream, _)) = listener.accept() {
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
+        // Accept everything waiting, up to the cap.
+        while pollfds[1].revents & sys::POLLIN != 0 && conns.len() < MAX_CONNS {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(_) => {
+                    accept_after = Instant::now() + IDLE_TICK;
+                    break;
                 }
-                // Small request/response frames must not sit in Nagle's
-                // buffer.
-                let _ = stream.set_nodelay(true);
-                conns.push(Conn {
-                    peer: Peer::new(stream),
-                    pending: None,
-                    pending_ready: false,
-                    peer_closed: false,
-                    dead: false,
-                });
+            };
+            if stream.set_nonblocking(true).is_err() {
+                continue;
             }
+            // Small request/response frames must not sit in Nagle's
+            // buffer.
+            let _ = stream.set_nodelay(true);
+            conns.push(Conn {
+                peer: Peer::new(stream),
+                pending: None,
+                pending_ready: false,
+                peer_closed: false,
+                dead: false,
+            });
         }
 
         // Per-connection readiness.

@@ -2,8 +2,8 @@
 //! `hmtx-router` binaries.
 //!
 //! The handler is async-signal-safe: it only flips a static atomic. The
-//! binary's main loop watches [`drain_requested`] and performs the actual
-//! drain outside signal context.
+//! readiness loop checks it every round and begins the drain itself,
+//! outside signal context.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -30,7 +30,6 @@ pub fn install_drain_handlers() {
 }
 
 /// True once SIGINT or SIGTERM has been received.
-#[must_use]
-pub fn drain_requested() -> bool {
+pub(crate) fn drain_requested() -> bool {
     DRAIN.load(Ordering::SeqCst)
 }

@@ -1,7 +1,10 @@
-//! Command-line contract of `hmtx-serve` and `hmtx-load`. Only error
-//! paths run here: parsing fails before any socket is bound or dialled.
+//! Command-line contract of `hmtx-serve` and `hmtx-load`: the error paths,
+//! where parsing fails before any socket is bound or dialled, and the
+//! drain of a running `hmtx-serve` on SIGTERM.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader, Read};
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 const SERVE: &str = env!("CARGO_BIN_EXE_hmtx-serve");
 const LOAD: &str = env!("CARGO_BIN_EXE_hmtx-load");
@@ -56,4 +59,40 @@ fn hmtx_load_usage_errors_exit_2() {
         &["--addr", "127.0.0.1:9", "--sustained", "--rate", "0"],
         "--rate",
     );
+}
+
+/// SIGTERM drains a running `hmtx-serve` at once: it exits 0 within a
+/// second, reporting `drained, exiting` on stderr.
+#[test]
+fn hmtx_serve_drains_on_sigterm() {
+    let mut child = Command::new(SERVE)
+        .args(["--addr", "127.0.0.1:0", "--mem-only", "--workers", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning hmtx-serve");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("read stdout");
+    assert!(line.starts_with("listening on "), "{line}");
+    let pid = child.id().to_string();
+    let sent = Command::new("kill").args(["-TERM", &pid]).status();
+    assert!(sent.expect("running kill").success());
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            break status;
+        }
+        if started.elapsed() > Duration::from_secs(1) {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("hmtx-serve still running 1 s after SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    let mut pipe = child.stderr.take().expect("stderr");
+    pipe.read_to_string(&mut stderr).expect("read stderr");
+    assert!(status.success(), "{status}: {stderr}");
+    assert!(stderr.contains("drained, exiting"), "{stderr}");
 }

@@ -10,7 +10,7 @@
 //! plus deadline-timeout behavior (the timed-out job still caches).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hmtx_server::{response_type, Client, ServerConfig, ServerHandle};
 use hmtx_types::{BenchRef, JobSpec, WireBase, WireParadigm, WireScale, WireVariant};
@@ -416,6 +416,29 @@ fn an_unplaceable_job_answers_error_and_the_only_worker_keeps_serving() {
     assert_eq!(response_type(&response).as_deref(), Some("error"));
     let text = String::from_utf8(response).expect("utf-8");
     assert!(text.contains("needs at least 3 cores"), "{text}");
+    let good = client.job(&spec(2), Some(30_000)).expect("good job");
+    assert_eq!(response_type(&good).as_deref(), Some("result"));
+    handle.drain();
+    handle.wait();
+}
+
+/// A VID width the wire accepts but the machine rejects (13 bits) answers
+/// a named `error` at once; it once panicked the worker that ran it, so the
+/// request waited out its deadline and the server had no worker left.
+#[test]
+fn an_invalid_vid_width_answers_error_and_the_only_worker_keeps_serving() {
+    let handle = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = connect(&handle);
+    let started = Instant::now();
+    let response = client.job(&variant_spec(13), Some(2_000)).expect("job");
+    let took = started.elapsed();
+    let text = String::from_utf8(response).expect("utf-8");
+    assert!(text.starts_with(r#"{"type":"error""#), "{text}");
+    assert!(text.contains("vid_bits"), "{text}");
+    assert!(took < Duration::from_millis(500), "the error took {took:?}");
     let good = client.job(&spec(2), Some(30_000)).expect("good job");
     assert_eq!(response_type(&good).as_deref(), Some("result"));
     handle.drain();

@@ -172,9 +172,10 @@ fn dispatch_fast(
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] for guest-program bugs, budget exhaustion, or —
-/// as [`SimError::Livelock`] — when the run recovers
-/// `cfg.max_recoveries` times without completing.
+/// Returns [`SimError::Config`] for an invalid machine configuration,
+/// [`SimError`] for guest-program bugs, budget exhaustion, or — as
+/// [`SimError::Livelock`] — when the run recovers `cfg.max_recoveries`
+/// times without completing.
 pub fn run_hytm(
     paradigm: Paradigm,
     body: &dyn LoopBody,
@@ -193,7 +194,7 @@ pub fn run_hytm(
     let env = LoopEnv::new(max_vid, workers)
         .with_pipeline_window(run_cfg.pipeline_window)
         .with_vid_watchdog(hytm.watchdog_spins);
-    let mut machine = Machine::new(run_cfg);
+    let mut machine = Machine::try_new(run_cfg)?;
     body.build_image(&mut machine, &env);
 
     dispatch_fast(paradigm, body, &env, &mut machine, 1)?;

@@ -29,7 +29,8 @@ pub struct SmtxReport {
 /// # Errors
 ///
 /// Returns [`SimError::Config`] on fewer than 3 or more than
-/// [`SMTX_MAX_WORKERS`]` + 2` cores, before any thread is loaded, and
+/// [`SMTX_MAX_WORKERS`]` + 2` cores, before any thread is loaded, or on an
+/// invalid machine configuration, and
 /// [`SimError`] for guest-program bugs or budget exhaustion. SMTX
 /// runs never abort in this model (the paper's benchmarks never
 /// misspeculate; conflict-freedom is the workload's responsibility).
@@ -43,7 +44,7 @@ pub fn run_smtx(
     check_cores("SMTX", 3..=SMTX_MAX_WORKERS + 2, cfg)?;
     let workers = cfg.num_cores - 2;
     let env = LoopEnv::new(cfg.hmtx.max_vid().0, workers);
-    let mut machine = Machine::new(cfg.clone());
+    let mut machine = Machine::try_new(cfg.clone())?;
     body.build_image(&mut machine, &env);
 
     let generated = build_smtx_pipeline(body, &env, &cfg.smtx, mode)?;

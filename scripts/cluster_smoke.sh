@@ -5,7 +5,8 @@
 # is killed hard (kill -9, not a drain) a second checked sweep over keys
 # the router has not seen (so its result tier cannot answer them) must
 # still be green via ring failover; the `cluster` frame must report the
-# fleet and those failovers; and SIGTERM must drain the router cleanly.
+# fleet and those failovers; the router must run on two threads (main and
+# the readiness loop); and SIGTERM must drain the router cleanly.
 # Nonzero exit on any failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -99,6 +100,13 @@ assert agg["executed"] > 0, agg
 print(f"cluster_smoke: cluster frame ok: {ups.count(True)}/3 up, "
       f"forwarded {r['forwarded']}, hits {r['hits']}, failovers {r['failovers']}")
 EOF
+
+# --- one loop thread: the router is main plus the readiness loop ---------
+THREADS="$(ls "/proc/$ROUTER_PID/task" | wc -l)"
+if [ "$THREADS" -ne 2 ]; then
+  echo "cluster_smoke: router has $THREADS threads, want 2 (main + loop)" >&2
+  exit 1
+fi
 
 # --- graceful drain on SIGTERM --------------------------------------------
 kill -TERM "$ROUTER_PID"
