@@ -11,6 +11,7 @@
 //! SIGINT begins a graceful drain of the router only — backends keep
 //! running (stop them with their own signals or a direct `shutdown`).
 
+use std::num::NonZeroU64;
 use std::time::Duration;
 
 use hmtx_cluster::{RouterConfig, RouterHandle};
@@ -35,7 +36,9 @@ fn parse_args(mut args: Args) -> Result<(String, RouterConfig), UsageError> {
                     .collect();
             }
             "--health-interval-ms" => {
-                cfg.health_interval = Duration::from_millis(args.parse(&arg)?);
+                // A zero interval would run a probe round on every poll.
+                let ms = args.parse::<NonZeroU64>(&arg)?.get();
+                cfg.health_interval = Duration::from_millis(ms);
             }
             _ => return Err(UsageError::unknown(&arg)),
         }

@@ -257,14 +257,6 @@ impl MemStats {
         self.rw_totals
     }
 
-    /// Speculative accesses (loads + stores) per committed transaction
-    /// (Table 1 column "Avg Number of Spec Mem Accesses Per TX" is computed
-    /// by the machine layer, which also counts accesses; this helper exposes
-    /// the committed-transaction count).
-    pub fn committed_transactions(&self) -> u64 {
-        self.rw_totals.transactions
-    }
-
     /// Records one VID hit-check comparison (§4.5): `short` when the high
     /// bits of both VIDs match (the common case), `cascaded` otherwise.
     pub fn record_vid_compare(&mut self, a: Vid, b: Vid, vid_bits: u32) {

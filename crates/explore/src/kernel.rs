@@ -13,8 +13,6 @@
 //!   and checked against the [`hmtx_isa::run_serial_tm`] sequential TM
 //!   oracle.
 
-use hmtx_types::Addr;
-
 /// One memory operation of an [`OpKernel`] transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpSpec {
@@ -24,15 +22,6 @@ pub struct OpSpec {
     pub addr: u64,
     /// `Some(value)` for a store, `None` for a load.
     pub write: Option<u64>,
-}
-
-impl OpSpec {
-    /// Whether two ops can be order-sensitive: same line, at least one
-    /// store (the independence relation a partial-order reduction keys on).
-    pub fn conflicts_with(&self, other: &OpSpec) -> bool {
-        Addr(self.addr).line() == Addr(other.addr).line()
-            && (self.write.is_some() || other.write.is_some())
-    }
 }
 
 /// An op-level kernel: transaction `i` carries VID `i + 1` and commits in
@@ -314,28 +303,6 @@ mod tests {
         assert_eq!(k.locate(2).0, 0);
         assert_eq!(k.locate(3).0, 1);
         assert_eq!(k.locate(6), (1, k.txs[1][3]));
-    }
-
-    #[test]
-    fn conflict_requires_same_line_and_a_write() {
-        let w = OpSpec {
-            core: 0,
-            addr: ADDR_A,
-            write: Some(1),
-        };
-        let r_same = OpSpec {
-            core: 1,
-            addr: ADDR_A + 8,
-            write: None,
-        };
-        let r_other = OpSpec {
-            core: 1,
-            addr: ADDR_B,
-            write: None,
-        };
-        assert!(w.conflicts_with(&r_same), "same line, one write");
-        assert!(!w.conflicts_with(&r_other));
-        assert!(!r_same.conflicts_with(&r_same), "two reads commute");
     }
 
     #[test]

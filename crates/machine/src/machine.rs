@@ -98,12 +98,6 @@ impl ThreadContext {
             halted: false,
         }
     }
-
-    /// Sets a register (builder-style initial state).
-    pub fn with_reg(mut self, reg: Reg, value: u64) -> Self {
-        self.regs[reg.index()] = value;
-        self
-    }
 }
 
 /// A marker event recorded by the `marker` instruction.
@@ -400,11 +394,6 @@ impl Machine {
     /// The thread currently on `core`.
     pub fn thread(&self, core: usize) -> Option<&ThreadContext> {
         self.threads[core].as_ref()
-    }
-
-    /// Mutable access to the thread on `core`.
-    pub fn thread_mut(&mut self, core: usize) -> Option<&mut ThreadContext> {
-        self.threads[core].as_mut()
     }
 
     /// Migrates the thread on `from` to the (empty) core `to`, charging a

@@ -134,11 +134,6 @@ impl LineData {
     pub fn bytes(&self) -> &[u8; LINE_SIZE] {
         &self.0
     }
-
-    /// The raw bytes, mutably.
-    pub fn bytes_mut(&mut self) -> &mut [u8; LINE_SIZE] {
-        &mut self.0
-    }
 }
 
 impl Default for LineData {

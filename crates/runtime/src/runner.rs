@@ -199,20 +199,6 @@ pub struct RunReport {
     pub hytm: Option<HytmMix>,
 }
 
-impl RunReport {
-    /// Hot-loop speedup of this run over a baseline cycle count.
-    #[must_use]
-    pub fn speedup_over(&self, baseline_cycles: Cycle) -> f64 {
-        speedup(baseline_cycles, self.cycles)
-    }
-
-    /// Retired instructions per cycle across all cores.
-    #[must_use]
-    pub fn ipc(&self) -> f64 {
-        self.instructions as f64 / self.cycles.max(1) as f64
-    }
-}
-
 /// Speedup of `cycles` relative to `baseline_cycles` (values above 1.0 mean
 /// faster than the baseline). The single definition every experiment's
 /// speedup column goes through.

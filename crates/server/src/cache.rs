@@ -13,10 +13,7 @@
 //! never contend on the same lock. The total capacity is divided across
 //! shards ([`shard_caps`]), each shard evicting LRU **within itself**
 //! (logical-clock recency, O(n) eviction over a shard's slice of the
-//! capacity). The server keys its single-flight registry with the same
-//! [`shard_index`], which is what keeps the PR 4 coalescing invariant
-//! (cache-insert happens-before in-flight removal, re-probe under the same
-//! lock) intact per shard without any global lock.
+//! capacity).
 //!
 //! The disk tier persists every insert under `<dir>/<key>.json` via
 //! write-to-temp + atomic rename, so a crashed or killed server never
@@ -134,8 +131,8 @@ impl ReportCache {
         Self::with_shards(mem_cap, DEFAULT_SHARDS, disk_dir)
     }
 
-    /// A cache with an explicit memory-shard count (tests pin 1 to recover
-    /// the PR 4 single-LRU behavior, or a prime to stress the prefix fold).
+    /// A cache with an explicit memory-shard count (tests pin 1 for a
+    /// single LRU, or a prime to stress the prefix fold).
     /// The effective shard count is clamped to the capacity so a small
     /// cache never ends up with zero-capacity shards that silently drop
     /// their keys.
@@ -164,10 +161,7 @@ impl ReportCache {
         self.shards.len()
     }
 
-    /// The shard `key` maps to (shared with the server's single-flight
-    /// registry so both agree on which lock covers a key).
-    #[must_use]
-    pub fn shard_of(&self, key: &str) -> usize {
+    fn shard_of(&self, key: &str) -> usize {
         shard_index(key, self.shards.len())
     }
 

@@ -11,10 +11,11 @@
 //! library: a poll(2)-based readiness loop (thousands of idle connections
 //! cost buffers, not threads), a configurable worker pool over a bounded
 //! admission queue with explicit backpressure (`busy` + retry hint),
-//! request coalescing (identical concurrent specs simulate once) sharded
-//! by key prefix alongside the memory cache, per-request deadlines,
-//! graceful drain on SIGTERM/`shutdown`, and a `stats` endpoint with cache
-//! and latency counters. `hmtx-router` (crates/cluster) consistent-hashes
+//! request coalescing (identical concurrent specs simulate once),
+//! per-request deadlines, graceful drain on SIGTERM/`shutdown`, and a
+//! `stats` endpoint with cache and latency counters. Admission, coalescing
+//! and the counters are the loop thread's own state; workers only
+//! simulate. `hmtx-router` (crates/cluster) consistent-hashes
 //! keys across many such nodes over the same frame protocol.
 //!
 //! # Example
@@ -42,7 +43,6 @@
 
 pub mod cache;
 pub mod client;
-pub mod metrics;
 pub mod proto;
 pub mod ready;
 pub mod server;
@@ -52,7 +52,6 @@ pub use cache::{shard_index, ReportCache, Tier};
 pub use client::{
     backoff_ms, busy_retry_after, fnv1a_64, parse_response, response_type, spec_jitter_seed, Client,
 };
-pub use metrics::Metrics;
 pub use proto::{write_frame, Request, MAX_FRAME};
 pub use server::{ServerConfig, ServerHandle, DEFAULT_DEADLINE_MS};
 pub use signals::install_drain_handlers;

@@ -1,23 +1,30 @@
-//! The `hmtx-serve` server: bounded admission, sharded single-flight
-//! execution, two-tier caching, graceful drain.
+//! The `hmtx-serve` server: bounded admission, single-flight execution,
+//! two-tier caching, graceful drain.
+//!
+//! Request state belongs to the readiness loop's thread ([`crate::ready`];
+//! the server is one [`Service`] of it): the in-flight map, the serving
+//! counters and each job's outcome are plain fields of the loop's
+//! `Server`, touched by no other thread. The workers share with it only
+//! the work queue, the [`ReportCache`], a completion channel, the drain
+//! flag and the loop's waker.
 //!
 //! Request lifecycle for a `job`:
 //!
 //! 1. **Cache probe** — memory then disk; a hit answers immediately with the
 //!    stored bytes spliced into the response envelope.
-//! 2. **Admission** — under the key's *shard* lock (the memory cache's
-//!    prefix shard): an identical in-flight job coalesces onto the same
-//!    `JobCell`; a full queue answers `busy` with a retry hint; otherwise
-//!    the job enqueues and the miss is counted. No lock is global.
+//! 2. **Admission** — an identical in-flight job coalesces onto the same
+//!    cell; a full queue answers `busy` with a retry hint; otherwise the job
+//!    enqueues and the miss is counted.
 //! 3. **Wait with deadline** — the connection parks on a `Wait` slot of the
-//!    readiness loop ([`crate::ready`]; the server is one [`Service`] of
-//!    it). A timeout answers `timeout`, but the job keeps running and its
+//!    loop. A timeout answers `timeout`, but the job keeps running and its
 //!    report still lands in the cache — a retry is a hit.
-//! 4. **Execution** — a worker runs [`hmtx_bench::run_job_report`] and
-//!    caches the report bytes *before* publishing the cell and leaving the
-//!    in-flight shard, so a requester that misses the in-flight shard
-//!    re-probes the cache under the same lock and cannot race into a
-//!    duplicate simulation. The worker then pokes the loop's waker.
+//! 4. **Execution** — a worker runs [`hmtx_bench::run_job_report`], caches
+//!    the report bytes, sends the outcome back and pokes the waker. The
+//!    loop takes each completion before it answers anything: it counts the
+//!    execution, drops the key from the in-flight map and sets the cell its
+//!    waiters hold. The bytes are cached before the key leaves the map, so
+//!    a request that finds no flight finds the bytes, and no key ever
+//!    simulates twice while it is cached.
 //!
 //! **Drain** ([`ServerHandle::drain`], a `shutdown` request, or SIGTERM in
 //! the binary): the listener stops accepting, queued and executing jobs
@@ -25,19 +32,23 @@
 //! [`ServerHandle::wait`] returns once the loop has answered every waiter
 //! and the workers have gone idle.
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hmtx_types::JobSpec;
+use hmtx_core::stats::inc;
+use hmtx_core::LatencyHistogram;
+use hmtx_types::{JobSpec, StatsSnapshot};
 
 use crate::cache::{ReportCache, Tier, DEFAULT_SHARDS};
-use crate::metrics::{bump, Metrics};
 use crate::proto::{self, Request};
 use crate::ready::{self, Service, Waker};
 
@@ -56,7 +67,7 @@ pub struct ServerConfig {
     pub queue_cap: usize,
     /// In-memory cache capacity, in reports (split across `shards`).
     pub mem_cache_cap: usize,
-    /// Memory-cache and single-flight shard count.
+    /// Memory-cache shard count.
     pub shards: usize,
     /// On-disk report store (`None` = memory-only).
     pub cache_dir: Option<PathBuf>,
@@ -84,57 +95,43 @@ impl Default for ServerConfig {
     }
 }
 
-/// The published outcome of one execution: the report bytes, or a rendered
-/// error response (shared by every coalesced waiter).
-pub(crate) type CellOutcome = Result<Arc<Vec<u8>>, Arc<Vec<u8>>>;
+/// The outcome of one execution: the report bytes, or a rendered error
+/// response.
+type Outcome = Result<Arc<Vec<u8>>, Vec<u8>>;
 
-/// One admitted job: requests for the same key share a cell, and the cell's
-/// state is published exactly once by the executing worker. Waiters are
-/// event-loop pending slots, woken through the loop's waker rather than a
-/// condvar.
-pub(crate) struct JobCell {
-    pub(crate) key: String,
-    spec: JobSpec,
-    /// `None` until finished.
-    pub(crate) state: Mutex<Option<CellOutcome>>,
-}
+/// A finished execution, as a worker reports it to the loop: the key, the
+/// outcome and the service time.
+type Completion = (String, Outcome, Duration);
 
-struct Sched {
-    queue: VecDeque<Arc<JobCell>>,
-    executing: u64,
-}
-
-pub(crate) struct Inner {
-    pub(crate) cfg: ServerConfig,
-    pub(crate) metrics: Metrics,
-    cache: ReportCache,
-    sched: Mutex<Sched>,
-    /// Per-shard single-flight registries, indexed like the cache shards.
-    flights: Vec<Mutex<HashMap<String, Arc<JobCell>>>>,
+/// What the loop and the workers share; nothing else crosses threads.
+struct Shared {
+    /// Admitted jobs no worker has taken yet.
+    queue: Mutex<VecDeque<(String, JobSpec)>>,
     work: Condvar,
-    pub(crate) draining: AtomicBool,
-    pub(crate) wake: Waker,
+    cache: ReportCache,
+    draining: AtomicBool,
+    wake: Waker,
 }
 
-impl Inner {
-    pub(crate) fn begin_drain(&self) {
+impl Shared {
+    fn queue(&self) -> MutexGuard<'_, VecDeque<(String, JobSpec)>> {
+        // Nothing that can panic runs under this lock.
+        self.queue.lock().expect("work queue lock poisoned")
+    }
+
+    fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
         // Notify under the lock, so no worker can sit between its draining
         // check and its wait and miss the wakeup.
-        let _sched = self.sched.lock().unwrap();
+        let _queue = self.queue();
         self.work.notify_all();
         self.wake.wake();
-    }
-
-    pub(crate) fn queue_gauges(&self) -> (u64, u64) {
-        let sched = self.sched.lock().unwrap();
-        (sched.queue.len() as u64, sched.executing)
     }
 }
 
 /// A running server: its bound address and the handles to stop it.
 pub struct ServerHandle {
-    inner: Arc<Inner>,
+    shared: Arc<Shared>,
     addr: SocketAddr,
     event: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
@@ -150,7 +147,7 @@ impl ServerHandle {
     /// Begins graceful drain: stop accepting, finish in-flight work, answer
     /// `draining` to new job requests.
     pub fn drain(&self) {
-        self.inner.begin_drain();
+        self.shared.begin_drain();
     }
 
     /// Waits for drain to complete (in-flight waiters answered, workers
@@ -172,35 +169,41 @@ impl ServerHandle {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let shards = cfg.shards.max(1);
-        let inner = Arc::new(Inner {
-            cache: ReportCache::with_shards(cfg.mem_cache_cap, shards, cfg.cache_dir.clone()),
-            metrics: Metrics::new(),
-            sched: Mutex::new(Sched {
-                queue: VecDeque::new(),
-                executing: 0,
-            }),
-            flights: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(VecDeque::new()),
             work: Condvar::new(),
+            cache: ReportCache::with_shards(cfg.mem_cache_cap, cfg.shards, cfg.cache_dir.clone()),
             draining: AtomicBool::new(false),
             wake: Waker::new()?,
-            cfg,
         });
+        let (done, completions) = mpsc::channel();
 
-        let workers = (0..inner.cfg.workers.max(1))
+        let workers = (0..cfg.workers.max(1))
             .map(|_| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || worker_loop(&inner))
+                let shared = Arc::clone(&shared);
+                let done = done.clone();
+                let delay = cfg.execute_delay;
+                std::thread::spawn(move || worker_loop(&shared, &done, delay))
             })
             .collect();
 
         let event = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || ready::event_loop(&mut &*inner, &listener, &inner.wake))
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let mut server = Server {
+                    cfg,
+                    shared: Arc::clone(&shared),
+                    completions,
+                    flights: HashMap::new(),
+                    stats: StatsSnapshot::default(),
+                    service: LatencyHistogram::new(),
+                };
+                ready::event_loop(&mut server, &listener, &shared.wake);
+            })
         };
 
         Ok(ServerHandle {
-            inner,
+            shared,
             addr,
             event,
             workers,
@@ -208,80 +211,153 @@ impl ServerHandle {
     }
 }
 
-fn worker_loop(inner: &Inner) {
+fn worker_loop(shared: &Shared, done: &Sender<Completion>, delay: Duration) {
     loop {
-        let cell = {
-            let mut sched = inner.sched.lock().unwrap();
+        let (key, spec) = {
+            let mut queue = shared.queue();
             loop {
-                if let Some(cell) = sched.queue.pop_front() {
-                    sched.executing += 1;
-                    break Some(cell);
+                if let Some(job) = queue.pop_front() {
+                    break job;
                 }
-                if inner.draining.load(Ordering::SeqCst) {
-                    break None;
+                if shared.draining.load(Ordering::SeqCst) {
+                    return;
                 }
-                sched = inner.work.wait(sched).unwrap();
+                queue = shared.work.wait(queue).expect("work queue lock poisoned");
             }
         };
-        let Some(cell) = cell else { return };
-        execute(inner, &cell);
-    }
-}
-
-fn execute(inner: &Inner, cell: &JobCell) {
-    if !inner.cfg.execute_delay.is_zero() {
-        std::thread::sleep(inner.cfg.execute_delay);
-    }
-    let started = Instant::now();
-    let result = match hmtx_bench::run_job_report(&cell.spec) {
-        Ok(report) => {
-            let bytes = Arc::new(report.compact().into_bytes());
-            // Cache BEFORE leaving the in-flight shard: a requester that
-            // sees the key absent from its flight shard re-probes the cache
-            // under the same shard lock and is guaranteed to find these
-            // bytes.
-            let _ = inner.cache.put(&cell.key, Arc::clone(&bytes));
-            bump(&inner.metrics.executed);
-            let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            inner.metrics.record_service_us(us);
-            Ok(bytes)
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
         }
-        Err(e) => Err(Arc::new(proto::sim_error_response(&e))),
-    };
-    {
-        let shard = inner.cache.shard_of(&cell.key);
-        let mut flight = inner.flights[shard].lock().unwrap();
-        flight.remove(&cell.key);
+        let started = Instant::now();
+        let outcome = match hmtx_bench::run_job_report(&spec) {
+            Ok(report) => {
+                let bytes = Arc::new(report.compact().into_bytes());
+                // Cache before reporting: the loop drops the key from its
+                // in-flight map only on this report, so a request that
+                // finds no flight finds these bytes.
+                let _ = shared.cache.put(&key, Arc::clone(&bytes));
+                Ok(bytes)
+            }
+            Err(e) => Err(proto::sim_error_response(&e)),
+        };
+        // A loop that has already exited (its waiters all answered) has
+        // dropped the receiver; the report is cached all the same.
+        let _ = done.send((key, outcome, started.elapsed()));
+        shared.wake.wake();
     }
-    {
-        let mut sched = inner.sched.lock().unwrap();
-        sched.executing = sched.executing.saturating_sub(1);
-    }
-    *cell.state.lock().unwrap() = Some(result);
-    // Hand the published result back to the readiness loop.
-    inner.wake.wake();
 }
 
-/// A request parked on an admitted (possibly coalesced) job cell: the
-/// server's pending slot in the readiness loop.
-pub(crate) struct Wait {
-    cell: Arc<JobCell>,
+/// The server as the readiness loop sees it, owned by the loop's thread.
+struct Server {
+    cfg: ServerConfig,
+    shared: Arc<Shared>,
+    completions: Receiver<Completion>,
+    /// Admitted jobs not yet completed, by key; each waiter holds its cell.
+    flights: HashMap<String, Rc<OnceCell<Outcome>>>,
+    /// The counters; the gauges and quantiles are filled in per snapshot.
+    stats: StatsSnapshot,
+    service: LatencyHistogram,
+}
+
+/// A request parked on an admitted (possibly coalesced) job: the server's
+/// pending slot in the readiness loop.
+struct Wait {
+    cell: Rc<OnceCell<Outcome>>,
     key: String,
     deadline: Instant,
 }
 
-/// The server as the readiness loop sees it. A [`Wait`] watches no socket:
-/// it is resolved every round, which the worker's wake makes prompt.
-impl Service for &Inner {
+impl Server {
+    /// Takes every completion the workers have sent: counts it, drops its
+    /// key from the in-flight map and sets the cell its waiters hold.
+    fn settle(&mut self) {
+        while let Ok((key, outcome, took)) = self.completions.try_recv() {
+            if outcome.is_ok() {
+                inc(&mut self.stats.executed);
+                self.service
+                    .record_us(u64::try_from(took.as_micros()).unwrap_or(u64::MAX));
+            }
+            if let Some(cell) = self.flights.remove(&key) {
+                let _ = cell.set(outcome);
+            }
+        }
+    }
+
+    fn snapshot(&self) -> StatsSnapshot {
+        let queue_depth = self.shared.queue().len();
+        let (p50, p99, p999) = self.service.quantile_triple_us();
+        StatsSnapshot {
+            queue_depth: queue_depth as u64,
+            // Every flight is queued, executing, or reported and not yet
+            // settled, and `handle` settles first.
+            inflight: (self.flights.len() - queue_depth) as u64,
+            p50_service_us: p50,
+            p99_service_us: p99,
+            p999_service_us: p999,
+            ..self.stats
+        }
+    }
+
+    fn admit_job(
+        &mut self,
+        spec: &JobSpec,
+        deadline_ms: Option<u64>,
+        out: &mut Vec<u8>,
+    ) -> Option<Wait> {
+        let key = spec.key();
+        if let Some((bytes, tier)) = self.shared.cache.get(&key) {
+            inc(match tier {
+                Tier::Mem => &mut self.stats.mem_hits,
+                Tier::Disk => &mut self.stats.disk_hits,
+            });
+            proto::push_result_frame(out, &key, &bytes);
+            return None;
+        }
+        if self.draining() {
+            inc(&mut self.stats.rejected_draining);
+            proto::push_response(out, proto::DRAINING);
+            return None;
+        }
+        let cell = if let Some(cell) = self.flights.get(&key) {
+            inc(&mut self.stats.coalesced_hits);
+            Rc::clone(cell)
+        } else {
+            let mut queue = self.shared.queue();
+            if queue.len() >= self.cfg.queue_cap {
+                inc(&mut self.stats.rejected_busy);
+                proto::push_response(out, &proto::busy_response(self.cfg.retry_after_ms));
+                return None;
+            }
+            queue.push_back((key.clone(), *spec));
+            self.shared.work.notify_one();
+            inc(&mut self.stats.misses);
+            let cell = Rc::default();
+            self.flights.insert(key.clone(), Rc::clone(&cell));
+            cell
+        };
+        let deadline = Instant::now()
+            + Duration::from_millis(deadline_ms.unwrap_or(self.cfg.default_deadline_ms));
+        Some(Wait {
+            cell,
+            key,
+            deadline,
+        })
+    }
+}
+
+/// A [`Wait`] watches no socket: it is resolved every round, which the
+/// worker's wake makes prompt.
+impl Service for Server {
     type Pending = Wait;
 
-    /// Everything here is non-blocking except short shard/scheduler lock
-    /// holds and (worst case) a disk-tier cache read.
+    /// Everything here is non-blocking except short queue lock holds and
+    /// (worst case) a disk-tier cache read.
     fn handle(&mut self, frame: &[u8], out: &mut Vec<u8>) -> Option<Wait> {
-        bump(&self.metrics.requests);
+        self.settle();
+        inc(&mut self.stats.requests);
         let response = match Request::parse(&frame[4..]) {
             Err(message) => {
-                bump(&self.metrics.errors);
+                inc(&mut self.stats.errors);
                 proto::error_response(&message, &[])
             }
             Ok(Request::Ping) => proto::pong_response(),
@@ -289,10 +365,7 @@ impl Service for &Inner {
                 self.begin_drain();
                 proto::ok_response()
             }
-            Ok(Request::Stats) => {
-                let (queue_depth, executing) = self.queue_gauges();
-                proto::stats_response(&self.metrics.snapshot(queue_depth, executing))
-            }
+            Ok(Request::Stats) => proto::stats_response(&self.snapshot()),
             // Only `hmtx-router` aggregates cluster stats; a lone backend says
             // so instead of pretending to be a one-node cluster.
             Ok(Request::Cluster) => proto::error_response(
@@ -300,8 +373,8 @@ impl Service for &Inner {
                 &[],
             ),
             Ok(Request::Job { spec, deadline_ms }) => {
-                bump(&self.metrics.job_requests);
-                return admit_job(self, &spec, deadline_ms, out);
+                inc(&mut self.stats.job_requests);
+                return self.admit_job(&spec, deadline_ms, out);
             }
         };
         proto::push_response(out, &response);
@@ -312,20 +385,21 @@ impl Service for &Inner {
         Some(wait.deadline)
     }
 
-    /// Answers once the cell has published or the deadline has passed.
+    /// Answers once the job's outcome is in or the deadline has passed.
     fn resolve(&mut self, wait: &mut Wait, now: Instant, out: &mut Vec<u8>) -> bool {
-        if let Some(outcome) = wait.cell.state.lock().unwrap().as_ref() {
+        self.settle();
+        if let Some(outcome) = wait.cell.get() {
             match outcome {
                 Ok(bytes) => proto::push_result_frame(out, &wait.key, bytes),
-                Err(error_bytes) => {
-                    bump(&self.metrics.errors);
-                    proto::push_response(out, error_bytes);
+                Err(error) => {
+                    inc(&mut self.stats.errors);
+                    proto::push_response(out, error);
                 }
             }
             return true;
         }
         if now >= wait.deadline {
-            bump(&self.metrics.deadline_timeouts);
+            inc(&mut self.stats.deadline_timeouts);
             proto::push_response(out, &proto::timeout_response(&wait.key));
             return true;
         }
@@ -333,79 +407,10 @@ impl Service for &Inner {
     }
 
     fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
+        self.shared.draining.load(Ordering::SeqCst)
     }
 
     fn begin_drain(&self) {
-        Inner::begin_drain(self);
+        self.shared.begin_drain();
     }
-}
-
-fn cache_answer(inner: &Inner, key: &str, bytes: &[u8], tier: Tier, out: &mut Vec<u8>) {
-    match tier {
-        Tier::Mem => bump(&inner.metrics.mem_hits),
-        Tier::Disk => bump(&inner.metrics.disk_hits),
-    }
-    proto::push_result_frame(out, key, bytes);
-}
-
-fn admit_job(
-    inner: &Inner,
-    spec: &JobSpec,
-    deadline_ms: Option<u64>,
-    out: &mut Vec<u8>,
-) -> Option<Wait> {
-    let key = spec.key();
-
-    // Fast path: cached report, no shard-registry involvement.
-    if let Some((bytes, tier)) = inner.cache.get(&key) {
-        cache_answer(inner, &key, &bytes, tier, out);
-        return None;
-    }
-    if inner.draining.load(Ordering::SeqCst) {
-        bump(&inner.metrics.rejected_draining);
-        proto::push_response(out, proto::DRAINING);
-        return None;
-    }
-
-    // Admission, under the key's shard lock.
-    let shard = inner.cache.shard_of(&key);
-    let cell = {
-        let mut flight = inner.flights[shard].lock().unwrap();
-        if let Some(cell) = flight.get(&key) {
-            bump(&inner.metrics.coalesced_hits);
-            Arc::clone(cell)
-        } else if let Some((bytes, tier)) = inner.cache.get(&key) {
-            // The job finished between the unlocked probe and here; the
-            // worker caches before leaving the flight shard, so this
-            // re-probe closes the race window completely.
-            cache_answer(inner, &key, &bytes, tier, out);
-            return None;
-        } else {
-            let mut sched = inner.sched.lock().unwrap();
-            if sched.queue.len() >= inner.cfg.queue_cap {
-                bump(&inner.metrics.rejected_busy);
-                proto::push_response(out, &proto::busy_response(inner.cfg.retry_after_ms));
-                return None;
-            }
-            bump(&inner.metrics.misses);
-            let cell = Arc::new(JobCell {
-                key: key.clone(),
-                spec: *spec,
-                state: Mutex::new(None),
-            });
-            sched.queue.push_back(Arc::clone(&cell));
-            flight.insert(key.clone(), Arc::clone(&cell));
-            inner.work.notify_one();
-            cell
-        }
-    };
-
-    let deadline = Instant::now()
-        + Duration::from_millis(deadline_ms.unwrap_or(inner.cfg.default_deadline_ms));
-    Some(Wait {
-        cell,
-        key,
-        deadline,
-    })
 }

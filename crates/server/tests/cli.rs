@@ -11,12 +11,25 @@ const LOAD: &str = env!("CARGO_BIN_EXE_hmtx-load");
 
 /// Runs `bin` with `args` and checks the usage-error contract shared by
 /// every workspace binary: exit status 2, nothing on stdout, and stderr
-/// naming `needle` above the usage line.
+/// naming `needle` above the usage line. A binary still running after
+/// 10 s (an accepted flag, so it is serving) is killed and fails the test.
 fn usage_error(bin: &str, args: &[&str], needle: &str) -> String {
-    let out = Command::new(bin)
+    let mut child = Command::new(bin)
         .args(args)
-        .output()
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
         .expect("spawning the binary");
+    let started = Instant::now();
+    while child.try_wait().expect("wait").is_none() {
+        if started.elapsed() > Duration::from_secs(10) {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{args:?}: still running after 10 s, not a usage error");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let out = child.wait_with_output().expect("collecting the output");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");

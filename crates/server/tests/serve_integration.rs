@@ -13,7 +13,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use hmtx_server::{response_type, Client, ServerConfig, ServerHandle};
-use hmtx_types::{BenchRef, JobSpec, WireBase, WireParadigm, WireScale, WireVariant};
+use hmtx_types::{
+    BenchRef, JobSpec, StatsSnapshot, WireBase, WireParadigm, WireScale, WireVariant,
+};
 
 static PORT_SALT: AtomicUsize = AtomicUsize::new(0);
 
@@ -42,6 +44,22 @@ fn variant_spec(bits: u32) -> JobSpec {
         variant: WireVariant::VidBits(bits),
         ..spec(7)
     }
+}
+
+/// Every job request lands in exactly one outcome counter, and nothing
+/// executes that did not miss.
+fn assert_outcomes_sum(stats: &StatsSnapshot) {
+    assert_eq!(
+        stats.job_requests,
+        stats.mem_hits
+            + stats.disk_hits
+            + stats.coalesced_hits
+            + stats.misses
+            + stats.rejected_busy
+            + stats.rejected_draining,
+        "job outcomes must sum to job requests: {stats:?}"
+    );
+    assert!(stats.executed <= stats.misses, "{stats:?}");
 }
 
 fn temp_cache_dir(tag: &str) -> std::path::PathBuf {
@@ -85,6 +103,8 @@ fn identical_specs_get_byte_identical_responses_across_all_tiers() {
     assert_eq!(computed, disk_hit, "disk hit must be byte-identical");
     let stats2 = client2.stats().expect("stats");
     assert_eq!((stats2.disk_hits, stats2.executed), (1, 0));
+    assert_outcomes_sum(&stats);
+    assert_outcomes_sum(&stats2);
     handle2.drain();
     handle2.wait();
     let _ = std::fs::remove_dir_all(&dir);
@@ -150,6 +170,7 @@ fn concurrent_identical_specs_coalesce_to_one_execution() {
         "every request is a miss, a coalesce, or a late cache hit"
     );
     assert_eq!(stats.misses, 1);
+    assert_outcomes_sum(&stats);
     handle.drain();
     handle.wait();
 }
@@ -190,6 +211,7 @@ fn saturated_admission_queue_answers_busy_with_retry_hint() {
     let mut client = connect(&handle);
     let stats = client.stats().expect("stats");
     assert_eq!(stats.rejected_busy as usize, busy.len());
+    assert_outcomes_sum(&stats);
     handle.drain();
     handle.wait();
 }
@@ -217,6 +239,9 @@ fn graceful_drain_finishes_inflight_and_rejects_new() {
         // New job requests on a live connection now answer `draining`.
         let rejected = client.job(&spec(2), None).expect("rejected job");
         assert_eq!(response_type(&rejected).as_deref(), Some("draining"));
+        let stats = client.stats().expect("stats while draining");
+        assert_eq!(stats.rejected_draining, 1);
+        assert_outcomes_sum(&stats);
         worker.join().unwrap()
     });
     assert_eq!(
@@ -247,6 +272,7 @@ fn deadline_timeout_answers_but_job_still_caches() {
     assert_eq!(stats.deadline_timeouts, 1);
     assert_eq!(stats.executed, 1, "the retry must hit, not re-run");
     assert_eq!(stats.cache_hits(), 1);
+    assert_outcomes_sum(&stats);
     handle.drain();
     handle.wait();
 }
@@ -324,6 +350,7 @@ fn busy_responses_are_retried_with_backoff_until_success() {
         "6 slow jobs through queue_cap=1 must trip backpressure at least once"
     );
     assert_eq!(stats.executed, specs.len() as u64, "each spec runs exactly once");
+    assert_outcomes_sum(&stats);
     handle.drain();
     handle.wait();
 }
@@ -374,6 +401,7 @@ fn sharded_single_flight_survives_same_key_hammering() {
         n as u64,
         "every request is a miss, a coalesce, or a late cache hit"
     );
+    assert_outcomes_sum(&stats);
     handle.drain();
     handle.wait();
 }
@@ -390,6 +418,7 @@ fn malformed_and_failing_jobs_answer_errors() {
     assert!(client.ping().expect("ping"));
     let stats = client.stats().expect("stats");
     assert_eq!(stats.errors, 1);
+    assert_outcomes_sum(&stats);
     handle.drain();
     handle.wait();
 }

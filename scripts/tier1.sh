@@ -70,6 +70,11 @@ bash scripts/serve_smoke.sh
 # an artifact generator, not a CI gate.)
 bash scripts/cluster_smoke.sh
 
+# Benchmark smoke: every BENCHMARK.json workload runs 5 s through
+# perfbench/run.py and must exit 0 with a correct result and 0 failed
+# operations (about 30 s of runs, plus a release build under target/).
+bash scripts/bench_smoke.sh
+
 # Exploration smoke: bounded systematic schedule exploration (hmtx-explore)
 # must exhaust the kernel space clean, rediscover + pin the planted
 # defect, and terminate bound-limited on every workload (DESIGN.md §9).
