@@ -117,7 +117,11 @@ pub fn model_counterexamples() -> Vec<ModelCounterexample> {
 /// corpus entry does either).
 #[must_use]
 pub fn lower_counterexample(ops: &[CounterOp]) -> Vec<Program> {
-    let cores = ops.iter().map(|o| o.core + 1).max().expect("non-empty trace");
+    let cores = ops
+        .iter()
+        .map(|o| o.core + 1)
+        .max()
+        .expect("non-empty trace");
     (0..cores)
         .map(|core| {
             let mut b = ProgramBuilder::new();

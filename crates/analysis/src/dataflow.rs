@@ -91,8 +91,14 @@ impl MtxState {
             // Same begin site reached with consistent facts: keep the
             // earlier begin_pc for stable diagnostics.
             (
-                Spec { reg: a, begin_pc: pa },
-                Spec { reg: b, begin_pc: pb },
+                Spec {
+                    reg: a,
+                    begin_pc: pa,
+                },
+                Spec {
+                    reg: b,
+                    begin_pc: pb,
+                },
             ) if a == b => (
                 Spec {
                     reg: a,
@@ -102,8 +108,14 @@ impl MtxState {
             ),
             (Spec { .. }, _) | (_, Spec { .. }) => (Idle, true),
             (
-                Left { reg: a, begin_pc: pa },
-                Left { reg: b, begin_pc: pb },
+                Left {
+                    reg: a,
+                    begin_pc: pa,
+                },
+                Left {
+                    reg: b,
+                    begin_pc: pb,
+                },
             ) if a == b => (
                 Left {
                     reg: a,
@@ -232,7 +244,10 @@ pub fn transfer_regs(state: &mut State, instr: &Instr) {
             state.define(rd, v);
         }
         Instr::Alu { op, rd, rs, rhs } => {
-            let v = match (state.regs[rs.index()].as_const(), state.operand(rhs).as_const()) {
+            let v = match (
+                state.regs[rs.index()].as_const(),
+                state.operand(rhs).as_const(),
+            ) {
                 (Some(a), Some(b)) => AbsVal::Const(op.apply(a, b)),
                 _ => AbsVal::Unknown,
             };

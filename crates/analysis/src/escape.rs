@@ -37,7 +37,9 @@ pub fn check_set(facts: &[ProgramFacts], diags: &mut Vec<Diagnostic>) {
                     spec_lines.entry(line).or_insert((core, s.pc));
                 }
                 None => {
-                    spec_sym.entry((core, s.base.index(), s.disp)).or_insert(s.pc);
+                    spec_sym
+                        .entry((core, s.base.index(), s.disp))
+                        .or_insert(s.pc);
                 }
             }
         }
@@ -120,7 +122,10 @@ mod tests {
         let facts = facts_of(&[a.build().unwrap(), b.build().unwrap()]);
         let mut diags = Vec::new();
         check_set(&facts, &mut diags);
-        let d = diags.iter().find(|d| d.rule == "spec-store-escape").unwrap();
+        let d = diags
+            .iter()
+            .find(|d| d.rule == "spec-store-escape")
+            .unwrap();
         assert_eq!((d.core, d.pc), (1, 2));
         assert_eq!(d.severity, Severity::Warning);
     }
@@ -157,7 +162,10 @@ mod tests {
         let facts = facts_of(&[a.build().unwrap()]);
         let mut diags = Vec::new();
         check_set(&facts, &mut diags);
-        let d = diags.iter().find(|d| d.rule == "spec-store-escape").unwrap();
+        let d = diags
+            .iter()
+            .find(|d| d.rule == "spec-store-escape")
+            .unwrap();
         assert_eq!((d.core, d.pc), (0, 7));
         assert!(d.message.contains("r5+8"), "{}", d.message);
     }

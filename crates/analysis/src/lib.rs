@@ -181,10 +181,7 @@ mod tests {
         let mut b = ProgramBuilder::new();
         let l = b.new_label();
         b.jump(l); // never bound
-        assert!(matches!(
-            b.build_verified(),
-            Err(SimError::BadProgram(_))
-        ));
+        assert!(matches!(b.build_verified(), Err(SimError::BadProgram(_))));
     }
 
     #[test]

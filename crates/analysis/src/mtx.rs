@@ -361,8 +361,8 @@ fn step(state: &mut State, pc: usize, instr: &Instr, ctx: &mut Ctx<'_>, emit: bo
             // (see `hmtx_runtime::emit`). The sentinel deliberately names
             // no pending VID and is legal in any MTX state, so constant
             // propagation suppresses both naming rules for it.
-            let sentinel = state.regs[rvid.index()]
-                == AbsVal::Const(u64::from(VID_EXHAUSTION_SENTINEL));
+            let sentinel =
+                state.regs[rvid.index()] == AbsVal::Const(u64::from(VID_EXHAUSTION_SENTINEL));
             match state.mtx {
                 _ if sentinel => {}
                 MtxState::Spec { reg, begin_pc } | MtxState::Left { reg, begin_pc } => {
@@ -459,9 +459,7 @@ fn step(state: &mut State, pc: usize, instr: &Instr, ctx: &mut Ctx<'_>, emit: bo
                     ),
                 );
             }
-            MtxState::Left { reg, begin_pc }
-                if rd == reg && ctx.program_has_commit && emit =>
-            {
+            MtxState::Left { reg, begin_pc } if rd == reg && ctx.program_has_commit && emit => {
                 ctx.diag(
                     Severity::Error,
                     "mtx-vid-clobber",
@@ -487,7 +485,10 @@ fn step(state: &mut State, pc: usize, instr: &Instr, ctx: &mut Ctx<'_>, emit: bo
 
 /// Both registers hold the same known constant, so naming either is fine.
 fn same_known_value(state: &State, a: Reg, b: Reg) -> bool {
-    match (state.regs[a.index()].as_const(), state.regs[b.index()].as_const()) {
+    match (
+        state.regs[a.index()].as_const(),
+        state.regs[b.index()].as_const(),
+    ) {
         (Some(x), Some(y)) => x == y,
         _ => false,
     }
@@ -536,7 +537,10 @@ mod tests {
         b.halt();
         let (diags, _) = analyze(&b.build().unwrap());
         assert!(rules(&diags).contains(&"mtx-halt-speculative"), "{diags:?}");
-        let d = diags.iter().find(|d| d.rule == "mtx-halt-speculative").unwrap();
+        let d = diags
+            .iter()
+            .find(|d| d.rule == "mtx-halt-speculative")
+            .unwrap();
         assert_eq!(d.pc, 2);
         assert!(d.message.contains("pc 1"));
     }
@@ -577,10 +581,7 @@ mod tests {
         b.li(Reg::R2, VID_EXHAUSTION_SENTINEL as i64);
         b.abort_mtx(Reg::R2); // watchdog escape, not a naming bug
         let (diags, _) = analyze(&b.build().unwrap());
-        assert!(
-            !rules(&diags).contains(&"mtx-vid-mismatch"),
-            "{diags:?}"
-        );
+        assert!(!rules(&diags).contains(&"mtx-vid-mismatch"), "{diags:?}");
     }
 
     #[test]
@@ -589,7 +590,10 @@ mod tests {
         b.li(Reg::R1, 3);
         b.abort_mtx(Reg::R1);
         let (diags, _) = analyze(&b.build().unwrap());
-        assert!(rules(&diags).contains(&"mtx-end-without-begin"), "{diags:?}");
+        assert!(
+            rules(&diags).contains(&"mtx-end-without-begin"),
+            "{diags:?}"
+        );
     }
 
     #[test]
@@ -611,7 +615,10 @@ mod tests {
         b.mov(Reg::R2, Reg::R5); // r5 never written
         b.halt();
         let (diags, _) = analyze(&b.build().unwrap());
-        let d = diags.iter().find(|d| d.rule == "reg-use-before-def").unwrap();
+        let d = diags
+            .iter()
+            .find(|d| d.rule == "reg-use-before-def")
+            .unwrap();
         assert_eq!(d.severity, Severity::Warning);
         assert_eq!(d.pc, 0);
         assert!(d.message.contains("r5"), "{}", d.message);

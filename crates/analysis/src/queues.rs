@@ -149,10 +149,7 @@ fn check_deadlock_cycles(
 
     for s in 0..scc_count {
         let members: BTreeSet<usize> = (0..ncores).filter(|c| scc_of[*c] == s).collect();
-        let cyclic = members.len() > 1
-            || members
-                .iter()
-                .any(|&c| adj_vec[c].contains(&c));
+        let cyclic = members.len() > 1 || members.iter().any(|&c| adj_vec[c].contains(&c));
         if !cyclic {
             continue;
         }
@@ -209,7 +206,10 @@ fn check_deadlock_cycles(
                  a first item before blocking on a consume: every queue starts empty, so \
                  the set deadlocks",
                 members.iter().collect::<Vec<_>>(),
-                cycle_queues.iter().map(|q| q.to_string()).collect::<Vec<_>>()
+                cycle_queues
+                    .iter()
+                    .map(|q| q.to_string())
+                    .collect::<Vec<_>>()
             ),
         });
     }
@@ -409,9 +409,15 @@ mod tests {
         let diags = verify(vec![a.build().unwrap(), b.build().unwrap()]);
         assert!(rules(&diags).contains(&"queue-no-consumer"), "{diags:?}");
         assert!(rules(&diags).contains(&"queue-no-producer"), "{diags:?}");
-        let nc = diags.iter().find(|d| d.rule == "queue-no-consumer").unwrap();
+        let nc = diags
+            .iter()
+            .find(|d| d.rule == "queue-no-consumer")
+            .unwrap();
         assert_eq!((nc.core, nc.pc), (0, 1));
-        let np = diags.iter().find(|d| d.rule == "queue-no-producer").unwrap();
+        let np = diags
+            .iter()
+            .find(|d| d.rule == "queue-no-producer")
+            .unwrap();
         assert_eq!((np.core, np.pc), (1, 0));
     }
 
@@ -429,7 +435,10 @@ mod tests {
         b.halt();
         let diags = verify(vec![a.build().unwrap(), b.build().unwrap()]);
         assert!(rules(&diags).contains(&"queue-deadlock-cycle"), "{diags:?}");
-        let d = diags.iter().find(|d| d.rule == "queue-deadlock-cycle").unwrap();
+        let d = diags
+            .iter()
+            .find(|d| d.rule == "queue-deadlock-cycle")
+            .unwrap();
         assert_eq!((d.core, d.pc), (0, 0));
     }
 
@@ -470,7 +479,10 @@ mod tests {
         b.consume(Reg::R3, QueueId(2));
         b.halt();
         let diags = verify(vec![a.build().unwrap(), b.build().unwrap()]);
-        let d = diags.iter().find(|d| d.rule == "queue-rate-mismatch").unwrap();
+        let d = diags
+            .iter()
+            .find(|d| d.rule == "queue-rate-mismatch")
+            .unwrap();
         assert_eq!((d.core, d.pc), (1, 0));
         assert!(d.message.contains("at least 2"), "{}", d.message);
     }
@@ -486,7 +498,10 @@ mod tests {
         b.consume(Reg::R2, QueueId(2));
         b.halt();
         let diags = verify(vec![a.build().unwrap(), b.build().unwrap()]);
-        let d = diags.iter().find(|d| d.rule == "queue-rate-surplus").unwrap();
+        let d = diags
+            .iter()
+            .find(|d| d.rule == "queue-rate-surplus")
+            .unwrap();
         assert_eq!(d.severity, Severity::Warning);
         assert_eq!((d.core, d.pc), (0, 1));
     }
@@ -550,7 +565,10 @@ mod tests {
             b.build().unwrap()
         };
         let diags = verify(vec![a.build().unwrap(), mk_consumer(), mk_consumer()]);
-        let d = diags.iter().find(|d| d.rule == "queue-multi-consumer").unwrap();
+        let d = diags
+            .iter()
+            .find(|d| d.rule == "queue-multi-consumer")
+            .unwrap();
         assert_eq!(d.core, 2, "anchored at the second consumer");
     }
 }

@@ -144,7 +144,10 @@ fn render(m: &Measurement, baseline_cps: Option<f64>) -> Json {
     ];
     if let Some(base) = baseline_cps {
         pairs.push(("baseline_cycles_per_sec", Json::Num(base)));
-        pairs.push(("speedup_over_baseline", Json::Num(m.cycles_per_sec() / base)));
+        pairs.push((
+            "speedup_over_baseline",
+            Json::Num(m.cycles_per_sec() / base),
+        ));
     }
     Json::obj(pairs)
 }

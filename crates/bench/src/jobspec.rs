@@ -228,10 +228,7 @@ pub fn render_report(spec: &JobSpec, result: &JobResult) -> Json {
                     ),
                     ("fast_retries", Json::Uint(mix.fast_retries)),
                     ("backoff_cycles", Json::Uint(mix.backoff_cycles)),
-                    (
-                        "storm_serializations",
-                        Json::Uint(mix.storm_serializations),
-                    ),
+                    ("storm_serializations", Json::Uint(mix.storm_serializations)),
                 ]),
             },
         ),
@@ -339,8 +336,7 @@ mod tests {
     fn standard_sweep_is_80_distinct_runnable_specs() {
         let sweep = standard_sweep(WireScale::Quick);
         assert_eq!(sweep.len(), 80);
-        let keys: std::collections::HashSet<String> =
-            sweep.iter().map(JobSpec::key).collect();
+        let keys: std::collections::HashSet<String> = sweep.iter().map(JobSpec::key).collect();
         assert_eq!(keys.len(), 80, "sweep keys must be distinct");
         // The sweep carries a hytm column for every workload.
         let hytm = sweep

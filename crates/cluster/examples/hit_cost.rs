@@ -180,7 +180,9 @@ fn working_set(n: usize) -> Vec<JobSpec> {
 
 /// The router's `hits` counter, `None` for a build without one.
 fn router_hits(client: &mut Client) -> Result<Option<u64>, String> {
-    let answer = client.request(&Request::Cluster).map_err(|e| e.to_string())?;
+    let answer = client
+        .request(&Request::Cluster)
+        .map_err(|e| e.to_string())?;
     let cluster = parse_response(&answer)?;
     Ok(cluster.get("router").and_then(|r| r.get("hits")?.as_u64()))
 }

@@ -62,10 +62,7 @@ fn connect(addr: &str) -> (TcpStream, FrameBuf) {
 
 /// Reads the next answer's payload off a raw socket.
 fn read_payload(s: &mut TcpStream, rx: &mut FrameBuf) -> Vec<u8> {
-    rx.read_frame(s)
-        .expect("read")
-        .expect("an answer, not EOF")[4..]
-        .to_vec()
+    rx.read_frame(s).expect("read").expect("an answer, not EOF")[4..].to_vec()
 }
 
 /// One real backend behind a router, with `specs` already cached so every
@@ -115,7 +112,11 @@ fn pipelined_frames_in_one_write_are_answered_in_order() {
     burst.extend_from_slice(&job_frame(&specs[0]));
     s.write_all(&burst).expect("one write");
     for (i, want) in fx.direct.iter().enumerate() {
-        assert_eq!(&read_payload(&mut s, &mut rx), want, "answer {i} out of order");
+        assert_eq!(
+            &read_payload(&mut s, &mut rx),
+            want,
+            "answer {i} out of order"
+        );
     }
     assert_eq!(read_payload(&mut s, &mut rx), proto::pong_response());
     assert_eq!(&read_payload(&mut s, &mut rx), &fx.direct[0]);
@@ -133,7 +134,11 @@ fn frames_split_at_every_byte_boundary_are_answered() {
         s.flush().expect("flush");
         std::thread::sleep(Duration::from_millis(1));
         s.write_all(&job[cut..]).expect("tail");
-        assert_eq!(read_payload(&mut s, &mut rx), fx.direct[0], "split at byte {cut}");
+        assert_eq!(
+            read_payload(&mut s, &mut rx),
+            fx.direct[0],
+            "split at byte {cut}"
+        );
     }
     let ping = framed(&Request::Ping.to_bytes());
     for cut in 1..ping.len() {

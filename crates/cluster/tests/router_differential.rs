@@ -90,7 +90,11 @@ fn routed_sweep_is_byte_identical_to_direct_single_node() {
         })
         .sum();
     assert_eq!(agg.executed, total_executed);
-    assert_eq!(agg.executed, sweep.len() as u64, "each key simulated exactly once fleet-wide");
+    assert_eq!(
+        agg.executed,
+        sweep.len() as u64,
+        "each key simulated exactly once fleet-wide"
+    );
 
     router.drain();
     router.wait();
@@ -134,7 +138,10 @@ fn byte_identity_survives_backend_kill_and_restart_mid_sweep() {
     // its partition routes home again.
     let revived = ServerHandle::start(&victim_addr, backend_config()).expect("rebind victim");
     std::thread::sleep(Duration::from_millis(300));
-    assert!(router.backend_up(1), "restarted backend must be rediscovered");
+    assert!(
+        router.backend_up(1),
+        "restarted backend must be rediscovered"
+    );
     routed.extend(run_sweep(&router_addr, &sweep[2 * third..]));
 
     assert_eq!(expected.len(), routed.len());

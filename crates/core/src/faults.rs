@@ -182,9 +182,7 @@ mod tests {
         let mut a = FaultPlan::new(FaultConfig::chaos(1, 500_000));
         let mut b = FaultPlan::new(FaultConfig::chaos(2, 500_000));
         let divergence = (0..256)
-            .filter(|_| {
-                a.fire(FaultSite::SpuriousConflict) != b.fire(FaultSite::SpuriousConflict)
-            })
+            .filter(|_| a.fire(FaultSite::SpuriousConflict) != b.fire(FaultSite::SpuriousConflict))
             .count();
         assert!(divergence > 0, "seeds must produce distinct schedules");
     }
@@ -211,7 +209,7 @@ mod tests {
         for _ in 0..64 {
             assert!(!p.fire(FaultSite::QueueDelay));
             assert!(q.fire(FaultSite::QueueDelay)); // rate 100%
-            // The spurious-conflict stream is unaffected by the toggle.
+                                                    // The spurious-conflict stream is unaffected by the toggle.
             assert_eq!(
                 p.fire(FaultSite::SpuriousConflict),
                 q.fire(FaultSite::SpuriousConflict)

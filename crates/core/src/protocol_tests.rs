@@ -1080,7 +1080,10 @@ fn read_set_eviction_pressure_aborts_rather_than_dropping_marks() {
         }
     }
     let at = aborted_at.expect("a read set larger than the hierarchy must abort");
-    assert!(at >= 8, "the hierarchy held several marks first, aborted at {at}");
+    assert!(
+        at >= 8,
+        "the hierarchy held several marks first, aborted at {at}"
+    );
 }
 
 /// With the §8 unbounded-sets extension the same pressure spills read marks

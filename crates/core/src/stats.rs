@@ -710,7 +710,10 @@ mod tests {
         let p50 = h.quantile_us(0.50);
         assert!((100..=127).contains(&p50), "p50 = {p50}");
         let p99 = h.quantile_us(0.99);
-        assert!((100..=127).contains(&p99), "p99 rank 99 is still fast: {p99}");
+        assert!(
+            (100..=127).contains(&p99),
+            "p99 rank 99 is still fast: {p99}"
+        );
         assert_eq!(h.quantile_us(1.0), 1_000_000, "max clamps the top bucket");
         assert_eq!(h.max_us(), 1_000_000);
         assert!(h.mean_us() >= 100);

@@ -42,7 +42,10 @@ pub fn reference(kernel: &OpKernel, order: &[usize], upto_vid: u16, addr: u64) -
     let mut last: Option<(usize, u64)> = None;
     for &id in order {
         let (tx, op) = kernel.locate(id);
-        if let Some(value) = op.write.filter(|_| op.addr == addr && tx < upto_vid as usize) {
+        if let Some(value) = op
+            .write
+            .filter(|_| op.addr == addr && tx < upto_vid as usize)
+        {
             if last.is_none_or(|(t, _)| tx >= t) {
                 last = Some((tx, value));
             }
@@ -232,13 +235,7 @@ impl OpMachine {
     pub fn step(&mut self, kernel: &OpKernel, tx: usize) -> Result<(), Failure> {
         assert!(self.misspec.is_none(), "step on an aborted machine");
         let op = kernel.txs[tx][self.next[tx]];
-        let id = kernel
-            .txs
-            .iter()
-            .take(tx)
-            .map(Vec::len)
-            .sum::<usize>()
-            + self.next[tx];
+        let id = kernel.txs.iter().take(tx).map(Vec::len).sum::<usize>() + self.next[tx];
         let req = AccessRequest {
             core: CoreId(op.core),
             addr: Addr(op.addr),

@@ -5,7 +5,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use hmtx_isa::assemble;
-use hmtx_machine::{Machine, MinClock, ReplayPolicy, RunEvent, SchedulePolicy, ScheduleSeed, ThreadContext};
+use hmtx_machine::{
+    Machine, MinClock, ReplayPolicy, RunEvent, SchedulePolicy, ScheduleSeed, ThreadContext,
+};
 use hmtx_types::cli::{positional, Args, UsageError};
 use hmtx_types::{Addr, FaultConfig, MachineConfig, SeedBug, SimError, ThreadId, Vid};
 
@@ -443,11 +445,7 @@ mod tests {
             "a certain-fire fault plan must abort the transaction: {}",
             report.outcome
         );
-        assert!(
-            report.stats.contains("injected faults"),
-            "{}",
-            report.stats
-        );
+        assert!(report.stats.contains("injected faults"), "{}", report.stats);
     }
 
     fn replay_args(seed: &std::path::Path) -> Options {
@@ -459,10 +457,7 @@ mod tests {
     }
 
     fn write_seed(tag: &str, seed: &ScheduleSeed) -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(format!(
-            "hmtx-cli-{}-{tag}.json",
-            std::process::id()
-        ));
+        let path = std::env::temp_dir().join(format!("hmtx-cli-{}-{tag}.json", std::process::id()));
         std::fs::write(&path, seed.to_json().pretty()).unwrap();
         path
     }

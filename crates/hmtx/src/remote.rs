@@ -99,7 +99,9 @@ pub fn run_remote(opts: &RemoteOptions) -> Result<String, SimError> {
     match response_type(&response).as_deref() {
         Some("result") => {
             let v = parse_response(&response).map_err(bad)?;
-            let report = v.get("report").ok_or_else(|| bad("result without report"))?;
+            let report = v
+                .get("report")
+                .ok_or_else(|| bad("result without report"))?;
             let field = |name: &str| report.get(name).and_then(Json::as_u64).unwrap_or(0);
             let mut summary = format!(
                 "key:     {}\nlabel:   {}\ncycles:  {}\ninstructions: {}\nrecoveries: {}\n",
@@ -142,13 +144,20 @@ pub fn render_hytm_summary(report: &Json) -> String {
         return String::new();
     }
     let n = |name: &str| mix.get(name).and_then(Json::as_u64).unwrap_or(0);
-    let causes = mix.get("demotions_by_cause").map_or_else(String::new, |by| {
-        ["capacity", "vid-exhaustion", "abort-storm", "injected-fault"]
+    let causes = mix
+        .get("demotions_by_cause")
+        .map_or_else(String::new, |by| {
+            [
+                "capacity",
+                "vid-exhaustion",
+                "abort-storm",
+                "injected-fault",
+            ]
             .iter()
             .map(|c| format!("{c}={}", by.get(c).and_then(Json::as_u64).unwrap_or(0)))
             .collect::<Vec<_>>()
             .join(" ")
-    });
+        });
     format!(
         "path mix: {} fast / {} slow commits\n\
          demotions: {} ({causes})\n\
@@ -245,7 +254,10 @@ mod tests {
         // Non-hytm reports stay silent.
         let plain = Json::obj(vec![("hytm", Json::Null)]);
         assert_eq!(render_hytm_summary(&plain), "");
-        assert_eq!(render_hytm_summary(&Json::obj(Vec::<(&str, Json)>::new())), "");
+        assert_eq!(
+            render_hytm_summary(&Json::obj(Vec::<(&str, Json)>::new())),
+            ""
+        );
     }
 
     #[test]

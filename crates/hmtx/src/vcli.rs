@@ -222,7 +222,11 @@ fn verify_all_workloads(scale: Scale) -> Result<Vec<SetResult>, SimError> {
             let label = format!("{name}/hytm-{}", paradigm.name());
             results.push(SetResult::generated(label, &generated));
         }
-        for mode in [RwSetMode::Minimal, RwSetMode::Substantial, RwSetMode::Maximal] {
+        for mode in [
+            RwSetMode::Minimal,
+            RwSetMode::Substantial,
+            RwSetMode::Maximal,
+        ] {
             let workers = cfg.num_cores.saturating_sub(2).max(1);
             let env = LoopEnv::new(max_vid, workers);
             let generated = build_smtx_pipeline(body, &env, &cfg.smtx, mode)?;
@@ -342,7 +346,11 @@ mod tests {
             ..Options::default()
         };
         let report = run(&opts).unwrap();
-        assert!(report.output.starts_with("{\"sets\":["), "{}", report.output);
+        assert!(
+            report.output.starts_with("{\"sets\":["),
+            "{}",
+            report.output
+        );
         assert!(
             report.output.contains("\"rule\":\"mtx-halt-speculative\""),
             "{}",

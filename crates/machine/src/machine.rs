@@ -750,11 +750,15 @@ impl Machine {
         };
         match *instr {
             Instr::Load { base, disp, .. } => EventSummary::Mem {
-                line: Addr(t.regs[base.index()].wrapping_add(disp as u64)).line().0,
+                line: Addr(t.regs[base.index()].wrapping_add(disp as u64))
+                    .line()
+                    .0,
                 write: false,
             },
             Instr::Store { base, disp, .. } => EventSummary::Mem {
-                line: Addr(t.regs[base.index()].wrapping_add(disp as u64)).line().0,
+                line: Addr(t.regs[base.index()].wrapping_add(disp as u64))
+                    .line()
+                    .0,
                 write: true,
             },
             Instr::BeginMtx { .. }
@@ -1100,7 +1104,10 @@ impl Machine {
                         next_pc = pc; // retry the same instruction
                         self.stats.instructions -= 1;
                         self.core_stats[core].instructions -= 1;
-                        hmtx_core::stats::add(&mut self.core_stats[core].queue_stall_cycles, RETRY_QUANTUM);
+                        hmtx_core::stats::add(
+                            &mut self.core_stats[core].queue_stall_cycles,
+                            RETRY_QUANTUM,
+                        );
                         self.bump(core, RETRY_QUANTUM);
                         self.note_retry(core, pc, q, true)?;
                     }
@@ -1132,7 +1139,10 @@ impl Machine {
                     next_pc = pc;
                     self.stats.instructions -= 1;
                     self.core_stats[core].instructions -= 1;
-                    hmtx_core::stats::add(&mut self.core_stats[core].queue_stall_cycles, RETRY_QUANTUM);
+                    hmtx_core::stats::add(
+                        &mut self.core_stats[core].queue_stall_cycles,
+                        RETRY_QUANTUM,
+                    );
                     self.bump(core, RETRY_QUANTUM);
                     self.note_retry(core, pc, q, false)?;
                 }

@@ -507,9 +507,7 @@ impl AbstractLine {
     /// Canonical sort key (also usable as an encoding tuple).
     #[allow(clippy::type_complexity)]
     #[must_use]
-    pub fn sort_key(
-        &self,
-    ) -> (usize, u64, u8, u16, u16, u16, bool, bool, u8, u64) {
+    pub fn sort_key(&self) -> (usize, u64, u8, u16, u16, u16, bool, bool, u8, u64) {
         (
             self.set,
             self.addr.0,

@@ -5,9 +5,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hmtx_explore::opexplore::OpMachine;
 use hmtx_explore::{model_kernel, Failure, OpKernel};
-use hmtx_types::{
-    FxHashSet, ModelCheckConfig, ModelCheckReport, ModelViolation,
-};
+use hmtx_types::{FxHashSet, ModelCheckConfig, ModelCheckReport, ModelViolation};
 
 use crate::canon::Encoder;
 

@@ -52,8 +52,8 @@ pub use emit::{
 };
 pub use env::LoopEnv;
 pub use runner::{
-    chaos_invariant_check, check_cores, resync_rcb, run_loop, speedup, squeezed_config, DemotionCause,
-    HytmMix, RecoveryRecord, RecoveryRung, RunReport, VID_EXHAUSTION_SENTINEL,
+    chaos_invariant_check, check_cores, resync_rcb, run_loop, speedup, squeezed_config,
+    DemotionCause, HytmMix, RecoveryRecord, RecoveryRung, RunReport, VID_EXHAUSTION_SENTINEL,
 };
 
 #[cfg(test)]

@@ -272,12 +272,16 @@ fn rcb_resync_drains_speculative_pollution_and_writes_true_values() {
     machine.mem_mut().access(0, &req).unwrap();
     resync_rcb(&mut machine, &env, 7, 0).unwrap();
     assert_eq!(
-        machine.mem().peek_word(env.rcb.offset(rcb::LAST_COMMITTED), Vid(0)),
+        machine
+            .mem()
+            .peek_word(env.rcb.offset(rcb::LAST_COMMITTED), Vid(0)),
         7,
         "last-committed slot must hold the true commit count"
     );
     assert_eq!(
-        machine.mem().peek_word(env.rcb.offset(rcb::VID_BASE), Vid(0)),
+        machine
+            .mem()
+            .peek_word(env.rcb.offset(rcb::VID_BASE), Vid(0)),
         7,
         "VID base must match the commit count after a reset"
     );

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use hmtx_core::LatencyHistogram;
 use hmtx_server::{response_type, Client};
 use hmtx_types::cli::{Args, UsageError};
-use hmtx_types::{Json, JobSpec, StatsSnapshot, WireScale};
+use hmtx_types::{JobSpec, Json, StatsSnapshot, WireScale};
 
 const USAGE: &str = "usage: hmtx-load --addr HOST:PORT [--clients N] [--rounds N] \
     [--scale quick|standard|stress] [--limit N] [--deadline-ms N] \
@@ -260,8 +260,8 @@ fn run_sustained(opts: &Opts, specs: &[JobSpec]) {
                     let spec = &specs[i % specs.len()];
                     match client.job_with_retry(spec, opts.deadline_ms, opts.retries) {
                         Ok(response) => {
-                            let us = u64::try_from(scheduled.elapsed().as_micros())
-                                .unwrap_or(u64::MAX);
+                            let us =
+                                u64::try_from(scheduled.elapsed().as_micros()).unwrap_or(u64::MAX);
                             latencies.lock().unwrap().record_us(us);
                             match response_type(&response).as_deref() {
                                 Some("result") => ok.fetch_add(1, Ordering::Relaxed),
@@ -290,7 +290,9 @@ fn run_sustained(opts: &Opts, specs: &[JobSpec]) {
     let still_busy = still_busy.into_inner();
     let failed = failed.into_inner();
     let latencies = latencies.into_inner().unwrap();
-    let scheduled_arrivals = next_arrival.into_inner().min((rate * duration_s).ceil() as usize);
+    let scheduled_arrivals = next_arrival
+        .into_inner()
+        .min((rate * duration_s).ceil() as usize);
     let achieved_rps = if wall_seconds > 0.0 {
         ok as f64 / wall_seconds
     } else {

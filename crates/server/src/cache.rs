@@ -70,9 +70,7 @@ pub fn shard_caps(cap: usize, shards: usize) -> Vec<usize> {
     let shards = shards.max(1);
     let base = cap / shards;
     let extra = cap % shards;
-    (0..shards)
-        .map(|i| base + usize::from(i < extra))
-        .collect()
+    (0..shards).map(|i| base + usize::from(i < extra)).collect()
 }
 
 struct MemCache {
@@ -169,7 +167,10 @@ impl ReportCache {
     /// tests and observability, not a hot path).
     #[must_use]
     pub fn mem_len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().map.len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.lock().unwrap().map.len())
+            .sum()
     }
 
     /// Entries resident in one memory shard.

@@ -465,7 +465,10 @@ mod tests {
         write_frame(&mut buf, b"").unwrap();
         let mut r = buf.as_slice();
         let mut frames = FrameBuf::new();
-        assert_eq!(frames.read_frame(&mut r).unwrap().unwrap(), b"\0\0\0\x05hello");
+        assert_eq!(
+            frames.read_frame(&mut r).unwrap().unwrap(),
+            b"\0\0\0\x05hello"
+        );
         assert_eq!(frames.read_frame(&mut r).unwrap().unwrap(), b"\0\0\0\0");
         assert_eq!(frames.read_frame(&mut r).unwrap(), None);
     }

@@ -169,7 +169,10 @@ struct Chunked<'a> {
 impl Read for Chunked<'_> {
     fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
         self.reads += 1;
-        self.seed = self.seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        self.seed = self
+            .seed
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1);
         let chunk = 1 + (self.seed >> 33) as usize % 700;
         let n = chunk.min(out.len()).min(self.data.len());
         out[..n].copy_from_slice(&self.data[..n]);
@@ -187,5 +190,9 @@ fn write_frame_refuses_oversized_payloads() {
     assert_eq!(err.kind(), ErrorKind::InvalidInput);
     let mut wire = Vec::new();
     write_frame(&mut wire, &[]).unwrap();
-    assert_eq!(wire, vec![0, 0, 0, 0], "empty payload is a bare length prefix");
+    assert_eq!(
+        wire,
+        vec![0, 0, 0, 0],
+        "empty payload is a bare length prefix"
+    );
 }

@@ -186,7 +186,12 @@ fn saturated_admission_queue_answers_busy_with_retry_hint() {
     });
     // 4 distinct slow jobs into a queue of 1 over 1 worker: at least one
     // must be rejected while the first executes and the second queues.
-    let specs = [variant_spec(4), variant_spec(5), variant_spec(6), variant_spec(7)];
+    let specs = [
+        variant_spec(4),
+        variant_spec(5),
+        variant_spec(6),
+        variant_spec(7),
+    ];
     let responses: Vec<Vec<u8>> = std::thread::scope(|scope| {
         let handles: Vec<_> = specs
             .iter()
@@ -349,7 +354,11 @@ fn busy_responses_are_retried_with_backoff_until_success() {
         stats.rejected_busy > 0,
         "6 slow jobs through queue_cap=1 must trip backpressure at least once"
     );
-    assert_eq!(stats.executed, specs.len() as u64, "each spec runs exactly once");
+    assert_eq!(
+        stats.executed,
+        specs.len() as u64,
+        "each spec runs exactly once"
+    );
     assert_outcomes_sum(&stats);
     handle.drain();
     handle.wait();
@@ -386,7 +395,11 @@ fn sharded_single_flight_survives_same_key_hammering() {
     let other_first = responses.iter().find(|(i, _)| i % 4 == 0).unwrap();
     for (i, r) in &responses {
         assert_eq!(response_type(r).as_deref(), Some("result"), "conn {i}");
-        let expect = if i % 4 == 0 { &other_first.1 } else { &hot_first.1 };
+        let expect = if i % 4 == 0 {
+            &other_first.1
+        } else {
+            &hot_first.1
+        };
         assert_eq!(r, expect, "conn {i} must see the coalesced bytes");
     }
     let mut client = connect(&handle);

@@ -290,12 +290,7 @@ fn hytm_runs_are_deterministic() {
             touches: 4,
         };
         let (m, r) = run_hytm(Paradigm::PsDswp, &body, &hytm_cfg(8, 2), 50_000_000).unwrap();
-        (
-            r.cycles,
-            r.instructions,
-            r.hytm,
-            m.mem().stats().l1_misses,
-        )
+        (r.cycles, r.instructions, r.hytm, m.mem().stats().l1_misses)
     };
     assert_eq!(run(), run());
 }

@@ -419,9 +419,7 @@ impl HytmConfig {
             ));
         }
         if self.backoff_cap_cycles < self.backoff_base_cycles {
-            return Err(ConfigError::new(
-                "hytm backoff cap must be >= backoff base",
-            ));
+            return Err(ConfigError::new("hytm backoff cap must be >= backoff base"));
         }
         Ok(())
     }

@@ -527,7 +527,10 @@ mod tests {
     fn compact_has_no_whitespace() {
         let v = Json::obj(vec![
             ("a", Json::Uint(1)),
-            ("b", Json::Arr(vec![Json::Str("x y".into()), Json::Bool(false)])),
+            (
+                "b",
+                Json::Arr(vec![Json::Str("x y".into()), Json::Bool(false)]),
+            ),
         ]);
         assert_eq!(v.compact(), r#"{"a":1,"b":["x y",false]}"#);
     }
@@ -571,8 +574,23 @@ mod tests {
     #[test]
     fn malformed_inputs_error_without_panicking() {
         for bad in [
-            "", "{", "[", "tru", "nul", "{\"a\"}", "{\"a\":}", "[1,]", "{,}", "\"", "\"\\q\"",
-            "01x", "1 2", "{\"a\":1,\"a\":2}", "nan", "-", "1e",
+            "",
+            "{",
+            "[",
+            "tru",
+            "nul",
+            "{\"a\"}",
+            "{\"a\":}",
+            "[1,]",
+            "{,}",
+            "\"",
+            "\"\\q\"",
+            "01x",
+            "1 2",
+            "{\"a\":1,\"a\":2}",
+            "nan",
+            "-",
+            "1e",
         ] {
             assert!(Json::parse(bad).is_err(), "`{bad}` should fail");
         }

@@ -42,7 +42,6 @@ pub use ids::{Addr, CoreId, Cycle, LineAddr, QueueId, ThreadId, Vid, VID_EXHAUST
 pub use json::{Json, JsonError};
 pub use model::{ModelCheckConfig, ModelCheckReport, ModelViolation};
 pub use wire::{
-    diagnostic_to_json,
-    content_key, BenchRef, FaultSpec, JobSpec, StatsSnapshot, WireBase, WireError, WireParadigm,
-    WireScale, WireVariant,
+    content_key, diagnostic_to_json, BenchRef, FaultSpec, JobSpec, StatsSnapshot, WireBase,
+    WireError, WireParadigm, WireScale, WireVariant,
 };

@@ -134,13 +134,21 @@ impl fmt::Display for ModelCheckReport {
             self.reachable,
             self.transitions,
             self.frontier_peak,
-            if self.exhausted { "exhausted" } else { "CUT OFF" },
+            if self.exhausted {
+                "exhausted"
+            } else {
+                "CUT OFF"
+            },
         )?;
         if self.violations.is_empty() {
             write!(f, "no violations")
         } else {
             for v in &self.violations {
-                writeln!(f, "VIOLATION [{}] at depth {}: {}", v.rule, v.depth, v.detail)?;
+                writeln!(
+                    f,
+                    "VIOLATION [{}] at depth {}: {}",
+                    v.rule, v.depth, v.detail
+                )?;
                 for step in &v.trace {
                     writeln!(f, "    {step}")?;
                 }

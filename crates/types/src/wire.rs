@@ -277,14 +277,18 @@ impl WireVariant {
         };
         let variant = match kind {
             "base" => WireVariant::Base,
-            "commit" => WireVariant::Commit { lazy: flag("lazy")? },
+            "commit" => WireVariant::Commit {
+                lazy: flag("lazy")?,
+            },
             "sla" => WireVariant::Sla {
                 enabled: flag("enabled")?,
             },
             "vid-bits" => {
                 let bits = uint("bits")?;
                 if !(2..=16).contains(&bits) {
-                    return Err(WireError::new(format!("vid bits {bits} out of range 2..=16")));
+                    return Err(WireError::new(format!(
+                        "vid bits {bits} out of range 2..=16"
+                    )));
                 }
                 WireVariant::VidBits(bits as u32)
             }
@@ -377,10 +381,7 @@ impl JobSpec {
     #[must_use]
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
-            (
-                "benchmark".to_string(),
-                Json::Str(self.benchmark.to_wire()),
-            ),
+            ("benchmark".to_string(), Json::Str(self.benchmark.to_wire())),
             (
                 "paradigm".to_string(),
                 Json::Str(self.paradigm.name().into()),
@@ -589,8 +590,12 @@ impl StatsSnapshot {
             misses: self.misses.saturating_add(other.misses),
             executed: self.executed.saturating_add(other.executed),
             rejected_busy: self.rejected_busy.saturating_add(other.rejected_busy),
-            rejected_draining: self.rejected_draining.saturating_add(other.rejected_draining),
-            deadline_timeouts: self.deadline_timeouts.saturating_add(other.deadline_timeouts),
+            rejected_draining: self
+                .rejected_draining
+                .saturating_add(other.rejected_draining),
+            deadline_timeouts: self
+                .deadline_timeouts
+                .saturating_add(other.deadline_timeouts),
             errors: self.errors.saturating_add(other.errors),
             queue_depth: self.queue_depth.saturating_add(other.queue_depth),
             inflight: self.inflight.saturating_add(other.inflight),
@@ -702,10 +707,7 @@ mod tests {
     #[test]
     fn hytm_paradigm_name_round_trips() {
         assert_eq!(WireParadigm::Hytm.name(), "hytm");
-        assert_eq!(
-            WireParadigm::from_name("hytm").unwrap(),
-            WireParadigm::Hytm
-        );
+        assert_eq!(WireParadigm::from_name("hytm").unwrap(), WireParadigm::Hytm);
     }
 
     #[test]
@@ -781,9 +783,10 @@ mod tests {
 
     #[test]
     fn unknown_fields_are_rejected() {
-        let bad =
-            Json::parse(r#"{"benchmark":"suite:0","paradigm":"seq","scale":"quick","base":"test","extra":1}"#)
-                .unwrap();
+        let bad = Json::parse(
+            r#"{"benchmark":"suite:0","paradigm":"seq","scale":"quick","base":"test","extra":1}"#,
+        )
+        .unwrap();
         assert!(JobSpec::from_json(&bad).is_err());
         let bad_variant = Json::parse(
             r#"{"benchmark":"suite:0","paradigm":"seq","scale":"quick","base":"test",
@@ -852,7 +855,10 @@ mod tests {
             message: "halt inside MTX".into(),
         };
         let j = diagnostic_to_json(&d);
-        assert_eq!(j.get("rule").unwrap().as_str(), Some("mtx-halt-speculative"));
+        assert_eq!(
+            j.get("rule").unwrap().as_str(),
+            Some("mtx-halt-speculative")
+        );
         assert_eq!(j.get("core").unwrap().as_u64(), Some(2));
     }
 }

@@ -34,8 +34,8 @@ const REGRESSION_SEEDS: [u64; 8] = [
 
 fn fault_free(bench: &dyn Workload) -> RunReport {
     let cfg = MachineConfig::test_default();
-    let (_, report) = run_loop(bench.meta().paradigm, bench, &cfg, BUDGET)
-        .expect("fault-free run must complete");
+    let (_, report) =
+        run_loop(bench.meta().paradigm, bench, &cfg, BUDGET).expect("fault-free run must complete");
     report
 }
 
@@ -118,8 +118,8 @@ fn chaos_actually_injects_and_recovers() {
     for seed in 0..10u64 {
         let mut cfg = MachineConfig::test_default();
         cfg.faults = Some(FaultConfig::chaos(seed, 2_000));
-        let (machine, report) = run_loop(bench.meta().paradigm, bench, &cfg, BUDGET)
-            .expect("chaos run must complete");
+        let (machine, report) =
+            run_loop(bench.meta().paradigm, bench, &cfg, BUDGET).expect("chaos run must complete");
         assert_eq!(report.outputs, baseline.outputs, "seed {seed}");
         total_injected += machine.mem().stats().injected_conflicts
             + machine.stats().injected_queue_delays
@@ -127,7 +127,10 @@ fn chaos_actually_injects_and_recovers() {
         total_recoveries += report.recoveries;
     }
     assert!(total_injected > 0, "no faults injected at 2000 ppm");
-    assert!(total_recoveries > 0, "injected conflicts must force recovery");
+    assert!(
+        total_recoveries > 0,
+        "injected conflicts must force recovery"
+    );
 }
 
 #[test]

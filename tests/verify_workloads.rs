@@ -76,7 +76,11 @@ fn all_smtx_pipeline_emitters_verify_clean() {
     let workers = cfg.num_cores.saturating_sub(2).max(1);
     let env = LoopEnv::new(cfg.hmtx.max_vid().0, workers);
     for workload in suite(Scale::Quick) {
-        for mode in [RwSetMode::Minimal, RwSetMode::Substantial, RwSetMode::Maximal] {
+        for mode in [
+            RwSetMode::Minimal,
+            RwSetMode::Substantial,
+            RwSetMode::Maximal,
+        ] {
             let generated = build_smtx_pipeline(workload.as_ref(), &env, &cfg.smtx, mode)
                 .expect("emission succeeds");
             let report = verify_generated(&generated);
@@ -176,13 +180,25 @@ fn corpus_mtx_halt_speculative() {
     let p = prog(|b| {
         b.li(Reg::R1, 1).begin_mtx(Reg::R1).halt();
     });
-    expect_flag(&verify_program(&p), "mtx-halt-speculative", Severity::Error, 0, 2);
+    expect_flag(
+        &verify_program(&p),
+        "mtx-halt-speculative",
+        Severity::Error,
+        0,
+        2,
+    );
 
     // Falling off the end inside an open MTX (implicit exit).
     let p = prog(|b| {
         b.li(Reg::R1, 1).begin_mtx(Reg::R1).li(Reg::R2, 5);
     });
-    expect_flag(&verify_program(&p), "mtx-halt-speculative", Severity::Error, 0, 2);
+    expect_flag(
+        &verify_program(&p),
+        "mtx-halt-speculative",
+        Severity::Error,
+        0,
+        2,
+    );
 }
 
 #[test]
@@ -195,7 +211,13 @@ fn corpus_mtx_begin_while_speculative() {
             .commit_mtx(Reg::R2)
             .halt();
     });
-    expect_flag(&verify_program(&p), "mtx-begin-while-speculative", Severity::Error, 0, 3);
+    expect_flag(
+        &verify_program(&p),
+        "mtx-begin-while-speculative",
+        Severity::Error,
+        0,
+        3,
+    );
 
     let p = prog(|b| {
         b.li(Reg::R1, 1)
@@ -204,7 +226,13 @@ fn corpus_mtx_begin_while_speculative() {
             .commit_mtx(Reg::R1)
             .halt();
     });
-    expect_flag(&verify_program(&p), "mtx-begin-while-speculative", Severity::Error, 0, 2);
+    expect_flag(
+        &verify_program(&p),
+        "mtx-begin-while-speculative",
+        Severity::Error,
+        0,
+        2,
+    );
 }
 
 #[test]
@@ -217,7 +245,13 @@ fn corpus_mtx_vid_mismatch() {
             .commit_mtx(Reg::R2)
             .halt();
     });
-    expect_flag(&verify_program(&p), "mtx-vid-mismatch", Severity::Error, 0, 3);
+    expect_flag(
+        &verify_program(&p),
+        "mtx-vid-mismatch",
+        Severity::Error,
+        0,
+        3,
+    );
 
     let p = prog(|b| {
         b.li(Reg::R1, 3)
@@ -226,7 +260,13 @@ fn corpus_mtx_vid_mismatch() {
             .commit_mtx(Reg::R2)
             .halt();
     });
-    expect_flag(&verify_program(&p), "mtx-vid-mismatch", Severity::Error, 0, 3);
+    expect_flag(
+        &verify_program(&p),
+        "mtx-vid-mismatch",
+        Severity::Error,
+        0,
+        3,
+    );
 }
 
 #[test]
@@ -238,7 +278,13 @@ fn corpus_mtx_vid_clobber() {
             .commit_mtx(Reg::R1)
             .halt();
     });
-    expect_flag(&verify_program(&p), "mtx-vid-clobber", Severity::Error, 0, 2);
+    expect_flag(
+        &verify_program(&p),
+        "mtx-vid-clobber",
+        Severity::Error,
+        0,
+        2,
+    );
 
     let p = prog(|b| {
         b.li(Reg::R1, 1)
@@ -247,7 +293,13 @@ fn corpus_mtx_vid_clobber() {
             .commit_mtx(Reg::R1)
             .halt();
     });
-    expect_flag(&verify_program(&p), "mtx-vid-clobber", Severity::Error, 0, 2);
+    expect_flag(
+        &verify_program(&p),
+        "mtx-vid-clobber",
+        Severity::Error,
+        0,
+        2,
+    );
 }
 
 #[test]
@@ -259,7 +311,13 @@ fn corpus_mtx_double_commit() {
             .commit_mtx(Reg::R1)
             .halt();
     });
-    expect_flag(&verify_program(&p), "mtx-double-commit", Severity::Error, 0, 3);
+    expect_flag(
+        &verify_program(&p),
+        "mtx-double-commit",
+        Severity::Error,
+        0,
+        3,
+    );
 
     let p = prog(|b| {
         b.li(Reg::R1, 1)
@@ -269,7 +327,13 @@ fn corpus_mtx_double_commit() {
             .commit_mtx(Reg::R1)
             .halt();
     });
-    expect_flag(&verify_program(&p), "mtx-double-commit", Severity::Error, 0, 4);
+    expect_flag(
+        &verify_program(&p),
+        "mtx-double-commit",
+        Severity::Error,
+        0,
+        4,
+    );
 }
 
 #[test]
@@ -281,7 +345,13 @@ fn corpus_mtx_vidreset_speculative() {
             .commit_mtx(Reg::R1)
             .halt();
     });
-    expect_flag(&verify_program(&p), "mtx-vidreset-speculative", Severity::Error, 0, 2);
+    expect_flag(
+        &verify_program(&p),
+        "mtx-vidreset-speculative",
+        Severity::Error,
+        0,
+        2,
+    );
 
     let p = prog(|b| {
         b.li(Reg::R1, 1)
@@ -291,7 +361,13 @@ fn corpus_mtx_vidreset_speculative() {
             .commit_mtx(Reg::R1)
             .halt();
     });
-    expect_flag(&verify_program(&p), "mtx-vidreset-speculative", Severity::Error, 0, 3);
+    expect_flag(
+        &verify_program(&p),
+        "mtx-vidreset-speculative",
+        Severity::Error,
+        0,
+        3,
+    );
 }
 
 #[test]
@@ -306,7 +382,13 @@ fn corpus_mtx_state_divergence() {
         b.bind(skip).unwrap();
         b.halt();
     });
-    expect_flag(&verify_program(&p), "mtx-state-divergence", Severity::Error, 0, 4);
+    expect_flag(
+        &verify_program(&p),
+        "mtx-state-divergence",
+        Severity::Error,
+        0,
+        4,
+    );
 
     let p = prog(|b| {
         let skip = b.new_label();
@@ -316,7 +398,13 @@ fn corpus_mtx_state_divergence() {
         b.bind(skip).unwrap();
         b.halt();
     });
-    expect_flag(&verify_program(&p), "mtx-state-divergence", Severity::Error, 0, 3);
+    expect_flag(
+        &verify_program(&p),
+        "mtx-state-divergence",
+        Severity::Error,
+        0,
+        3,
+    );
 }
 
 #[test]
@@ -330,7 +418,13 @@ fn corpus_mtx_init_speculative() {
         b.bind(h).unwrap();
         b.halt();
     });
-    expect_flag(&verify_program(&p), "mtx-init-speculative", Severity::Warning, 0, 2);
+    expect_flag(
+        &verify_program(&p),
+        "mtx-init-speculative",
+        Severity::Warning,
+        0,
+        2,
+    );
 
     let p = prog(|b| {
         let h = b.new_label();
@@ -342,7 +436,13 @@ fn corpus_mtx_init_speculative() {
         b.bind(h).unwrap();
         b.halt();
     });
-    expect_flag(&verify_program(&p), "mtx-init-speculative", Severity::Warning, 0, 3);
+    expect_flag(
+        &verify_program(&p),
+        "mtx-init-speculative",
+        Severity::Warning,
+        0,
+        3,
+    );
 }
 
 #[test]
@@ -350,12 +450,24 @@ fn corpus_mtx_end_without_begin() {
     let p = prog(|b| {
         b.li(Reg::R1, 1).commit_mtx(Reg::R1).halt();
     });
-    expect_flag(&verify_program(&p), "mtx-end-without-begin", Severity::Warning, 0, 1);
+    expect_flag(
+        &verify_program(&p),
+        "mtx-end-without-begin",
+        Severity::Warning,
+        0,
+        1,
+    );
 
     let p = prog(|b| {
         b.li(Reg::R1, 1).abort_mtx(Reg::R1);
     });
-    expect_flag(&verify_program(&p), "mtx-end-without-begin", Severity::Warning, 0, 1);
+    expect_flag(
+        &verify_program(&p),
+        "mtx-end-without-begin",
+        Severity::Warning,
+        0,
+        1,
+    );
 }
 
 #[test]
@@ -368,7 +480,13 @@ fn corpus_mtx_never_committed() {
             .begin_mtx(Reg::R2)
             .halt();
     });
-    expect_flag(&verify_set(&[&p]), "mtx-never-committed", Severity::Error, 0, 1);
+    expect_flag(
+        &verify_set(&[&p]),
+        "mtx-never-committed",
+        Severity::Error,
+        0,
+        1,
+    );
 
     let p = prog(|b| {
         b.compute(1)
@@ -378,7 +496,13 @@ fn corpus_mtx_never_committed() {
             .begin_mtx(Reg::R2)
             .halt();
     });
-    expect_flag(&verify_set(&[&p]), "mtx-never-committed", Severity::Error, 0, 2);
+    expect_flag(
+        &verify_set(&[&p]),
+        "mtx-never-committed",
+        Severity::Error,
+        0,
+        2,
+    );
 }
 
 #[test]
@@ -386,12 +510,24 @@ fn corpus_reg_use_before_def() {
     let p = prog(|b| {
         b.add(Reg::R3, Reg::R1, Reg::R2).out(Reg::R3).halt();
     });
-    expect_flag(&verify_program(&p), "reg-use-before-def", Severity::Warning, 0, 0);
+    expect_flag(
+        &verify_program(&p),
+        "reg-use-before-def",
+        Severity::Warning,
+        0,
+        0,
+    );
 
     let p = prog(|b| {
         b.li(Reg::R1, 5).store(Reg::R1, Reg::R2, 0).halt();
     });
-    expect_flag(&verify_program(&p), "reg-use-before-def", Severity::Warning, 0, 1);
+    expect_flag(
+        &verify_program(&p),
+        "reg-use-before-def",
+        Severity::Warning,
+        0,
+        1,
+    );
 }
 
 #[test]
@@ -399,7 +535,13 @@ fn corpus_queue_no_consumer() {
     let p = prog(|b| {
         b.li(Reg::R1, 1).produce(QueueId(0), Reg::R1).halt();
     });
-    expect_flag(&verify_set(&[&p]), "queue-no-consumer", Severity::Error, 0, 1);
+    expect_flag(
+        &verify_set(&[&p]),
+        "queue-no-consumer",
+        Severity::Error,
+        0,
+        1,
+    );
 
     let p0 = prog(|b| {
         b.li(Reg::R1, 1).produce(QueueId(3), Reg::R1).halt();
@@ -407,7 +549,13 @@ fn corpus_queue_no_consumer() {
     let p1 = prog(|b| {
         b.li(Reg::R1, 1).out(Reg::R1).halt();
     });
-    expect_flag(&verify_two(&p0, &p1), "queue-no-consumer", Severity::Error, 0, 1);
+    expect_flag(
+        &verify_two(&p0, &p1),
+        "queue-no-consumer",
+        Severity::Error,
+        0,
+        1,
+    );
 }
 
 #[test]
@@ -415,7 +563,13 @@ fn corpus_queue_no_producer() {
     let p = prog(|b| {
         b.consume(Reg::R1, QueueId(0)).out(Reg::R1).halt();
     });
-    expect_flag(&verify_set(&[&p]), "queue-no-producer", Severity::Error, 0, 0);
+    expect_flag(
+        &verify_set(&[&p]),
+        "queue-no-producer",
+        Severity::Error,
+        0,
+        0,
+    );
 
     let p0 = prog(|b| {
         b.li(Reg::R1, 1).out(Reg::R1).halt();
@@ -423,7 +577,13 @@ fn corpus_queue_no_producer() {
     let p1 = prog(|b| {
         b.consume(Reg::R1, QueueId(5)).halt();
     });
-    expect_flag(&verify_two(&p0, &p1), "queue-no-producer", Severity::Error, 1, 0);
+    expect_flag(
+        &verify_two(&p0, &p1),
+        "queue-no-producer",
+        Severity::Error,
+        1,
+        0,
+    );
 }
 
 #[test]
@@ -465,7 +625,13 @@ fn corpus_queue_deadlock_cycle() {
             .produce(QueueId(1), Reg::R2)
             .halt();
     });
-    expect_flag(&verify_two(&p0, &p1), "queue-deadlock-cycle", Severity::Error, 0, 0);
+    expect_flag(
+        &verify_two(&p0, &p1),
+        "queue-deadlock-cycle",
+        Severity::Error,
+        0,
+        0,
+    );
 
     // Three-core ring, everyone waiting on the previous core.
     let ring = |qin: usize, qout: usize| {
@@ -497,7 +663,13 @@ fn corpus_queue_rate_mismatch() {
             .consume(Reg::R2, QueueId(0))
             .halt();
     });
-    expect_flag(&verify_two(&p0, &p1), "queue-rate-mismatch", Severity::Error, 1, 0);
+    expect_flag(
+        &verify_two(&p0, &p1),
+        "queue-rate-mismatch",
+        Severity::Error,
+        1,
+        0,
+    );
 
     // Producer's best case (1) is below the consumer's demand (2).
     let p0 = prog(|b| {
@@ -508,7 +680,13 @@ fn corpus_queue_rate_mismatch() {
         b.bind(skip).unwrap();
         b.halt();
     });
-    expect_flag(&verify_two(&p0, &p1), "queue-rate-mismatch", Severity::Error, 1, 0);
+    expect_flag(
+        &verify_two(&p0, &p1),
+        "queue-rate-mismatch",
+        Severity::Error,
+        1,
+        0,
+    );
 }
 
 #[test]
@@ -523,7 +701,13 @@ fn corpus_queue_rate_surplus() {
     let p1 = prog(|b| {
         b.consume(Reg::R1, QueueId(0)).halt();
     });
-    expect_flag(&verify_two(&p0, &p1), "queue-rate-surplus", Severity::Warning, 0, 1);
+    expect_flag(
+        &verify_two(&p0, &p1),
+        "queue-rate-surplus",
+        Severity::Warning,
+        0,
+        1,
+    );
 
     let p1 = prog(|b| {
         let skip = b.new_label();
@@ -533,7 +717,13 @@ fn corpus_queue_rate_surplus() {
         b.bind(skip).unwrap();
         b.halt();
     });
-    expect_flag(&verify_two(&p0, &p1), "queue-rate-surplus", Severity::Warning, 0, 1);
+    expect_flag(
+        &verify_two(&p0, &p1),
+        "queue-rate-surplus",
+        Severity::Warning,
+        0,
+        1,
+    );
 }
 
 #[test]
@@ -584,7 +774,13 @@ fn corpus_spec_store_escape() {
             .store(Reg::R4, Reg::R3, 0)
             .halt();
     });
-    expect_flag(&verify_two(&p0, &p1), "spec-store-escape", Severity::Warning, 1, 2);
+    expect_flag(
+        &verify_two(&p0, &p1),
+        "spec-store-escape",
+        Severity::Warning,
+        1,
+        2,
+    );
 
     // Same core, same symbolic address (r6+8), inside then outside the MTX.
     let p = prog(|b| {
@@ -597,5 +793,11 @@ fn corpus_spec_store_escape() {
             .store(Reg::R1, Reg::R6, 8)
             .halt();
     });
-    expect_flag(&verify_set(&[&p]), "spec-store-escape", Severity::Warning, 0, 6);
+    expect_flag(
+        &verify_set(&[&p]),
+        "spec-store-escape",
+        Severity::Warning,
+        0,
+        6,
+    );
 }
