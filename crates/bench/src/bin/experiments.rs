@@ -11,12 +11,14 @@
 //! runs); the default is the standard benchmark scale on the paper's
 //! Table 2 configuration.
 //!
-//! `--jobs N` runs the requested sections' simulations on `N` host threads
-//! (a work-stealing queue over pure simulation jobs). The printed output is
-//! byte-identical for every `N`: sections render serially, in order, from
-//! the pool's memoized results. `--json PATH` additionally writes a
-//! machine-readable report (every row plus per-job wall-clock); `--progress`
-//! streams per-job status lines to stderr.
+//! `--jobs N` runs each section's batch of simulations on `N` host threads
+//! (one shared queue of pure simulation jobs). The printed output is
+//! byte-identical for every `N`: sections run in order, and each computes
+//! its rows from its batch in list order. Every section renders before
+//! anything is printed, so a failed simulation exits 1 with nothing on
+//! stdout. `--json PATH` additionally writes a machine-readable report
+//! (every row plus per-job wall-clock); `--progress` streams per-job status
+//! lines to stderr.
 //!
 //! ```text
 //! experiments job SPEC.json
@@ -30,12 +32,7 @@
 use std::num::NonZeroUsize;
 
 use hmtx_bench::runner::SimPool;
-use hmtx_bench::{
-    ablation_commit, ablation_sla, ablation_unbounded, ablation_victim, ablation_vid_width,
-    experiment_config, extension_scaling, fig1::fig1, fig2, fig8, fig9, latency_sensitivity, plan,
-    render_ablation, render_fig2, render_fig8, render_fig9, render_latency, render_scaling,
-    render_table1, render_table2, render_table3, report::build_report, table1, table3, Section,
-};
+use hmtx_bench::{experiment_config, report::build_report, Section};
 use hmtx_types::cli::{positional, Args, UsageError};
 use hmtx_types::{FaultConfig, JobSpec, Json, MachineConfig};
 use hmtx_workloads::Scale;
@@ -154,93 +151,27 @@ fn main() {
             opts.fault_rate_ppm
         );
     }
-    let mut pool = SimPool::new(scale, cfg.clone());
+    let mut pool = SimPool::new(scale, cfg).with_threads(opts.jobs);
     if opts.progress {
         pool = pool.with_progress();
     }
-
-    // Simulate everything the sections need up front, across host threads.
-    // Rendering below then finds every result in the cache and stays
-    // byte-identical regardless of --jobs.
-    if let Err(e) = pool.prefetch(&plan(&opts.sections, scale), opts.jobs) {
+    let fail = |e| -> ! {
         eprintln!("experiments: simulation failed: {e:?}");
         std::process::exit(1);
-    }
+    };
 
-    let run = |name: &str| opts.sections.iter().any(|s| s.name() == name);
-
-    if run("table2") {
-        println!("{}", render_table2(&cfg));
-    }
-    if run("fig1") {
-        println!("{}", fig1(&pool).expect("fig1"));
-    }
-    if run("fig2") {
-        println!("{}", render_fig2(&fig2(&pool).expect("fig2")));
-    }
-    if run("fig8") {
-        let (rows, summary) = fig8(&pool).expect("fig8");
-        println!("{}", render_fig8(&rows, &summary));
-    }
-    if run("fig9") {
-        println!("{}", render_fig9(&fig9(&pool).expect("fig9")));
-    }
-    if run("table1") {
-        println!("{}", render_table1(&table1(&pool).expect("table1")));
-    }
-    if run("table3") {
-        println!("{}", render_table3(&table3(&pool).expect("table3")));
-    }
-    if run("ablations") {
-        println!(
-            "{}",
-            render_ablation(
-                "Ablation A (5.3): lazy vs eager commit processing",
-                &ablation_commit(&pool).expect("ablation A"),
-            )
-        );
-        println!(
-            "{}",
-            render_ablation(
-                "Ablation B (5.1): speculative load acknowledgments on/off",
-                &ablation_sla(&pool).expect("ablation B"),
-            )
-        );
-        println!(
-            "{}",
-            render_ablation(
-                "Ablation C (4.6): VID width sweep",
-                &ablation_vid_width(&pool).expect("ablation C"),
-            )
-        );
-        println!(
-            "{}",
-            render_ablation(
-                "Ablation D (5.4): LLC victim policy under cache pressure",
-                &ablation_victim(&pool).expect("ablation D"),
-            )
-        );
-    }
-    if run("extensions") {
-        println!(
-            "{}",
-            render_ablation(
-                "Extension (8): unbounded read/write sets via memory-side overflow",
-                &ablation_unbounded(&pool).expect("extension unbounded"),
-            )
-        );
-        println!(
-            "{}",
-            render_scaling(&extension_scaling(&pool).expect("scaling"))
-        );
-        println!(
-            "{}",
-            render_latency(&latency_sensitivity(&pool).expect("latency sweep"))
-        );
-    }
+    // Render every section before printing any, so a failed simulation
+    // leaves stdout empty.
+    let text: String = opts
+        .sections
+        .iter()
+        .map(|s| s.render(&pool))
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| fail(e));
+    print!("{text}");
 
     if let Some(path) = opts.json_path {
-        let report = build_report(&pool, &opts.sections).expect("json report");
+        let report = build_report(&pool, &opts.sections).unwrap_or_else(|e| fail(e));
         if let Err(e) = std::fs::write(&path, report.pretty()) {
             eprintln!("experiments: writing {path}: {e}");
             std::process::exit(1);

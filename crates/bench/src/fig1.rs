@@ -21,7 +21,7 @@ const MARK_S2_BEGIN: u32 = 20;
 const MARK_S2_END: u32 = 21;
 
 /// The paradigms Figure 1 diagrams, in render order.
-pub const PARADIGMS: [Paradigm; 4] = [
+const PARADIGMS: [Paradigm; 4] = [
     Paradigm::Sequential,
     Paradigm::Doacross,
     Paradigm::Dswp,
@@ -74,19 +74,8 @@ struct Interval {
     seq: usize, // per-core occurrence index of this stage
 }
 
-/// Runs one paradigm and renders its lane diagram.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulation.
-pub fn render_paradigm(pool: &SimPool, paradigm: Paradigm) -> Result<String, SimError> {
-    let result = pool.get(&pool.job(
-        Benchmark::Fig1Loop,
-        JobParadigm::Explicit(paradigm),
-        ConfigVariant::Base,
-    ))?;
-    let machine = &result.machine;
-
+/// Renders the lane diagram of `paradigm`'s finished run.
+fn render_paradigm(paradigm: Paradigm, machine: &Machine) -> String {
     // Pair begin/end markers per core.
     let mut open: std::collections::HashMap<(usize, u32), u64> = std::collections::HashMap::new();
     let mut per_core_count: std::collections::HashMap<(usize, bool), usize> =
@@ -116,7 +105,7 @@ pub fn render_paradigm(pool: &SimPool, paradigm: Paradigm) -> Result<String, Sim
         }
     }
     if intervals.is_empty() {
-        return Ok(format!("{}: (no marker events)\n", paradigm.name()));
+        return format!("{}: (no marker events)\n", paradigm.name());
     }
 
     // Iteration numbering: stage-1 intervals on a core are consecutive
@@ -170,7 +159,7 @@ pub fn render_paradigm(pool: &SimPool, paradigm: Paradigm) -> Result<String, Sim
             row.into_iter().collect::<String>()
         ));
     }
-    Ok(out)
+    out
 }
 
 /// Regenerates the whole Figure 1 (all four paradigms).
@@ -183,8 +172,15 @@ pub fn fig1(pool: &SimPool) -> Result<String, SimError> {
         "Figure 1: execution timing of the first 5 iterations\n\
          (n = stage-1 work, w = stage-2 work; '-'/'=' continue an interval)\n\n",
     );
-    for paradigm in PARADIGMS {
-        out.push_str(&render_paradigm(pool, paradigm)?);
+    let jobs = PARADIGMS.map(|p| {
+        pool.job(
+            Benchmark::Fig1Loop,
+            JobParadigm::Explicit(p),
+            ConfigVariant::Base,
+        )
+    });
+    for (paradigm, result) in PARADIGMS.into_iter().zip(pool.run(&jobs)?) {
+        out.push_str(&render_paradigm(paradigm, &result.machine));
         out.push('\n');
     }
     Ok(out)
@@ -210,27 +206,27 @@ mod tests {
         assert!(text.contains("w1"));
     }
 
+    /// The number of core lanes in `name`'s diagram of Figure 1.
+    fn lanes(name: &str) -> usize {
+        let text = fig1(&pool()).unwrap();
+        let diagram = text
+            .split("\n\n")
+            .find(|d| d.starts_with(&format!("{name} (")))
+            .unwrap_or_else(|| panic!("no {name} diagram in:\n{text}"));
+        diagram
+            .lines()
+            .filter(|l| l.trim_start().starts_with("core"))
+            .count()
+    }
+
     #[test]
     fn psdswp_uses_more_lanes_than_dswp() {
-        let p = pool();
-        let dswp = render_paradigm(&p, Paradigm::Dswp).unwrap();
-        let psdswp = render_paradigm(&p, Paradigm::PsDswp).unwrap();
-        let lanes = |s: &str| {
-            s.lines()
-                .filter(|l| l.trim_start().starts_with("core"))
-                .count()
-        };
-        assert_eq!(lanes(&dswp), 2);
-        assert!(lanes(&psdswp) > 2);
+        assert_eq!(lanes("DSWP"), 2);
+        assert!(lanes("PS-DSWP") > 2);
     }
 
     #[test]
     fn sequential_is_one_lane() {
-        let seq = render_paradigm(&pool(), Paradigm::Sequential).unwrap();
-        let lanes = seq
-            .lines()
-            .filter(|l| l.trim_start().starts_with("core"))
-            .count();
-        assert_eq!(lanes, 1);
+        assert_eq!(lanes("Sequential"), 1);
     }
 }

@@ -3,23 +3,27 @@
 //! called out in `DESIGN.md`.
 //!
 //! Experiments are expressed as pure [`runner::SimJob`]s executed through a
-//! memoizing [`runner::SimPool`]: [`plan`] lists the jobs a set of sections
-//! needs, [`runner::SimPool::prefetch`] fans them out across host threads,
-//! and each `fig*`/`table*` function then *looks up* its results in stable
-//! job order and returns structured rows — so the rendered output is
-//! byte-identical whatever the thread count, and a simulation shared by
-//! several figures runs exactly once. `render_*` helpers format rows as the
-//! text tables the `experiments` binary prints (and `EXPERIMENTS.md`
-//! records); [`report`] serializes the same rows as JSON.
+//! memoizing [`runner::SimPool`]. Each `fig*`/`table*` function (and
+//! [`ablations`], [`extensions`]) builds the one list of jobs its rows
+//! need, runs it with [`runner::SimPool::run`] — which simulates the jobs
+//! not yet cached across host threads and returns every result in list
+//! order — and computes structured rows from that list. The rendered
+//! output is therefore byte-identical whatever the thread count, and a
+//! simulation shared by several figures runs exactly once.
+//! [`Section::render`] formats a section as the text the `experiments`
+//! binary prints (and `EXPERIMENTS.md` records); [`report`] serializes the
+//! same rows as JSON.
 
 #![warn(missing_docs)]
 
+use std::sync::Arc;
+
 use hmtx_machine::Machine;
 use hmtx_power::{geomean, PowerModel};
-use hmtx_runtime::speedup;
+use hmtx_runtime::{speedup, Paradigm};
 use hmtx_smtx::RwSetMode;
 use hmtx_types::{MachineConfig, SimError, VictimPolicy};
-use hmtx_workloads::{suite, Scale};
+use hmtx_workloads::{suite, Workload, WorkloadMeta};
 
 pub mod fig1;
 pub mod jobspec;
@@ -28,7 +32,7 @@ pub mod runner;
 
 pub use jobspec::{materialize, render_report, run_job, run_job_report, standard_sweep};
 
-use runner::{Benchmark, ConfigVariant, JobParadigm, SimJob, SimPool};
+use runner::{Benchmark, ConfigVariant, JobParadigm, JobResult, SimJob, SimPool};
 
 /// Instruction budget for harness runs (generous; guards livelock only).
 pub const BUDGET: u64 = 20_000_000_000;
@@ -38,7 +42,7 @@ pub fn experiment_config() -> MachineConfig {
     MachineConfig::paper_default()
 }
 
-// -------------------------------------------------------------- the plan
+// ------------------------------------------------------------ the sections
 
 /// One printable section of the `experiments` output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,167 +103,65 @@ impl Section {
         Section::ALL.into_iter().find(|s| s.name() == name)
     }
 
-    /// The simulation jobs this section's rows are computed from.
-    #[must_use]
-    pub fn jobs(&self, scale: Scale) -> Vec<SimJob> {
-        let job = |b, p, c| SimJob::new(b, p, c, scale);
-        let seq = |i| {
-            job(
-                Benchmark::Suite(i),
-                JobParadigm::Sequential,
-                ConfigVariant::Base,
-            )
-        };
-        let paper = |i| job(Benchmark::Suite(i), JobParadigm::Paper, ConfigVariant::Base);
-        let hytm = |i| job(Benchmark::Suite(i), JobParadigm::Hytm, ConfigVariant::Base);
-        let smtx = |i, m| {
-            job(
-                Benchmark::Suite(i),
-                JobParadigm::Smtx(m),
-                ConfigVariant::Base,
-            )
-        };
-        let ws = suite(scale);
-        let all = 0..ws.len();
-        let comparable: Vec<usize> = ws
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.meta().smtx_comparable)
-            .map(|(i, _)| i)
-            .collect();
-        match self {
-            Section::Table2 => Vec::new(),
-            Section::Fig1 => fig1::PARADIGMS
-                .into_iter()
-                .map(|p| {
-                    job(
-                        Benchmark::Fig1Loop,
-                        JobParadigm::Explicit(p),
-                        ConfigVariant::Base,
-                    )
-                })
-                .collect(),
-            Section::Fig2 => comparable
-                .iter()
-                .flat_map(|&i| {
-                    [
-                        seq(i),
-                        smtx(i, RwSetMode::Minimal),
-                        smtx(i, RwSetMode::Substantial),
-                    ]
-                })
-                .collect(),
-            Section::Fig8 => all
-                .flat_map(|i| {
-                    let mut jobs = vec![seq(i), paper(i), hytm(i)];
-                    if comparable.contains(&i) {
-                        jobs.push(smtx(i, RwSetMode::Minimal));
-                    }
-                    jobs
-                })
-                .collect(),
-            Section::Fig9 | Section::Table1 => all.map(paper).collect(),
-            Section::Table3 => all
-                .flat_map(|i| {
-                    let mut jobs = vec![seq(i), paper(i)];
-                    if comparable.contains(&i) {
-                        jobs.push(smtx(i, RwSetMode::Minimal));
-                    }
-                    jobs
-                })
-                .collect(),
-            Section::Ablations => {
-                let mut jobs = Vec::new();
-                for idx in ABLATION_COMMIT_BENCHES {
-                    for lazy in [true, false] {
-                        jobs.push(job(
-                            Benchmark::Suite(idx),
-                            JobParadigm::Paper,
-                            ConfigVariant::Commit { lazy },
-                        ));
-                    }
-                }
-                for idx in ABLATION_SLA_BENCHES {
-                    for enabled in [true, false] {
-                        jobs.push(job(
-                            Benchmark::Suite(idx),
-                            JobParadigm::Paper,
-                            ConfigVariant::Sla { enabled },
-                        ));
-                    }
-                }
-                for enabled in [true, false] {
-                    jobs.push(job(
-                        Benchmark::SlaStress,
-                        JobParadigm::Explicit(hmtx_runtime::Paradigm::PsDswp),
-                        ConfigVariant::Sla { enabled },
-                    ));
-                }
-                for bits in VID_WIDTH_SWEEP {
-                    jobs.push(job(
-                        Benchmark::Suite(VID_WIDTH_BENCH),
-                        JobParadigm::Paper,
-                        ConfigVariant::VidBits(bits),
-                    ));
-                }
-                for policy in [VictimPolicy::PreferSafeOverflow, VictimPolicy::PlainLru] {
-                    jobs.push(job(
-                        Benchmark::Suite(VICTIM_BENCH),
-                        JobParadigm::Paper,
-                        ConfigVariant::Victim(policy),
-                    ));
-                }
-                jobs
+    /// Runs this section's simulations on `pool` and renders the text
+    /// `experiments` prints for it: each of its tables, followed by a
+    /// blank line.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError`] from any simulation run.
+    pub fn render(&self, pool: &SimPool) -> Result<String, SimError> {
+        let tables = match self {
+            Section::Table2 => vec![render_table2(pool.base_cfg())],
+            Section::Fig1 => vec![fig1::fig1(pool)?],
+            Section::Fig2 => vec![render_fig2(&fig2(pool)?)],
+            Section::Fig8 => {
+                let (rows, summary) = fig8(pool)?;
+                vec![render_fig8(&rows, &summary)]
             }
+            Section::Fig9 => vec![render_fig9(&fig9(pool)?)],
+            Section::Table1 => vec![render_table1(&table1(pool)?)],
+            Section::Table3 => vec![render_table3(&table3(pool)?)],
+            Section::Ablations => ablations(pool)?.iter().map(render_ablation).collect(),
             Section::Extensions => {
-                let mut jobs = Vec::new();
-                for unbounded in [false, true] {
-                    jobs.push(job(
-                        Benchmark::Suite(VICTIM_BENCH),
-                        JobParadigm::Paper,
-                        ConfigVariant::Bounded { unbounded },
-                    ));
-                }
-                jobs.push(job(
-                    Benchmark::ScalingLoop,
-                    JobParadigm::Sequential,
-                    ConfigVariant::ScalingBase,
-                ));
-                for cores in SCALING_CORES {
-                    for directory in [false, true] {
-                        jobs.push(job(
-                            Benchmark::ScalingLoop,
-                            JobParadigm::Explicit(hmtx_runtime::Paradigm::PsDswp),
-                            ConfigVariant::ScalingFabric { cores, directory },
-                        ));
-                    }
-                }
-                jobs.push(seq(LATENCY_BENCH));
-                for latency in LATENCY_SWEEP {
-                    for p in [
-                        hmtx_runtime::Paradigm::Doacross,
-                        hmtx_runtime::Paradigm::PsDswp,
-                    ] {
-                        jobs.push(job(
-                            Benchmark::Suite(LATENCY_BENCH),
-                            JobParadigm::Explicit(p),
-                            ConfigVariant::QueueLatency(latency),
-                        ));
-                    }
-                }
-                jobs
+                let e = extensions(pool)?;
+                vec![
+                    render_ablation(&e.unbounded),
+                    render_scaling(&e.scaling),
+                    render_latency(&e.latency),
+                ]
             }
-        }
+        };
+        Ok(tables.into_iter().map(|t| t + "\n").collect())
     }
 }
 
-/// Every simulation job the given sections need, in section order.
-/// Feed this to [`runner::SimPool::prefetch`]; sections sharing a job list
-/// it more than once, and the pool simulates it once.
-#[must_use]
-pub fn plan(sections: &[Section], scale: Scale) -> Vec<SimJob> {
-    sections.iter().flat_map(|s| s.jobs(scale)).collect()
+/// The base-configuration job of suite workload `index` under `paradigm`.
+fn suite_job(pool: &SimPool, index: usize, paradigm: JobParadigm) -> SimJob {
+    pool.job(Benchmark::Suite(index), paradigm, ConfigVariant::Base)
 }
+
+/// Every suite workload's metadata, with the result of its
+/// base-configuration run under `paradigm`.
+fn suite_runs(
+    pool: &SimPool,
+    paradigm: JobParadigm,
+) -> Result<Vec<(WorkloadMeta, Arc<JobResult>)>, SimError> {
+    let ws = suite(pool.scale());
+    let jobs: Vec<SimJob> = (0..ws.len())
+        .map(|i| suite_job(pool, i, paradigm))
+        .collect();
+    Ok(ws.iter().map(|w| w.meta()).zip(pool.run(&jobs)?).collect())
+}
+
+/// Suite indices of the workloads with an SMTX port to compare against.
+fn comparable(ws: &[Box<dyn Workload>]) -> Vec<usize> {
+    (0..ws.len())
+        .filter(|&i| ws[i].meta().smtx_comparable)
+        .collect()
+}
+
+const SMTX_MIN: JobParadigm = JobParadigm::Smtx(RwSetMode::Minimal);
 
 /// Suite indices the ablations run on (130.li and 256.bzip2 for commit
 /// processing; 130.li and 186.crafty for SLAs; see `suite()` ordering).
@@ -301,34 +203,33 @@ pub fn whole_program_speedup(hot_fraction: f64, hot_speedup: f64) -> f64 {
 ///
 /// Propagates [`SimError`] from any simulation run.
 pub fn fig2(pool: &SimPool) -> Result<Vec<Fig2Row>, SimError> {
-    let mut rows = Vec::new();
-    for (i, w) in suite(pool.scale()).iter().enumerate() {
-        if !w.meta().smtx_comparable {
-            continue;
-        }
-        let seq = pool.get(&pool.job(
-            Benchmark::Suite(i),
-            JobParadigm::Sequential,
-            ConfigVariant::Base,
-        ))?;
-        let min = pool.get(&pool.job(
-            Benchmark::Suite(i),
-            JobParadigm::Smtx(RwSetMode::Minimal),
-            ConfigVariant::Base,
-        ))?;
-        let sub = pool.get(&pool.job(
-            Benchmark::Suite(i),
-            JobParadigm::Smtx(RwSetMode::Substantial),
-            ConfigVariant::Base,
-        ))?;
-        let f = w.meta().paper.hot_loop_fraction;
-        rows.push(Fig2Row {
-            name: w.meta().name.to_string(),
-            minimal: whole_program_speedup(f, speedup(seq.cycles, min.cycles)),
-            substantial: whole_program_speedup(f, speedup(seq.cycles, sub.cycles)),
-        });
-    }
-    Ok(rows)
+    let ws = suite(pool.scale());
+    let comparable = comparable(&ws);
+    let jobs: Vec<SimJob> = comparable
+        .iter()
+        .flat_map(|&i| {
+            [
+                JobParadigm::Sequential,
+                SMTX_MIN,
+                JobParadigm::Smtx(RwSetMode::Substantial),
+            ]
+            .map(|p| suite_job(pool, i, p))
+        })
+        .collect();
+    let results = pool.run(&jobs)?;
+    Ok(comparable
+        .iter()
+        .zip(results.chunks_exact(3))
+        .map(|(&i, r)| {
+            let meta = ws[i].meta();
+            let f = meta.paper.hot_loop_fraction;
+            Fig2Row {
+                name: meta.name.to_string(),
+                minimal: whole_program_speedup(f, speedup(r[0].cycles, r[1].cycles)),
+                substantial: whole_program_speedup(f, speedup(r[0].cycles, r[2].cycles)),
+            }
+        })
+        .collect())
 }
 
 /// Renders Figure 2 as a text table.
@@ -396,35 +297,38 @@ pub struct Fig8Summary {
 ///
 /// Propagates [`SimError`] from any simulation run.
 pub fn fig8(pool: &SimPool) -> Result<(Vec<Fig8Row>, Fig8Summary), SimError> {
-    let mut rows = Vec::new();
-    for (i, w) in suite(pool.scale()).iter().enumerate() {
-        let seq = pool.get(&pool.job(
-            Benchmark::Suite(i),
-            JobParadigm::Sequential,
-            ConfigVariant::Base,
-        ))?;
-        let hmtx =
-            pool.get(&pool.job(Benchmark::Suite(i), JobParadigm::Paper, ConfigVariant::Base))?;
-        let hytm =
-            pool.get(&pool.job(Benchmark::Suite(i), JobParadigm::Hytm, ConfigVariant::Base))?;
-        let smtx = if w.meta().smtx_comparable {
-            let r = pool.get(&pool.job(
-                Benchmark::Suite(i),
-                JobParadigm::Smtx(RwSetMode::Minimal),
-                ConfigVariant::Base,
-            ))?;
-            Some(speedup(seq.cycles, r.cycles))
-        } else {
-            None
-        };
-        rows.push(Fig8Row {
+    let ws = suite(pool.scale());
+    let n = ws.len();
+    let comparable = comparable(&ws);
+    // The slowest paradigm first: the pool deals jobs out in list order,
+    // so a batch that ends on short jobs leaves no thread idle for long.
+    let jobs: Vec<SimJob> = [
+        JobParadigm::Hytm,
+        JobParadigm::Paper,
+        JobParadigm::Sequential,
+    ]
+    .into_iter()
+    .flat_map(|p| (0..n).map(move |i| suite_job(pool, i, p)))
+    .chain(comparable.iter().map(|&i| suite_job(pool, i, SMTX_MIN)))
+    .collect();
+    let results = pool.run(&jobs)?;
+    let (hytm, rest) = results.split_at(n);
+    let (hmtx, rest) = rest.split_at(n);
+    let (seq, smtx) = rest.split_at(n);
+    let rows: Vec<Fig8Row> = ws
+        .iter()
+        .enumerate()
+        .map(|(i, w)| Fig8Row {
             name: w.meta().name.to_string(),
-            smtx,
-            hmtx: speedup(seq.cycles, hmtx.cycles),
-            hytm: speedup(seq.cycles, hytm.cycles),
-            hytm_mix: hytm.report.as_ref().and_then(|r| r.hytm),
-        });
-    }
+            smtx: comparable
+                .iter()
+                .position(|&c| c == i)
+                .map(|k| speedup(seq[i].cycles, smtx[k].cycles)),
+            hmtx: speedup(seq[i].cycles, hmtx[i].cycles),
+            hytm: speedup(seq[i].cycles, hytm[i].cycles),
+            hytm_mix: hytm[i].report.as_ref().and_then(|r| r.hytm),
+        })
+        .collect();
     let hmtx_all: Vec<f64> = rows.iter().map(|r| r.hmtx).collect();
     let hytm_all: Vec<f64> = rows.iter().map(|r| r.hytm).collect();
     let hmtx_comp: Vec<f64> = rows
@@ -500,19 +404,18 @@ pub struct Fig9Row {
 ///
 /// Propagates [`SimError`] from any simulation run.
 pub fn fig9(pool: &SimPool) -> Result<Vec<Fig9Row>, SimError> {
-    let mut rows = Vec::new();
-    for (i, w) in suite(pool.scale()).iter().enumerate() {
-        let r =
-            pool.get(&pool.job(Benchmark::Suite(i), JobParadigm::Paper, ConfigVariant::Base))?;
-        let t = r.machine.mem().stats().rw_totals();
-        rows.push(Fig9Row {
-            name: w.meta().name.to_string(),
-            read_kb: t.avg_read_kb(),
-            write_kb: t.avg_write_kb(),
-            combined_kb: t.avg_combined_kb(),
-        });
-    }
-    Ok(rows)
+    Ok(suite_runs(pool, JobParadigm::Paper)?
+        .iter()
+        .map(|(w, r)| {
+            let t = r.machine.mem().stats().rw_totals();
+            Fig9Row {
+                name: w.name.to_string(),
+                read_kb: t.avg_read_kb(),
+                write_kb: t.avg_write_kb(),
+                combined_kb: t.avg_combined_kb(),
+            }
+        })
+        .collect())
 }
 
 /// Renders Figure 9 as a text table.
@@ -572,24 +475,23 @@ pub struct Table1Row {
 ///
 /// Propagates [`SimError`] from any simulation run.
 pub fn table1(pool: &SimPool) -> Result<Vec<Table1Row>, SimError> {
-    let mut rows = Vec::new();
-    for (i, w) in suite(pool.scale()).iter().enumerate() {
-        let r =
-            pool.get(&pool.job(Benchmark::Suite(i), JobParadigm::Paper, ConfigVariant::Base))?;
-        let mem = r.machine.mem().stats();
-        let ms = r.machine.stats();
-        let txs = mem.commits.max(1) as f64;
-        rows.push(Table1Row {
-            name: w.meta().name.to_string(),
-            paradigm: w.meta().paradigm.name(),
-            spec_accesses_per_tx: (mem.spec_loads + mem.spec_stores) as f64 / txs,
-            sla_aborts_avoided_per_tx: mem.sla_aborts_avoided as f64 / txs,
-            loads_needing_sla: mem.slas_sent as f64 / (mem.spec_loads.max(1)) as f64,
-            branch_fraction: ms.branch_fraction(),
-            mispredict_rate: ms.mispredict_rate(),
-        });
-    }
-    Ok(rows)
+    Ok(suite_runs(pool, JobParadigm::Paper)?
+        .iter()
+        .map(|(w, r)| {
+            let mem = r.machine.mem().stats();
+            let ms = r.machine.stats();
+            let txs = mem.commits.max(1) as f64;
+            Table1Row {
+                name: w.name.to_string(),
+                paradigm: w.paradigm.name(),
+                spec_accesses_per_tx: (mem.spec_loads + mem.spec_stores) as f64 / txs,
+                sla_aborts_avoided_per_tx: mem.sla_aborts_avoided as f64 / txs,
+                loads_needing_sla: mem.slas_sent as f64 / (mem.spec_loads.max(1)) as f64,
+                branch_fraction: ms.branch_fraction(),
+                mispredict_rate: ms.mispredict_rate(),
+            }
+        })
+        .collect())
 }
 
 /// Renders Table 1 as text.
@@ -672,43 +574,33 @@ pub fn table3(pool: &SimPool) -> Result<Vec<Table3Row>, SimError> {
     let commodity = PowerModel::commodity(cfg);
     let hmtx_hw = PowerModel::with_hmtx(cfg);
 
-    let mut seq_runs = Vec::new();
-    let mut smtx_runs = Vec::new();
-    let mut hmtx_runs = Vec::new();
-    let mut comparable = Vec::new();
-    for (i, w) in suite(pool.scale()).iter().enumerate() {
-        seq_runs.push(pool.get(&pool.job(
-            Benchmark::Suite(i),
-            JobParadigm::Sequential,
-            ConfigVariant::Base,
-        ))?);
-        if w.meta().smtx_comparable {
-            smtx_runs.push(pool.get(&pool.job(
-                Benchmark::Suite(i),
-                JobParadigm::Smtx(RwSetMode::Minimal),
-                ConfigVariant::Base,
-            ))?);
-        }
-        hmtx_runs.push(pool.get(&pool.job(
-            Benchmark::Suite(i),
-            JobParadigm::Paper,
-            ConfigVariant::Base,
-        ))?);
-        comparable.push(w.meta().smtx_comparable);
-    }
+    let ws = suite(pool.scale());
+    let n = ws.len();
+    let jobs: Vec<SimJob> = [JobParadigm::Sequential, JobParadigm::Paper]
+        .into_iter()
+        .flat_map(|p| (0..n).map(move |i| suite_job(pool, i, p)))
+        .chain(
+            comparable(&ws)
+                .into_iter()
+                .map(|i| suite_job(pool, i, SMTX_MIN)),
+        )
+        .collect();
+    let results = pool.run(&jobs)?;
+    let (seq_runs, rest) = results.split_at(n);
+    let (hmtx_runs, smtx_runs) = rest.split_at(n);
+    let comparable: Vec<bool> = ws.iter().map(|w| w.meta().smtx_comparable).collect();
 
-    let eval =
-        |model: &PowerModel, runs: &[std::sync::Arc<runner::JobResult>], mask: Option<&[bool]>| {
-            let reports: Vec<_> = runs
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| mask.is_none_or(|m| m[*i]))
-                .map(|(_, r)| model.evaluate(&r.machine))
-                .collect();
-            let dyn_w = geomean(&reports.iter().map(|r| r.dynamic_w).collect::<Vec<_>>());
-            let energy = geomean(&reports.iter().map(|r| r.energy_j).collect::<Vec<_>>());
-            (dyn_w, energy)
-        };
+    let eval = |model: &PowerModel, runs: &[Arc<JobResult>], mask: Option<&[bool]>| {
+        let reports: Vec<_> = runs
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask.is_none_or(|m| m[*i]))
+            .map(|(_, r)| model.evaluate(&r.machine))
+            .collect();
+        let dyn_w = geomean(&reports.iter().map(|r| r.dynamic_w).collect::<Vec<_>>());
+        let energy = geomean(&reports.iter().map(|r| r.energy_j).collect::<Vec<_>>());
+        (dyn_w, energy)
+    };
 
     let mut rows = Vec::new();
     for (model, hw) in [(&commodity, "Commodity"), (&hmtx_hw, "Commodity+HMTX")] {
@@ -722,16 +614,16 @@ pub fn table3(pool: &SimPool) -> Result<Vec<Table3Row>, SimError> {
                 energy_j: e,
             });
         };
-        let (d, e) = eval(model, &seq_runs, None);
+        let (d, e) = eval(model, seq_runs, None);
         push("Sequential (All)".into(), d, e);
-        let (d, e) = eval(model, &seq_runs, Some(&comparable));
+        let (d, e) = eval(model, seq_runs, Some(&comparable));
         push("Sequential (Comp.)".into(), d, e);
-        let (d, e) = eval(model, &smtx_runs, None);
+        let (d, e) = eval(model, smtx_runs, None);
         push("SMTX, Min R/W".into(), d, e);
         if model.is_hmtx() {
-            let (d, e) = eval(model, &hmtx_runs, None);
+            let (d, e) = eval(model, hmtx_runs, None);
             push("HMTX, Max R/W (All)".into(), d, e);
-            let (d, e) = eval(model, &hmtx_runs, Some(&comparable));
+            let (d, e) = eval(model, hmtx_runs, Some(&comparable));
             push("HMTX, Max R/W (Comp.)".into(), d, e);
         }
     }
@@ -766,37 +658,112 @@ pub struct AblationRow {
     pub detail: String,
 }
 
-/// Ablation A (§5.3): lazy vs eager commit processing on the two
-/// largest-set benchmarks.
+/// One ablation table: a heading and one row per configuration compared.
+#[derive(Debug, Clone)]
+pub struct Ablation {
+    /// The heading `experiments` prints above the rows.
+    pub title: &'static str,
+    /// The table's key in the JSON report.
+    pub key: &'static str,
+    /// One row per compared configuration.
+    pub rows: Vec<AblationRow>,
+}
+
+/// An ablation table before it runs: one labelled job per row, and what
+/// each row's detail column reports.
+struct AblationSpec {
+    title: &'static str,
+    key: &'static str,
+    runs: Vec<(String, SimJob)>,
+    detail: fn(&JobResult) -> String,
+}
+
+impl AblationSpec {
+    fn jobs(&self) -> impl Iterator<Item = SimJob> + '_ {
+        self.runs.iter().map(|(_, job)| *job)
+    }
+
+    /// The table, from its jobs' results in [`AblationSpec::jobs`] order.
+    fn finish(self, results: &[Arc<JobResult>]) -> Ablation {
+        Ablation {
+            title: self.title,
+            key: self.key,
+            rows: (self.runs.into_iter().zip(results))
+                .map(|((label, _), r)| AblationRow {
+                    label,
+                    cycles: r.cycles,
+                    detail: (self.detail)(r),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Runs every table's jobs as one batch.
+fn run_ablations(pool: &SimPool, specs: Vec<AblationSpec>) -> Result<Vec<Ablation>, SimError> {
+    let jobs: Vec<SimJob> = specs.iter().flat_map(AblationSpec::jobs).collect();
+    let results = pool.run(&jobs)?;
+    let mut rest = &results[..];
+    Ok(specs
+        .into_iter()
+        .map(|spec| {
+            let (mine, tail) = rest.split_at(spec.runs.len());
+            rest = tail;
+            spec.finish(mine)
+        })
+        .collect())
+}
+
+/// Ablations A–D, in print order, from one batch of simulations.
 ///
 /// # Errors
 ///
 /// Propagates [`SimError`] from any simulation run.
-pub fn ablation_commit(pool: &SimPool) -> Result<Vec<AblationRow>, SimError> {
+pub fn ablations(pool: &SimPool) -> Result<Vec<Ablation>, SimError> {
+    run_ablations(
+        pool,
+        vec![
+            commit_ablation(pool),
+            sla_ablation(pool),
+            vid_width_ablation(pool),
+            victim_ablation(pool),
+        ],
+    )
+}
+
+/// Ablation A (§5.3): lazy vs eager commit processing on the two
+/// largest-set benchmarks.
+fn commit_ablation(pool: &SimPool) -> AblationSpec {
     let ws = suite(pool.scale());
-    let mut rows = Vec::new();
-    for idx in ABLATION_COMMIT_BENCHES {
-        for lazy in [true, false] {
-            let r = pool.get(&pool.job(
-                Benchmark::Suite(idx),
-                JobParadigm::Paper,
-                ConfigVariant::Commit { lazy },
-            ))?;
-            rows.push(AblationRow {
-                label: format!(
-                    "{} / {} commit",
-                    ws[idx].meta().name,
-                    if lazy { "lazy" } else { "eager" }
-                ),
-                cycles: r.cycles,
-                detail: format!(
-                    "lines walked at commit: {}",
-                    r.machine.mem().stats().eager_commit_lines_walked
-                ),
-            });
-        }
+    AblationSpec {
+        title: "Ablation A (5.3): lazy vs eager commit processing",
+        key: "commit",
+        runs: ABLATION_COMMIT_BENCHES
+            .into_iter()
+            .flat_map(|idx| {
+                [true, false].map(|lazy| {
+                    (
+                        format!(
+                            "{} / {} commit",
+                            ws[idx].meta().name,
+                            if lazy { "lazy" } else { "eager" }
+                        ),
+                        pool.job(
+                            Benchmark::Suite(idx),
+                            JobParadigm::Paper,
+                            ConfigVariant::Commit { lazy },
+                        ),
+                    )
+                })
+            })
+            .collect(),
+        detail: |r| {
+            format!(
+                "lines walked at commit: {}",
+                r.machine.mem().stats().eager_commit_lines_walked
+            )
+        },
     }
-    Ok(rows)
 }
 
 /// A loop engineered so that wrong paths stray into *neighboring, still
@@ -865,108 +832,156 @@ impl hmtx_runtime::LoopBody for SlaStress {
 /// Ablation B (§5.1): SLAs on vs off. Run on the two most
 /// misprediction-heavy benchmarks plus the distilled `sla-stress` hazard
 /// loop (whose wrong paths actually alias concurrent transactions' lines).
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from any simulation run.
-pub fn ablation_sla(pool: &SimPool) -> Result<Vec<AblationRow>, SimError> {
+fn sla_ablation(pool: &SimPool) -> AblationSpec {
     let ws = suite(pool.scale());
-    let mut rows = Vec::new();
-    for idx in ABLATION_SLA_BENCHES {
-        for sla in [true, false] {
-            let r = pool.get(&pool.job(
-                Benchmark::Suite(idx),
-                JobParadigm::Paper,
-                ConfigVariant::Sla { enabled: sla },
-            ))?;
-            rows.push(AblationRow {
-                label: format!(
-                    "{} / SLA {}",
+    AblationSpec {
+        title: "Ablation B (5.1): speculative load acknowledgments on/off",
+        key: "sla",
+        runs: ABLATION_SLA_BENCHES
+            .into_iter()
+            .map(|idx| {
+                (
                     ws[idx].meta().name,
-                    if sla { "on" } else { "off" }
-                ),
-                cycles: r.cycles,
-                detail: format!(
-                    "recoveries: {}, aborts avoided: {}",
-                    r.recoveries,
-                    r.machine.mem().stats().sla_aborts_avoided
-                ),
-            });
-        }
-    }
-    for sla in [true, false] {
-        let r = pool.get(&pool.job(
-            Benchmark::SlaStress,
-            JobParadigm::Explicit(hmtx_runtime::Paradigm::PsDswp),
-            ConfigVariant::Sla { enabled: sla },
-        ))?;
-        rows.push(AblationRow {
-            label: format!("sla-stress / SLA {}", if sla { "on" } else { "off" }),
-            cycles: r.cycles,
-            detail: format!(
+                    Benchmark::Suite(idx),
+                    JobParadigm::Paper,
+                )
+            })
+            .chain([(
+                "sla-stress",
+                Benchmark::SlaStress,
+                JobParadigm::Explicit(Paradigm::PsDswp),
+            )])
+            .flat_map(|(name, benchmark, paradigm)| {
+                [true, false].map(|enabled| {
+                    (
+                        format!("{name} / SLA {}", if enabled { "on" } else { "off" }),
+                        pool.job(benchmark, paradigm, ConfigVariant::Sla { enabled }),
+                    )
+                })
+            })
+            .collect(),
+        detail: |r| {
+            format!(
                 "recoveries: {}, aborts avoided: {}",
                 r.recoveries,
                 r.machine.mem().stats().sla_aborts_avoided
-            ),
-        });
+            )
+        },
     }
-    Ok(rows)
 }
 
 /// Ablation C (§4.6): VID width sweep — narrower VIDs mean more reset
 /// stalls.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from any simulation run.
-pub fn ablation_vid_width(pool: &SimPool) -> Result<Vec<AblationRow>, SimError> {
-    let ws = suite(pool.scale());
-    let mut rows = Vec::new();
-    for bits in VID_WIDTH_SWEEP {
-        let r = pool.get(&pool.job(
-            Benchmark::Suite(VID_WIDTH_BENCH),
-            JobParadigm::Paper,
-            ConfigVariant::VidBits(bits),
-        ))?;
-        rows.push(AblationRow {
-            label: format!("{} / {bits}-bit VIDs", ws[VID_WIDTH_BENCH].meta().name),
-            cycles: r.cycles,
-            detail: format!("VID resets: {}", r.machine.mem().stats().vid_resets),
-        });
+fn vid_width_ablation(pool: &SimPool) -> AblationSpec {
+    let name = suite(pool.scale())[VID_WIDTH_BENCH].meta().name;
+    AblationSpec {
+        title: "Ablation C (4.6): VID width sweep",
+        key: "vid_width",
+        runs: VID_WIDTH_SWEEP
+            .into_iter()
+            .map(|bits| {
+                (
+                    format!("{name} / {bits}-bit VIDs"),
+                    pool.job(
+                        Benchmark::Suite(VID_WIDTH_BENCH),
+                        JobParadigm::Paper,
+                        ConfigVariant::VidBits(bits),
+                    ),
+                )
+            })
+            .collect(),
+        detail: |r| format!("VID resets: {}", r.machine.mem().stats().vid_resets),
     }
-    Ok(rows)
 }
 
 /// Ablation D (§5.4): LLC victim policy — preferring overflow-safe
 /// `S-O(0,·)` lines vs plain LRU, on constrained caches.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from any simulation run.
-pub fn ablation_victim(pool: &SimPool) -> Result<Vec<AblationRow>, SimError> {
-    let ws = suite(pool.scale());
-    let mut rows = Vec::new();
-    for policy in [VictimPolicy::PreferSafeOverflow, VictimPolicy::PlainLru] {
-        let r = pool.get(&pool.job(
-            Benchmark::Suite(VICTIM_BENCH),
-            JobParadigm::Paper,
-            ConfigVariant::Victim(policy),
-        ))?;
-        rows.push(AblationRow {
-            label: format!("{} / {policy:?}", ws[VICTIM_BENCH].meta().name),
-            cycles: r.cycles,
-            detail: format!(
+fn victim_ablation(pool: &SimPool) -> AblationSpec {
+    let name = suite(pool.scale())[VICTIM_BENCH].meta().name;
+    AblationSpec {
+        title: "Ablation D (5.4): LLC victim policy under cache pressure",
+        key: "victim",
+        runs: [VictimPolicy::PreferSafeOverflow, VictimPolicy::PlainLru]
+            .map(|policy| {
+                (
+                    format!("{name} / {policy:?}"),
+                    pool.job(
+                        Benchmark::Suite(VICTIM_BENCH),
+                        JobParadigm::Paper,
+                        ConfigVariant::Victim(policy),
+                    ),
+                )
+            })
+            .into(),
+        detail: |r| {
+            format!(
                 "recoveries: {}, safe overflows: {}, refills: {}",
                 r.recoveries,
                 r.machine.mem().stats().safe_overflow_writebacks,
                 r.machine.mem().stats().overflow_refills
-            ),
-        });
+            )
+        },
     }
-    Ok(rows)
+}
+
+/// Renders an ablation table.
+pub fn render_ablation(table: &Ablation) -> String {
+    let mut out = format!("{}\n", table.title);
+    for r in &table.rows {
+        out.push_str(&format!(
+            "{:<36} {:>12} cycles   {}\n",
+            r.label, r.cycles, r.detail
+        ));
+    }
+    out
 }
 
 // ----------------------------------------- §8 extensions (future work)
+
+/// The §8 extensions and the §2.1 latency sweep.
+#[derive(Debug, Clone)]
+pub struct Extensions {
+    /// Bounded vs unbounded read/write sets.
+    pub unbounded: Ablation,
+    /// PS-DSWP scaling with core count, snoopy bus vs banked directory.
+    pub scaling: Vec<ScalingRow>,
+    /// DOACROSS vs PS-DSWP under rising cross-core latency.
+    pub latency: Vec<LatencyRow>,
+}
+
+/// §8 extension: unbounded read/write sets. The same run that aborts on
+/// speculative cache overflow completes (more slowly) when versions spill
+/// into the memory-side overflow table.
+fn unbounded_ablation(pool: &SimPool) -> AblationSpec {
+    let name = suite(pool.scale())[VICTIM_BENCH].meta().name;
+    AblationSpec {
+        title: "Extension (8): unbounded read/write sets via memory-side overflow",
+        key: "unbounded",
+        runs: [false, true]
+            .map(|unbounded| {
+                (
+                    format!(
+                        "{name} / {} sets",
+                        if unbounded { "unbounded" } else { "bounded" }
+                    ),
+                    pool.job(
+                        Benchmark::Suite(VICTIM_BENCH),
+                        JobParadigm::Paper,
+                        ConfigVariant::Bounded { unbounded },
+                    ),
+                )
+            })
+            .into(),
+        detail: |r| {
+            format!(
+                "recoveries: {}, spills: {}, refills: {}",
+                r.recoveries,
+                r.machine.mem().stats().unbounded_spills,
+                r.machine.mem().stats().unbounded_fills
+            )
+        },
+    }
+}
 
 /// One point of the core-count scaling experiment.
 #[derive(Debug, Clone)]
@@ -1020,35 +1035,91 @@ impl hmtx_runtime::LoopBody for ScalingLoop {
     }
 }
 
-/// §8 extension: PS-DSWP scaling with core count under the snoopy bus vs
-/// the banked directory. The bus serializes every line transfer globally
-/// and saturates as cores grow; the banked directory keeps scaling.
+/// One point of the inter-core latency sensitivity experiment (§2.1).
+#[derive(Debug, Clone)]
+pub struct LatencyRow {
+    /// Hardware queue / cross-core latency in cycles.
+    pub latency: u64,
+    /// DOACROSS hot-loop speedup.
+    pub doacross: f64,
+    /// PS-DSWP hot-loop speedup.
+    pub psdswp: f64,
+}
+
+/// Regenerates the extensions from one batch of simulations:
+///
+/// * bounded vs unbounded read/write sets (see `unbounded_ablation`);
+/// * PS-DSWP scaling with core count under the snoopy bus vs the banked
+///   directory (§8). The bus serializes every line transfer globally and
+///   saturates as cores grow; the banked directory keeps scaling;
+/// * §2.1's motivating claim, measured: DOACROSS pays the inter-core
+///   latency on every iteration (its loop-carried value crosses cores each
+///   time), while pipeline parallelism pays it only at pipeline fill.
+///   Sweeping the cross-core communication latency should crush DOACROSS
+///   and barely touch PS-DSWP.
 ///
 /// # Errors
 ///
 /// Propagates [`SimError`] from any simulation run.
-pub fn extension_scaling(pool: &SimPool) -> Result<Vec<ScalingRow>, SimError> {
-    let seq = pool.get(&pool.job(
-        Benchmark::ScalingLoop,
-        JobParadigm::Sequential,
-        ConfigVariant::ScalingBase,
-    ))?;
-    let mut rows = Vec::new();
-    for cores in SCALING_CORES {
-        for (label, directory) in [("snoopy bus", false), ("directory", true)] {
-            let r = pool.get(&pool.job(
+pub fn extensions(pool: &SimPool) -> Result<Extensions, SimError> {
+    let unbounded = unbounded_ablation(pool);
+    let fabrics: Vec<(&'static str, usize, bool)> = SCALING_CORES
+        .into_iter()
+        .flat_map(|cores| [("snoopy bus", cores, false), ("directory", cores, true)])
+        .collect();
+    let queue_latency = |paradigm, latency| {
+        pool.job(
+            Benchmark::Suite(LATENCY_BENCH),
+            JobParadigm::Explicit(paradigm),
+            ConfigVariant::QueueLatency(latency),
+        )
+    };
+    let jobs: Vec<SimJob> = unbounded
+        .jobs()
+        .chain([pool.job(
+            Benchmark::ScalingLoop,
+            JobParadigm::Sequential,
+            ConfigVariant::ScalingBase,
+        )])
+        .chain(fabrics.iter().map(|&(_, cores, directory)| {
+            pool.job(
                 Benchmark::ScalingLoop,
-                JobParadigm::Explicit(hmtx_runtime::Paradigm::PsDswp),
+                JobParadigm::Explicit(Paradigm::PsDswp),
                 ConfigVariant::ScalingFabric { cores, directory },
-            ))?;
-            rows.push(ScalingRow {
-                interconnect: label,
+            )
+        }))
+        .chain([suite_job(pool, LATENCY_BENCH, JobParadigm::Sequential)])
+        .chain(LATENCY_SWEEP.into_iter().flat_map(|latency| {
+            [
+                queue_latency(Paradigm::Doacross, latency),
+                queue_latency(Paradigm::PsDswp, latency),
+            ]
+        }))
+        .collect();
+    let results = pool.run(&jobs)?;
+    let (unbounded_runs, rest) = results.split_at(unbounded.runs.len());
+    let (scaling, latency) = rest.split_at(1 + fabrics.len());
+    Ok(Extensions {
+        unbounded: unbounded.finish(unbounded_runs),
+        scaling: fabrics
+            .iter()
+            .zip(&scaling[1..])
+            .map(|(&(interconnect, cores, _), r)| ScalingRow {
+                interconnect,
                 cores,
-                speedup: speedup(seq.cycles, r.cycles),
-            });
-        }
-    }
-    Ok(rows)
+                speedup: speedup(scaling[0].cycles, r.cycles),
+            })
+            .collect(),
+        latency: LATENCY_SWEEP
+            .into_iter()
+            .zip(latency[1..].chunks_exact(2))
+            .map(|(l, r)| LatencyRow {
+                latency: l,
+                doacross: speedup(latency[0].cycles, r[0].cycles),
+                psdswp: speedup(latency[0].cycles, r[1].cycles),
+            })
+            .collect(),
+    })
 }
 
 /// Renders the scaling experiment.
@@ -1072,87 +1143,6 @@ pub fn render_scaling(rows: &[ScalingRow]) -> String {
     out
 }
 
-/// §8 extension: unbounded read/write sets. The same run that aborts on
-/// speculative cache overflow completes (more slowly) when versions spill
-/// into the memory-side overflow table.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from any simulation run.
-pub fn ablation_unbounded(pool: &SimPool) -> Result<Vec<AblationRow>, SimError> {
-    let ws = suite(pool.scale());
-    let mut rows = Vec::new();
-    for unbounded in [false, true] {
-        let r = pool.get(&pool.job(
-            Benchmark::Suite(VICTIM_BENCH),
-            JobParadigm::Paper,
-            ConfigVariant::Bounded { unbounded },
-        ))?;
-        rows.push(AblationRow {
-            label: format!(
-                "{} / {} sets",
-                ws[VICTIM_BENCH].meta().name,
-                if unbounded { "unbounded" } else { "bounded" }
-            ),
-            cycles: r.cycles,
-            detail: format!(
-                "recoveries: {}, spills: {}, refills: {}",
-                r.recoveries,
-                r.machine.mem().stats().unbounded_spills,
-                r.machine.mem().stats().unbounded_fills
-            ),
-        });
-    }
-    Ok(rows)
-}
-
-/// One point of the inter-core latency sensitivity experiment (§2.1).
-#[derive(Debug, Clone)]
-pub struct LatencyRow {
-    /// Hardware queue / cross-core latency in cycles.
-    pub latency: u64,
-    /// DOACROSS hot-loop speedup.
-    pub doacross: f64,
-    /// PS-DSWP hot-loop speedup.
-    pub psdswp: f64,
-}
-
-/// §2.1's motivating claim, measured: DOACROSS pays the inter-core latency
-/// on every iteration (its loop-carried value crosses cores each time),
-/// while pipeline parallelism pays it only at pipeline fill. Sweeping the
-/// cross-core communication latency should crush DOACROSS and barely touch
-/// PS-DSWP.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from any simulation run.
-pub fn latency_sensitivity(pool: &SimPool) -> Result<Vec<LatencyRow>, SimError> {
-    let seq = pool.get(&pool.job(
-        Benchmark::Suite(LATENCY_BENCH),
-        JobParadigm::Sequential,
-        ConfigVariant::Base,
-    ))?;
-    let mut rows = Vec::new();
-    for latency in LATENCY_SWEEP {
-        let da = pool.get(&pool.job(
-            Benchmark::Suite(LATENCY_BENCH),
-            JobParadigm::Explicit(hmtx_runtime::Paradigm::Doacross),
-            ConfigVariant::QueueLatency(latency),
-        ))?;
-        let ps = pool.get(&pool.job(
-            Benchmark::Suite(LATENCY_BENCH),
-            JobParadigm::Explicit(hmtx_runtime::Paradigm::PsDswp),
-            ConfigVariant::QueueLatency(latency),
-        ))?;
-        rows.push(LatencyRow {
-            latency,
-            doacross: speedup(seq.cycles, da.cycles),
-            psdswp: speedup(seq.cycles, ps.cycles),
-        });
-    }
-    Ok(rows)
-}
-
 /// Renders the latency sensitivity sweep.
 pub fn render_latency(rows: &[LatencyRow]) -> String {
     let mut out = String::from(
@@ -1167,21 +1157,10 @@ pub fn render_latency(rows: &[LatencyRow]) -> String {
     out
 }
 
-/// Renders ablation rows.
-pub fn render_ablation(title: &str, rows: &[AblationRow]) -> String {
-    let mut out = format!("{title}\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{:<36} {:>12} cycles   {}\n",
-            r.label, r.cycles, r.detail
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmtx_workloads::Scale;
 
     fn quick_pool() -> SimPool {
         SimPool::new(Scale::Quick, MachineConfig::test_default())
@@ -1236,7 +1215,10 @@ mod tests {
 
     #[test]
     fn sla_ablation_shows_false_misspeculation_without_slas() {
-        let rows = ablation_sla(&quick_pool()).unwrap();
+        let pool = quick_pool();
+        let rows = run_ablations(&pool, vec![sla_ablation(&pool)]).unwrap()[0]
+            .rows
+            .clone();
         let on = rows
             .iter()
             .find(|r| r.label == "sla-stress / SLA on")
@@ -1268,7 +1250,10 @@ mod tests {
 
     #[test]
     fn victim_ablation_shows_overflow_policy_matters() {
-        let rows = ablation_victim(&quick_pool()).unwrap();
+        let pool = quick_pool();
+        let rows = run_ablations(&pool, vec![victim_ablation(&pool)]).unwrap()[0]
+            .rows
+            .clone();
         assert_eq!(rows.len(), 2);
         let safe = &rows[0];
         let lru = &rows[1];
@@ -1282,7 +1267,10 @@ mod tests {
 
     #[test]
     fn vid_width_ablation_narrower_vids_reset_more() {
-        let rows = ablation_vid_width(&quick_pool()).unwrap();
+        let pool = quick_pool();
+        let rows = run_ablations(&pool, vec![vid_width_ablation(&pool)]).unwrap()[0]
+            .rows
+            .clone();
         let resets = |label_bits: &str| {
             rows.iter()
                 .find(|r| r.label.contains(label_bits))
@@ -1303,7 +1291,9 @@ mod tests {
         // Standard-scale bzip2: its footprint genuinely exceeds the
         // ablation's constrained caches (the quick instance fits them).
         let pool = SimPool::new(Scale::Standard, MachineConfig::test_default());
-        let rows = ablation_unbounded(&pool).unwrap();
+        let rows = run_ablations(&pool, vec![unbounded_ablation(&pool)]).unwrap()[0]
+            .rows
+            .clone();
         let bounded = &rows[0];
         let unbounded = &rows[1];
         assert!(
@@ -1324,7 +1314,7 @@ mod tests {
 
     #[test]
     fn directory_scales_past_the_snoopy_bus() {
-        let rows = extension_scaling(&quick_pool()).unwrap();
+        let rows = extensions(&quick_pool()).unwrap().scaling;
         let get = |label: &str, cores: usize| {
             rows.iter()
                 .find(|r| r.interconnect == label && r.cores == cores)
@@ -1346,7 +1336,7 @@ mod tests {
 
     #[test]
     fn doacross_is_latency_sensitive_and_psdswp_is_not() {
-        let rows = latency_sensitivity(&quick_pool()).unwrap();
+        let rows = extensions(&quick_pool()).unwrap().latency;
         let first = &rows[0];
         let last = rows.last().unwrap();
         // DOACROSS degrades substantially across the sweep...
@@ -1374,33 +1364,51 @@ mod tests {
         assert!(text.contains("6 bits"));
     }
 
-    /// The determinism guard for the planner: after prefetching `plan()`,
-    /// every section must find all its simulations in the cache — zero
-    /// on-demand misses — or parallel runs would silently degrade to
-    /// serial-with-extra-steps.
+    /// Each section names its simulations once and runs them as one
+    /// batch: rendering every section a second time (and building the JSON
+    /// report, which reruns each section function) simulates nothing new,
+    /// and no two distinct jobs share a label.
     #[test]
-    fn plan_covers_every_section_lookup() {
-        let pool = quick_pool();
-        pool.prefetch(&plan(&Section::ALL, Scale::Quick), 4)
-            .unwrap();
-        fig1::fig1(&pool).unwrap();
-        fig2(&pool).unwrap();
+    fn every_section_simulates_each_job_once() {
+        let pool = quick_pool().with_threads(2);
+        let render_all = || {
+            Section::ALL
+                .iter()
+                .map(|s| s.render(&pool).unwrap())
+                .collect::<String>()
+        };
+        let first = render_all();
+        let simulated = pool.job_log().len();
+        assert!(simulated > 20, "sections unexpectedly small: {simulated}");
+        assert_eq!(render_all(), first);
+        report::build_report(&pool, &Section::ALL).unwrap();
+        let log = pool.job_log();
+        assert_eq!(log.len(), simulated, "a second pass simulated again");
+        let labels: std::collections::HashSet<&str> =
+            log.iter().map(|e| e.label.as_str()).collect();
+        assert_eq!(labels.len(), log.len(), "two jobs share a label");
         let (_, fig8_summary) = fig8(&pool).unwrap();
         assert!(fig8_summary.hmtx_all > 1.0, "HMTX must speed up overall");
-        fig9(&pool).unwrap();
-        table1(&pool).unwrap();
-        table3(&pool).unwrap();
-        ablation_commit(&pool).unwrap();
-        ablation_sla(&pool).unwrap();
-        ablation_vid_width(&pool).unwrap();
-        ablation_victim(&pool).unwrap();
-        ablation_unbounded(&pool).unwrap();
-        extension_scaling(&pool).unwrap();
-        latency_sensitivity(&pool).unwrap();
-        assert_eq!(
-            pool.demand_misses(),
-            0,
-            "plan() drifted from the sections' lookups"
-        );
+    }
+
+    /// A section whose simulations fail returns the error instead of
+    /// panicking (so `experiments` can exit 1 before printing anything).
+    #[test]
+    fn a_section_on_a_failing_pool_returns_the_error() {
+        // Jobs whose variant replaces the L1 (ablation D, the scaling
+        // study) still run, but every section has a job on the base L1.
+        let mut cfg = MachineConfig::test_default();
+        cfg.l1.ways = 0;
+        let pool = SimPool::new(Scale::Quick, cfg).with_threads(2);
+        for section in Section::ALL {
+            if section == Section::Table2 {
+                continue; // renders the configuration; runs nothing
+            }
+            assert!(
+                section.render(&pool).is_err(),
+                "{} rendered on an invalid cache geometry",
+                section.name()
+            );
+        }
     }
 }

@@ -50,9 +50,9 @@ fn ablation_json(rows: &[crate::AblationRow]) -> Json {
     )
 }
 
-/// Assembles the JSON report for the given sections. Every simulation is a
-/// cache lookup — call this after the figures have been rendered (or after
-/// a [`SimPool::prefetch`] of [`crate::plan`]).
+/// Assembles the JSON report for the given sections. Each section runs its
+/// batch on `pool`, so after the sections have been rendered every
+/// simulation is a cache hit.
 ///
 /// # Errors
 ///
@@ -175,51 +175,48 @@ pub fn build_report(pool: &SimPool, sections: &[Section]) -> Result<Json, SimErr
                     })
                     .collect(),
             ),
-            Section::Ablations => Json::obj(vec![
-                ("commit", ablation_json(&crate::ablation_commit(pool)?)),
-                ("sla", ablation_json(&crate::ablation_sla(pool)?)),
-                (
-                    "vid_width",
-                    ablation_json(&crate::ablation_vid_width(pool)?),
-                ),
-                ("victim", ablation_json(&crate::ablation_victim(pool)?)),
-            ]),
-            Section::Extensions => Json::obj(vec![
-                (
-                    "unbounded",
-                    ablation_json(&crate::ablation_unbounded(pool)?),
-                ),
-                (
-                    "scaling",
-                    Json::Arr(
-                        crate::extension_scaling(pool)?
-                            .iter()
-                            .map(|r| {
-                                Json::obj(vec![
-                                    ("interconnect", Json::Str(r.interconnect.into())),
-                                    ("cores", Json::Uint(r.cores as u64)),
-                                    ("speedup", Json::Num(r.speedup)),
-                                ])
-                            })
-                            .collect(),
+            Section::Ablations => Json::obj(
+                crate::ablations(pool)?
+                    .iter()
+                    .map(|a| (a.key, ablation_json(&a.rows)))
+                    .collect(),
+            ),
+            Section::Extensions => {
+                let e = crate::extensions(pool)?;
+                Json::obj(vec![
+                    (e.unbounded.key, ablation_json(&e.unbounded.rows)),
+                    (
+                        "scaling",
+                        Json::Arr(
+                            e.scaling
+                                .iter()
+                                .map(|r| {
+                                    Json::obj(vec![
+                                        ("interconnect", Json::Str(r.interconnect.into())),
+                                        ("cores", Json::Uint(r.cores as u64)),
+                                        ("speedup", Json::Num(r.speedup)),
+                                    ])
+                                })
+                                .collect(),
+                        ),
                     ),
-                ),
-                (
-                    "latency",
-                    Json::Arr(
-                        crate::latency_sensitivity(pool)?
-                            .iter()
-                            .map(|r| {
-                                Json::obj(vec![
-                                    ("latency", Json::Uint(r.latency)),
-                                    ("doacross", Json::Num(r.doacross)),
-                                    ("psdswp", Json::Num(r.psdswp)),
-                                ])
-                            })
-                            .collect(),
+                    (
+                        "latency",
+                        Json::Arr(
+                            e.latency
+                                .iter()
+                                .map(|r| {
+                                    Json::obj(vec![
+                                        ("latency", Json::Uint(r.latency)),
+                                        ("doacross", Json::Num(r.doacross)),
+                                        ("psdswp", Json::Num(r.psdswp)),
+                                    ])
+                                })
+                                .collect(),
+                        ),
                     ),
-                ),
-            ]),
+                ])
+            }
         };
         top.push((section.name(), value));
     }

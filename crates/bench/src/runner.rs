@@ -6,20 +6,18 @@
 //! simulator is deterministic and shares no state between runs). That purity
 //! is what makes the harness parallel *and* reproducible:
 //!
-//! * [`SimPool::prefetch`] executes a planned job list across host threads
-//!   (`std::thread::scope` over per-worker work-stealing queues) and caches
-//!   each result keyed by its job;
-//! * the figure/table functions then *look up* results in stable job order,
-//!   so the rendered output is byte-identical whatever `--jobs` was;
+//! * each figure/table function builds the list of jobs its rows need and
+//!   hands it to [`SimPool::run`], which simulates the jobs not yet cached
+//!   across the pool's host threads (one shared queue under
+//!   `std::thread::scope`) and returns every result in list order;
+//! * rows are computed from that list, so the rendered output is
+//!   byte-identical whatever `--jobs` was;
 //! * identical jobs shared by several figures (e.g. the sequential baseline
-//!   used by Figure 2, Figure 8, and Table 3) simulate exactly once.
-//!
-//! A job missing from the cache still runs on demand — planning drift can
-//! cost parallelism, never correctness ([`SimPool::demand_misses`] exposes
-//! the drift so a test can pin it to zero).
+//!   used by Figure 2, Figure 8, and Table 3) simulate exactly once: the
+//!   pool caches each result keyed by its job.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -383,24 +381,29 @@ pub struct JobLogEntry {
 pub struct SimPool {
     scale: Scale,
     base_cfg: MachineConfig,
+    threads: usize,
     cache: Mutex<HashMap<SimJob, Arc<JobResult>>>,
     reporter: Reporter,
-    prefetched: AtomicBool,
-    demand_misses: AtomicUsize,
 }
 
 impl SimPool {
-    /// A pool running jobs at `scale` against `base_cfg`.
+    /// A pool running jobs at `scale` against `base_cfg`, on one thread.
     #[must_use]
     pub fn new(scale: Scale, base_cfg: MachineConfig) -> Self {
         SimPool {
             scale,
             base_cfg,
+            threads: 1,
             cache: Mutex::new(HashMap::new()),
             reporter: Reporter::disabled(),
-            prefetched: AtomicBool::new(false),
-            demand_misses: AtomicUsize::new(0),
         }
+    }
+
+    /// Runs each batch on up to `threads` host threads (at least one).
+    #[must_use]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
     }
 
     /// Enables the line-oriented progress stream on stderr.
@@ -433,134 +436,75 @@ impl SimPool {
         SimJob::new(benchmark, paradigm, config, self.scale)
     }
 
-    /// Returns the job's result, simulating on demand if it was never
-    /// prefetched.
+    /// Returns the result of every job in `jobs`, in list order.
+    ///
+    /// Jobs not cached yet simulate once each (duplicates included) on up
+    /// to the pool's thread count, pulled in list order from one shared
+    /// queue. Results land in a job-keyed cache before they are returned,
+    /// so completion order never shows: the returned list, and a later
+    /// call for the same jobs, are identical to a serial run.
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError`] from an on-demand simulation.
-    pub fn get(&self, job: &SimJob) -> Result<Arc<JobResult>, SimError> {
-        if let Some(hit) = self.cache.lock().unwrap().get(job) {
-            return Ok(Arc::clone(hit));
-        }
-        if self.prefetched.load(Ordering::Relaxed) {
-            // Planning drift: the section ran a job `plan()` didn't list.
-            self.demand_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        let result = Arc::new(job.run(&self.base_cfg)?);
-        self.reporter.line(&format!(
-            "demand {} wall={:.2}s cycles={}",
-            job.label(),
-            result.wall_seconds,
-            result.cycles
-        ));
-        let mut cache = self.cache.lock().unwrap();
-        Ok(Arc::clone(cache.entry(*job).or_insert(result)))
-    }
-
-    /// Jobs [`SimPool::get`] had to simulate on demand *after* a prefetch —
-    /// zero when the plan covered every lookup.
-    #[must_use]
-    pub fn demand_misses(&self) -> usize {
-        self.demand_misses.load(Ordering::Relaxed)
-    }
-
-    /// Runs `jobs` across `threads` host threads and caches every result.
-    ///
-    /// Duplicate jobs (and jobs already cached) simulate once. Workers pull
-    /// from per-thread queues and steal from the back of their siblings'
-    /// queues when their own runs dry, so one slow simulation never idles
-    /// the other workers. Results land in a job-keyed cache, which makes
-    /// completion order irrelevant: any later lookup sequence — and hence
-    /// the rendered output — is identical to a serial run.
-    ///
-    /// # Errors
-    ///
-    /// If any job fails, returns the failing job with the lowest index in
-    /// `jobs` (deterministic whatever the interleaving).
-    pub fn prefetch(&self, jobs: &[SimJob], threads: usize) -> Result<(), SimError> {
-        let pending: Vec<(usize, SimJob)> = {
+    /// If any job fails, returns the error of the failing job with the
+    /// lowest index in `jobs` (deterministic whatever the interleaving);
+    /// the jobs that succeeded stay cached.
+    pub fn run(&self, jobs: &[SimJob]) -> Result<Vec<Arc<JobResult>>, SimError> {
+        let misses: Vec<SimJob> = {
             let cache = self.cache.lock().unwrap();
-            let mut seen = HashMap::new();
+            let mut seen = HashSet::new();
             jobs.iter()
-                .enumerate()
-                .filter(|(_, j)| !cache.contains_key(*j) && seen.insert(**j, ()).is_none())
-                .map(|(i, j)| (i, *j))
+                .filter(|j| !cache.contains_key(*j) && seen.insert(**j))
+                .copied()
                 .collect()
         };
-        let threads = threads.max(1).min(pending.len().max(1));
-        let total = pending.len();
-        let queues: Vec<Mutex<VecDeque<(usize, SimJob)>>> =
-            (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (k, job) in pending.into_iter().enumerate() {
-            queues[k % threads].lock().unwrap().push_back(job);
-        }
-        let errors: Mutex<Vec<(usize, SimError)>> = Mutex::new(Vec::new());
+        let total = misses.len();
+        let next = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
-        let running = AtomicUsize::new(0);
-
-        std::thread::scope(|s| {
-            for me in 0..threads {
-                let queues = &queues;
-                let errors = &errors;
-                let done = &done;
-                let running = &running;
-                s.spawn(move || loop {
-                    // Own queue first (front), then steal from the back of
-                    // the sibling with the most work left.
-                    let next = queues[me].lock().unwrap().pop_front().or_else(|| {
-                        let victim = (0..threads)
-                            .filter(|w| *w != me)
-                            .max_by_key(|w| queues[*w].lock().unwrap().len())?;
-                        let stolen = queues[victim].lock().unwrap().pop_back();
-                        if stolen.is_some() {
-                            self.reporter
-                                .line(&format!("steal worker{me}<-worker{victim}"));
-                        }
-                        stolen
-                    });
-                    let Some((index, job)) = next else { break };
-                    let label = job.label();
-                    running.fetch_add(1, Ordering::Relaxed);
+        let errors: Mutex<Vec<(usize, SimError)>> = Mutex::new(Vec::new());
+        let work = || loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = misses.get(index) else { break };
+            let label = job.label();
+            self.reporter
+                .line(&format!("start {:>3}/{total} {label}", index + 1));
+            match job.run(&self.base_cfg) {
+                Ok(result) => {
+                    let mcyc_s = result.cycles as f64 / 1e6 / result.wall_seconds.max(1e-9);
+                    let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
                     self.reporter.line(&format!(
-                        "start {:>3}/{total} {label}",
-                        done.load(Ordering::Relaxed) + 1
+                        "done  {finished:>3}/{total} {label} wall={:.2}s cycles={} \
+                         ({mcyc_s:.1} Mcyc/s)",
+                        result.wall_seconds, result.cycles,
                     ));
-                    match job.run(&self.base_cfg) {
-                        Ok(result) => {
-                            let mcyc_s = result.cycles as f64 / 1e6 / result.wall_seconds.max(1e-9);
-                            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                            running.fetch_sub(1, Ordering::Relaxed);
-                            self.reporter.line(&format!(
-                                "done  {finished:>3}/{total} {label} wall={:.2}s cycles={} \
-                                 ({mcyc_s:.1} Mcyc/s) running={} queued={}",
-                                result.wall_seconds,
-                                result.cycles,
-                                running.load(Ordering::Relaxed),
-                                total
-                                    .saturating_sub(finished)
-                                    .saturating_sub(running.load(Ordering::Relaxed)),
-                            ));
-                            self.cache.lock().unwrap().insert(job, Arc::new(result));
-                        }
-                        Err(e) => {
-                            done.fetch_add(1, Ordering::Relaxed);
-                            running.fetch_sub(1, Ordering::Relaxed);
-                            self.reporter.line(&format!("fail  {label}: {e:?}"));
-                            errors.lock().unwrap().push((index, e));
-                        }
-                    }
-                });
+                    self.cache.lock().unwrap().insert(*job, Arc::new(result));
+                }
+                Err(e) => {
+                    done.fetch_add(1, Ordering::Relaxed);
+                    self.reporter.line(&format!("fail  {label}: {e:?}"));
+                    errors.lock().unwrap().push((index, e));
+                }
             }
+        };
+        // The calling thread works too, beside `threads - 1` helpers.
+        std::thread::scope(|s| {
+            for _ in 1..self.threads.min(total) {
+                s.spawn(work);
+            }
+            work();
         });
-
-        self.prefetched.store(true, Ordering::Relaxed);
-        let mut errors = errors.into_inner().unwrap();
-        errors.sort_by_key(|(i, _)| *i);
-        match errors.into_iter().next() {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
+        // `misses` keeps list order, so its lowest index is the failing
+        // job listed first in `jobs`.
+        if let Some((_, e)) = errors
+            .into_inner()
+            .unwrap()
+            .into_iter()
+            .min_by_key(|(i, _)| *i)
+        {
+            return Err(e);
         }
+        let cache = self.cache.lock().unwrap();
+        Ok(jobs.iter().map(|j| Arc::clone(&cache[j])).collect())
     }
 
     /// Every cached result's label, cycles, and wall-clock, sorted by label
@@ -584,7 +528,7 @@ impl SimPool {
 
 // `std::thread::scope` requires this anyway, but make the guarantee
 // explicit: pools (and the results inside them) may be shared across the
-// worker threads of a prefetch.
+// worker threads of a batch.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SimPool>();
@@ -608,9 +552,14 @@ mod tests {
             JobParadigm::Sequential,
             ConfigVariant::Base,
         );
-        let a = pool.get(&job).unwrap();
-        let b = pool.get(&job).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the cache");
+        let first = pool.run(&[job, job]).unwrap();
+        let again = pool.run(&[job]).unwrap();
+        assert!(Arc::ptr_eq(&first[0], &first[1]), "a duplicate must share");
+        assert!(
+            Arc::ptr_eq(&first[0], &again[0]),
+            "a rerun must hit the cache"
+        );
+        assert_eq!(pool.job_log().len(), 1);
     }
 
     #[test]
@@ -634,22 +583,19 @@ mod tests {
                 ]
             })
             .collect();
-        let parallel = quick_pool();
-        parallel.prefetch(&jobs, 4).unwrap();
+        let parallel = quick_pool().with_threads(4).run(&jobs).unwrap();
         let serial = quick_pool();
-        for job in &jobs {
-            let p = parallel.get(job).unwrap();
-            let s = serial.get(job).unwrap();
+        for (job, p) in jobs.iter().zip(&parallel) {
+            let s = &serial.run(&[*job]).unwrap()[0];
             assert_eq!(p.cycles, s.cycles, "{}", job.label());
             assert_eq!(p.recoveries, s.recoveries, "{}", job.label());
         }
-        assert_eq!(parallel.demand_misses(), 0);
-        assert_eq!(parallel.job_log().len(), jobs.len());
+        assert_eq!(serial.job_log().len(), jobs.len());
     }
 
     #[test]
     fn prefetch_reports_the_lowest_index_error() {
-        let pool = quick_pool();
+        let pool = quick_pool().with_threads(3);
         let bad = |i: usize| {
             SimJob::new(
                 Benchmark::Suite(100 + i),
@@ -664,13 +610,17 @@ mod tests {
             ConfigVariant::Base,
             Scale::Quick,
         );
-        let err = pool.prefetch(&[bad(1), good, bad(0)], 3).unwrap_err();
+        let err = pool.run(&[bad(1), good, bad(0)]).unwrap_err();
         match err {
             SimError::BadProgram(msg) => assert!(msg.contains("101"), "{msg}"),
             other => panic!("unexpected error {other:?}"),
         }
         // The good job still completed and is cached.
-        assert!(pool.get(&good).is_ok());
+        let log = pool.job_log();
+        assert_eq!(log.len(), 1);
+        assert_eq!(log[0].label, good.label());
+        assert!(pool.run(&[good]).is_ok());
+        assert_eq!(pool.job_log().len(), 1);
     }
 
     #[test]
@@ -698,18 +648,5 @@ mod tests {
             fabric.interconnect,
             Interconnect::Directory { banks: 8, .. }
         ));
-    }
-
-    #[test]
-    fn labels_identify_jobs_uniquely() {
-        // Sections may share jobs (that is the point of the pool), but two
-        // *different* jobs must never render the same label.
-        let mut by_label: HashMap<String, SimJob> = HashMap::new();
-        for job in crate::plan(&crate::Section::ALL, Scale::Quick) {
-            if let Some(prev) = by_label.insert(job.label(), job) {
-                assert_eq!(prev, job, "label collision: {}", job.label());
-            }
-        }
-        assert!(by_label.len() > 20, "plan unexpectedly small");
     }
 }

@@ -6,15 +6,15 @@
 //!
 //! ```text
 //! [runner] start   3/18 130.li:smtx-min:base:quick
-//! [runner] done    3/18 130.li:smtx-min:base:quick wall=0.42s cycles=1234567 (2.9 Mcyc/s) running=3 queued=9
-//! [runner] steal worker2<-worker0
-//! [runner] demand ispell:seq:base:quick wall=0.05s cycles=98765
+//! [runner] done    3/18 130.li:smtx-min:base:quick wall=0.42s cycles=1234567 (2.9 Mcyc/s)
 //! [runner] fail  256.bzip2:hmtx:base:standard: InstructionBudgetExceeded { .. }
 //! ```
 //!
-//! Lines are written atomically (one `writeln!` per event behind stderr's
-//! lock), so interleaved workers never shear a line — safe to `grep` or
-//! tail from scripts.
+//! Counts are per batch (one [`crate::runner::SimPool::run`] call): `start`
+//! numbers a job by its place in the batch's queue, `done` counts finished
+//! jobs. Lines are written atomically (one `writeln!` per event behind
+//! stderr's lock), so interleaved workers never shear a line — safe to
+//! `grep` or tail from scripts.
 
 use std::io::Write;
 

@@ -55,7 +55,6 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod faults;
 pub mod invariants;
 pub mod protocol;
@@ -63,7 +62,6 @@ pub mod stats;
 pub mod trace;
 pub mod transitions;
 
-pub use backend::{MoesiHmtx, ProtocolBackend};
 pub use faults::{FaultPlan, FaultSite};
 pub use invariants::Violation;
 pub use protocol::{AccessKind, AccessRequest, AccessResponse, MemorySystem, MisspecCause};

@@ -25,17 +25,15 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::marker::PhantomData;
 
 use hmtx_mem::cache::LineFate;
 use hmtx_mem::{Bus, Cache, CacheLine, LineData, LineMeta, LineState, MainMemory};
 use hmtx_types::{Addr, CoreId, Cycle, Interconnect, LineAddr, MachineConfig, SimError, Vid};
 
-use crate::backend::{MoesiHmtx, ProtocolBackend};
 use crate::faults::{FaultPlan, FaultSite};
 use crate::stats::MemStats;
 use crate::trace::{ServedFrom, TraceEvent, Tracer};
-use crate::transitions::Outcome;
+use crate::transitions::{self, Outcome};
 
 /// Kind of memory access, with the store payload inline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,13 +139,12 @@ pub enum AccessResponse {
     },
 }
 
-/// The full HMTX memory system, generic over the protocol's per-line
-/// transition rules (see [`ProtocolBackend`]). The default backend is the
-/// paper's MOESI+HMTX protocol; dispatch is static, so the seam costs no
-/// simulator throughput. Cloning snapshots the entire simulation state —
-/// the explicit-state model checker forks states this way.
+/// The full HMTX memory system: the paper's MOESI+HMTX protocol, whose
+/// per-line transition rules live in [`crate::transitions`]. Cloning
+/// snapshots the entire simulation state — the explicit-state model
+/// checker forks states this way.
 #[derive(Debug, Clone)]
-pub struct MemorySystem<B: ProtocolBackend = MoesiHmtx> {
+pub struct MemorySystem {
     cfg: MachineConfig,
     l1s: Vec<Cache>,
     l2: Cache,
@@ -164,12 +161,10 @@ pub struct MemorySystem<B: ProtocolBackend = MoesiHmtx> {
     last_served: ServedFrom,
     last_committed: Vid,
     abort_seen_since_reset: bool,
-    backend: PhantomData<B>,
 }
 
 impl MemorySystem {
-    /// Builds the memory system for `cfg` with the default MOESI+HMTX
-    /// backend.
+    /// Builds the memory system for `cfg`.
     ///
     /// # Panics
     ///
@@ -179,28 +174,14 @@ impl MemorySystem {
         Self::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Builds the memory system for `cfg` with the default MOESI+HMTX
-    /// backend, reporting an invalid configuration as an error instead of
-    /// panicking.
+    /// Builds the memory system for `cfg`, reporting an invalid
+    /// configuration as an error instead of panicking.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Config`] if the machine configuration or any
     /// cache geometry is invalid.
     pub fn try_new(cfg: MachineConfig) -> Result<Self, SimError> {
-        Self::try_new_backend(cfg)
-    }
-}
-
-impl<B: ProtocolBackend> MemorySystem<B> {
-    /// Builds the memory system for `cfg` over the backend `B` (named
-    /// explicitly; [`MemorySystem::try_new`] picks the default).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] if the machine configuration or any
-    /// cache geometry is invalid.
-    pub fn try_new_backend(cfg: MachineConfig) -> Result<Self, SimError> {
         cfg.validate()?;
         let mut l1s = Vec::with_capacity(cfg.num_cores);
         for _ in 0..cfg.num_cores {
@@ -231,7 +212,6 @@ impl<B: ProtocolBackend> MemorySystem<B> {
             stats: MemStats::new(),
             last_committed: Vid::NON_SPECULATIVE,
             abort_seen_since_reset: false,
-            backend: PhantomData,
             cfg,
         })
     }
@@ -510,7 +490,7 @@ impl<B: ProtocolBackend> MemorySystem<B> {
                 } else {
                     cascaded += 1;
                 }
-                if B::version_hits(l, lookup) {
+                if transitions::version_hits(l, lookup) {
                     debug_assert!(
                         hit.is_none(),
                         "hit predicate matched two versions of {line:?}"
@@ -522,7 +502,7 @@ impl<B: ProtocolBackend> MemorySystem<B> {
         if stale {
             Self::process_addr(&mut self.l1s[c], line);
             self.count_compares(c, line, lookup);
-            hit = find_hit::<B>(&self.l1s[c], line, lookup);
+            hit = find_hit(&self.l1s[c], line, lookup);
         } else {
             crate::stats::add(&mut self.stats.short_vid_compares, short);
             crate::stats::add(&mut self.stats.cascaded_vid_compares, cascaded);
@@ -884,7 +864,7 @@ impl<B: ProtocolBackend> MemorySystem<B> {
                 shared_seen = true;
             }
             if supplier.is_none() {
-                if let Some(way) = find_hit::<B>(&self.l1s[p], line, lookup) {
+                if let Some(way) = find_hit(&self.l1s[p], line, lookup) {
                     let set = self.l1s[p].set_index(line);
                     if self.l1s[p].meta(set, way).state.responds_to_snoops() {
                         supplier = Some((p, way));
@@ -903,7 +883,7 @@ impl<B: ProtocolBackend> MemorySystem<B> {
         // L2 probe.
         Self::process_addr(&mut self.l2, line);
         spec_mod_assert |= asserts_spec_modified(&self.l2, line);
-        if let Some(way) = find_hit::<B>(&self.l2, line, lookup) {
+        if let Some(way) = find_hit(&self.l2, line, lookup) {
             crate::stats::inc(&mut self.stats.l2_hits);
             self.last_served = ServedFrom::L2;
             let set = self.l2.set_index(line);
@@ -943,7 +923,7 @@ impl<B: ProtocolBackend> MemorySystem<B> {
             let key = self
                 .overflow
                 .iter()
-                .find(|((a, _), l)| *a == line && B::version_hits(l, lookup))
+                .find(|((a, _), l)| *a == line && transitions::version_hits(l, lookup))
                 .map(|(k, _)| *k);
             if let Some(key) = key {
                 let mut version = self.overflow.remove(&key).unwrap();
@@ -1133,7 +1113,7 @@ impl<B: ProtocolBackend> MemorySystem<B> {
         if let Err(cause) = self.install_l1(c, version) {
             return AccessResponse::Misspec { cause, latency };
         }
-        let way = find_hit::<B>(&self.l1s[c], line, lookup)
+        let way = find_hit(&self.l1s[c], line, lookup)
             .expect("freshly installed version must satisfy the hit predicate");
         let set = self.l1s[c].set_index(line);
         self.l1s[c].touch(set, way);
@@ -1234,7 +1214,7 @@ impl<B: ProtocolBackend> MemorySystem<B> {
                 cache.for_each_line_mut(|l, _| {
                     walked += 1;
                     l.commit_epoch = epoch;
-                    match B::apply_commit(l, vid) {
+                    match transitions::apply_commit(l, vid) {
                         Outcome::Keep => LineFate::Keep,
                         Outcome::Invalidate => LineFate::Invalidate,
                     }
@@ -1260,7 +1240,7 @@ impl<B: ProtocolBackend> MemorySystem<B> {
         let walked = self.overflow.len() as u64;
         let mut dirty: Vec<(LineAddr, LineData)> = Vec::new();
         self.overflow
-            .retain(|_, line| match B::apply_commit(line, lc) {
+            .retain(|_, line| match transitions::apply_commit(line, lc) {
                 Outcome::Invalidate => false,
                 Outcome::Keep => {
                     if line.state.is_speculative() {
@@ -1291,10 +1271,10 @@ impl<B: ProtocolBackend> MemorySystem<B> {
             let epoch = cache.commit_epoch();
             cache.for_each_line_mut(|l, _| {
                 l.commit_epoch = epoch;
-                if B::apply_commit(l, lc) == Outcome::Invalidate {
+                if transitions::apply_commit(l, lc) == Outcome::Invalidate {
                     return LineFate::Invalidate;
                 }
-                match B::apply_abort(l) {
+                match transitions::apply_abort(l) {
                     Outcome::Keep => LineFate::Keep,
                     Outcome::Invalidate => LineFate::Invalidate,
                 }
@@ -1303,10 +1283,10 @@ impl<B: ProtocolBackend> MemorySystem<B> {
         let lc = self.last_committed;
         let mut dirty: Vec<(LineAddr, LineData)> = Vec::new();
         self.overflow.retain(|_, line| {
-            if B::apply_commit(line, lc) == Outcome::Invalidate {
+            if transitions::apply_commit(line, lc) == Outcome::Invalidate {
                 return false;
             }
-            if B::apply_abort(line) == Outcome::Invalidate {
+            if transitions::apply_abort(line) == Outcome::Invalidate {
                 return false;
             }
             if line.state.is_dirty() {
@@ -1380,10 +1360,10 @@ impl<B: ProtocolBackend> MemorySystem<B> {
             let epoch = cache.commit_epoch();
             cache.for_each_line_mut(|l, _| {
                 l.commit_epoch = epoch;
-                if B::apply_commit(l, lc) == Outcome::Invalidate {
+                if transitions::apply_commit(l, lc) == Outcome::Invalidate {
                     return LineFate::Invalidate;
                 }
-                match B::apply_vid_reset(l) {
+                match transitions::apply_vid_reset(l) {
                     Outcome::Keep => LineFate::Keep,
                     Outcome::Invalidate => LineFate::Invalidate,
                 }
@@ -1413,7 +1393,7 @@ impl<B: ProtocolBackend> MemorySystem<B> {
         let line = addr.line();
         let offset = addr.line_offset();
         for cache in self.l1s.iter().chain(std::iter::once(&self.l2)) {
-            if let Some(way) = find_hit::<B>(cache, line, vid) {
+            if let Some(way) = find_hit(cache, line, vid) {
                 let set = cache.set_index(line);
                 let v = cache.meta(set, way);
                 if v.state.responds_to_snoops() || cache.ways_of(line).len() == 1 {
@@ -1446,7 +1426,7 @@ impl<B: ProtocolBackend> MemorySystem<B> {
         for cache in self.l1s.iter_mut().chain(std::iter::once(&mut self.l2)) {
             let lc = cache.lc_vid();
             cache.for_each_line_mut(|l, d| {
-                if B::apply_commit(l, lc) == Outcome::Invalidate {
+                if transitions::apply_commit(l, lc) == Outcome::Invalidate {
                     return LineFate::Invalidate;
                 }
                 if l.state.is_speculative() {
@@ -1505,7 +1485,7 @@ impl<B: ProtocolBackend> MemorySystem<B> {
             } else {
                 cache.lc_vid()
             };
-            if let Some(way) = find_hit::<B>(cache, line, vid) {
+            if let Some(way) = find_hit(cache, line, vid) {
                 let set = cache.set_index(line);
                 if cache.meta(set, way).state.responds_to_snoops() {
                     return cache.data(set, way).read_u64(offset);
@@ -1519,7 +1499,7 @@ impl<B: ProtocolBackend> MemorySystem<B> {
             } else {
                 cache.lc_vid()
             };
-            if let Some(way) = find_hit::<B>(cache, line, vid) {
+            if let Some(way) = find_hit(cache, line, vid) {
                 let set = cache.set_index(line);
                 return cache.data(set, way).read_u64(offset);
             }
@@ -1545,7 +1525,7 @@ impl<B: ProtocolBackend> MemorySystem<B> {
                 return LineFate::Keep;
             }
             l.commit_epoch = epoch;
-            match B::apply_commit(l, lc) {
+            match transitions::apply_commit(l, lc) {
                 Outcome::Keep => LineFate::Keep,
                 Outcome::Invalidate => LineFate::Invalidate,
             }
@@ -1650,12 +1630,12 @@ impl<B: ProtocolBackend> MemorySystem<B> {
 
 /// Finds the way holding the version of `line` that the hit predicate
 /// selects for `lookup`, if any. Debug builds assert hit uniqueness.
-fn find_hit<B: ProtocolBackend>(cache: &Cache, line: LineAddr, lookup: Vid) -> Option<usize> {
+fn find_hit(cache: &Cache, line: LineAddr, lookup: Vid) -> Option<usize> {
     let set = cache.set_index(line);
     let lines = cache.set_metas(set);
     let mut found: Option<usize> = None;
     for (i, l) in lines.iter().enumerate() {
-        if l.addr == line && B::version_hits(l, lookup) {
+        if l.addr == line && transitions::version_hits(l, lookup) {
             debug_assert!(
                 found.is_none(),
                 "hit predicate matched two versions: {} and {}",

@@ -26,14 +26,14 @@
 //! checked for protocol invariants and termination only, with the
 //! Sequential-paradigm output as the end-state reference.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use hmtx_core::MemorySystem;
 use hmtx_isa::{assemble, run_serial_tm, Program, TmRefState};
-use hmtx_machine::{CoreEvent, Machine, RunEvent, SchedulePolicy, ThreadContext};
+use hmtx_machine::{CoreEvent, Machine, ReplayPolicy, RunEvent, SchedulePolicy, ThreadContext};
 use hmtx_runtime::{build_paradigm, run_loop, LoopEnv, Paradigm};
 use hmtx_types::{Addr, MachineConfig, SeedBug, SimError, ThreadId, Vid};
 use hmtx_workloads::Workload;
@@ -280,7 +280,8 @@ pub struct MachineReport {
 /// The recording replay policy: replays `divergences`, records branch
 /// points past the last divergence, and hooks per-commit checks.
 struct ExplorePolicy<'a> {
-    divergences: BTreeMap<u64, usize>,
+    /// Picks the core at every step, exactly as `hmtx-run --replay` would.
+    replay: ReplayPolicy,
     /// First step at which new branch points may be recorded (one past the
     /// last divergence — iterative context bounding only ever extends a
     /// schedule *after* its existing divergences).
@@ -296,7 +297,7 @@ struct ExplorePolicy<'a> {
 impl fmt::Debug for ExplorePolicy<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ExplorePolicy")
-            .field("divergences", &self.divergences)
+            .field("replay", &self.replay)
             .field("branches", &self.branches.len())
             .finish()
     }
@@ -304,10 +305,7 @@ impl fmt::Debug for ExplorePolicy<'_> {
 
 impl SchedulePolicy for ExplorePolicy<'_> {
     fn pick(&mut self, step: u64, enabled: &[CoreEvent]) -> usize {
-        let idx = match self.divergences.get(&step) {
-            Some(&core) => enabled.iter().position(|e| e.core == core).unwrap_or(0),
-            None => 0,
-        };
+        let idx = self.replay.pick(step, enabled);
         if step >= self.frontier_after && enabled.len() >= 2 && !self.truncated {
             let chosen = enabled[idx];
             let alts: Vec<usize> = enabled
@@ -399,10 +397,9 @@ fn run_inner(
     picks: &[(u64, usize)],
     reduce: bool,
 ) -> (MachineOutcome, BranchPoints) {
-    let divergences: BTreeMap<u64, usize> = picks.iter().copied().collect();
     let mut policy = ExplorePolicy {
-        frontier_after: divergences.keys().next_back().map_or(0, |s| s + 1),
-        divergences,
+        frontier_after: picks.iter().map(|&(step, _)| step + 1).max().unwrap_or(0),
+        replay: ReplayPolicy::new(picks),
         reduce,
         branches: Vec::new(),
         truncated: false,

@@ -14,8 +14,8 @@
 //!
 //! Crucially, the step function is not a re-implementation: each state holds
 //! a forked [`hmtx_explore::OpMachine`], which drives the *same*
-//! [`hmtx_core::MemorySystem`] (behind the same [`hmtx_core::ProtocolBackend`]
-//! seam) that the simulator runs. There is no abstract automaton to drift
+//! [`hmtx_core::MemorySystem`] (with the same [`hmtx_core::transitions`]
+//! rules) that the simulator runs. There is no abstract automaton to drift
 //! out of sync with the implementation — the checker explores the
 //! implementation itself, with data, timing, and statistics abstracted away
 //! only in the *visited-state encoding* ([`canon`]).
