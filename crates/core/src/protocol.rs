@@ -24,11 +24,12 @@
 //! relies on.
 
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 use hmtx_mem::cache::LineFate;
 use hmtx_mem::{Bus, Cache, CacheLine, LineData, LineMeta, LineState, MainMemory};
-use hmtx_types::{Addr, CoreId, Cycle, Interconnect, LineAddr, MachineConfig, SimError, Vid};
+use hmtx_types::{
+    Addr, CoreId, Cycle, FxHashMap, FxHashSet, Interconnect, LineAddr, MachineConfig, SimError, Vid,
+};
 
 use crate::faults::{FaultPlan, FaultSite};
 use crate::stats::MemStats;
@@ -1319,7 +1320,7 @@ impl MemorySystem {
     /// bytes, so demoting E to S and keeping a single dirty owner (extra
     /// dirty replicas become S) loses no data.
     fn restore_coherence_after_abort(&mut self) {
-        let mut copies: HashMap<LineAddr, u32> = HashMap::new();
+        let mut copies: FxHashMap<LineAddr, u32> = FxHashMap::default();
         for cache in self.l1s.iter().chain(std::iter::once(&self.l2)) {
             for set in 0..cache.num_sets() {
                 for l in cache.set_metas(set) {
@@ -1327,7 +1328,7 @@ impl MemorySystem {
                 }
             }
         }
-        let mut owner_seen: std::collections::HashSet<LineAddr> = std::collections::HashSet::new();
+        let mut owner_seen: FxHashSet<LineAddr> = FxHashSet::default();
         for cache in self.l1s.iter_mut().chain(std::iter::once(&mut self.l2)) {
             cache.for_each_line_mut(|l, _| {
                 if copies.get(&l.addr).copied().unwrap_or(0) > 1 {

@@ -271,17 +271,18 @@ impl OpMachine {
         self.settle(kernel)
     }
 
-    /// End-of-run checks on a terminal state, on clones (the machine itself
-    /// is left untouched): the drained committed image must match the
-    /// oracle, and on fully committed runs a VID reset must leave a clean
-    /// hierarchy.
+    /// End-of-run checks on a terminal state (the machine itself is left
+    /// untouched; the drain and the VID reset run on clones): the committed
+    /// image, drained on fully committed runs, must match the oracle, and
+    /// on fully committed runs a VID reset must leave a clean hierarchy.
     ///
     /// # Errors
     ///
     /// Returns the first failed check.
     pub fn finish(&self, kernel: &OpKernel) -> Result<(), Failure> {
         let fully_committed = (self.committed as usize) == kernel.txs.len();
-        let mut end = self.mem.clone();
+        let drained;
+        let mut end = &self.mem;
         if self.misspec.is_none() && fully_committed {
             let mut reset = self.mem.clone();
             reset.vid_reset(self.now + 10);
@@ -293,10 +294,13 @@ impl OpMachine {
                     detail: format!("after vid-reset: {}: {}", v.rule, v.detail),
                 });
             }
-            end.drain_committed().map_err(|v| Failure {
+            let mut mem = self.mem.clone();
+            mem.drain_committed().map_err(|v| Failure {
                 kind: "drain",
                 detail: v.join("; "),
             })?;
+            drained = mem;
+            end = &drained;
         }
         for &addr in &kernel.tracked {
             let got = end.peek_word(Addr(addr), Vid(self.committed));

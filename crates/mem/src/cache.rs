@@ -6,7 +6,7 @@
 //!
 //! * `metas` — `num_sets * ways` [`LineMeta`] slots (tag/VID metadata, the
 //!   only thing the per-access scans read);
-//! * `payloads` — one generational `PayloadId` per slot, pointing into
+//! * `payloads` — one `PayloadId` per slot, pointing into
 //! * `arena` — a grow-only [`LineData`] pool recycled through a free list.
 //!
 //! Set `s` occupies slots `[s*ways, s*ways + set_len[s])`; the live prefix
@@ -39,12 +39,14 @@ pub struct InsertOutcome {
     pub set: usize,
 }
 
-/// Generational handle into the payload arena. The generation is bumped
-/// every time a slot is freed, so a stale id held across an eviction can
-/// never silently alias the slot's next tenant (checked in debug builds).
+/// Handle into the payload arena. Debug builds also carry a generation,
+/// bumped every time a slot is freed, so a stale id held across an
+/// eviction can never silently alias the slot's next tenant; release
+/// builds drop it, so a cache clone copies one array fewer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PayloadId {
     idx: u32,
+    #[cfg(debug_assertions)]
     gen: u32,
 }
 
@@ -56,7 +58,7 @@ struct PayloadId {
 ///
 /// All-zero bytes must be a valid `T`. True for the slot types used here:
 /// [`LineMeta`] (its `LineState` is `repr(u8)` with variant 0 valid, every
-/// other field a plain integer/bool) and [`PayloadId`] (two `u32`s).
+/// other field a plain integer/bool) and [`PayloadId`] (`u32`s).
 unsafe fn zeroed_slice<T>(n: usize) -> Box<[T]> {
     if n == 0 || std::mem::size_of::<T>() == 0 {
         return Vec::new().into_boxed_slice();
@@ -92,6 +94,8 @@ pub struct Cache {
     /// Live-slot count per set.
     set_len: Box<[u32]>,
     arena: Vec<LineData>,
+    /// Generation of each arena slot (debug builds; see [`PayloadId`]).
+    #[cfg(debug_assertions)]
     arena_gen: Vec<u32>,
     free: Vec<u32>,
     lc_vid: Vid,
@@ -120,6 +124,7 @@ impl Cache {
             payloads,
             set_len: vec![0u32; num_sets].into_boxed_slice(),
             arena: Vec::new(),
+            #[cfg(debug_assertions)]
             arena_gen: Vec::new(),
             free: Vec::new(),
             lc_vid: Vid::NON_SPECULATIVE,
@@ -208,7 +213,8 @@ impl Cache {
     fn payload_index(&self, set: usize, way: usize) -> usize {
         assert!(way < self.len_of(set));
         let pid = self.payloads[self.base(set) + way];
-        debug_assert_eq!(
+        #[cfg(debug_assertions)]
+        assert_eq!(
             self.arena_gen[pid.idx as usize], pid.gen,
             "stale payload id"
         );
@@ -282,28 +288,35 @@ impl Cache {
             self.arena[idx as usize] = data;
             PayloadId {
                 idx,
+                #[cfg(debug_assertions)]
                 gen: self.arena_gen[idx as usize],
             }
         } else {
             let idx = self.arena.len() as u32;
             self.arena.push(data);
+            #[cfg(debug_assertions)]
             self.arena_gen.push(0);
-            PayloadId { idx, gen: 0 }
+            PayloadId {
+                idx,
+                #[cfg(debug_assertions)]
+                gen: 0,
+            }
         }
     }
 
     /// Frees a payload slot, returning its data.
     fn free_payload(&mut self, pid: PayloadId) -> LineData {
-        debug_assert_eq!(self.arena_gen[pid.idx as usize], pid.gen, "double free");
-        self.arena_gen[pid.idx as usize] = self.arena_gen[pid.idx as usize].wrapping_add(1);
-        self.free.push(pid.idx);
+        self.release_payload(pid);
         std::mem::take(&mut self.arena[pid.idx as usize])
     }
 
     /// Frees a payload slot without reading its data back.
     fn release_payload(&mut self, pid: PayloadId) {
-        debug_assert_eq!(self.arena_gen[pid.idx as usize], pid.gen, "double free");
-        self.arena_gen[pid.idx as usize] = self.arena_gen[pid.idx as usize].wrapping_add(1);
+        #[cfg(debug_assertions)]
+        {
+            assert_eq!(self.arena_gen[pid.idx as usize], pid.gen, "double free");
+            self.arena_gen[pid.idx as usize] = self.arena_gen[pid.idx as usize].wrapping_add(1);
+        }
         self.free.push(pid.idx);
     }
 

@@ -66,6 +66,36 @@ pub fn permutations(n: usize) -> Vec<Vec<usize>> {
 /// VID pair, phantom mark, hints, pending-commit flag, LRU rank, data word.
 type LineBody = (u8, u16, u16, u16, bool, bool, u8, u64);
 
+/// One line version packed injectively into three words: `[cache label <<
+/// 48 | line label << 32 | state << 24 | LRU rank << 16 | shared hint << 1
+/// | pending commit, modVID << 32 | highVID << 16 | phantom VID, data
+/// word]`. A state's encoding is its versions' packed words, sorted.
+type Packed = [u64; 3];
+
+/// The line label of an address outside the model's line set.
+const OUT_OF_MODEL: u64 = 0xFFFF;
+
+/// Packs `body` under cache label `cache` and line label `line`
+/// (`usize::MAX` for an address outside the model's line set).
+fn pack(cache: usize, line: usize, body: LineBody) -> Packed {
+    let (state, mod_vid, high_vid, phantom, shared_hint, pending, lru_rank, word) = body;
+    let line = if line == usize::MAX {
+        OUT_OF_MODEL
+    } else {
+        line as u64
+    };
+    [
+        (cache as u64) << 48
+            | line << 32
+            | u64::from(state) << 24
+            | u64::from(lru_rank) << 16
+            | u64::from(shared_hint) << 1
+            | u64::from(pending),
+        u64::from(mod_vid) << 32 | u64::from(high_vid) << 16 | u64::from(phantom),
+        word,
+    ]
+}
+
 /// One stored line version, pre-extracted for relabeling: `(cache, line)`
 /// hold *raw* indices (`cache == cores` means the shared L2, `cache ==
 /// cores + 1` the overflow table; `line == usize::MAX` an address outside
@@ -138,6 +168,11 @@ impl Encoder {
     /// still abstracts timing, so duplicate interleavings still merge).
     pub fn new(kernel: &OpKernel, cores: usize, symmetry: bool) -> Self {
         let lines = kernel.tracked.clone();
+        // Cache and line labels fit their 16-bit fields (see `Packed`).
+        assert!(
+            cores + 1 < 1 << 16 && (lines.len() as u64) < OUT_OF_MODEL,
+            "more cores or lines than the packed encoding labels"
+        );
         let mut encoder = Encoder {
             cores,
             bound: Vec::new(),
@@ -219,15 +254,9 @@ impl Encoder {
         raw
     }
 
-    /// The cache contents relabeled through `cp` and `lp`: caches in label
-    /// order, line versions sorted within each cache.
-    fn relabel_into(
-        &self,
-        raw: &[RawLine],
-        cp: &[usize],
-        lp: &[usize],
-        enc: &mut Vec<(usize, usize, LineBody)>,
-    ) {
+    /// The cache contents relabeled through `cp` and `lp` and packed:
+    /// caches in label order, line versions sorted within each cache.
+    fn relabel_into(&self, raw: &[RawLine], cp: &[usize], lp: &[usize], enc: &mut Vec<Packed>) {
         enc.clear();
         enc.extend(raw.iter().map(|r| {
             let cache = if r.cache < self.cores {
@@ -240,7 +269,7 @@ impl Encoder {
             } else {
                 lp[r.line]
             };
-            (cache, line, r.body)
+            pack(cache, line, r.body)
         }));
         enc.sort_unstable();
     }
@@ -263,12 +292,12 @@ impl Encoder {
             .fold((0, 0), |(c, l), (tc, tl)| (c | tc, l | tl));
 
         let mut best = u64::MAX;
-        let mut enc: Vec<(usize, usize, LineBody)> = Vec::with_capacity(raw.len());
+        let mut enc: Vec<Packed> = Vec::with_capacity(raw.len());
         for cp in self.core_perms.iter().filter(|p| p.fixes(bound_cores)) {
             for lp in self.line_perms.iter().filter(|p| p.fixes(bound_lines)) {
                 self.relabel_into(&raw, &cp.label, &lp.label, &mut enc);
                 let mut h = prefix.clone();
-                enc.hash(&mut h);
+                enc.as_flattened().hash(&mut h);
                 best = best.min(h.finish());
             }
         }
@@ -291,6 +320,74 @@ mod tests {
         unique.sort();
         unique.dedup();
         assert_eq!(unique.len(), 6);
+    }
+
+    #[test]
+    fn packing_is_injective() {
+        // Packing ORs shifted fields together, so it is injective exactly
+        // when no two input bits land on one output bit: set each bit of
+        // each input alone (labels and VIDs get 16 bits, the state and the
+        // LRU rank 8) and check that it lands on a bit of its own.
+        let zero: LineBody = (0, 0, 0, 0, false, false, 0, 0);
+        let mut inputs: Vec<(usize, usize, LineBody)> = Vec::new();
+        for bit in 0..16 {
+            inputs.push((1 << bit, 0, zero));
+            inputs.push((0, 1 << bit, zero));
+            inputs.push((0, 0, (0, 1 << bit, 0, 0, false, false, 0, 0)));
+            inputs.push((0, 0, (0, 0, 1 << bit, 0, false, false, 0, 0)));
+            inputs.push((0, 0, (0, 0, 0, 1 << bit, false, false, 0, 0)));
+        }
+        for bit in 0..8 {
+            inputs.push((0, 0, (1 << bit, 0, 0, 0, false, false, 0, 0)));
+            inputs.push((0, 0, (0, 0, 0, 0, false, false, 1 << bit, 0)));
+        }
+        inputs.push((0, 0, (0, 0, 0, 0, true, false, 0, 0)));
+        inputs.push((0, 0, (0, 0, 0, 0, false, true, 0, 0)));
+        for bit in 0..64 {
+            inputs.push((0, 0, (0, 0, 0, 0, false, false, 0, 1 << bit)));
+        }
+        let mut landed = [0u64; 3];
+        for (cache, line, body) in inputs {
+            let packed = pack(cache, line, body);
+            assert_eq!(packed.iter().map(|w| w.count_ones()).sum::<u32>(), 1);
+            for (seen, word) in landed.iter_mut().zip(packed) {
+                assert_eq!(*seen & word, 0, "{cache} {line} {body:?}");
+                *seen |= word;
+            }
+        }
+
+        // From the widest legal values (12-bit VIDs, the largest LRU rank,
+        // a full data word, the overflow table's label under 64 cores),
+        // changing any one input, including a line label to the
+        // out-of-model marker, gives words of its own.
+        let (cores, lines) = (64, 64);
+        let vid = (1 << 12) - 1;
+        let wide: LineBody = (7, vid, vid, vid, true, true, u8::MAX, u64::MAX);
+        let mut variants = vec![(cores + 1, lines - 1, wide)];
+        for cache in [0, cores - 1, cores] {
+            variants.push((cache, lines - 1, wide));
+        }
+        for line in [0, usize::MAX] {
+            variants.push((cores + 1, line, wide));
+        }
+        let (s, m, h, p, sh, pend, lru, word) = wide;
+        for body in [
+            (0, m, h, p, sh, pend, lru, word),
+            (s, vid - 1, h, p, sh, pend, lru, word),
+            (s, m, vid - 1, p, sh, pend, lru, word),
+            (s, m, h, vid - 1, sh, pend, lru, word),
+            (s, m, h, p, false, pend, lru, word),
+            (s, m, h, p, sh, false, lru, word),
+            (s, m, h, p, sh, pend, lru - 1, word),
+            (s, m, h, p, sh, pend, lru, word - 1),
+        ] {
+            variants.push((cores + 1, lines - 1, body));
+        }
+        let packed: std::collections::HashSet<Packed> = variants
+            .iter()
+            .map(|&(cache, line, body)| pack(cache, line, body))
+            .collect();
+        assert_eq!(packed.len(), variants.len());
     }
 
     #[test]
