@@ -7,12 +7,21 @@
 //! every cache and returns every violation found. Property tests and
 //! integration tests call it after every phase of random executions.
 //!
-//! The model checker runs both scans after every op of every state it
-//! explores, and nearly every scan is clean, so a clean scan allocates one
-//! flat version list and nothing else: caches are scanned by position and
-//! named (`L1[i]`, `L2`) only inside a violation's `detail`.
+//! Every check is one scan: a single pass over the served versions, then
+//! the per-address rules over the same version list, sorted by address.
+//! [`MemorySystem::first_violation`] stops that scan at its first
+//! violation and renders only that one; the model checker runs it after
+//! every op of every state it explores, and nearly every scan is clean, so
+//! it reuses one per-thread version list and allocates nothing. Caches are
+//! scanned by position and named (`L1[i]`, `L2`) only inside a violation's
+//! `detail`. [`MemorySystem::check_invariants`] and
+//! [`MemorySystem::check_model_invariants`] collect every violation of the
+//! same scan.
 
-use hmtx_mem::{Cache, LineMeta, LineState};
+use std::cell::RefCell;
+use std::ops::ControlFlow;
+
+use hmtx_mem::{LineMeta, LineState};
 use hmtx_types::{LineAddr, Vid};
 
 use crate::protocol::MemorySystem;
@@ -25,6 +34,18 @@ pub struct Violation {
     pub rule: &'static str,
     /// Human-readable details (line address, states involved).
     pub detail: String,
+}
+
+/// The rule families a scan judges, in precedence order: protocol rules
+/// come before model rules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rules {
+    /// The six protocol invariants of [`MemorySystem::check_invariants`].
+    Protocol,
+    /// The extended rules of [`MemorySystem::check_model_invariants`].
+    Model,
+    /// Both families: the model checker's strict discipline.
+    Strict,
 }
 
 /// One served version, as the per-address rules judge it; `cache` is the
@@ -64,22 +85,40 @@ impl Version {
     }
 }
 
-/// Groups `versions` by address, in address order and, within an address,
-/// in scan order (the sort is stable), so which violation comes first
-/// never depends on a hash seed.
-fn by_address(versions: &mut [Version]) -> impl Iterator<Item = &[Version]> {
-    versions.sort_by_key(|v| v.addr);
-    versions.chunk_by(|a, b| a.addr == b.addr)
+/// The buffers of one scan, kept per thread so that a clean scan
+/// allocates nothing once they have grown.
+#[derive(Default)]
+struct Scratch {
+    /// Served versions, in scan order until sorted by address.
+    versions: Vec<Version>,
+    /// Served versions the commit-safety rule flags, in scan order.
+    stale: Vec<(usize, LineMeta)>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Whether `line` breaks commit safety once `committed` has committed.
+fn is_stale(line: &LineMeta, committed: Vid) -> bool {
+    let superseded = matches!(line.state, LineState::SpecOwned | LineState::SpecShared)
+        && line.high_vid <= committed;
+    let stale_mod =
+        line.state.is_speculative() && line.mod_vid.is_speculative() && line.mod_vid <= committed;
+    superseded || stale_mod
 }
 
 impl MemorySystem {
     /// Calls `f(cache, line)` for every stored version as the protocol
-    /// would serve it, in cache, set and way order: pending lazy commit
-    /// processing (§5.3) is applied to a snapshot first, and versions it
-    /// invalidates are skipped — committed-but-unprocessed versions are
-    /// exactly the paper's set-CB-bit state and are never served. `cache`
-    /// is the position in [`Self::caches`].
-    fn for_each_served_line(&self, mut f: impl FnMut(usize, &LineMeta)) {
+    /// would serve it, in cache, set and way order, until `f` breaks:
+    /// pending lazy commit processing (§5.3) is applied to a snapshot
+    /// first, and versions it invalidates are skipped — committed-but-
+    /// unprocessed versions are exactly the paper's set-CB-bit state and
+    /// are never served. `cache` is the position in [`Self::caches`].
+    fn try_for_each_served_line(
+        &self,
+        mut f: impl FnMut(usize, &LineMeta) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         for (idx, cache) in self.caches().enumerate() {
             for set_idx in 0..cache.num_sets() {
                 for stored in cache.set_metas(set_idx) {
@@ -90,15 +129,11 @@ impl MemorySystem {
                     {
                         continue;
                     }
-                    f(idx, &processed);
+                    f(idx, &processed)?;
                 }
             }
         }
-    }
-
-    /// An empty version list with room for every stored version.
-    fn version_list(&self) -> Vec<Version> {
-        Vec::with_capacity(self.caches().map(Cache::occupancy).sum())
+        ControlFlow::Continue(())
     }
 
     /// Versions as a violation's detail prints them:
@@ -111,6 +146,186 @@ impl MemorySystem {
             .into_iter()
             .map(|v| (self.cache_name(v.cache), v.state, v.mod_vid, v.high_vid))
             .collect()
+    }
+
+    /// The one scan behind every check: judges `rules` and passes each
+    /// violation, rendered, to `emit` in precedence order until `emit`
+    /// breaks. Protocol rules come first: the per-version rules (1)–(2) in
+    /// scan order, then, per address in address order, rule (3) per
+    /// request VID and rules (4)–(6). Model rules follow: commit safety on
+    /// served versions in scan order and then on the overflow table, then
+    /// the duplicate-Exclusive rule per address.
+    fn scan(
+        &self,
+        rules: Rules,
+        scratch: &mut Scratch,
+        mut emit: impl FnMut(Violation) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let protocol = rules != Rules::Model;
+        let model = rules != Rules::Protocol;
+        let committed = self.last_committed();
+        let abort_seen = model && self.abort_seen();
+        let keep_versions = protocol || abort_seen;
+        let Scratch { versions, stale } = scratch;
+        versions.clear();
+        stale.clear();
+
+        self.try_for_each_served_line(|cache, line| {
+            if protocol {
+                let mut report = |rule| {
+                    emit(Violation {
+                        rule,
+                        detail: format!(
+                            "{}: {} {}",
+                            self.cache_name(cache),
+                            line.addr,
+                            line.describe()
+                        ),
+                    })
+                };
+                if line.mod_vid > line.high_vid {
+                    report("modVID <= highVID")?;
+                }
+                if line.state == LineState::SpecExclusive && line.mod_vid.is_speculative() {
+                    report("S-E implies modVID == 0")?;
+                }
+            }
+            if model && is_stale(line, committed) {
+                stale.push((cache, *line));
+            }
+            if keep_versions {
+                versions.push(Version::new(cache, line));
+            }
+            ControlFlow::Continue(())
+        })?;
+        // Stable: within an address, versions stay in scan order, so which
+        // violation comes first never depends on a hash seed.
+        versions.sort_by_key(|v| v.addr);
+        let by_address = || versions.chunk_by(|a, b| a.addr == b.addr);
+
+        if protocol {
+            let max_vid = self.config().hmtx.max_vid().0;
+            for group in by_address() {
+                let addr = group[0].addr;
+                // (3) hit uniqueness among responders, for every possible
+                // VID. Two responders share a hit VID exactly when their
+                // hit intervals intersect; only then are VIDs enumerated,
+                // to report each shared VID with all of its hitters.
+                let hits = |v: &Version, a: u16| {
+                    v.hit_interval(max_vid)
+                        .is_some_and(|(lo, hi)| lo <= a && a <= hi)
+                };
+                let overlap = group.iter().enumerate().any(|(i, x)| {
+                    x.hit_interval(max_vid).is_some_and(|(lo, hi)| {
+                        group[i + 1..].iter().any(|y| {
+                            y.hit_interval(max_vid)
+                                .is_some_and(|(ylo, yhi)| lo.max(ylo) <= hi.min(yhi))
+                        })
+                    })
+                });
+                if overlap {
+                    for a in 0..=max_vid {
+                        if group.iter().filter(|v| hits(v, a)).count() > 1 {
+                            let hitters = self.named(group.iter().filter(|v| hits(v, a)));
+                            emit(Violation {
+                                rule: "at most one responding version hits per VID",
+                                detail: format!("{addr} vid {}: {hitters:?}", Vid(a)),
+                            })?;
+                        }
+                    }
+                }
+                let count =
+                    |pred: fn(LineState) -> bool| group.iter().filter(|v| pred(v.state)).count();
+                for (rule, count) in [
+                    // (4) single writable non-speculative copy.
+                    (
+                        "at most one writable non-speculative copy",
+                        count(LineState::is_writable),
+                    ),
+                    // (5) single live S-M.
+                    (
+                        "at most one S-M version per address",
+                        count(|s| s == LineState::SpecModified),
+                    ),
+                    // (6) single dirty non-speculative owner.
+                    (
+                        "at most one dirty non-speculative owner",
+                        count(|s| matches!(s, LineState::Modified | LineState::Owned)),
+                    ),
+                ] {
+                    if count > 1 {
+                        emit(Violation {
+                            rule,
+                            detail: format!("{addr}: {:?}", self.named(group)),
+                        })?;
+                    }
+                }
+            }
+        }
+
+        if model {
+            let commit_safety = |name: &str, line: &LineMeta| Violation {
+                rule: "committed modVID never stays speculative",
+                detail: format!(
+                    "{name}: {} {} after commit of v{}",
+                    line.addr,
+                    line.describe(),
+                    committed.0
+                ),
+            };
+            for (cache, line) in stale.iter() {
+                emit(commit_safety(&self.cache_name(*cache), line))?;
+            }
+            for line in self.overflow_lines() {
+                if is_stale(&line.meta, committed) {
+                    emit(commit_safety("overflow", &line.meta))?;
+                }
+            }
+            if abort_seen {
+                for group in by_address() {
+                    let exclusive = group.iter().any(|v| v.state == LineState::Exclusive);
+                    let nonspec = group.iter().filter(|v| !v.state.is_speculative()).count();
+                    if exclusive && nonspec > 1 {
+                        let named: Vec<(String, LineState)> = group
+                            .iter()
+                            .map(|v| (self.cache_name(v.cache), v.state))
+                            .collect();
+                        emit(Violation {
+                            rule: "no duplicate Exclusive after abort",
+                            detail: format!("{}: {named:?}", group[0].addr),
+                        })?;
+                    }
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Every violation of `rules`, in precedence order.
+    fn collect_violations(&self, rules: Rules) -> Vec<Violation> {
+        let mut violations = Vec::new();
+        let _ = self.scan(rules, &mut Scratch::default(), |v| {
+            violations.push(v);
+            ControlFlow::Continue(())
+        });
+        violations
+    }
+
+    /// The first violation of `rules` — exactly the first element of
+    /// [`Self::check_invariants`] for [`Rules::Protocol`], of
+    /// [`Self::check_model_invariants`] for [`Rules::Model`], and for
+    /// [`Rules::Strict`] the first protocol violation or else the first
+    /// model violation. The scan stops there and renders only that one; a
+    /// clean scan allocates nothing once this thread's buffers have grown.
+    pub fn first_violation(&self, rules: Rules) -> Option<Violation> {
+        let mut first = None;
+        SCRATCH.with(|scratch| {
+            let _ = self.scan(rules, &mut scratch.borrow_mut(), |v| {
+                first = Some(v);
+                ControlFlow::Break(())
+            });
+        });
+        first
     }
 
     /// Scans the entire hierarchy for protocol invariant violations:
@@ -126,96 +341,17 @@ impl MemorySystem {
     /// 6. a dirty non-speculative line (M/O) never coexists with another
     ///    M/O copy of the same address.
     ///
-    /// Returns all violations (empty = healthy). The scan judges each line
-    /// *as the protocol would serve it*: pending lazy commit processing
-    /// (§5.3) is applied to a snapshot first, since committed-but-
-    /// unprocessed versions are never served. This is a diagnostic scan with
-    /// no timing model; run it at quiescent points (between accesses).
+    /// Returns all violations (empty = healthy): rules (1)–(2) in scan
+    /// order, then rules (3)–(6) per address in address order. The scan
+    /// judges each line *as the protocol would serve it*: pending lazy
+    /// commit processing (§5.3) is applied to a snapshot first, since
+    /// committed-but-unprocessed versions are never served. This is a
+    /// diagnostic scan with no timing model; run it at quiescent points
+    /// (between accesses).
     pub fn check_invariants(&self) -> Vec<Violation> {
-        let mut violations = Vec::new();
-        let mut versions = self.version_list();
-        self.for_each_served_line(|cache, line| {
-            let mut report = |rule| {
-                violations.push(Violation {
-                    rule,
-                    detail: format!(
-                        "{}: {} {}",
-                        self.cache_name(cache),
-                        line.addr,
-                        line.describe()
-                    ),
-                });
-            };
-            if line.mod_vid > line.high_vid {
-                report("modVID <= highVID");
-            }
-            if line.state == LineState::SpecExclusive && line.mod_vid.is_speculative() {
-                report("S-E implies modVID == 0");
-            }
-            versions.push(Version::new(cache, line));
-        });
-
-        let max_vid = self.config().hmtx.max_vid().0;
-        for group in by_address(&mut versions) {
-            let addr = group[0].addr;
-            // (3) hit uniqueness among responders, for every possible VID.
-            // Two responders share a hit VID exactly when their hit
-            // intervals intersect; only then are VIDs enumerated, to report
-            // each shared VID with all of its hitters.
-            let hits = |v: &Version, a: u16| {
-                v.hit_interval(max_vid)
-                    .is_some_and(|(lo, hi)| lo <= a && a <= hi)
-            };
-            let overlap = group.iter().enumerate().any(|(i, x)| {
-                x.hit_interval(max_vid).is_some_and(|(lo, hi)| {
-                    group[i + 1..].iter().any(|y| {
-                        y.hit_interval(max_vid)
-                            .is_some_and(|(ylo, yhi)| lo.max(ylo) <= hi.min(yhi))
-                    })
-                })
-            });
-            if overlap {
-                for a in 0..=max_vid {
-                    if group.iter().filter(|v| hits(v, a)).count() > 1 {
-                        let hitters = self.named(group.iter().filter(|v| hits(v, a)));
-                        violations.push(Violation {
-                            rule: "at most one responding version hits per VID",
-                            detail: format!("{addr} vid {}: {hitters:?}", Vid(a)),
-                        });
-                    }
-                }
-            }
-            let mut report = |rule, count: usize| {
-                if count > 1 {
-                    violations.push(Violation {
-                        rule,
-                        detail: format!("{addr}: {:?}", self.named(group)),
-                    });
-                }
-            };
-            let count =
-                |pred: fn(LineState) -> bool| group.iter().filter(|v| pred(v.state)).count();
-            // (4) single writable non-speculative copy.
-            report(
-                "at most one writable non-speculative copy",
-                count(LineState::is_writable),
-            );
-            // (5) single live S-M.
-            report(
-                "at most one S-M version per address",
-                count(|s| s == LineState::SpecModified),
-            );
-            // (6) single dirty non-speculative owner.
-            report(
-                "at most one dirty non-speculative owner",
-                count(|s| matches!(s, LineState::Modified | LineState::Owned)),
-            );
-        }
-        violations
+        self.collect_violations(Rules::Protocol)
     }
-}
 
-impl MemorySystem {
     /// Extended rules the explicit-state model checker evaluates on every
     /// reachable state, *beyond* [`Self::check_invariants`]:
     ///
@@ -229,77 +365,23 @@ impl MemorySystem {
     /// 2. **Exclusivity after abort** (`no duplicate Exclusive after
     ///    abort`): once any abort has happened since the last VID reset, an
     ///    `E` copy must be the *only* non-speculative copy of its address.
-    ///    The PR 2 bug class (Figure 7 restoring forwarding replicas in
-    ///    isolation) manifests first as `E` coexisting with `S` — the state
-    ///    from which a later speculative upgrade mints the second
-    ///    Exclusive head.
+    ///    The abort-coherence bug class (Figure 7 restoring forwarding
+    ///    replicas in isolation) manifests first as `E` coexisting with
+    ///    `S` — the state from which a later speculative upgrade mints the
+    ///    second Exclusive head.
     ///
     /// Lines are judged exactly as in [`Self::check_invariants`]: pending
     /// lazy commit processing is applied to a snapshot first, and the §8
     /// overflow table (processed eagerly at commit) is included in the
     /// commit-safety scan.
     pub fn check_model_invariants(&self) -> Vec<Violation> {
-        let mut violations = Vec::new();
-        let committed = self.last_committed();
-        let abort_seen = self.abort_seen();
-        let mut versions = if abort_seen {
-            self.version_list()
-        } else {
-            Vec::new()
-        };
-
-        let stale = |line: &LineMeta| {
-            let superseded = matches!(line.state, LineState::SpecOwned | LineState::SpecShared)
-                && line.high_vid <= committed;
-            let stale_mod = line.state.is_speculative()
-                && line.mod_vid.is_speculative()
-                && line.mod_vid <= committed;
-            superseded || stale_mod
-        };
-        let commit_safety = |name: &str, line: &LineMeta| Violation {
-            rule: "committed modVID never stays speculative",
-            detail: format!(
-                "{name}: {} {} after commit of v{}",
-                line.addr,
-                line.describe(),
-                committed.0
-            ),
-        };
-
-        self.for_each_served_line(|cache, line| {
-            if stale(line) {
-                violations.push(commit_safety(&self.cache_name(cache), line));
-            }
-            if abort_seen {
-                versions.push(Version::new(cache, line));
-            }
-        });
-        for line in self.overflow_lines() {
-            if stale(&line.meta) {
-                violations.push(commit_safety("overflow", &line.meta));
-            }
-        }
-
-        for group in by_address(&mut versions) {
-            let exclusive = group.iter().any(|v| v.state == LineState::Exclusive);
-            let nonspec = group.iter().filter(|v| !v.state.is_speculative()).count();
-            if exclusive && nonspec > 1 {
-                let named: Vec<(String, LineState)> = group
-                    .iter()
-                    .map(|v| (self.cache_name(v.cache), v.state))
-                    .collect();
-                violations.push(Violation {
-                    rule: "no duplicate Exclusive after abort",
-                    detail: format!("{}: {named:?}", group[0].addr),
-                });
-            }
-        }
-        violations
+        self.collect_violations(Rules::Model)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::Rules;
     use crate::protocol::{AccessKind, AccessRequest, AccessResponse, MemorySystem};
     use hmtx_types::{Addr, CoreId, MachineConfig, Vid};
 
@@ -403,6 +485,17 @@ mod tests {
         mem.l1_mut(core).plant(line);
     }
 
+    /// The first-violation scan returns exactly the first element of the
+    /// collected scans, protocol rules ahead of model rules.
+    #[track_caller]
+    fn assert_first_violations_match(mem: &MemorySystem) {
+        let protocol = mem.check_invariants().first().cloned();
+        let model = mem.check_model_invariants().first().cloned();
+        assert_eq!(mem.first_violation(Rules::Protocol), protocol);
+        assert_eq!(mem.first_violation(Rules::Model), model);
+        assert_eq!(mem.first_violation(Rules::Strict), protocol.or(model));
+    }
+
     #[track_caller]
     fn expect_rule(mem: &MemorySystem, rule: &str) {
         let violations = mem.check_invariants();
@@ -410,6 +503,7 @@ mod tests {
             violations.iter().any(|v| v.rule == rule),
             "expected violation of `{rule}`, got {violations:?}"
         );
+        assert_first_violations_match(mem);
     }
 
     #[test]
@@ -420,6 +514,7 @@ mod tests {
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].rule, "modVID <= highVID");
         assert!(violations[0].detail.contains("L1[0]"), "{violations:?}");
+        assert_first_violations_match(&mem);
     }
 
     #[test]
@@ -430,6 +525,7 @@ mod tests {
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].rule, "S-E implies modVID == 0");
         assert!(violations[0].detail.contains("L1[1]"), "{violations:?}");
+        assert_first_violations_match(&mem);
     }
 
     #[test]
@@ -448,6 +544,7 @@ mod tests {
             "{violations:?}"
         );
         assert!(!violations.is_empty());
+        assert_first_violations_match(&mem);
     }
 
     #[test]
@@ -499,6 +596,34 @@ mod tests {
             prefixes(aborted.check_model_invariants(), exclusive),
             sorted
         );
+        assert_first_violations_match(&mem);
+        assert_first_violations_match(&aborted);
+    }
+
+    #[test]
+    fn first_violation_puts_protocol_rules_ahead_of_model_rules() {
+        // A stale speculative version (a model rule) in the first cache
+        // scanned, and two live S-M versions of a later address (per-address
+        // protocol rules) behind it: the protocol rules win, rule (3) first.
+        let mut mem = MemorySystem::new(MachineConfig::test_default());
+        mem.commit(1, Vid(1)).unwrap();
+        plant(&mut mem, 0, 0x10, LineState::SpecModified, 1, 2);
+        plant(&mut mem, 1, 0x50, LineState::SpecModified, 2, 2);
+        plant(&mut mem, 2, 0x50, LineState::SpecModified, 2, 2);
+        let first = mem
+            .first_violation(Rules::Strict)
+            .expect("both families fail");
+        assert_eq!(first.rule, "at most one responding version hits per VID");
+        assert_eq!(
+            mem.first_violation(Rules::Model).map(|v| v.rule),
+            Some("committed modVID never stays speculative")
+        );
+        assert_first_violations_match(&mem);
+        // Clean scans find nothing in any family.
+        let clean = MemorySystem::new(MachineConfig::test_default());
+        for rules in [Rules::Protocol, Rules::Model, Rules::Strict] {
+            assert_eq!(clean.first_violation(rules), None);
+        }
     }
 
     #[test]
@@ -518,6 +643,7 @@ mod tests {
             violations.iter().any(|v| v.rule == rule),
             "expected model violation of `{rule}`, got {violations:?}"
         );
+        assert_first_violations_match(mem);
     }
 
     #[test]
@@ -572,6 +698,7 @@ mod tests {
         plant(&mut mem, 1, 0x20, LineState::Owned, 0, 0);
         plant(&mut mem, 2, 0x20, LineState::Shared, 0, 0);
         assert_eq!(mem.check_invariants(), vec![]);
+        assert_first_violations_match(&mem);
     }
 
     // ---- differential: the scans against their per-VID form ----
@@ -822,6 +949,7 @@ mod tests {
                     reference_check_model_invariants(&mem),
                     "{ctx}"
                 );
+                assert_first_violations_match(&mem);
                 if violations.iter().any(|v| v.rule == rule3) {
                     overlapping += 1;
                 } else if responders.values().any(|&n| n > 1) {

@@ -63,7 +63,7 @@ pub mod trace;
 pub mod transitions;
 
 pub use faults::{FaultPlan, FaultSite};
-pub use invariants::Violation;
+pub use invariants::{Rules, Violation};
 pub use protocol::{AccessKind, AccessRequest, AccessResponse, MemorySystem, MisspecCause};
 pub use stats::{LatencyHistogram, MemStats, RwSetTotals};
 pub use trace::{render_trace, ServedFrom, TraceEvent, Tracer};

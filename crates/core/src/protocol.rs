@@ -23,6 +23,7 @@
 //! what guarantees the "requests hit exactly one version" property the paper
 //! relies on.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use hmtx_mem::cache::LineFate;
@@ -35,6 +36,14 @@ use crate::faults::{FaultPlan, FaultSite};
 use crate::stats::MemStats;
 use crate::trace::{ServedFrom, TraceEvent, Tracer};
 use crate::transitions::{self, Outcome};
+
+thread_local! {
+    /// The copy counts and dirty owners of
+    /// `MemorySystem::restore_coherence_after_abort`, kept per thread so
+    /// that an abort reuses their tables.
+    static ABORT_SCRATCH: RefCell<(FxHashMap<LineAddr, u32>, FxHashSet<LineAddr>)> =
+        RefCell::default();
+}
 
 /// Kind of memory access, with the store payload inline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,8 +152,9 @@ pub enum AccessResponse {
 /// The full HMTX memory system: the paper's MOESI+HMTX protocol, whose
 /// per-line transition rules live in [`crate::transitions`]. Cloning
 /// snapshots the entire simulation state — the explicit-state model
-/// checker forks states this way.
-#[derive(Debug, Clone)]
+/// checker forks states this way, and `clone_from` reuses the target's
+/// buffers.
+#[derive(Debug)]
 pub struct MemorySystem {
     cfg: MachineConfig,
     l1s: Vec<Cache>,
@@ -162,6 +172,60 @@ pub struct MemorySystem {
     last_served: ServedFrom,
     last_committed: Vid,
     abort_seen_since_reset: bool,
+}
+
+impl Clone for MemorySystem {
+    fn clone(&self) -> Self {
+        MemorySystem {
+            cfg: self.cfg.clone(),
+            l1s: self.l1s.clone(),
+            l2: self.l2.clone(),
+            memory: self.memory.clone(),
+            bus: self.bus.clone(),
+            banks: self.banks.clone(),
+            overflow: self.overflow.clone(),
+            stats: self.stats.clone(),
+            faults: self.faults.clone(),
+            tracer: self.tracer.clone(),
+            last_served: self.last_served,
+            last_committed: self.last_committed,
+            abort_seen_since_reset: self.abort_seen_since_reset,
+        }
+    }
+
+    /// Copies `source` into the existing caches, memory, statistics and
+    /// bank list (no allocation when the geometries match). Every field is
+    /// named, so a new one fails to compile here instead of being skipped.
+    fn clone_from(&mut self, source: &Self) {
+        let MemorySystem {
+            cfg,
+            l1s,
+            l2,
+            memory,
+            bus,
+            banks,
+            overflow,
+            stats,
+            faults,
+            tracer,
+            last_served,
+            last_committed,
+            abort_seen_since_reset,
+        } = self;
+        cfg.clone_from(&source.cfg);
+        l1s.clone_from(&source.l1s);
+        l2.clone_from(&source.l2);
+        memory.clone_from(&source.memory);
+        bus.clone_from(&source.bus);
+        banks.clone_from(&source.banks);
+        overflow.clone_from(&source.overflow);
+        stats.clone_from(&source.stats);
+        faults.clone_from(&source.faults);
+        tracer.clone_from(&source.tracer);
+        *last_served = source.last_served;
+        *last_committed = source.last_committed;
+        *abort_seen_since_reset = source.abort_seen_since_reset;
+    }
 }
 
 impl MemorySystem {
@@ -1320,33 +1384,36 @@ impl MemorySystem {
     /// bytes, so demoting E to S and keeping a single dirty owner (extra
     /// dirty replicas become S) loses no data.
     fn restore_coherence_after_abort(&mut self) {
-        let mut copies: FxHashMap<LineAddr, u32> = FxHashMap::default();
-        for cache in self.l1s.iter().chain(std::iter::once(&self.l2)) {
-            for set in 0..cache.num_sets() {
-                for l in cache.set_metas(set) {
-                    *copies.entry(l.addr).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut owner_seen: FxHashSet<LineAddr> = FxHashSet::default();
-        for cache in self.l1s.iter_mut().chain(std::iter::once(&mut self.l2)) {
-            cache.for_each_line_mut(|l, _| {
-                if copies.get(&l.addr).copied().unwrap_or(0) > 1 {
-                    match l.state {
-                        LineState::Exclusive => l.state = LineState::Shared,
-                        LineState::Modified | LineState::Owned => {
-                            l.state = if owner_seen.insert(l.addr) {
-                                LineState::Owned
-                            } else {
-                                LineState::Shared
-                            };
-                        }
-                        _ => {}
+        ABORT_SCRATCH.with(|scratch| {
+            let (copies, owner_seen) = &mut *scratch.borrow_mut();
+            copies.clear();
+            owner_seen.clear();
+            for cache in self.l1s.iter().chain(std::iter::once(&self.l2)) {
+                for set in 0..cache.num_sets() {
+                    for l in cache.set_metas(set) {
+                        *copies.entry(l.addr).or_insert(0) += 1;
                     }
                 }
-                LineFate::Keep
-            });
-        }
+            }
+            for cache in self.l1s.iter_mut().chain(std::iter::once(&mut self.l2)) {
+                cache.for_each_line_mut(|l, _| {
+                    if copies.get(&l.addr).copied().unwrap_or(0) > 1 {
+                        match l.state {
+                            LineState::Exclusive => l.state = LineState::Shared,
+                            LineState::Modified | LineState::Owned => {
+                                l.state = if owner_seen.insert(l.addr) {
+                                    LineState::Owned
+                                } else {
+                                    LineState::Shared
+                                };
+                            }
+                            _ => {}
+                        }
+                    }
+                    LineFate::Keep
+                });
+            }
+        });
     }
 
     /// VID reset (§4.6): requires every outstanding transaction to have

@@ -64,7 +64,7 @@ impl RwSetTotals {
 }
 
 /// Counters maintained by the [`MemorySystem`](crate::MemorySystem).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct MemStats {
     /// Total load requests (speculative and not, excluding wrong-path).
     pub loads: u64,
@@ -130,7 +130,7 @@ pub struct MemStats {
 /// densely by VID: VIDs are small (`vid_bits <= 12`), so a vector slot per
 /// VID replaces a tree lookup on every speculative access. A transaction
 /// is live iff either of its sets is nonempty.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct LiveSets {
     txs: Vec<TxSets>,
     /// Every slot below `lo` is empty, so finalization starts its
@@ -141,10 +141,10 @@ struct LiveSets {
 /// One transaction's distinct lines.
 #[derive(Debug, Clone)]
 struct TxSets {
-    reads: FxHashSet<LineAddr>,
-    writes: FxHashSet<LineAddr>,
+    reads: LineSet,
+    writes: LineSet,
     /// The line last added to each set ([`NO_LINE`] before the first):
-    /// runs of accesses to one line skip the hash probe.
+    /// runs of accesses to one line skip the set probe.
     last_read: LineAddr,
     last_write: LineAddr,
 }
@@ -156,11 +156,130 @@ const NO_LINE: LineAddr = LineAddr(u64::MAX);
 impl Default for TxSets {
     fn default() -> Self {
         TxSets {
-            reads: FxHashSet::default(),
-            writes: FxHashSet::default(),
+            reads: LineSet::default(),
+            writes: LineSet::default(),
             last_read: NO_LINE,
             last_write: NO_LINE,
         }
+    }
+}
+
+/// Lines a set holds inline before it moves to a hash table: as many as
+/// the model checker's kernels give one transaction, so a forked model
+/// state copies its live sets without a heap allocation.
+const INLINE_LINES: usize = 4;
+
+/// A set of distinct lines, inline while small and hashed beyond
+/// [`INLINE_LINES`].
+#[derive(Debug, Clone)]
+enum LineSet {
+    Inline {
+        len: u8,
+        lines: [LineAddr; INLINE_LINES],
+    },
+    Hashed(FxHashSet<LineAddr>),
+}
+
+impl Default for LineSet {
+    fn default() -> Self {
+        LineSet::Inline {
+            len: 0,
+            lines: [NO_LINE; INLINE_LINES],
+        }
+    }
+}
+
+impl LineSet {
+    fn len(&self) -> usize {
+        match self {
+            LineSet::Inline { len, .. } => usize::from(*len),
+            LineSet::Hashed(set) => set.len(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn contains(&self, line: LineAddr) -> bool {
+        match self {
+            LineSet::Inline { len, lines } => lines[..usize::from(*len)].contains(&line),
+            LineSet::Hashed(set) => set.contains(&line),
+        }
+    }
+
+    fn insert(&mut self, line: LineAddr) {
+        match self {
+            LineSet::Inline { len, lines } => {
+                let n = usize::from(*len);
+                if lines[..n].contains(&line) {
+                    return;
+                }
+                if n < INLINE_LINES {
+                    lines[n] = line;
+                    *len += 1;
+                } else {
+                    let mut set: FxHashSet<LineAddr> = lines.iter().copied().collect();
+                    set.insert(line);
+                    *self = LineSet::Hashed(set);
+                }
+            }
+            LineSet::Hashed(set) => {
+                set.insert(line);
+            }
+        }
+    }
+
+    /// How many of this set's lines `other` lacks.
+    fn count_not_in(&self, other: &LineSet) -> usize {
+        match self {
+            LineSet::Inline { len, lines } => lines[..usize::from(*len)]
+                .iter()
+                .filter(|&&l| !other.contains(l))
+                .count(),
+            LineSet::Hashed(set) => set.iter().filter(|&&l| !other.contains(l)).count(),
+        }
+    }
+}
+
+// `clone_from` reuses the target's vectors. `MemStats` copies its plain
+// counters by struct update, which names every other field: a new field
+// that is not `Copy` fails to compile there instead of being skipped. The
+// live sets name every field.
+impl Clone for MemStats {
+    fn clone(&self) -> Self {
+        MemStats {
+            live: self.live.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let mut live = std::mem::take(&mut self.live);
+        live.clone_from(&source.live);
+        *self = MemStats { live, ..*source };
+    }
+}
+
+impl Clone for LiveSets {
+    fn clone(&self) -> Self {
+        LiveSets {
+            txs: self.txs.clone(),
+            lo: self.lo,
+        }
+    }
+
+    /// Reuses the target's slot vector only when it has no more room than
+    /// a fresh clone grows to, so a recycled copy holds no more memory than
+    /// a stepped `clone()` would.
+    fn clone_from(&mut self, source: &Self) {
+        let LiveSets { txs, lo } = self;
+        if (source.txs.len()..=hmtx_mem::cache::grown(source.txs.len())).contains(&txs.capacity()) {
+            txs.clone_from(&source.txs);
+        } else {
+            *txs = source.txs.clone();
+        }
+        *lo = source.lo;
     }
 }
 
@@ -229,7 +348,7 @@ impl MemStats {
             add(&mut self.rw_totals.write_lines, tx.writes.len() as u64);
             add(
                 &mut self.rw_totals.combined_lines,
-                tx.reads.union(&tx.writes).count() as u64,
+                (tx.reads.len() + tx.writes.count_not_in(&tx.reads)) as u64,
             );
         }
         live.lo = live.lo.max(end);
@@ -237,7 +356,8 @@ impl MemStats {
 
     /// Discards the live sets of every uncommitted transaction (on abort).
     pub fn discard_uncommitted(&mut self) {
-        self.live = LiveSets::default();
+        self.live.txs.clear();
+        self.live.lo = 0;
     }
 
     /// Distinct cache lines speculatively read so far by live transaction
@@ -456,6 +576,27 @@ mod tests {
             .filter(|&v| s.live.txs[v].is_live())
             .map(|v| v as u16)
             .collect()
+    }
+
+    #[test]
+    fn line_sets_count_distinct_lines_past_the_inline_capacity() {
+        // Reads spill from the inline array to a hash table; writes stay
+        // inline; the union counts each shared line once either way.
+        let mut s = MemStats::new();
+        let n = INLINE_LINES as u64 + 3;
+        for line in (0..n).chain(0..n) {
+            s.record_spec_read(Vid(1), LineAddr(line));
+        }
+        s.record_spec_write(Vid(1), LineAddr(1));
+        s.record_spec_write(Vid(1), LineAddr(n + 10));
+        assert!(matches!(s.live.txs[1].reads, LineSet::Hashed(_)));
+        assert!(matches!(s.live.txs[1].writes, LineSet::Inline { .. }));
+        assert_eq!(s.live_read_lines(Vid(1)), n as usize);
+        assert_eq!(s.live_write_lines(Vid(1)), 2);
+        s.finalize_committed(Vid(1));
+        let t = s.rw_totals();
+        assert_eq!((t.read_lines, t.write_lines), (n, 2));
+        assert_eq!(t.combined_lines, n + 1);
     }
 
     #[test]

@@ -43,37 +43,41 @@ pub struct Failure {
     pub kind: &'static str,
     /// Human-readable detail.
     pub detail: String,
+    /// The stable rule id, fixed when the failure is built.
+    rule: &'static str,
 }
 
 impl Failure {
-    /// The stable rule id of this failure: invariant failures carry the
-    /// violated rule in their rendered detail (`{context}: {rule}: {detail}`),
-    /// oracle and drain failures map to their respective properties, and the
-    /// remaining kinds are themselves the rule. The model checker
-    /// deduplicates counterexamples and the CLI names violations by this id.
+    /// A failure of class `kind`: oracle and drain failures map to their
+    /// respective properties, and the remaining kinds are themselves the
+    /// rule. Invariant failures are built by [`Failure::invariant`].
     #[must_use]
-    pub fn rule(&self) -> String {
-        match self.kind {
-            "oracle" => "forwarded values serialize".to_string(),
-            "drain" => "drain leaves no speculative lines".to_string(),
-            "invariant" => self
-                .detail
-                .split(": ")
-                .nth(1)
-                .unwrap_or(self.kind)
-                .to_string(),
-            other => other.to_string(),
-        }
+    pub fn new(kind: &'static str, detail: String) -> Self {
+        let rule = match kind {
+            "oracle" => "forwarded values serialize",
+            "drain" => "drain leaves no speculative lines",
+            other => other,
+        };
+        Failure { kind, detail, rule }
+    }
+
+    /// The stable rule id of this failure: the violated invariant's rule
+    /// for invariant failures (see [`Failure::new`] for the rest). The
+    /// model checker deduplicates counterexamples and the CLI names
+    /// violations by this id.
+    #[must_use]
+    pub fn rule(&self) -> &'static str {
+        self.rule
     }
 
     /// The `"invariant"` failure for violation `v`, rendered as
-    /// `{context}: {rule}: {detail}` so that [`Failure::rule`] reads the
-    /// rule back.
+    /// `{context}: {rule}: {detail}`.
     #[must_use]
     pub fn invariant(context: &str, v: &hmtx_core::Violation) -> Self {
         Failure {
             kind: "invariant",
             detail: format!("{context}: {}: {}", v.rule, v.detail),
+            rule: v.rule,
         }
     }
 
@@ -87,15 +91,42 @@ impl Failure {
             .cloned()
             .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_else(|| "non-string panic payload".into());
-        Failure {
-            kind: "panic",
-            detail,
-        }
+        Failure::new("panic", detail)
     }
 }
 
 impl std::fmt::Display for Failure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}: {}", self.kind, self.detail)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn failures_keep_the_rule_they_were_built_with() {
+        let v = hmtx_core::Violation {
+            rule: "modVID <= highVID",
+            detail: "L1[0]: L0x1 S-O(3,1)".to_string(),
+        };
+        // A context holding `": "` does not move the rule.
+        let f = Failure::invariant("after op 1 (note: tx0)", &v);
+        assert_eq!(f.rule(), "modVID <= highVID");
+        assert_eq!(
+            f.detail,
+            "after op 1 (note: tx0): modVID <= highVID: L1[0]: L0x1 S-O(3,1)"
+        );
+        for (kind, rule) in [
+            ("oracle", "forwarded values serialize"),
+            ("drain", "drain leaves no speculative lines"),
+            ("sim-error", "sim-error"),
+            ("budget", "budget"),
+        ] {
+            assert_eq!(Failure::new(kind, "x: y".to_string()).rule(), rule);
+        }
+        let panic = Failure::from_panic(Box::new("boom: now"));
+        assert_eq!((panic.kind, panic.rule()), ("panic", "panic"));
     }
 }

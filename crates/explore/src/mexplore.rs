@@ -31,7 +31,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use hmtx_core::MemorySystem;
+use hmtx_core::{MemorySystem, Rules};
 use hmtx_isa::{assemble, run_serial_tm, Program, TmRefState};
 use hmtx_machine::{CoreEvent, Machine, ReplayPolicy, RunEvent, SchedulePolicy, ThreadContext};
 use hmtx_runtime::{build_paradigm, run_loop, LoopEnv, Paradigm};
@@ -179,15 +179,10 @@ impl Reference {
             Reference::Output(_) if !halted => "after abort",
             _ => "at end of run",
         };
-        if let Some(v) = machine.mem().check_invariants().first() {
-            return Some(Failure::invariant(context, v));
+        if let Some(v) = machine.mem().first_violation(Rules::Protocol) {
+            return Some(Failure::invariant(context, &v));
         }
-        let oracle = |detail: String| {
-            Some(Failure {
-                kind: "oracle",
-                detail,
-            })
-        };
+        let oracle = |detail: String| Some(Failure::new("oracle", detail));
         match self {
             Reference::SerialTm {
                 oracle: tm,
@@ -333,10 +328,10 @@ impl SchedulePolicy for ExplorePolicy<'_> {
         mem: &MemorySystem,
         _committed_output: &[u64],
     ) -> Result<(), SimError> {
-        if let Some(v) = mem.check_invariants().first() {
+        if let Some(v) = mem.first_violation(Rules::Protocol) {
             self.violations.push(Failure::invariant(
                 &format!("after commit of v{}", vid.0),
-                v,
+                &v,
             ));
             return Ok(());
         }
@@ -347,23 +342,23 @@ impl SchedulePolicy for ExplorePolicy<'_> {
             return Ok(());
         };
         let Some(snap) = oracle.commits.iter().find(|c| c.vid == vid.0) else {
-            self.violations.push(Failure {
-                kind: "oracle",
-                detail: format!("machine committed v{} but the oracle never did", vid.0),
-            });
+            self.violations.push(Failure::new(
+                "oracle",
+                format!("machine committed v{} but the oracle never did", vid.0),
+            ));
             return Ok(());
         };
         for &addr in tracked {
             let got = mem.peek_word(Addr(addr), vid);
             let want = *snap.memory.get(&addr).unwrap_or(&0);
             if got != want {
-                self.violations.push(Failure {
-                    kind: "oracle",
-                    detail: format!(
+                self.violations.push(Failure::new(
+                    "oracle",
+                    format!(
                         "after commit of v{}: word {addr:#x} is {got}, oracle says {want}",
                         vid.0
                     ),
-                });
+                ));
                 return Ok(());
             }
         }
@@ -413,14 +408,11 @@ fn run_inner(
     let failure = match policy.violations.into_iter().next() {
         Some(v) => Some(v),
         None => match event {
-            Err(e) => Some(Failure {
-                kind: "sim-error",
-                detail: e.to_string(),
-            }),
-            Ok(RunEvent::BudgetExhausted) => Some(Failure {
-                kind: "budget",
-                detail: format!("instruction budget ({}) exhausted", spec.budget),
-            }),
+            Err(e) => Some(Failure::new("sim-error", e.to_string())),
+            Ok(RunEvent::BudgetExhausted) => Some(Failure::new(
+                "budget",
+                format!("instruction budget ({}) exhausted", spec.budget),
+            )),
             Ok(RunEvent::Misspeculation { cause, cycle }) => {
                 // Legal: the machine already aborted all speculative state
                 // (the runtime's recovery ladder would re-dispatch here);

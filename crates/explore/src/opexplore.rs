@@ -13,7 +13,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use hmtx_core::{AccessKind, AccessRequest, AccessResponse, MemorySystem, MisspecCause};
+use hmtx_core::{AccessKind, AccessRequest, AccessResponse, MemorySystem, MisspecCause, Rules};
 use hmtx_types::{Addr, CoreId, MachineConfig, SeedBug, Vid, LINE_SIZE};
 
 use crate::kernel::OpKernel;
@@ -128,7 +128,10 @@ fn compact_sets(lines: &[u64], full: usize) -> usize {
 /// exactly the transition relation the model checker explores, so any
 /// action trace the checker records replays here step-for-step —
 /// [`execute_order_checked`] is the replay entry point.
-#[derive(Debug, Clone)]
+///
+/// `clone_from` reuses the target's buffers: the model checker forks into
+/// machines it has finished with.
+#[derive(Debug)]
 pub struct OpMachine {
     /// The live memory system (cloning forks the whole simulation state).
     pub mem: MemorySystem,
@@ -142,6 +145,41 @@ pub struct OpMachine {
     /// Issued global op ids, in order (the replayable trace).
     pub trace: Vec<usize>,
     now: u64,
+}
+
+impl Clone for OpMachine {
+    fn clone(&self) -> Self {
+        // A fork is stepped next: leave room for that step's op.
+        let mut trace = Vec::with_capacity(self.trace.len() + 1);
+        trace.extend_from_slice(&self.trace);
+        OpMachine {
+            mem: self.mem.clone(),
+            next: self.next.clone(),
+            committed: self.committed,
+            misspec: self.misspec,
+            trace,
+            now: self.now,
+        }
+    }
+
+    /// Every field is named, so a new one fails to compile here instead of
+    /// being skipped.
+    fn clone_from(&mut self, source: &Self) {
+        let OpMachine {
+            mem,
+            next,
+            committed,
+            misspec,
+            trace,
+            now,
+        } = self;
+        mem.clone_from(&source.mem);
+        next.clone_from(&source.next);
+        *committed = source.committed;
+        *misspec = source.misspec;
+        trace.clone_from(&source.trace);
+        *now = source.now;
+    }
 }
 
 impl OpMachine {
@@ -159,12 +197,17 @@ impl OpMachine {
 
     /// Transactions that still have ops to issue (empty once terminal).
     pub fn enabled(&self, kernel: &OpKernel) -> Vec<usize> {
-        if self.misspec.is_some() {
-            return Vec::new();
-        }
-        (0..kernel.txs.len())
-            .filter(|&t| self.next[t] < kernel.txs[t].len())
-            .collect()
+        self.enabled_iter(kernel).collect()
+    }
+
+    /// [`Self::enabled`], without collecting it.
+    pub fn enabled_iter<'a>(&'a self, kernel: &'a OpKernel) -> impl Iterator<Item = usize> + 'a {
+        let txs = if self.misspec.is_some() {
+            0
+        } else {
+            kernel.txs.len()
+        };
+        (0..txs).filter(|&t| self.next[t] < kernel.txs[t].len())
     }
 
     /// Whether no further steps are possible (all ops issued, or aborted).
@@ -176,15 +219,9 @@ impl OpMachine {
     /// first violation fails, prefixed with `context()` (rendered only
     /// then: nearly every check passes).
     fn strict_check(&self, context: impl FnOnce() -> String) -> Result<(), Failure> {
-        let violations = self.mem.check_invariants();
-        let violations = if violations.is_empty() {
-            self.mem.check_model_invariants()
-        } else {
-            violations
-        };
-        match violations.first() {
+        match self.mem.first_violation(Rules::Strict) {
             None => Ok(()),
-            Some(v) => Err(Failure::invariant(&context(), v)),
+            Some(v) => Err(Failure::invariant(&context(), &v)),
         }
     }
 
@@ -200,10 +237,9 @@ impl OpMachine {
             && self.next[self.committed as usize] == kernel.txs[self.committed as usize].len()
         {
             let vid = Vid(self.committed + 1);
-            self.mem.commit(self.now, vid).map_err(|e| Failure {
-                kind: "sim-error",
-                detail: format!("commit of v{}: {e}", vid.0),
-            })?;
+            self.mem
+                .commit(self.now, vid)
+                .map_err(|e| Failure::new("sim-error", format!("commit of v{}: {e}", vid.0)))?;
             self.committed += 1;
             let ctx = || format!("after commit of v{}", self.committed);
             self.strict_check(ctx)?;
@@ -211,14 +247,14 @@ impl OpMachine {
                 let got = self.mem.peek_word(Addr(addr), Vid(self.committed));
                 let want = reference(kernel, &self.trace, self.committed, addr);
                 if got != want {
-                    return Err(Failure {
-                        kind: "oracle",
-                        detail: format!(
+                    return Err(Failure::new(
+                        "oracle",
+                        format!(
                             "{}: forwarded values serialize: \
                              word {addr:#x} is {got}, oracle says {want}",
                             ctx()
                         ),
-                    });
+                    ));
                 }
             }
         }
@@ -249,10 +285,11 @@ impl OpMachine {
         self.now += 10;
         self.next[tx] += 1;
         self.trace.push(id);
-        match self.mem.access(self.now, &req).map_err(|e| Failure {
-            kind: "sim-error",
-            detail: e.to_string(),
-        })? {
+        match self
+            .mem
+            .access(self.now, &req)
+            .map_err(|e| Failure::new("sim-error", e.to_string()))?
+        {
             AccessResponse::Done { .. } => {}
             AccessResponse::Misspec { cause, .. } => {
                 self.mem.abort_all(self.now);
@@ -272,7 +309,7 @@ impl OpMachine {
     }
 
     /// End-of-run checks on a terminal state (the machine itself is left
-    /// untouched; the drain and the VID reset run on clones): the committed
+    /// untouched; the drain and the VID reset run on a copy): the committed
     /// image, drained on fully committed runs, must match the oracle, and
     /// on fully committed runs a VID reset must leave a clean hierarchy.
     ///
@@ -280,40 +317,55 @@ impl OpMachine {
     ///
     /// Returns the first failed check.
     pub fn finish(&self, kernel: &OpKernel) -> Result<(), Failure> {
+        self.finish_into(kernel, None)
+    }
+
+    /// [`Self::finish`], running the drain and the VID reset in `spare`
+    /// (overwritten with `clone_from`) instead of a fresh copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failed check.
+    pub fn finish_into(
+        &self,
+        kernel: &OpKernel,
+        spare: Option<&mut MemorySystem>,
+    ) -> Result<(), Failure> {
         let fully_committed = (self.committed as usize) == kernel.txs.len();
-        let drained;
         let mut end = &self.mem;
+        let mut owned;
         if self.misspec.is_none() && fully_committed {
-            let mut reset = self.mem.clone();
-            reset.vid_reset(self.now + 10);
-            let mut violations = reset.check_invariants();
-            violations.extend(reset.check_model_invariants());
-            if let Some(v) = violations.first() {
-                return Err(Failure {
-                    kind: "invariant",
-                    detail: format!("after vid-reset: {}: {}", v.rule, v.detail),
-                });
+            let copy = match spare {
+                Some(spare) => {
+                    spare.clone_from(&self.mem);
+                    spare
+                }
+                None => {
+                    owned = self.mem.clone();
+                    &mut owned
+                }
+            };
+            copy.vid_reset(self.now + 10);
+            if let Some(v) = copy.first_violation(Rules::Strict) {
+                return Err(Failure::invariant("after vid-reset", &v));
             }
-            let mut mem = self.mem.clone();
-            mem.drain_committed().map_err(|v| Failure {
-                kind: "drain",
-                detail: v.join("; "),
-            })?;
-            drained = mem;
-            end = &drained;
+            copy.clone_from(&self.mem);
+            copy.drain_committed()
+                .map_err(|v| Failure::new("drain", v.join("; ")))?;
+            end = copy;
         }
         for &addr in &kernel.tracked {
             let got = end.peek_word(Addr(addr), Vid(self.committed));
             let want = reference(kernel, &self.trace, self.committed, addr);
             if got != want {
-                return Err(Failure {
-                    kind: "oracle",
-                    detail: format!(
+                return Err(Failure::new(
+                    "oracle",
+                    format!(
                         "at end of run (v{} committed): forwarded values serialize: \
                          word {addr:#x} is {got}, oracle says {want}",
                         self.committed
                     ),
-                });
+                ));
             }
         }
         Ok(())
@@ -366,13 +418,13 @@ fn replay(kernel: &OpKernel, m: &mut OpMachine, order: &[usize]) -> Result<(), F
         let (tx, _) = kernel.locate(id);
         let expected: usize = kernel.txs.iter().take(tx).map(Vec::len).sum::<usize>() + m.next[tx];
         if id != expected {
-            return Err(Failure {
-                kind: "sim-error",
-                detail: format!(
+            return Err(Failure::new(
+                "sim-error",
+                format!(
                     "order is not a program-order prefix: op {id} arrived when \
                      tx{tx} is at op {expected}"
                 ),
-            });
+            ));
         }
         m.step(kernel, tx)?;
     }

@@ -22,13 +22,37 @@ use crate::line::LineData;
 /// mem.write_word(Addr(0x140), 7);
 /// assert_eq!(mem.read_word(Addr(0x140)), 7);
 /// ```
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct MainMemory {
     // Fx-hashed: line addresses are simulator-internal small integers, and
     // this map sits on the miss path of every simulated memory access.
     lines: FxHashMap<LineAddr, LineData>,
     reads: u64,
     writes: u64,
+}
+
+impl Clone for MainMemory {
+    fn clone(&self) -> Self {
+        MainMemory {
+            lines: self.lines.clone(),
+            reads: self.reads,
+            writes: self.writes,
+        }
+    }
+
+    /// Copies `source` into the existing line map (no allocation when its
+    /// table has the source's size). Every field is named, so a new one
+    /// fails to compile here instead of being skipped.
+    fn clone_from(&mut self, source: &Self) {
+        let MainMemory {
+            lines,
+            reads,
+            writes,
+        } = self;
+        lines.clone_from(&source.lines);
+        *reads = source.reads;
+        *writes = source.writes;
+    }
 }
 
 impl MainMemory {

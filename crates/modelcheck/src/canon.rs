@@ -35,6 +35,7 @@
 //! merges exactly the states the full search merges; for most states it is
 //! the identity alone.
 
+use std::cell::RefCell;
 use std::hash::{DefaultHasher, Hash, Hasher};
 
 use hmtx_explore::{OpKernel, OpMachine};
@@ -147,6 +148,14 @@ impl Relabel {
     }
 }
 
+/// The two buffers of one [`Encoder::state_hash`] call, reused by the
+/// next call.
+#[derive(Debug, Default)]
+struct HashScratch {
+    raw: Vec<RawLine>,
+    enc: Vec<Packed>,
+}
+
 /// Precomputed encoder for one kernel: the line-address table, the cores
 /// and lines each transaction's remaining ops are bound to, and the
 /// permutation sets to minimize over.
@@ -160,6 +169,7 @@ pub struct Encoder {
     bound: Vec<Vec<(u64, u64)>>,
     core_perms: Vec<Relabel>,
     line_perms: Vec<Relabel>,
+    scratch: RefCell<HashScratch>,
 }
 
 impl Encoder {
@@ -179,6 +189,7 @@ impl Encoder {
             core_perms: vec![Relabel::identity(cores)],
             line_perms: vec![Relabel::identity(lines.len())],
             lines,
+            scratch: RefCell::default(),
         };
         if symmetry {
             assert!(
@@ -213,10 +224,9 @@ impl Encoder {
     }
 
     /// Every stored version of `m`, with raw cache and line indices, in
-    /// scan order (the encoding sorts after relabeling).
-    fn raw_lines(&self, m: &OpMachine) -> Vec<RawLine> {
-        let stored = m.mem.caches().map(|c| c.occupancy()).sum::<usize>();
-        let mut raw = Vec::with_capacity(stored + m.mem.overflow_lines().count());
+    /// scan order (the encoding sorts after relabeling), into `raw`.
+    fn raw_lines_into(&self, m: &OpMachine, raw: &mut Vec<RawLine>) {
+        raw.clear();
         for (idx, cache) in m.mem.caches().enumerate() {
             for a in cache.abstract_lines() {
                 raw.push(RawLine {
@@ -251,7 +261,6 @@ impl Encoder {
                 ),
             });
         }
-        raw
     }
 
     /// The cache contents relabeled through `cp` and `lp` and packed:
@@ -274,9 +283,12 @@ impl Encoder {
         enc.sort_unstable();
     }
 
-    /// The canonical hash of a model state.
+    /// The canonical hash of a model state. Its buffers are the encoder's
+    /// own, reused from call to call.
     pub fn state_hash(&self, kernel: &OpKernel, m: &OpMachine) -> u64 {
-        let raw = self.raw_lines(m);
+        let mut scratch = self.scratch.borrow_mut();
+        let HashScratch { raw, enc } = &mut *scratch;
+        self.raw_lines_into(m, raw);
 
         // Progress identifies the remaining ops, which every permutation
         // in the stabilizer leaves as they are.
@@ -292,10 +304,9 @@ impl Encoder {
             .fold((0, 0), |(c, l), (tc, tl)| (c | tc, l | tl));
 
         let mut best = u64::MAX;
-        let mut enc: Vec<Packed> = Vec::with_capacity(raw.len());
         for cp in self.core_perms.iter().filter(|p| p.fixes(bound_cores)) {
             for lp in self.line_perms.iter().filter(|p| p.fixes(bound_lines)) {
-                self.relabel_into(&raw, &cp.label, &lp.label, &mut enc);
+                self.relabel_into(raw, &cp.label, &lp.label, enc);
                 let mut h = prefix.clone();
                 enc.as_flattened().hash(&mut h);
                 best = best.min(h.finish());
@@ -407,7 +418,8 @@ mod tests {
     /// the remaining ops along with the caches: the search the stabilizer
     /// restriction replaces.
     fn full_group_hash(enc: &Encoder, kernel: &OpKernel, m: &OpMachine) -> u64 {
-        let raw = enc.raw_lines(m);
+        let mut raw = Vec::new();
+        enc.raw_lines_into(m, &mut raw);
         let mut best = u64::MAX;
         let mut lines = Vec::new();
         for cp in Relabel::all(enc.cores) {

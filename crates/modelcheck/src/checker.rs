@@ -10,7 +10,7 @@ use hmtx_types::{FxHashSet, ModelCheckConfig, ModelCheckReport, ModelViolation};
 use crate::canon::Encoder;
 
 /// The stable rule id of a failed check (see [`Failure::rule`]).
-pub fn failure_rule(f: &Failure) -> String {
+pub fn failure_rule(f: &Failure) -> &'static str {
     f.rule()
 }
 
@@ -42,6 +42,11 @@ fn render_trace(kernel: &OpKernel, order: &[usize]) -> Vec<String> {
 /// returns the report. `cfg` supplies the planted defect, the symmetry
 /// switch, the state cap, and the core count used for symmetry (the
 /// kernel's own core span when checking a non-model kernel).
+///
+/// Machines the search has finished with (duplicate children, failed
+/// children, expanded terminal states) become spares: the next fork
+/// overwrites one with `clone_from`, reusing its buffers, and a fresh
+/// `clone()` happens only when there is none.
 pub fn check_kernel(kernel: &OpKernel, cfg: &ModelCheckConfig) -> ModelCheckReport {
     let cores = kernel
         .txs
@@ -62,12 +67,12 @@ pub fn check_kernel(kernel: &OpKernel, cfg: &ModelCheckConfig) -> ModelCheckRepo
         exhausted: true,
         violations: Vec::new(),
     };
-    let mut seen_rules: FxHashSet<String> = FxHashSet::default();
+    let mut seen_rules: FxHashSet<&'static str> = FxHashSet::default();
     let mut record = |report: &mut ModelCheckReport, m: &OpMachine, f: &Failure| {
         let rule = failure_rule(f);
-        if seen_rules.insert(rule.clone()) {
+        if seen_rules.insert(rule) {
             report.violations.push(ModelViolation {
-                rule,
+                rule: rule.to_string(),
                 detail: f.detail.clone(),
                 depth: m.trace.len(),
                 trace: render_trace(kernel, &m.trace),
@@ -85,45 +90,57 @@ pub fn check_kernel(kernel: &OpKernel, cfg: &ModelCheckConfig) -> ModelCheckRepo
     visited.insert(encoder.state_hash(kernel, &root));
     report.reachable = 1;
 
-    let mut queue: VecDeque<OpMachine> = VecDeque::new();
-    queue.push_back(root);
+    // Boxed, so a machine moves between the queue and the spares as a
+    // pointer, and neither buffer holds machines inline.
+    let mut queue: VecDeque<Box<OpMachine>> = VecDeque::new();
+    queue.push_back(Box::new(root));
     report.frontier_peak = 1;
+    let mut spares: Vec<Box<OpMachine>> = Vec::new();
+    let mut enabled: Vec<usize> = Vec::new();
 
     while let Some(state) = queue.pop_front() {
-        let enabled = state.enabled(kernel);
+        enabled.clear();
+        enabled.extend(state.enabled_iter(kernel));
         if enabled.is_empty() {
             // Terminal: end-of-run drain, final oracle, VID-reset epilogue.
-            let outcome = catch_unwind(AssertUnwindSafe(|| state.finish(kernel)));
+            let spare = spares.last_mut().map(|spare| &mut spare.mem);
+            let outcome = catch_unwind(AssertUnwindSafe(|| state.finish_into(kernel, spare)));
             match outcome {
                 Ok(Ok(())) => {}
                 Ok(Err(f)) => record(&mut report, &state, &f),
                 Err(payload) => record(&mut report, &state, &Failure::from_panic(payload)),
             }
+            spares.push(state);
             continue;
         }
         // Every child but the last forks a copy; the last steps the parent
         // itself, which nothing reads after its children.
         let last = enabled.len() - 1;
         let mut parent = Some(state);
-        for (i, tx) in enabled.into_iter().enumerate() {
+        for (i, &tx) in enabled.iter().enumerate() {
             report.transitions += 1;
             let mut child = if i == last {
-                parent.take()
+                parent.take().expect("the parent outlives its last child")
             } else {
-                parent.clone()
-            }
-            .expect("the parent outlives its last child");
+                let parent = parent.as_ref().expect("the parent outlives its last child");
+                match spares.pop() {
+                    Some(mut spare) => {
+                        spare.clone_from(parent);
+                        spare
+                    }
+                    None => Box::new(OpMachine::clone(parent)),
+                }
+            };
             let stepped = catch_unwind(AssertUnwindSafe(|| child.step(kernel, tx)));
-            match stepped {
-                Ok(Ok(())) => {}
-                Ok(Err(f)) => {
-                    record(&mut report, &child, &f);
-                    continue;
-                }
-                Err(payload) => {
-                    record(&mut report, &child, &Failure::from_panic(payload));
-                    continue;
-                }
+            let failure = match stepped {
+                Ok(Ok(())) => None,
+                Ok(Err(f)) => Some(f),
+                Err(payload) => Some(Failure::from_panic(payload)),
+            };
+            if let Some(f) = failure {
+                record(&mut report, &child, &f);
+                spares.push(child);
+                continue;
             }
             if visited.insert(encoder.state_hash(kernel, &child)) {
                 report.reachable += 1;
@@ -133,6 +150,8 @@ pub fn check_kernel(kernel: &OpKernel, cfg: &ModelCheckConfig) -> ModelCheckRepo
                     report.exhausted = false;
                     return report;
                 }
+            } else {
+                spares.push(child);
             }
         }
     }
@@ -143,7 +162,8 @@ pub fn check_kernel(kernel: &OpKernel, cfg: &ModelCheckConfig) -> ModelCheckRepo
 mod tests {
     use super::*;
     use hmtx_explore::execute_order_checked;
-    use hmtx_types::SeedBug;
+    use hmtx_mem::Cache;
+    use hmtx_types::{SeedBug, Vid};
 
     #[test]
     fn smoke_config_exhausts_clean() {
@@ -336,6 +356,13 @@ mod tests {
              L0x1000 vid v0: [(\"L1[0]\", SpecExclusive, Vid(0), Vid(2)), \
              (\"L1[1]\", SpecExclusive, Vid(0), Vid(2))]"
         );
+        assert_eq!(
+            first.trace,
+            [
+                "op 0: tx0 vid1 core0 ld 0x40000",
+                "op 4: tx1 vid2 core1 ld 0x40000"
+            ]
+        );
         // Every counterexample replays to the same violated rule.
         for v in &report.violations {
             let replay = execute_order_checked(&kernel, &v.order, cfg.seed_bug);
@@ -343,6 +370,79 @@ mod tests {
                 .failure
                 .unwrap_or_else(|| panic!("trace for `{}` did not replay: {v:?}", v.rule));
             assert_eq!(failure_rule(&f), v.rule, "{f}");
+        }
+    }
+
+    #[test]
+    fn clone_from_matches_clone_on_every_reachable_state() {
+        let cfg = ModelCheckConfig {
+            cores: 3,
+            lines: 3,
+            ..ModelCheckConfig::default()
+        };
+        let kernel = model_kernel(&cfg);
+        let encoder = Encoder::new(&kernel, cfg.cores, cfg.symmetry);
+        let hash = |m: &OpMachine| encoder.state_hash(&kernel, m);
+
+        // Every reachable state, breadth-first.
+        let mut root = OpMachine::new(&kernel, None);
+        root.settle(&kernel).unwrap();
+        let mut visited = FxHashSet::default();
+        visited.insert(hash(&root));
+        let mut states = vec![root];
+        let mut i = 0;
+        while i < states.len() {
+            for tx in states[i].enabled(&kernel) {
+                let mut child = states[i].clone();
+                child.step(&kernel, tx).unwrap();
+                if visited.insert(hash(&child)) {
+                    states.push(child);
+                }
+            }
+            i += 1;
+        }
+        assert_eq!(states.len(), 1945);
+
+        // The donor: the state with the most stored versions, then the
+        // most live read and write lines, then the longest trace.
+        let size = |m: &OpMachine| {
+            let stats = m.mem.stats();
+            let live: usize = (1..=3)
+                .map(|v| stats.live_read_lines(Vid(v)) + stats.live_write_lines(Vid(v)))
+                .sum();
+            let stored: usize = m.mem.caches().map(Cache::occupancy).sum();
+            (stored, live, m.trace.len())
+        };
+        let big = states.iter().max_by_key(|m| size(m)).unwrap();
+        assert!(size(big).1 > 0, "{:?}", size(big));
+
+        let debug = |m: &OpMachine| format!("{m:?}");
+        // `spare` last held the previous state's last child.
+        let mut spare = big.clone();
+        for state in &states {
+            let fresh = state.clone();
+            let mut from_big = big.clone();
+            for recycled in [&mut from_big, &mut spare] {
+                recycled.clone_from(state);
+                assert_eq!(debug(recycled), debug(&fresh));
+                assert_eq!(hash(recycled), hash(&fresh));
+                let enabled = fresh.enabled(&kernel);
+                if enabled.is_empty() {
+                    let finished = fresh.finish(&kernel);
+                    assert_eq!(
+                        state.finish_into(&kernel, Some(&mut big.mem.clone())),
+                        finished
+                    );
+                    assert_eq!(recycled.finish(&kernel), finished);
+                }
+                for tx in enabled {
+                    recycled.clone_from(state);
+                    let mut child = fresh.clone();
+                    assert_eq!(recycled.step(&kernel, tx), child.step(&kernel, tx));
+                    assert_eq!(debug(recycled), debug(&child));
+                    assert_eq!(hash(recycled), hash(&child));
+                }
+            }
         }
     }
 }

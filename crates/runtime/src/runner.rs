@@ -28,7 +28,7 @@
 
 use std::ops::RangeInclusive;
 
-use hmtx_core::{faults, AccessKind, AccessRequest, AccessResponse, MisspecCause};
+use hmtx_core::{faults, AccessKind, AccessRequest, AccessResponse, MisspecCause, Rules};
 use hmtx_machine::{Machine, MachineStats, RunEvent, ThreadContext};
 use hmtx_types::{ConfigError, CoreId, Cycle, MachineConfig, SimError, ThreadId, Vid, MAX_CORES};
 
@@ -388,14 +388,11 @@ pub fn chaos_invariant_check(cfg: &MachineConfig, machine: &Machine) -> Result<(
     if !cfg.faults.is_some_and(|f| f.check_invariants) {
         return Ok(());
     }
-    let violations = machine.mem().check_invariants();
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(SimError::BadProgram(format!(
-            "protocol invariant violated after recovery: {:?}",
-            violations[0]
-        )))
+    match machine.mem().first_violation(Rules::Protocol) {
+        None => Ok(()),
+        Some(v) => Err(SimError::BadProgram(format!(
+            "protocol invariant violated after recovery: {v:?}"
+        ))),
     }
 }
 
