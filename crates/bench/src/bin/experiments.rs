@@ -5,11 +5,14 @@
 //! ```text
 //! experiments [fig1|fig2|fig8|fig9|table1|table2|table3|ablations|extensions|all]
 //!             [--quick] [--jobs N] [--json PATH] [--progress]
+//!             [--faults SEED] [--fault-rate PPM]
 //! ```
 //!
 //! `--quick` uses the small test-scale workloads and caches (for smoke
 //! runs); the default is the standard benchmark scale on the paper's
-//! Table 2 configuration.
+//! Table 2 configuration. `--faults SEED` runs every simulation under the
+//! deterministic chaos fault plan of that seed, injecting at `--fault-rate`
+//! parts per million (default 200, at most 1,000,000).
 //!
 //! `--jobs N` runs each section's batch of simulations on `N` host threads
 //! (one shared queue of pure simulation jobs). The printed output is
@@ -17,8 +20,8 @@
 //! its rows from its batch in list order. Every section renders before
 //! anything is printed, so a failed simulation exits 1 with nothing on
 //! stdout. `--json PATH` additionally writes a machine-readable report
-//! (every row plus per-job wall-clock); `--progress` streams per-job status
-//! lines to stderr.
+//! (every row, plus each simulation's content key and wall-clock);
+//! `--progress` streams per-job status lines to stderr.
 //!
 //! ```text
 //! experiments job SPEC.json
@@ -32,10 +35,9 @@
 use std::num::NonZeroUsize;
 
 use hmtx_bench::runner::SimPool;
-use hmtx_bench::{experiment_config, report::build_report, Section};
+use hmtx_bench::{report::build_report, Section};
 use hmtx_types::cli::{positional, Args, UsageError};
-use hmtx_types::{FaultConfig, JobSpec, Json, MachineConfig};
-use hmtx_workloads::Scale;
+use hmtx_types::{FaultSpec, JobSpec, Json, WireBase, WireScale};
 
 const USAGE: &str = "usage: experiments \
     [fig1|fig2|fig8|fig9|table1|table2|table3|ablations|extensions|all] \
@@ -67,7 +69,7 @@ fn parse_args(mut args: Args) -> Result<Opts, UsageError> {
             "--progress" => opts.progress = true,
             "--jobs" => opts.jobs = args.parse::<NonZeroUsize>(&arg)?.get(),
             "--faults" => opts.fault_seed = Some(args.parse(&arg)?),
-            "--fault-rate" => opts.fault_rate_ppm = args.parse(&arg)?,
+            "--fault-rate" => opts.fault_rate_ppm = args.parse_with(&arg, FaultSpec::parse_rate)?,
             "--json" => opts.json_path = Some(args.value(&arg)?),
             _ => {
                 if what.replace(positional(arg)?).is_some() {
@@ -133,25 +135,23 @@ fn main() {
         run_single_job(&path);
     }
     let opts = parse_args(Args::new(args)).unwrap_or_else(|e| e.exit("experiments", USAGE));
-    let scale = if opts.quick {
-        Scale::Quick
+    let (scale, base) = if opts.quick {
+        (WireScale::Quick, WireBase::Test)
     } else {
-        Scale::Standard
+        (WireScale::Standard, WireBase::Paper)
     };
-    let mut cfg: MachineConfig = if opts.quick {
-        MachineConfig::test_default()
-    } else {
-        experiment_config()
-    };
-    if let Some(seed) = opts.fault_seed {
-        cfg.faults = Some(FaultConfig::chaos(seed, opts.fault_rate_ppm));
+    let fault = opts.fault_seed.map(|seed| FaultSpec {
+        seed,
+        rate_ppm: opts.fault_rate_ppm,
+    });
+    if let Some(f) = fault {
         eprintln!(
-            "experiments: chaos mode on (seed {seed}, rate {} ppm); \
+            "experiments: chaos mode on (seed {}, rate {} ppm); \
              results measure degraded-mode performance, not the paper's numbers",
-            opts.fault_rate_ppm
+            f.seed, f.rate_ppm
         );
     }
-    let mut pool = SimPool::new(scale, cfg).with_threads(opts.jobs);
+    let mut pool = SimPool::new(scale, base, fault).with_threads(opts.jobs);
     if opts.progress {
         pool = pool.with_progress();
     }

@@ -11,21 +11,21 @@ use hmtx_isa::{ProgramBuilder, Reg};
 use hmtx_machine::Machine;
 use hmtx_runtime::env::{regs, LoopEnv};
 use hmtx_runtime::{LoopBody, Paradigm};
-use hmtx_types::SimError;
+use hmtx_types::{BenchRef, SimError, WireParadigm, WireVariant};
 
-use crate::runner::{Benchmark, ConfigVariant, JobParadigm, SimPool};
+use crate::runner::SimPool;
 
 const MARK_S1_BEGIN: u32 = 10;
 const MARK_S1_END: u32 = 11;
 const MARK_S2_BEGIN: u32 = 20;
 const MARK_S2_END: u32 = 21;
 
-/// The paradigms Figure 1 diagrams, in render order.
-const PARADIGMS: [Paradigm; 4] = [
-    Paradigm::Sequential,
-    Paradigm::Doacross,
-    Paradigm::Dswp,
-    Paradigm::PsDswp,
+/// The paradigms Figure 1 diagrams, in render order, with their wire names.
+const PARADIGMS: [(Paradigm, WireParadigm); 4] = [
+    (Paradigm::Sequential, WireParadigm::Sequential),
+    (Paradigm::Doacross, WireParadigm::Doacross),
+    (Paradigm::Dswp, WireParadigm::Dswp),
+    (Paradigm::PsDswp, WireParadigm::PsDswp),
 ];
 
 /// The instrumented linked-list-style loop used for the diagram.
@@ -172,14 +172,8 @@ pub fn fig1(pool: &SimPool) -> Result<String, SimError> {
         "Figure 1: execution timing of the first 5 iterations\n\
          (n = stage-1 work, w = stage-2 work; '-'/'=' continue an interval)\n\n",
     );
-    let jobs = PARADIGMS.map(|p| {
-        pool.job(
-            Benchmark::Fig1Loop,
-            JobParadigm::Explicit(p),
-            ConfigVariant::Base,
-        )
-    });
-    for (paradigm, result) in PARADIGMS.into_iter().zip(pool.run(&jobs)?) {
+    let jobs = PARADIGMS.map(|(_, p)| pool.job(BenchRef::Fig1Loop, p, WireVariant::Base));
+    for ((paradigm, _), result) in PARADIGMS.into_iter().zip(pool.run(&jobs)?) {
         out.push_str(&render_paradigm(paradigm, &result.machine));
         out.push('\n');
     }
@@ -189,11 +183,10 @@ pub fn fig1(pool: &SimPool) -> Result<String, SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmtx_types::MachineConfig;
-    use hmtx_workloads::Scale;
+    use hmtx_types::{WireBase, WireScale};
 
     fn pool() -> SimPool {
-        SimPool::new(Scale::Quick, MachineConfig::test_default())
+        SimPool::new(WireScale::Quick, WireBase::Test, None)
     }
 
     #[test]

@@ -11,30 +11,25 @@
 //! job was computed or replayed from the cache.
 
 use hmtx_core::MisspecCause;
-use hmtx_runtime::{DemotionCause, Paradigm};
+use hmtx_runtime::Paradigm;
 use hmtx_smtx::RwSetMode;
 use hmtx_types::{
-    BenchRef, FaultConfig, JobSpec, Json, MachineConfig, SimError, WireBase, WireParadigm,
-    WireScale, WireVariant,
+    BenchRef, FaultConfig, FaultSpec, JobSpec, Json, MachineConfig, SimError, WireBase,
+    WireParadigm, WireScale, WireVariant,
 };
 use hmtx_workloads::{suite, Scale};
 
-use crate::runner::{Benchmark, ConfigVariant, JobParadigm, JobResult, SimJob};
+use crate::report::hytm_mix_json;
+use crate::runner::{JobParadigm, JobResult, SimJob};
 
 /// Schema tag of the reports produced by [`render_report`].
 pub const REPORT_SCHEMA: &str = "hmtx-serve-report/1";
 
 /// Maps a wire spec onto the executable job and the base configuration it
 /// runs against (faults applied to the base; the variant applies at run
-/// time, exactly as the experiment harness does it).
+/// time, in [`SimJob::run`]).
 #[must_use]
 pub fn materialize(spec: &JobSpec) -> (SimJob, MachineConfig) {
-    let benchmark = match spec.benchmark {
-        BenchRef::Suite(i) => Benchmark::Suite(i as usize),
-        BenchRef::SlaStress => Benchmark::SlaStress,
-        BenchRef::ScalingLoop => Benchmark::ScalingLoop,
-        BenchRef::Fig1Loop => Benchmark::Fig1Loop,
-    };
     let paradigm = match spec.paradigm {
         WireParadigm::Sequential => JobParadigm::Sequential,
         WireParadigm::Paper => JobParadigm::Paper,
@@ -47,33 +42,31 @@ pub fn materialize(spec: &JobSpec) -> (SimJob, MachineConfig) {
         WireParadigm::PsDswp => JobParadigm::Explicit(Paradigm::PsDswp),
         WireParadigm::Hytm => JobParadigm::Hytm,
     };
-    let config = match spec.variant {
-        WireVariant::Base => ConfigVariant::Base,
-        WireVariant::Commit { lazy } => ConfigVariant::Commit { lazy },
-        WireVariant::Sla { enabled } => ConfigVariant::Sla { enabled },
-        WireVariant::VidBits(bits) => ConfigVariant::VidBits(bits),
-        WireVariant::Victim(policy) => ConfigVariant::Victim(policy),
-        WireVariant::Bounded { unbounded } => ConfigVariant::Bounded { unbounded },
-        WireVariant::ScalingBase => ConfigVariant::ScalingBase,
-        WireVariant::ScalingFabric { cores, directory } => ConfigVariant::ScalingFabric {
-            cores: cores as usize,
-            directory,
-        },
-        WireVariant::QueueLatency(latency) => ConfigVariant::QueueLatency(latency),
+    let job = SimJob {
+        benchmark: spec.benchmark,
+        paradigm,
+        config: spec.variant,
+        scale: Scale::from(spec.scale),
     };
-    let scale = Scale::from(spec.scale);
-    let mut base = match spec.base {
+    (job, base_config(spec.base, spec.fault))
+}
+
+/// The configuration a spec's variant applies to: its base, with its fault
+/// plan (if any) switched on.
+pub(crate) fn base_config(base: WireBase, fault: Option<FaultSpec>) -> MachineConfig {
+    let mut cfg = match base {
         WireBase::Paper => MachineConfig::paper_default(),
         WireBase::Test => MachineConfig::test_default(),
     };
-    if let Some(f) = spec.fault {
-        base.faults = Some(FaultConfig::chaos(f.seed, f.rate_ppm));
+    if let Some(f) = fault {
+        cfg.faults = Some(FaultConfig::chaos(f.seed, f.rate_ppm));
     }
-    (SimJob::new(benchmark, paradigm, config, scale), base)
+    cfg
 }
 
 /// Runs the spec's simulation: the single job-spec → simulate path, used by
-/// both the `experiments job` subcommand and the `hmtx-serve` worker pool.
+/// the `experiments` harness (each [`crate::runner::SimPool`] miss), its
+/// `job` subcommand, and the `hmtx-serve` worker pool.
 ///
 /// # Errors
 ///
@@ -210,27 +203,7 @@ pub fn render_report(spec: &JobSpec, result: &JobResult) -> Json {
         ),
         (
             "hytm",
-            match result.report.as_ref().and_then(|r| r.hytm.as_ref()) {
-                None => Json::Null,
-                Some(mix) => Json::obj(vec![
-                    ("fast_commits", Json::Uint(mix.fast_commits)),
-                    ("slow_commits", Json::Uint(mix.slow_commits)),
-                    ("demotions", Json::Uint(mix.demotions())),
-                    (
-                        "demotions_by_cause",
-                        Json::obj(
-                            DemotionCause::ALL
-                                .iter()
-                                .zip(mix.demotions_by_cause.iter())
-                                .map(|(c, n)| (c.name(), Json::Uint(*n)))
-                                .collect(),
-                        ),
-                    ),
-                    ("fast_retries", Json::Uint(mix.fast_retries)),
-                    ("backoff_cycles", Json::Uint(mix.backoff_cycles)),
-                    ("storm_serializations", Json::Uint(mix.storm_serializations)),
-                ]),
-            },
+            hytm_mix_json(result.report.as_ref().and_then(|r| r.hytm.as_ref())),
         ),
     ])
 }

@@ -2,8 +2,9 @@
 //! paper's evaluation (§6) from fresh simulations, plus the ablations
 //! called out in `DESIGN.md`.
 //!
-//! Experiments are expressed as pure [`runner::SimJob`]s executed through a
-//! memoizing [`runner::SimPool`]. Each `fig*`/`table*` function (and
+//! Experiments are expressed as wire-format [`hmtx_types::JobSpec`]s — the
+//! same job vocabulary `hmtx-serve` caches by content key — executed
+//! through a memoizing [`runner::SimPool`]. Each `fig*`/`table*` function (and
 //! [`ablations`], [`extensions`]) builds the one list of jobs its rows
 //! need, runs it with [`runner::SimPool::run`] — which simulates the jobs
 //! not yet cached across host threads and returns every result in list
@@ -20,9 +21,10 @@ use std::sync::Arc;
 
 use hmtx_machine::Machine;
 use hmtx_power::{geomean, PowerModel};
-use hmtx_runtime::{speedup, Paradigm};
-use hmtx_smtx::RwSetMode;
-use hmtx_types::{MachineConfig, SimError, VictimPolicy};
+use hmtx_runtime::speedup;
+use hmtx_types::{
+    BenchRef, JobSpec, MachineConfig, SimError, VictimPolicy, WireParadigm, WireVariant,
+};
 use hmtx_workloads::{suite, Workload, WorkloadMeta};
 
 pub mod fig1;
@@ -32,15 +34,10 @@ pub mod runner;
 
 pub use jobspec::{materialize, render_report, run_job, run_job_report, standard_sweep};
 
-use runner::{Benchmark, ConfigVariant, JobParadigm, JobResult, SimJob, SimPool};
+use runner::{JobResult, SimPool};
 
 /// Instruction budget for harness runs (generous; guards livelock only).
 pub const BUDGET: u64 = 20_000_000_000;
-
-/// The machine configuration used for all experiments: Table 2 exactly.
-pub fn experiment_config() -> MachineConfig {
-    MachineConfig::paper_default()
-}
 
 // ------------------------------------------------------------ the sections
 
@@ -137,18 +134,18 @@ impl Section {
 }
 
 /// The base-configuration job of suite workload `index` under `paradigm`.
-fn suite_job(pool: &SimPool, index: usize, paradigm: JobParadigm) -> SimJob {
-    pool.job(Benchmark::Suite(index), paradigm, ConfigVariant::Base)
+fn suite_job(pool: &SimPool, index: usize, paradigm: WireParadigm) -> JobSpec {
+    pool.job(BenchRef::Suite(index as u32), paradigm, WireVariant::Base)
 }
 
 /// Every suite workload's metadata, with the result of its
 /// base-configuration run under `paradigm`.
 fn suite_runs(
     pool: &SimPool,
-    paradigm: JobParadigm,
+    paradigm: WireParadigm,
 ) -> Result<Vec<(WorkloadMeta, Arc<JobResult>)>, SimError> {
     let ws = suite(pool.scale());
-    let jobs: Vec<SimJob> = (0..ws.len())
+    let jobs: Vec<JobSpec> = (0..ws.len())
         .map(|i| suite_job(pool, i, paradigm))
         .collect();
     Ok(ws.iter().map(|w| w.meta()).zip(pool.run(&jobs)?).collect())
@@ -161,8 +158,6 @@ fn comparable(ws: &[Box<dyn Workload>]) -> Vec<usize> {
         .collect()
 }
 
-const SMTX_MIN: JobParadigm = JobParadigm::Smtx(RwSetMode::Minimal);
-
 /// Suite indices the ablations run on (130.li and 256.bzip2 for commit
 /// processing; 130.li and 186.crafty for SLAs; see `suite()` ordering).
 const ABLATION_COMMIT_BENCHES: [usize; 2] = [1, 5];
@@ -172,7 +167,7 @@ const VID_WIDTH_BENCH: usize = 4;
 const VID_WIDTH_SWEEP: [u32; 5] = [3, 4, 5, 6, 8];
 /// 256.bzip2: the largest footprint.
 const VICTIM_BENCH: usize = 5;
-const SCALING_CORES: [usize; 4] = [4, 8, 16, 32];
+const SCALING_CORES: [u32; 4] = [4, 8, 16, 32];
 /// ispell: tiny iterations, so per-iteration communication dominates.
 const LATENCY_BENCH: usize = 7;
 const LATENCY_SWEEP: [u64; 4] = [10, 30, 100, 300];
@@ -205,13 +200,13 @@ pub fn whole_program_speedup(hot_fraction: f64, hot_speedup: f64) -> f64 {
 pub fn fig2(pool: &SimPool) -> Result<Vec<Fig2Row>, SimError> {
     let ws = suite(pool.scale());
     let comparable = comparable(&ws);
-    let jobs: Vec<SimJob> = comparable
+    let jobs: Vec<JobSpec> = comparable
         .iter()
         .flat_map(|&i| {
             [
-                JobParadigm::Sequential,
-                SMTX_MIN,
-                JobParadigm::Smtx(RwSetMode::Substantial),
+                WireParadigm::Sequential,
+                WireParadigm::SmtxMin,
+                WireParadigm::SmtxSub,
             ]
             .map(|p| suite_job(pool, i, p))
         })
@@ -302,14 +297,18 @@ pub fn fig8(pool: &SimPool) -> Result<(Vec<Fig8Row>, Fig8Summary), SimError> {
     let comparable = comparable(&ws);
     // The slowest paradigm first: the pool deals jobs out in list order,
     // so a batch that ends on short jobs leaves no thread idle for long.
-    let jobs: Vec<SimJob> = [
-        JobParadigm::Hytm,
-        JobParadigm::Paper,
-        JobParadigm::Sequential,
+    let jobs: Vec<JobSpec> = [
+        WireParadigm::Hytm,
+        WireParadigm::Paper,
+        WireParadigm::Sequential,
     ]
     .into_iter()
     .flat_map(|p| (0..n).map(move |i| suite_job(pool, i, p)))
-    .chain(comparable.iter().map(|&i| suite_job(pool, i, SMTX_MIN)))
+    .chain(
+        comparable
+            .iter()
+            .map(|&i| suite_job(pool, i, WireParadigm::SmtxMin)),
+    )
     .collect();
     let results = pool.run(&jobs)?;
     let (hytm, rest) = results.split_at(n);
@@ -404,7 +403,7 @@ pub struct Fig9Row {
 ///
 /// Propagates [`SimError`] from any simulation run.
 pub fn fig9(pool: &SimPool) -> Result<Vec<Fig9Row>, SimError> {
-    Ok(suite_runs(pool, JobParadigm::Paper)?
+    Ok(suite_runs(pool, WireParadigm::Paper)?
         .iter()
         .map(|(w, r)| {
             let t = r.machine.mem().stats().rw_totals();
@@ -475,7 +474,7 @@ pub struct Table1Row {
 ///
 /// Propagates [`SimError`] from any simulation run.
 pub fn table1(pool: &SimPool) -> Result<Vec<Table1Row>, SimError> {
-    Ok(suite_runs(pool, JobParadigm::Paper)?
+    Ok(suite_runs(pool, WireParadigm::Paper)?
         .iter()
         .map(|(w, r)| {
             let mem = r.machine.mem().stats();
@@ -576,13 +575,13 @@ pub fn table3(pool: &SimPool) -> Result<Vec<Table3Row>, SimError> {
 
     let ws = suite(pool.scale());
     let n = ws.len();
-    let jobs: Vec<SimJob> = [JobParadigm::Sequential, JobParadigm::Paper]
+    let jobs: Vec<JobSpec> = [WireParadigm::Sequential, WireParadigm::Paper]
         .into_iter()
         .flat_map(|p| (0..n).map(move |i| suite_job(pool, i, p)))
         .chain(
             comparable(&ws)
                 .into_iter()
-                .map(|i| suite_job(pool, i, SMTX_MIN)),
+                .map(|i| suite_job(pool, i, WireParadigm::SmtxMin)),
         )
         .collect();
     let results = pool.run(&jobs)?;
@@ -674,12 +673,12 @@ pub struct Ablation {
 struct AblationSpec {
     title: &'static str,
     key: &'static str,
-    runs: Vec<(String, SimJob)>,
+    runs: Vec<(String, JobSpec)>,
     detail: fn(&JobResult) -> String,
 }
 
 impl AblationSpec {
-    fn jobs(&self) -> impl Iterator<Item = SimJob> + '_ {
+    fn jobs(&self) -> impl Iterator<Item = JobSpec> + '_ {
         self.runs.iter().map(|(_, job)| *job)
     }
 
@@ -701,7 +700,7 @@ impl AblationSpec {
 
 /// Runs every table's jobs as one batch.
 fn run_ablations(pool: &SimPool, specs: Vec<AblationSpec>) -> Result<Vec<Ablation>, SimError> {
-    let jobs: Vec<SimJob> = specs.iter().flat_map(AblationSpec::jobs).collect();
+    let jobs: Vec<JobSpec> = specs.iter().flat_map(AblationSpec::jobs).collect();
     let results = pool.run(&jobs)?;
     let mut rest = &results[..];
     Ok(specs
@@ -749,9 +748,9 @@ fn commit_ablation(pool: &SimPool) -> AblationSpec {
                             if lazy { "lazy" } else { "eager" }
                         ),
                         pool.job(
-                            Benchmark::Suite(idx),
-                            JobParadigm::Paper,
-                            ConfigVariant::Commit { lazy },
+                            BenchRef::Suite(idx as u32),
+                            WireParadigm::Paper,
+                            WireVariant::Commit { lazy },
                         ),
                     )
                 })
@@ -842,20 +841,16 @@ fn sla_ablation(pool: &SimPool) -> AblationSpec {
             .map(|idx| {
                 (
                     ws[idx].meta().name,
-                    Benchmark::Suite(idx),
-                    JobParadigm::Paper,
+                    BenchRef::Suite(idx as u32),
+                    WireParadigm::Paper,
                 )
             })
-            .chain([(
-                "sla-stress",
-                Benchmark::SlaStress,
-                JobParadigm::Explicit(Paradigm::PsDswp),
-            )])
+            .chain([("sla-stress", BenchRef::SlaStress, WireParadigm::PsDswp)])
             .flat_map(|(name, benchmark, paradigm)| {
                 [true, false].map(|enabled| {
                     (
                         format!("{name} / SLA {}", if enabled { "on" } else { "off" }),
-                        pool.job(benchmark, paradigm, ConfigVariant::Sla { enabled }),
+                        pool.job(benchmark, paradigm, WireVariant::Sla { enabled }),
                     )
                 })
             })
@@ -883,9 +878,9 @@ fn vid_width_ablation(pool: &SimPool) -> AblationSpec {
                 (
                     format!("{name} / {bits}-bit VIDs"),
                     pool.job(
-                        Benchmark::Suite(VID_WIDTH_BENCH),
-                        JobParadigm::Paper,
-                        ConfigVariant::VidBits(bits),
+                        BenchRef::Suite(VID_WIDTH_BENCH as u32),
+                        WireParadigm::Paper,
+                        WireVariant::VidBits(bits),
                     ),
                 )
             })
@@ -906,9 +901,9 @@ fn victim_ablation(pool: &SimPool) -> AblationSpec {
                 (
                     format!("{name} / {policy:?}"),
                     pool.job(
-                        Benchmark::Suite(VICTIM_BENCH),
-                        JobParadigm::Paper,
-                        ConfigVariant::Victim(policy),
+                        BenchRef::Suite(VICTIM_BENCH as u32),
+                        WireParadigm::Paper,
+                        WireVariant::Victim(policy),
                     ),
                 )
             })
@@ -965,9 +960,9 @@ fn unbounded_ablation(pool: &SimPool) -> AblationSpec {
                         if unbounded { "unbounded" } else { "bounded" }
                     ),
                     pool.job(
-                        Benchmark::Suite(VICTIM_BENCH),
-                        JobParadigm::Paper,
-                        ConfigVariant::Bounded { unbounded },
+                        BenchRef::Suite(VICTIM_BENCH as u32),
+                        WireParadigm::Paper,
+                        WireVariant::Bounded { unbounded },
                     ),
                 )
             })
@@ -989,7 +984,7 @@ pub struct ScalingRow {
     /// Interconnect label.
     pub interconnect: &'static str,
     /// Core count.
-    pub cores: usize,
+    pub cores: u32,
     /// Hot-loop speedup over 1-core sequential.
     pub speedup: f64,
 }
@@ -1063,37 +1058,29 @@ pub struct LatencyRow {
 /// Propagates [`SimError`] from any simulation run.
 pub fn extensions(pool: &SimPool) -> Result<Extensions, SimError> {
     let unbounded = unbounded_ablation(pool);
-    let fabrics: Vec<(&'static str, usize, bool)> = SCALING_CORES
+    let fabrics: Vec<(&'static str, u32, bool)> = SCALING_CORES
         .into_iter()
         .flat_map(|cores| [("snoopy bus", cores, false), ("directory", cores, true)])
         .collect();
-    let queue_latency = |paradigm, latency| {
-        pool.job(
-            Benchmark::Suite(LATENCY_BENCH),
-            JobParadigm::Explicit(paradigm),
-            ConfigVariant::QueueLatency(latency),
-        )
-    };
-    let jobs: Vec<SimJob> = unbounded
+    let latency_bench = BenchRef::Suite(LATENCY_BENCH as u32);
+    let jobs: Vec<JobSpec> = unbounded
         .jobs()
         .chain([pool.job(
-            Benchmark::ScalingLoop,
-            JobParadigm::Sequential,
-            ConfigVariant::ScalingBase,
+            BenchRef::ScalingLoop,
+            WireParadigm::Sequential,
+            WireVariant::ScalingBase,
         )])
         .chain(fabrics.iter().map(|&(_, cores, directory)| {
             pool.job(
-                Benchmark::ScalingLoop,
-                JobParadigm::Explicit(Paradigm::PsDswp),
-                ConfigVariant::ScalingFabric { cores, directory },
+                BenchRef::ScalingLoop,
+                WireParadigm::PsDswp,
+                WireVariant::ScalingFabric { cores, directory },
             )
         }))
-        .chain([suite_job(pool, LATENCY_BENCH, JobParadigm::Sequential)])
-        .chain(LATENCY_SWEEP.into_iter().flat_map(|latency| {
-            [
-                queue_latency(Paradigm::Doacross, latency),
-                queue_latency(Paradigm::PsDswp, latency),
-            ]
+        .chain([suite_job(pool, LATENCY_BENCH, WireParadigm::Sequential)])
+        .chain(LATENCY_SWEEP.into_iter().flat_map(|cycles| {
+            [WireParadigm::Doacross, WireParadigm::PsDswp]
+                .map(|p| pool.job(latency_bench, p, WireVariant::QueueLatency(cycles)))
         }))
         .collect();
     let results = pool.run(&jobs)?;
@@ -1160,10 +1147,10 @@ pub fn render_latency(rows: &[LatencyRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmtx_workloads::Scale;
+    use hmtx_types::{WireBase, WireScale};
 
     fn quick_pool() -> SimPool {
-        SimPool::new(Scale::Quick, MachineConfig::test_default())
+        SimPool::new(WireScale::Quick, WireBase::Test, None)
     }
 
     #[test]
@@ -1290,7 +1277,7 @@ mod tests {
     fn unbounded_sets_eliminate_overflow_recoveries() {
         // Standard-scale bzip2: its footprint genuinely exceeds the
         // ablation's constrained caches (the quick instance fits them).
-        let pool = SimPool::new(Scale::Standard, MachineConfig::test_default());
+        let pool = SimPool::new(WireScale::Standard, WireBase::Test, None);
         let rows = run_ablations(&pool, vec![unbounded_ablation(&pool)]).unwrap()[0]
             .rows
             .clone();
@@ -1315,7 +1302,7 @@ mod tests {
     #[test]
     fn directory_scales_past_the_snoopy_bus() {
         let rows = extensions(&quick_pool()).unwrap().scaling;
-        let get = |label: &str, cores: usize| {
+        let get = |label: &str, cores: u32| {
             rows.iter()
                 .find(|r| r.interconnect == label && r.cores == cores)
                 .unwrap()
@@ -1397,9 +1384,10 @@ mod tests {
     fn a_section_on_a_failing_pool_returns_the_error() {
         // Jobs whose variant replaces the L1 (ablation D, the scaling
         // study) still run, but every section has a job on the base L1.
+        // No spec can name this base, so the pool swaps it in.
         let mut cfg = MachineConfig::test_default();
         cfg.l1.ways = 0;
-        let pool = SimPool::new(Scale::Quick, cfg).with_threads(2);
+        let pool = quick_pool().with_test_base(cfg).with_threads(2);
         for section in Section::ALL {
             if section == Section::Table2 {
                 continue; // renders the configuration; runs nothing

@@ -2,7 +2,8 @@
 //!
 //! The report mirrors the printed sections — every figure/table row, with
 //! its cycle counts and speedups — plus a `sim_jobs` array giving each
-//! underlying simulation's wall-clock seconds, so regressions in both
+//! underlying simulation's content key (the `JobSpec::key` `hmtx-serve`
+//! caches it under) and wall-clock seconds, so regressions in both
 //! *results* and *harness cost* diff cleanly across commits.
 //!
 //! JSON is emitted by a tiny handwritten serializer ([`Json`]): the
@@ -14,7 +15,9 @@ use hmtx_types::{Json, SimError};
 use crate::runner::SimPool;
 use crate::Section;
 
-fn hytm_mix_json(mix: Option<&hmtx_runtime::HytmMix>) -> Json {
+/// A HyTM fast/slow-path mix (`null` for a run without one): Figure 8's
+/// `hytm_mix` rows and the `hytm` block of a served job report.
+pub(crate) fn hytm_mix_json(mix: Option<&hmtx_runtime::HytmMix>) -> Json {
     let Some(m) = mix else { return Json::Null };
     Json::obj(vec![
         ("fast_commits", Json::Uint(m.fast_commits)),
@@ -193,7 +196,7 @@ pub fn build_report(pool: &SimPool, sections: &[Section]) -> Result<Json, SimErr
                                 .map(|r| {
                                     Json::obj(vec![
                                         ("interconnect", Json::Str(r.interconnect.into())),
-                                        ("cores", Json::Uint(r.cores as u64)),
+                                        ("cores", Json::Uint(u64::from(r.cores))),
                                         ("speedup", Json::Num(r.speedup)),
                                     ])
                                 })
@@ -230,6 +233,7 @@ pub fn build_report(pool: &SimPool, sections: &[Section]) -> Result<Json, SimErr
                 .map(|e| {
                     Json::obj(vec![
                         ("label", Json::Str(e.label.clone())),
+                        ("key", Json::Str(e.key.clone())),
                         ("cycles", Json::Uint(e.cycles)),
                         ("recoveries", Json::Uint(e.recoveries)),
                         ("wall_seconds", Json::Num(e.wall_seconds)),
@@ -251,8 +255,7 @@ pub fn build_report(pool: &SimPool, sections: &[Section]) -> Result<Json, SimErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmtx_types::MachineConfig;
-    use hmtx_workloads::Scale;
+    use hmtx_types::{BenchRef, WireBase, WireParadigm, WireScale, WireVariant};
 
     #[test]
     fn json_serializer_escapes_and_formats() {
@@ -275,15 +278,31 @@ mod tests {
 
     #[test]
     fn report_covers_sections_and_jobs() {
-        let pool = SimPool::new(Scale::Quick, MachineConfig::test_default());
+        let pool = SimPool::new(WireScale::Quick, WireBase::Test, None);
         let sections = [Section::Table2, Section::Fig2];
         let report = build_report(&pool, &sections).unwrap();
         let text = report.pretty();
         assert!(text.contains("\"fig2\""), "{text}");
         assert!(text.contains("\"minimal\""), "{text}");
         assert!(text.contains("\"vid_bits\""), "{text}");
-        // Every simulation the section ran appears with its wall-clock.
+        // Every simulation the section ran appears with its wall-clock and
+        // the key the server would cache the same run under.
         assert!(text.contains("\"wall_seconds\""), "{text}");
-        assert!(text.contains("130.li:seq:base:quick"), "{text}");
+        let Some(Json::Arr(jobs)) = report.get("sim_jobs") else {
+            panic!("no sim_jobs array in {text}");
+        };
+        let li_seq = jobs
+            .iter()
+            .find(|j| j.get("label").and_then(Json::as_str) == Some("130.li:seq:base:quick"))
+            .unwrap_or_else(|| panic!("no 130.li sequential job in {text}"));
+        let spec = pool.job(
+            BenchRef::Suite(1),
+            WireParadigm::Sequential,
+            WireVariant::Base,
+        );
+        assert_eq!(
+            li_seq.get("key").and_then(Json::as_str),
+            Some(spec.key().as_str())
+        );
     }
 }

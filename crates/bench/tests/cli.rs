@@ -41,6 +41,11 @@ fn flag_contract(bin: &str, prefix: &[&str], flag: &str) {
 fn experiments_usage_errors_exit_2() {
     flag_contract(EXPERIMENTS, &["fig2", "--quick"], "--jobs");
     usage_error(EXPERIMENTS, &["--jobs", "0"], "--jobs");
+    usage_error(
+        EXPERIMENTS,
+        &["--faults", "1", "--fault-rate", "1000001"],
+        "invalid value `1000001` for --fault-rate",
+    );
     usage_error(EXPERIMENTS, &["fig99"], "unknown section `fig99`");
     usage_error(EXPERIMENTS, &["fig2", "fig8"], "more than one section");
     for job in [&["job"][..], &["job", "a.json", "b.json"]] {

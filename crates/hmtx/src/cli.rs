@@ -9,7 +9,7 @@ use hmtx_machine::{
     Machine, MinClock, ReplayPolicy, RunEvent, SchedulePolicy, ScheduleSeed, ThreadContext,
 };
 use hmtx_types::cli::{positional, Args, UsageError};
-use hmtx_types::{Addr, FaultConfig, MachineConfig, SeedBug, SimError, ThreadId, Vid};
+use hmtx_types::{Addr, FaultConfig, FaultSpec, MachineConfig, SeedBug, SimError, ThreadId, Vid};
 
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
@@ -97,7 +97,7 @@ pub fn parse_args(mut args: Args) -> Result<Options, UsageError> {
             "--dump" => opts.dump.push(args.parse_with(&arg, word)?),
             "--quick" => opts.quick = true,
             "--faults" => opts.fault_seed = Some(args.parse_with(&arg, word)?),
-            "--fault-rate" => opts.fault_rate_ppm = args.parse(&arg)?,
+            "--fault-rate" => opts.fault_rate_ppm = args.parse_with(&arg, FaultSpec::parse_rate)?,
             "--replay" => opts.replay = Some(args.value(&arg)?),
             _ => opts.programs.push(read_source(arg)?),
         }
@@ -414,6 +414,11 @@ mod tests {
         assert_eq!(
             err(&["--fault-rate", "abc"]),
             "invalid value `abc` for --fault-rate"
+        );
+        // Above 1,000,000 ppm is not a probability.
+        assert_eq!(
+            err(&["--fault-rate", "1000001"]),
+            "invalid value `1000001` for --fault-rate"
         );
         // A misspelt flag is a usage error, not a file to assemble.
         assert_eq!(err(&["--trce", "5", "a.asm"]), "unknown flag `--trce`");

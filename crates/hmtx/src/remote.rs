@@ -65,7 +65,7 @@ pub fn parse_remote_args(mut args: Args) -> Result<RemoteOptions, UsageError> {
             "--paper-config" => spec.base = WireBase::Paper,
             "--deadline-ms" => deadline_ms = Some(args.parse(&arg)?),
             "--faults" => fault_seed = Some(args.parse(&arg)?),
-            "--fault-rate" => fault_rate_ppm = args.parse(&arg)?,
+            "--fault-rate" => fault_rate_ppm = args.parse_with(&arg, FaultSpec::parse_rate)?,
             _ => return Err(UsageError::unknown(&arg)),
         }
     }
@@ -217,6 +217,17 @@ mod tests {
             (
                 &["--remote", "a", "--workload", "i"],
                 "ambiguous workload `i`",
+            ),
+            (
+                &[
+                    "--remote",
+                    "a",
+                    "--workload",
+                    "li",
+                    "--fault-rate",
+                    "2000000",
+                ],
+                "invalid value `2000000` for --fault-rate",
             ),
         ] {
             let err = parse_remote_args(Args::new(bad_args.to_vec())).unwrap_err();

@@ -57,9 +57,9 @@ pub use schedule::{
     SchedulePolicy, ScheduleSeed,
 };
 
-// The bench harness fans complete simulations out across host threads
-// (`hmtx_bench::runner`), moving machines and their statistics between
-// workers and the result pool. Keep them thread-safe by construction: no
+// The experiment harness and the simulation server run complete
+// simulations on host threads, moving machines and their statistics
+// between workers and their result caches. Keep them thread-safe by construction: no
 // `Rc`, no interior mutability, no borrowed lifetimes in simulation state.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync + 'static>() {}

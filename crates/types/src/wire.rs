@@ -9,14 +9,15 @@
 //! so two requests describing the same simulation — whatever key order or
 //! whitespace the client used — always land on the same cache entry.
 //!
-//! The mapping from a spec to an executable simulation lives in
-//! `hmtx-bench` (`jobspec` module); this crate only defines the vocabulary
-//! so clients do not need to link the simulator.
+//! A variant also knows the configuration it runs
+//! ([`WireVariant::apply`]); the mapping from a spec to an executable
+//! simulation lives in `hmtx-bench` (`jobspec` module), so clients do not
+//! need to link the simulator.
 
 use std::fmt;
 
 use crate::json::Json;
-use crate::{Diagnostic, Severity, VictimPolicy};
+use crate::{CacheConfig, Diagnostic, Interconnect, MachineConfig, Severity, VictimPolicy};
 
 /// What simulates: one of the 8 paper workload analogues by suite index, or
 /// a synthetic loop.
@@ -190,45 +191,117 @@ impl WireBase {
     }
 }
 
-/// A named configuration variant, mirroring the experiment harness's
-/// ablation knobs (applied to the base configuration).
+/// A named configuration variant: one ablation knob, applied to the base
+/// machine configuration by [`WireVariant::apply`]. A job stays a small
+/// pure value instead of embedding a whole `MachineConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WireVariant {
     /// The base configuration unchanged.
     Base,
-    /// Lazy vs eager commit processing (§5.3).
+    /// Ablation A: lazy vs eager commit processing (§5.3).
     Commit {
         /// Lazy commit processing when true.
         lazy: bool,
     },
-    /// Speculative load acknowledgments on/off (§5.1).
+    /// Ablation B: speculative load acknowledgments on/off (§5.1).
     Sla {
         /// SLAs enabled when true.
         enabled: bool,
     },
-    /// VID field width in bits (§4.6).
+    /// Ablation C: VID field width in bits (§4.6).
     VidBits(u32),
-    /// LLC victim policy under constrained caches (§5.4).
+    /// Ablation D: LLC victim policy under constrained caches (§5.4).
     Victim(VictimPolicy),
-    /// Bounded vs unbounded speculative sets (§8).
+    /// §8 extension: bounded vs unbounded speculative sets.
     Bounded {
         /// Memory-side overflow table enabled when true.
         unbounded: bool,
     },
-    /// §8 scaling study baseline fabric.
+    /// §8 scaling study: the constrained fabric without core-count changes
+    /// (the sequential baseline of the sweep).
     ScalingBase,
-    /// §8 scaling fabric at a core count.
+    /// §8 scaling study: the constrained fabric at a core count, snoopy bus
+    /// or banked directory.
     ScalingFabric {
         /// Number of cores.
         cores: u32,
         /// Banked directory when true, snoopy bus when false.
         directory: bool,
     },
-    /// Hardware queue / cross-core latency (§2.1).
+    /// §2.1 latency sensitivity: hardware queue / cross-core latency.
     QueueLatency(u64),
 }
 
 impl WireVariant {
+    /// The configuration this variant runs: `base` with the variant's knob
+    /// applied.
+    #[must_use]
+    pub fn apply(&self, base: &MachineConfig) -> MachineConfig {
+        let mut c = base.clone();
+        match *self {
+            WireVariant::Base => {}
+            WireVariant::Commit { lazy } => c.hmtx.lazy_commit = lazy,
+            WireVariant::Sla { enabled } => c.hmtx.sla_enabled = enabled,
+            WireVariant::VidBits(bits) => {
+                c.hmtx.vid_bits = bits;
+                c.pipeline_window = c.pipeline_window.min((1 << bits) - 1);
+            }
+            WireVariant::Victim(policy) => {
+                // Constrain the hierarchy so overflow decisions matter.
+                c.l1 = cache(8, 4, 2);
+                c.l2 = cache(64, 8, 40);
+                c.pipeline_window = 4;
+                c.hmtx.victim_policy = policy;
+            }
+            WireVariant::Bounded { unbounded } => {
+                c.l1 = cache(8, 4, 2);
+                c.l2 = cache(32, 8, 40);
+                c.pipeline_window = 6;
+                c.unbounded_sets = unbounded;
+            }
+            WireVariant::ScalingBase => scaling_stress(&mut c),
+            WireVariant::ScalingFabric { cores, directory } => {
+                scaling_stress(&mut c);
+                c.num_cores = cores as usize;
+                c.interconnect = if directory {
+                    Interconnect::Directory {
+                        banks: 8,
+                        hop_latency: 6,
+                    }
+                } else {
+                    Interconnect::SnoopyBus
+                };
+            }
+            WireVariant::QueueLatency(latency) => c.queue_latency = latency,
+        }
+        c
+    }
+
+    /// The variant's part of a job label (`vid4`, `sla-off`, `16xbus`, …).
+    #[must_use]
+    pub fn label(&self) -> String {
+        match *self {
+            WireVariant::Base => "base".into(),
+            WireVariant::Commit { lazy } => {
+                format!("{}-commit", if lazy { "lazy" } else { "eager" })
+            }
+            WireVariant::Sla { enabled } => {
+                format!("sla-{}", if enabled { "on" } else { "off" })
+            }
+            WireVariant::VidBits(bits) => format!("vid{bits}"),
+            WireVariant::Victim(VictimPolicy::PreferSafeOverflow) => "victim-safe".into(),
+            WireVariant::Victim(VictimPolicy::PlainLru) => "victim-lru".into(),
+            WireVariant::Bounded { unbounded } => {
+                format!("{}bounded", if unbounded { "un" } else { "" })
+            }
+            WireVariant::ScalingBase => "scaling-base".into(),
+            WireVariant::ScalingFabric { cores, directory } => {
+                format!("{}x{}", cores, if directory { "directory" } else { "bus" })
+            }
+            WireVariant::QueueLatency(latency) => format!("qlat{latency}"),
+        }
+    }
+
     fn to_json(self) -> Json {
         let kind = |k: &str| ("kind".to_string(), Json::Str(k.into()));
         Json::Obj(match self {
@@ -332,6 +405,24 @@ impl WireVariant {
     }
 }
 
+/// An ablation's cache geometry: `kb` KB, `ways`-way, `latency` cycles.
+fn cache(kb: usize, ways: usize, latency: u64) -> CacheConfig {
+    CacheConfig {
+        size_bytes: kb * 1024,
+        ways,
+        latency,
+    }
+}
+
+/// The §8 scaling study's stressed fabric: line-transfer-granularity bus
+/// occupancy and small per-core L1s, so miss traffic grows with core count.
+fn scaling_stress(c: &mut MachineConfig) {
+    c.bus_occupancy = 16;
+    c.l1 = cache(8, 4, 2);
+    c.l2 = cache(1024, 32, 40);
+    c.pipeline_window = 32;
+}
+
 /// A deterministic fault plan: the chaos configuration's seed and rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultSpec {
@@ -339,6 +430,18 @@ pub struct FaultSpec {
     pub seed: u64,
     /// Injection probability in parts per million.
     pub rate_ppm: u32,
+}
+
+impl FaultSpec {
+    /// The highest injection rate: every decision point faults.
+    pub const MAX_RATE_PPM: u32 = 1_000_000;
+
+    /// Parses a rate in parts per million (a `--fault-rate` value): `None`
+    /// unless it is an integer no higher than [`FaultSpec::MAX_RATE_PPM`].
+    #[must_use]
+    pub fn parse_rate(s: &str) -> Option<u32> {
+        s.parse().ok().filter(|&r| r <= Self::MAX_RATE_PPM)
+    }
 }
 
 /// One simulation job, as named on the wire.
@@ -439,7 +542,7 @@ impl JobSpec {
                     .get("rate_ppm")
                     .and_then(Json::as_u64)
                     .ok_or_else(|| WireError::new("fault needs uint `rate_ppm`"))?;
-                if rate > 1_000_000 {
+                if rate > u64::from(FaultSpec::MAX_RATE_PPM) {
                     return Err(WireError::new("fault rate_ppm over 1000000"));
                 }
                 Some(FaultSpec {
@@ -810,6 +913,41 @@ mod tests {
             let v = Json::parse(bad).unwrap();
             assert!(JobSpec::from_json(&v).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn variants_apply_expected_knobs() {
+        let base = MachineConfig::test_default();
+        assert!(
+            !WireVariant::Commit { lazy: false }
+                .apply(&base)
+                .hmtx
+                .lazy_commit
+        );
+        assert_eq!(WireVariant::VidBits(3).apply(&base).pipeline_window, 7);
+        assert!(
+            WireVariant::Bounded { unbounded: true }
+                .apply(&base)
+                .unbounded_sets
+        );
+        let fabric = WireVariant::ScalingFabric {
+            cores: 16,
+            directory: true,
+        }
+        .apply(&base);
+        assert_eq!(fabric.num_cores, 16);
+        assert!(matches!(
+            fabric.interconnect,
+            Interconnect::Directory { banks: 8, .. }
+        ));
+    }
+
+    #[test]
+    fn fault_rates_parse_up_to_one_million_ppm() {
+        assert_eq!(FaultSpec::parse_rate("0"), Some(0));
+        assert_eq!(FaultSpec::parse_rate("1000000"), Some(1_000_000));
+        assert_eq!(FaultSpec::parse_rate("1000001"), None);
+        assert_eq!(FaultSpec::parse_rate("-1"), None);
     }
 
     #[test]
