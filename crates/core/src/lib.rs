@@ -55,6 +55,7 @@
 
 #![warn(missing_docs)]
 
+mod decisions;
 pub mod faults;
 pub mod invariants;
 pub mod protocol;
@@ -79,5 +80,7 @@ const _: () = {
     assert_send_sync::<RwSetTotals>();
 };
 
+#[cfg(test)]
+mod decisions_tests;
 #[cfg(test)]
 mod protocol_tests;

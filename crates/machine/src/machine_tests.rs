@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use hmtx_core::MisspecCause;
 use hmtx_isa::{Cond, Program, ProgramBuilder, Reg};
-use hmtx_types::{Addr, MachineConfig, QueueId, SimError, ThreadId, Vid};
+use hmtx_types::{Addr, MachineConfig, QueueId, SimError, ThreadId, Vid, VID_EXHAUSTION_SENTINEL};
 
 use crate::machine::{Machine, RunEvent, ThreadContext};
 
@@ -333,6 +333,51 @@ fn bad_vid_is_a_program_error() {
     m.load_thread(0, ThreadContext::new(ThreadId(0), p));
     match m.run(100) {
         Err(SimError::BadProgram(msg)) => assert!(msg.contains("beginMTX")),
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+#[test]
+fn commit_and_abort_vids_wider_than_the_vid_width_are_program_errors() {
+    // 65537 truncated to 16 bits is VID 1: the wide operand must not commit
+    // (or abort) VID 1 in its place.
+    for instr in ["commitMTX", "abortMTX"] {
+        let p = build(|b| {
+            b.li(Reg::R10, 1);
+            b.begin_mtx(Reg::R10);
+            b.li(Reg::R1, 0x2000);
+            b.store(Reg::R1, Reg::R1, 0);
+            b.li(Reg::R11, 65_537);
+            if instr == "commitMTX" {
+                b.commit_mtx(Reg::R11);
+            } else {
+                b.abort_mtx(Reg::R11);
+            }
+            b.halt();
+        });
+        let mut m = Machine::new(cfg());
+        m.load_thread(0, ThreadContext::new(ThreadId(0), p));
+        match m.run(1_000) {
+            Err(SimError::BadProgram(msg)) => {
+                assert!(msg.contains(instr) && msg.contains("65537"), "{msg}")
+            }
+            other => panic!("{instr}: unexpected {other:?}"),
+        }
+        assert_eq!(m.mem().stats().commits, 0, "{instr} committed nothing");
+    }
+    // The VID-exhaustion sentinel stays a legal abortMTX operand.
+    let p = build(|b| {
+        b.li(Reg::R11, i64::from(VID_EXHAUSTION_SENTINEL));
+        b.abort_mtx(Reg::R11);
+        b.halt();
+    });
+    let mut m = Machine::new(cfg());
+    m.load_thread(0, ThreadContext::new(ThreadId(0), p));
+    match m.run(1_000) {
+        Ok(RunEvent::Misspeculation {
+            cause: MisspecCause::ExplicitAbort { vid },
+            ..
+        }) => assert_eq!(vid, Vid(VID_EXHAUSTION_SENTINEL)),
         other => panic!("unexpected {other:?}"),
     }
 }

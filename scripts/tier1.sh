@@ -7,6 +7,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 
+# Format gate: the tree stays `rustfmt`-clean (`scripts/check.sh` runs the
+# same check).
+cargo fmt --all -- --check
+
 # Per-crate test matrix: the union equals `cargo test -q --workspace`, but a
 # failure names its crate in the log instead of drowning in the firehose.
 for CRATE in hmtx-types hmtx-isa hmtx-analysis hmtx-mem hmtx-core \
@@ -65,9 +69,11 @@ bash scripts/serve_smoke.sh
 
 # Cluster smoke: 3 backends behind hmtx-router; checked sweeps stay green
 # through a hard backend kill (ring failover), the cluster frame reports
-# the fleet, and the router drains cleanly on SIGTERM. (The sustained-load
-# capacity benchmark is scripts/cluster_bench.sh -> BENCH_pr9.json; it is
-# an artifact generator, not a CI gate.)
+# the fleet, and the router drains cleanly on SIGTERM.
+# (scripts/cluster_bench.sh -> BENCH_pr9.json is an artifact generator, not
+# a CI gate, and no longer a capacity benchmark: its 80 keys fit the
+# router's result tier, so none of its measured arrivals reaches a backend
+# -- ROADMAP item 9.)
 bash scripts/cluster_smoke.sh
 
 # Benchmark smoke: every BENCHMARK.json workload runs 5 s through
