@@ -1,10 +1,31 @@
 //! Canonical state encoding with core/line symmetry reduction.
 //!
-//! The visited set stores one 64-bit hash per canonical state
-//! (hash compaction, Stern–Dill style). A state's canonical hash is the
+//! The visited set stores one 64-bit fingerprint per canonical state
+//! (hash compaction, Stern–Dill style). A state's encoding is the multiset
+//! of its stored line versions, each packed injectively into three words,
+//! after its unrelabeled progress. Its canonical fingerprint is the
 //! minimum, over the core permutation × line permutation pairs that can map
-//! it onto another reachable state, of the hash of its encoding with caches
-//! and line addresses relabeled through the permutation.
+//! it onto another reachable state, of the fingerprint of the encoding with
+//! caches and line addresses relabeled through the permutation.
+//!
+//! # The fingerprint
+//!
+//! Each packed version gets an element hash: a wyhash-style folded
+//! multiply (the 64×64→128-bit product of its first two words, each xored
+//! with an odd constant, high half xor low half), xored with the third word
+//! and passed through a bijective xorshift-multiply finalizer. The element
+//! hashes are summed with wrapping addition, which does not depend on
+//! their order, so nothing is sorted; the sum, the version count and the
+//! progress prefix (`committed`, the abort flag, `next[]`) are folded
+//! together with the same multiply. Two distinct multisets can only merge
+//! if their sums collide, which, for element hashes that behave like
+//! independent random 64-bit values, happens with probability about 2^-64
+//! per pair: a false merge among the 2.9 million states of the largest
+//! exhausted model is about a 2^-22 event. The checker's test
+//! `fingerprint_search_matches_an_exact_visited_set` runs the same search
+//! keyed by the exact encoding (progress plus the stabilizer-minimal
+//! sorted packed words) and gets the same counts and violations on every
+//! small model, the planted defect and the 50,000-state c2-l2-v3 cut-off.
 //!
 //! # Why the reduction is sound
 //!
@@ -36,7 +57,6 @@
 //! the identity alone.
 
 use std::cell::RefCell;
-use std::hash::{DefaultHasher, Hash, Hasher};
 
 use hmtx_explore::{OpKernel, OpMachine};
 use hmtx_types::{Addr, LineAddr};
@@ -70,7 +90,7 @@ type LineBody = (u8, u16, u16, u16, bool, bool, u8, u64);
 /// One line version packed injectively into three words: `[cache label <<
 /// 48 | line label << 32 | state << 24 | LRU rank << 16 | shared hint << 1
 /// | pending commit, modVID << 32 | highVID << 16 | phantom VID, data
-/// word]`. A state's encoding is its versions' packed words, sorted.
+/// word]`. A state's encoding is the multiset of its versions' packed words.
 type Packed = [u64; 3];
 
 /// The line label of an address outside the model's line set.
@@ -97,15 +117,50 @@ fn pack(cache: usize, line: usize, body: LineBody) -> Packed {
     ]
 }
 
-/// One stored line version, pre-extracted for relabeling: `(cache, line)`
-/// hold *raw* indices (`cache == cores` means the shared L2, `cache ==
-/// cores + 1` the overflow table; `line == usize::MAX` an address outside
-/// the model's line set).
-#[derive(Debug, Clone, Copy)]
-struct RawLine {
-    cache: usize,
-    line: usize,
-    body: LineBody,
+/// The label fields of a packed version's first word: the cache label
+/// at bit 48 and the line label at bit 32.
+const LABELS: u64 = 0xFFFF_FFFF << 32;
+
+/// wyhash's four odd constants. The first has bit 2 set, which no packed
+/// first word has, and the second bit 48 and up, which no packed second
+/// word has, so neither factor of an element's folded multiply is zero.
+const K: [u64; 4] = [
+    0xa076_1d64_78bd_642f,
+    0xe703_7ed1_a0b4_28db,
+    0x8ebc_6af0_9c88_c6e3,
+    0x5899_65cc_7537_4cc3,
+];
+
+/// The 64×64→128-bit product of `a` and `b` folded to 64 bits (high
+/// half xor low half), each word first xored with its own constant.
+fn mix(a: u64, b: u64) -> u64 {
+    let p = u128::from(a ^ K[0]) * u128::from(b ^ K[1]);
+    (p >> 64) as u64 ^ p as u64
+}
+
+/// A bijective xorshift-multiply finalizer (two odd multipliers), so a
+/// change to its input always changes its output.
+fn finish(mut x: u64) -> u64 {
+    x ^= x >> 32;
+    x = x.wrapping_mul(K[2]);
+    x ^= x >> 29;
+    x = x.wrapping_mul(K[3]);
+    x ^ x >> 32
+}
+
+/// The hash of one packed version: a full-avalanche mix of its three
+/// words. The state fingerprint sums these, so it needs them to behave
+/// like independent random 64-bit values.
+fn element_hash([w0, w1, w2]: Packed) -> u64 {
+    finish(mix(w0, w1) ^ w2)
+}
+
+/// The unrelabeled progress prefix of `m`: `committed`, the abort flag and
+/// `next[]`. Progress identifies the remaining ops, which every permutation
+/// in the stabilizer leaves as they are.
+fn progress(m: &OpMachine) -> u64 {
+    let h = mix(u64::from(m.committed), u64::from(m.misspec.is_some()));
+    m.next.iter().fold(h, |h, &n| mix(h, n as u64))
 }
 
 /// One permutation of core or line indices, stored as the label of each
@@ -148,14 +203,6 @@ impl Relabel {
     }
 }
 
-/// The two buffers of one [`Encoder::state_hash`] call, reused by the
-/// next call.
-#[derive(Debug, Default)]
-struct HashScratch {
-    raw: Vec<RawLine>,
-    enc: Vec<Packed>,
-}
-
 /// Precomputed encoder for one kernel: the line-address table, the cores
 /// and lines each transaction's remaining ops are bound to, and the
 /// permutation sets to minimize over.
@@ -169,7 +216,9 @@ pub struct Encoder {
     bound: Vec<Vec<(u64, u64)>>,
     core_perms: Vec<Relabel>,
     line_perms: Vec<Relabel>,
-    scratch: RefCell<HashScratch>,
+    /// The packed versions of the state being hashed, reused by the next
+    /// [`Encoder::state_hash`] call.
+    scratch: RefCell<Vec<Packed>>,
 }
 
 impl Encoder {
@@ -223,16 +272,17 @@ impl Encoder {
             .unwrap_or(usize::MAX)
     }
 
-    /// Every stored version of `m`, with raw cache and line indices, in
-    /// scan order (the encoding sorts after relabeling), into `raw`.
-    fn raw_lines_into(&self, m: &OpMachine, raw: &mut Vec<RawLine>) {
+    /// Every stored version of `m`, packed under its *raw* cache and line
+    /// indices (L1[i] at `i`, the shared L2 at `cores`, the overflow table
+    /// at `cores + 1`), in scan order, into `raw`.
+    fn raw_lines_into(&self, m: &OpMachine, raw: &mut Vec<Packed>) {
         raw.clear();
         for (idx, cache) in m.mem.caches().enumerate() {
             for a in cache.abstract_lines() {
-                raw.push(RawLine {
-                    cache: idx, // L1[i] at i, L2 at `cores`
-                    line: self.line_index(a.addr),
-                    body: (
+                raw.push(pack(
+                    idx,
+                    self.line_index(a.addr),
+                    (
                         a.state as u8,
                         a.mod_vid.0,
                         a.high_vid.0,
@@ -242,14 +292,14 @@ impl Encoder {
                         a.lru_rank,
                         a.word0,
                     ),
-                });
+                ));
             }
         }
         for l in m.mem.overflow_lines() {
-            raw.push(RawLine {
-                cache: self.cores + 1,
-                line: self.line_index(l.meta.addr),
-                body: (
+            raw.push(pack(
+                self.cores + 1,
+                self.line_index(l.meta.addr),
+                (
                     l.meta.state as u8,
                     l.meta.mod_vid.0,
                     l.meta.high_vid.0,
@@ -259,68 +309,108 @@ impl Encoder {
                     0,
                     l.data.read_u64(0),
                 ),
-            });
+            ));
         }
     }
 
-    /// The cache contents relabeled through `cp` and `lp` and packed:
-    /// caches in label order, line versions sorted within each cache.
-    fn relabel_into(&self, raw: &[RawLine], cp: &[usize], lp: &[usize], enc: &mut Vec<Packed>) {
+    /// `p` with its L1 label mapped through `cp` and its line label
+    /// through `lp` (the L2, the overflow table and out-of-model lines
+    /// keep theirs).
+    fn relabel(&self, p: Packed, cp: &[usize], lp: &[usize]) -> Packed {
+        let cache = (p[0] >> 48) as usize;
+        let line = p[0] >> 32 & OUT_OF_MODEL;
+        let cache = if cache < self.cores { cp[cache] } else { cache };
+        let line = if line == OUT_OF_MODEL {
+            line
+        } else {
+            lp[line as usize] as u64
+        };
+        [
+            p[0] & !LABELS | (cache as u64) << 48 | line << 32,
+            p[1],
+            p[2],
+        ]
+    }
+
+    /// The cache contents relabeled through `cp` and `lp`, sorted: the
+    /// exact encoding the fingerprint stands for.
+    #[cfg(test)]
+    fn relabel_into(&self, raw: &[Packed], cp: &[usize], lp: &[usize], enc: &mut Vec<Packed>) {
         enc.clear();
-        enc.extend(raw.iter().map(|r| {
-            let cache = if r.cache < self.cores {
-                cp[r.cache]
-            } else {
-                r.cache
-            };
-            let line = if r.line == usize::MAX {
-                usize::MAX
-            } else {
-                lp[r.line]
-            };
-            pack(cache, line, r.body)
-        }));
+        enc.extend(raw.iter().map(|&p| self.relabel(p, cp, lp)));
         enc.sort_unstable();
     }
 
-    /// The canonical hash of a model state. Its buffers are the encoder's
-    /// own, reused from call to call.
-    pub fn state_hash(&self, kernel: &OpKernel, m: &OpMachine) -> u64 {
-        let mut scratch = self.scratch.borrow_mut();
-        let HashScratch { raw, enc } = &mut *scratch;
-        self.raw_lines_into(m, raw);
-
-        // Progress identifies the remaining ops, which every permutation
-        // in the stabilizer leaves as they are.
-        let mut prefix = DefaultHasher::new();
-        m.committed.hash(&mut prefix);
-        m.misspec.is_some().hash(&mut prefix);
-        m.next.hash(&mut prefix);
-        let (bound_cores, bound_lines) = self
-            .bound
+    /// The masks of the cores and lines `m`'s remaining ops are bound to:
+    /// the stabilizer is the permutations that fix both.
+    fn bound_masks(&self, kernel: &OpKernel, m: &OpMachine) -> (u64, u64) {
+        self.bound
             .iter()
             .enumerate()
             .map(|(t, suffix)| suffix[m.next[t].min(kernel.txs[t].len())])
-            .fold((0, 0), |(c, l), (tc, tl)| (c | tc, l | tl));
+            .fold((0, 0), |(c, l), (tc, tl)| (c | tc, l | tl))
+    }
 
+    /// The canonical fingerprint of a model state. Its buffer is the
+    /// encoder's own, reused from call to call.
+    pub fn state_hash(&self, kernel: &OpKernel, m: &OpMachine) -> u64 {
+        let mut raw = self.scratch.borrow_mut();
+        self.raw_lines_into(m, &mut raw);
+        self.fingerprint(progress(m), &raw, self.bound_masks(kernel, m))
+    }
+
+    /// The minimum, over the permutations that fix the `cores` and `lines`
+    /// masks, of `progress` and the version count mixed with the wrapping
+    /// sum of the relabeled versions' element hashes. The sum does not depend on the order of
+    /// `raw`, so nothing is sorted.
+    fn fingerprint(&self, progress: u64, raw: &[Packed], (cores, lines): (u64, u64)) -> u64 {
+        let prefix = mix(progress, raw.len() as u64);
         let mut best = u64::MAX;
-        for cp in self.core_perms.iter().filter(|p| p.fixes(bound_cores)) {
-            for lp in self.line_perms.iter().filter(|p| p.fixes(bound_lines)) {
-                self.relabel_into(raw, &cp.label, &lp.label, enc);
-                let mut h = prefix.clone();
-                enc.as_flattened().hash(&mut h);
-                best = best.min(h.finish());
+        for cp in self.core_perms.iter().filter(|p| p.fixes(cores)) {
+            for lp in self.line_perms.iter().filter(|p| p.fixes(lines)) {
+                let sum = raw
+                    .iter()
+                    .map(|&p| element_hash(self.relabel(p, &cp.label, &lp.label)))
+                    .fold(0, u64::wrapping_add);
+                best = best.min(mix(prefix, sum));
             }
         }
         best
     }
+
+    /// The exact visited key that [`Encoder::state_hash`] compacts: the
+    /// progress prefix and the stabilizer-minimal sorted encoding.
+    #[cfg(test)]
+    pub(crate) fn exact_key(&self, kernel: &OpKernel, m: &OpMachine) -> ExactKey {
+        let mut raw = Vec::new();
+        self.raw_lines_into(m, &mut raw);
+        let (bound_cores, bound_lines) = self.bound_masks(kernel, m);
+        let mut enc = Vec::new();
+        let mut best: Option<Vec<Packed>> = None;
+        for cp in self.core_perms.iter().filter(|p| p.fixes(bound_cores)) {
+            for lp in self.line_perms.iter().filter(|p| p.fixes(bound_lines)) {
+                self.relabel_into(&raw, &cp.label, &lp.label, &mut enc);
+                if best.as_ref().is_none_or(|b| enc < *b) {
+                    best = Some(enc.clone());
+                }
+            }
+        }
+        let lines = best.expect("the identity fixes every bound");
+        (m.committed, m.misspec.is_some(), m.next.clone(), lines)
+    }
 }
+
+/// An exact visited key: `committed`, the abort flag, `next[]` and the
+/// stabilizer-minimal sorted packed encoding.
+#[cfg(test)]
+pub(crate) type ExactKey = (u16, bool, Vec<usize>, Vec<Packed>);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hmtx_explore::model_kernel;
     use hmtx_types::ModelCheckConfig;
+    use std::hash::{DefaultHasher, Hash, Hasher};
 
     #[test]
     fn permutations_enumerate_n_factorial() {
@@ -358,7 +448,7 @@ mod tests {
             inputs.push((0, 0, (0, 0, 0, 0, false, false, 0, 1 << bit)));
         }
         let mut landed = [0u64; 3];
-        for (cache, line, body) in inputs {
+        for &(cache, line, body) in &inputs {
             let packed = pack(cache, line, body);
             assert_eq!(packed.iter().map(|w| w.count_ones()).sum::<u32>(), 1);
             for (seen, word) in landed.iter_mut().zip(packed) {
@@ -399,6 +489,107 @@ mod tests {
             .map(|&(cache, line, body)| pack(cache, line, body))
             .collect();
         assert_eq!(packed.len(), variants.len());
+
+        // The element hash keeps every one of these versions apart too.
+        let all: Vec<Packed> = inputs
+            .iter()
+            .chain(&variants)
+            .map(|&(cache, line, body)| pack(cache, line, body))
+            .collect();
+        let hashes: std::collections::HashSet<u64> = all.iter().map(|&p| element_hash(p)).collect();
+        assert_eq!(hashes.len(), all.len());
+    }
+
+    /// Every state c3-l3-v2 reaches, breadth-first, deduplicated by `enc`.
+    fn reachable_c3_l3_v2(enc: &Encoder, kernel: &OpKernel) -> Vec<OpMachine> {
+        let mut root = OpMachine::new(kernel, None);
+        root.settle(kernel).unwrap();
+        let mut visited = std::collections::HashSet::from([enc.state_hash(kernel, &root)]);
+        let mut states = vec![root];
+        let mut i = 0;
+        while i < states.len() {
+            for tx in states[i].enabled(kernel) {
+                let mut child = states[i].clone();
+                child.step(kernel, tx).unwrap();
+                if visited.insert(enc.state_hash(kernel, &child)) {
+                    states.push(child);
+                }
+            }
+            i += 1;
+        }
+        states
+    }
+
+    #[test]
+    fn flipping_any_packed_bit_changes_the_element_hash() {
+        // From an empty, a full and a widest-legal version, and from every
+        // version a c3-l3-v2 state stores, each of the 192 single-bit
+        // flips moves the element hash.
+        let cfg = ModelCheckConfig {
+            cores: 3,
+            lines: 3,
+            ..ModelCheckConfig::default()
+        };
+        let kernel = model_kernel(&cfg);
+        let enc = Encoder::new(&kernel, cfg.cores, true);
+        let vid = (1 << 12) - 1;
+        let mut bases = std::collections::BTreeSet::from([
+            [0; 3],
+            [u64::MAX; 3],
+            pack(65, 63, (7, vid, vid, vid, true, true, u8::MAX, u64::MAX)),
+        ]);
+        let mut raw = Vec::new();
+        for m in reachable_c3_l3_v2(&enc, &kernel) {
+            enc.raw_lines_into(&m, &mut raw);
+            bases.extend(&raw);
+        }
+        assert!(bases.len() > 20, "{}", bases.len());
+        for base in bases {
+            let h = element_hash(base);
+            for (word, bit) in (0..3).flat_map(|w| (0..64).map(move |b| (w, b))) {
+                let mut flipped = base;
+                flipped[word] ^= 1 << bit;
+                assert_ne!(element_hash(flipped), h, "{base:x?} word {word} bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_fingerprint_ignores_the_order_of_stored_versions() {
+        // On every reachable c3-l3-v2 state, reversing, rotating or
+        // shuffling the raw versions leaves the fingerprint as it is.
+        let cfg = ModelCheckConfig {
+            cores: 3,
+            lines: 3,
+            ..ModelCheckConfig::default()
+        };
+        let kernel = model_kernel(&cfg);
+        let enc = Encoder::new(&kernel, cfg.cores, true);
+        let mut raw = Vec::new();
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut permuted_states = 0;
+        for m in reachable_c3_l3_v2(&enc, &kernel) {
+            enc.raw_lines_into(&m, &mut raw);
+            let progress = progress(&m);
+            let bound = enc.bound_masks(&kernel, &m);
+            let want = enc.fingerprint(progress, &raw, bound);
+            assert_eq!(want, enc.state_hash(&kernel, &m));
+            if raw.len() < 2 {
+                continue;
+            }
+            permuted_states += 1;
+            let mut order = raw.clone();
+            order.reverse();
+            assert_eq!(enc.fingerprint(progress, &order, bound), want);
+            order.rotate_left(1);
+            assert_eq!(enc.fingerprint(progress, &order, bound), want);
+            for i in (1..order.len()).rev() {
+                seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                order.swap(i, (seed >> 33) as usize % (i + 1));
+            }
+            assert_eq!(enc.fingerprint(progress, &order, bound), want);
+        }
+        assert!(permuted_states > 1000, "{permuted_states}");
     }
 
     #[test]

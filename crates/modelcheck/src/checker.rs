@@ -1,6 +1,7 @@
 //! Breadth-first exhaustive search over the protocol model.
 
 use std::collections::VecDeque;
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hmtx_explore::opexplore::OpMachine;
@@ -48,6 +49,17 @@ fn render_trace(kernel: &OpKernel, order: &[usize]) -> Vec<String> {
 /// overwrites one with `clone_from`, reusing its buffers, and a fresh
 /// `clone()` happens only when there is none.
 pub fn check_kernel(kernel: &OpKernel, cfg: &ModelCheckConfig) -> ModelCheckReport {
+    search(kernel, cfg, |encoder, m| encoder.state_hash(kernel, m))
+}
+
+/// The search of [`check_kernel`], with each state's visited key given by
+/// `key` (the canonical fingerprint in every build; tests also run it on
+/// the exact encoding the fingerprint compacts).
+fn search<K: Eq + Hash>(
+    kernel: &OpKernel,
+    cfg: &ModelCheckConfig,
+    key: impl Fn(&Encoder, &OpMachine) -> K,
+) -> ModelCheckReport {
     let cores = kernel
         .txs
         .iter()
@@ -86,8 +98,8 @@ pub fn check_kernel(kernel: &OpKernel, cfg: &ModelCheckConfig) -> ModelCheckRepo
         record(&mut report, &root, &f);
         return report;
     }
-    let mut visited: FxHashSet<u64> = FxHashSet::default();
-    visited.insert(encoder.state_hash(kernel, &root));
+    let mut visited: FxHashSet<K> = FxHashSet::default();
+    visited.insert(key(&encoder, &root));
     report.reachable = 1;
 
     // Boxed, so a machine moves between the queue and the spares as a
@@ -142,7 +154,7 @@ pub fn check_kernel(kernel: &OpKernel, cfg: &ModelCheckConfig) -> ModelCheckRepo
                 spares.push(child);
                 continue;
             }
-            if visited.insert(encoder.state_hash(kernel, &child)) {
+            if visited.insert(key(&encoder, &child)) {
                 report.reachable += 1;
                 queue.push_back(child);
                 report.frontier_peak = report.frontier_peak.max(queue.len());
@@ -210,6 +222,48 @@ mod tests {
             assert!(sym.exhausted && asym.exhausted, "{sym}\n{asym}");
             assert_eq!(counts(&sym), sym_counts, "{sym}");
             assert_eq!(counts(&asym), asym_counts, "{asym}");
+        }
+    }
+
+    #[test]
+    fn fingerprint_search_matches_an_exact_visited_set() {
+        // The fingerprint compacts the exact key (progress plus the
+        // stabilizer-minimal sorted encoding); a false merge would shrink
+        // a count or hide a violation, a split would grow one.
+        let model = |cores, lines| ModelCheckConfig {
+            cores,
+            lines,
+            ..ModelCheckConfig::default()
+        };
+        let mut cfgs = Vec::new();
+        for cfg in [model(2, 2), model(3, 2), model(2, 3), model(3, 3)] {
+            cfgs.push(cfg);
+            cfgs.push(ModelCheckConfig {
+                symmetry: false,
+                ..cfg
+            });
+        }
+        cfgs.push(ModelCheckConfig {
+            seed_bug: Some(SeedBug::StaleMigrationReplica),
+            ..model(2, 2)
+        });
+        cfgs.push(ModelCheckConfig {
+            vid_bits: 3,
+            max_states: 50_000,
+            ..model(2, 2)
+        });
+        for cfg in cfgs {
+            let kernel = model_kernel(&cfg);
+            let fingerprint = check_kernel(&kernel, &cfg);
+            let exact = search(&kernel, &cfg, |encoder, m| encoder.exact_key(&kernel, m));
+            assert_eq!(counts(&fingerprint), counts(&exact), "{exact}");
+            assert_eq!(fingerprint.exhausted, exact.exhausted, "{exact}");
+            assert_eq!(fingerprint.violations, exact.violations, "{exact}");
+            assert_eq!(
+                fingerprint.is_clean(),
+                cfg.seed_bug.is_none(),
+                "{fingerprint}"
+            );
         }
     }
 

@@ -50,18 +50,34 @@ cargo run --release -p hmtx --bin hmtx-verify -- --all-workloads
 # vid_bits=2 models must exhaust clean in well under a second — every
 # reachable state satisfies every cache invariant, commit safety, and the
 # serializability oracle — and the planted stale-migration-replica defect
-# must be rediscovered (nonzero exit), proving the checker can still find
-# real bugs.
-cargo run --release -p hmtx-modelcheck --bin hmtx-model
-cargo run --release -p hmtx-modelcheck --bin hmtx-model -- --cores 3 --lines 3
-# vid_bits=2 spans only 4 VIDs; the 8-VID c2-l2-v3 model, cut off at 20k
-# states (a fraction of a second), must report no violations either.
-cargo run --release -p hmtx-modelcheck --bin hmtx-model -- --vid-bits 3 --max-states 20000
-if cargo run --release -p hmtx-modelcheck --bin hmtx-model -- \
-    --seed-bug stale-migration-replica >/dev/null; then
-  echo "hmtx-model failed to rediscover the planted defect" >&2
-  exit 1
-fi
+# must be rediscovered (exit 1), proving the checker can still find real
+# bugs. vid_bits=2 spans only 4 VIDs; the 8-VID c2-l2-v3 model, cut off at
+# 20k states (a fraction of a second), must report no violations either.
+# Each run's stdout, plain and --json, must equal its golden file in
+# tests/model_golden/ byte for byte: a change to the state encoding or its
+# fingerprint that merges or splits a single state fails here. Regenerate a
+# golden file (`target/release/hmtx-model ARGS [--json] > FILE`) only in a
+# change that deliberately changes the model.
+model_gate() {
+  local name=$1 want=$2
+  shift 2
+  local fmt got
+  for fmt in txt json; do
+    local args=("$@")
+    if [ "$fmt" = json ]; then args+=(--json); fi
+    got=0
+    target/release/hmtx-model "${args[@]}" > "target/model-$name.$fmt" || got=$?
+    if [ "$got" != "$want" ]; then
+      echo "hmtx-model ${args[*]} exited $got, want $want" >&2
+      exit 1
+    fi
+    diff -u "tests/model_golden/$name.$fmt" "target/model-$name.$fmt"
+  done
+}
+model_gate c2-l2-v2 0
+model_gate c3-l3-v2 0 --cores 3 --lines 3
+model_gate c2-l2-v3-20k 0 --vid-bits 3 --max-states 20000
+model_gate stale-migration-replica 1 --seed-bug stale-migration-replica
 
 # Serving-layer smoke: ephemeral hmtx-serve + hmtx-load burst; verifies
 # byte-identical cold/warm responses, cache-hit accounting, SIGTERM drain.
