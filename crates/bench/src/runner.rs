@@ -26,8 +26,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use hmtx_machine::Machine;
-use hmtx_runtime::{run_loop, LoopBody, Paradigm, RunReport};
-use hmtx_smtx::{run_hytm, run_smtx, RwSetMode};
+use hmtx_runtime::{run_hytm, run_loop, LoopBody, Paradigm, RunReport};
+use hmtx_smtx::{run_smtx, RwSetMode};
 use hmtx_types::{
     BenchRef, FaultSpec, JobSpec, MachineConfig, SimError, WireBase, WireParadigm, WireScale,
     WireVariant,

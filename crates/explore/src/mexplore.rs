@@ -34,7 +34,7 @@ use std::sync::Arc;
 use hmtx_core::{MemorySystem, Rules};
 use hmtx_isa::{assemble, run_serial_tm, Program, TmRefState};
 use hmtx_machine::{CoreEvent, Machine, ReplayPolicy, RunEvent, SchedulePolicy, ThreadContext};
-use hmtx_runtime::{build_paradigm, run_loop, LoopEnv, Paradigm};
+use hmtx_runtime::{loop_env, run_loop, start, Paradigm};
 use hmtx_types::{Addr, MachineConfig, SeedBug, SimError, ThreadId, Vid};
 use hmtx_workloads::Workload;
 
@@ -151,14 +151,8 @@ impl MachineSpec {
             .1
             .outputs;
         cfg.hmtx.seed_bug = seed_bug;
-        let env = LoopEnv::new(cfg.hmtx.max_vid().0, paradigm.workers(cfg.num_cores))
-            .with_pipeline_window(cfg.pipeline_window);
-        let mut template = Machine::new(cfg);
-        body.build_image(&mut template, &env);
-        let generated = build_paradigm(paradigm, body, &env, 1)?;
-        for (i, t) in generated.threads.into_iter().enumerate() {
-            template.load_thread(t.core, ThreadContext::new(ThreadId(i), t.program));
-        }
+        let (cfg, env) = loop_env(paradigm, &cfg)?;
+        let template = start(paradigm, body, cfg, &env)?;
         Ok(MachineSpec {
             name: body.meta().name.to_string(),
             template,

@@ -19,7 +19,7 @@
 use hmtx_analysis::{verify_set, VerifyReport};
 use hmtx_isa::{assemble, Program};
 use hmtx_runtime::{
-    build_paradigm, emit, squeezed_config, verify_generated, GeneratedThreads, LoopEnv, Paradigm,
+    build_paradigm, emit, hytm_env, loop_env, verify_generated, GeneratedThreads, LoopEnv, Paradigm,
 };
 use hmtx_smtx::emit::build_smtx_pipeline;
 use hmtx_smtx::RwSetMode;
@@ -133,16 +133,6 @@ impl SetResult {
     }
 }
 
-/// Worker threads `paradigm` runs on `cores` cores, as `runtime::run_loop`
-/// sizes them.
-fn workers(paradigm: Paradigm, cores: usize) -> usize {
-    match paradigm {
-        Paradigm::Sequential | Paradigm::Dswp => 1,
-        Paradigm::Doall | Paradigm::Doacross => cores,
-        Paradigm::PsDswp => cores.saturating_sub(1).max(1),
-    }
-}
-
 /// Runs the configured verification.
 ///
 /// # Errors
@@ -181,8 +171,8 @@ pub fn run(opts: &Options) -> Result<VcliReport, SimError> {
 }
 
 /// Emits and verifies every shipped workload under every paradigm and SMTX
-/// mode, mirroring how `runtime::run_loop` / `smtx::run_smtx` size the
-/// worker pools from the paper-default machine configuration.
+/// mode, with the environments `runtime::run_loop`, `runtime::run_hytm` and
+/// `smtx::run_smtx` build from the paper-default machine configuration.
 fn verify_all_workloads(scale: Scale) -> Result<Vec<SetResult>, SimError> {
     let cfg = MachineConfig::paper_default();
     let max_vid = cfg.hmtx.max_vid().0;
@@ -191,8 +181,7 @@ fn verify_all_workloads(scale: Scale) -> Result<Vec<SetResult>, SimError> {
         let name = workload.meta().name;
         let body = workload.as_ref();
         for paradigm in PARADIGMS {
-            let env = LoopEnv::new(max_vid, workers(paradigm, cfg.num_cores))
-                .with_pipeline_window(cfg.pipeline_window);
+            let (_, env) = loop_env(paradigm, &cfg)?;
             let generated = build_paradigm(paradigm, body, &env, 1)?;
             let label = format!("{name}/{}", paradigm.name());
             results.push(SetResult::generated(label, &generated));
@@ -205,19 +194,12 @@ fn verify_all_workloads(scale: Scale) -> Result<Vec<SetResult>, SimError> {
             results.push(SetResult::generated(label, &generated));
         }
         // The HyTM fast path: the workload's own paradigm emitted with the
-        // VID-exhaustion watchdog armed, exactly as `smtx::hytm::run_hytm`
-        // builds it (the watchdog's sentinel-abort escape is the idiom the
+        // VID-exhaustion watchdog armed, in the environment `run_hytm` runs
+        // it in (the watchdog's sentinel-abort escape is the idiom the
         // analyzer's `mtx` pass resolves via constant propagation).
         {
-            let mut base = cfg.clone();
-            if !base.hytm.enabled {
-                base.hytm = hmtx_types::HytmConfig::paper_default();
-            }
             let paradigm = workload.meta().paradigm;
-            let (run_cfg, hytm_max_vid) = squeezed_config(&base);
-            let env = LoopEnv::new(hytm_max_vid, workers(paradigm, base.num_cores))
-                .with_pipeline_window(run_cfg.pipeline_window)
-                .with_vid_watchdog(run_cfg.hytm.watchdog_spins);
+            let (_, env) = hytm_env(paradigm, &cfg)?;
             let generated = build_paradigm(paradigm, body, &env, 1)?;
             let label = format!("{name}/hytm-{}", paradigm.name());
             results.push(SetResult::generated(label, &generated));

@@ -11,6 +11,7 @@
 //! `1` at least one violation (counterexamples printed, and lowered to a
 //! replayable seed with `--seed-out`), `2` usage error.
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 use hmtx_explore::{model_kernel, resolve_kernel, OpKernel};
@@ -153,10 +154,18 @@ fn main() -> ExitCode {
         eprintln!("hmtx-model: counterexample seed written to {path}");
     }
 
-    if opts.json {
-        println!("{}", render_json(kernel, &report));
+    let text = if opts.json {
+        render_json(kernel, &report)
     } else {
-        println!("{report}");
+        report.to_string()
+    };
+    // A reader that closed stdout early (`| head -1`) ends the run quietly;
+    // the verdict still sets the exit status.
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{text}") {
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("hmtx-model: cannot write stdout: {e}");
+            return ExitCode::from(2);
+        }
     }
     if report.is_clean() {
         ExitCode::SUCCESS

@@ -1,7 +1,8 @@
 //! Command-line tests for `hmtx-model`: argument validation happens before
 //! any model is built, and every usage error exits 2.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
 
 fn hmtx_model(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hmtx-model"))
@@ -81,5 +82,35 @@ fn large_models_run_without_symmetry_and_small_ones_with_it() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert_eq!(out.status.code(), Some(0), "{args:?}: {stdout}");
         assert!(stdout.contains("no violations"), "{args:?}: {stdout}");
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly_with_the_verdict() {
+    let args = ["--vid-bits", "3", "--max-states", "50000"];
+    let verdict = hmtx_model(&args).status.code();
+    let spawn = || {
+        Command::new(env!("CARGO_BIN_EXE_hmtx-model"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawning hmtx-model")
+    };
+    // As `| head -1` does: read one line, then drop the pipe.
+    let mut child = spawn();
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut line)
+        .expect("reading the first line");
+    assert!(!line.is_empty(), "no first line");
+    // And closed before the first write, so the write surely fails.
+    let mut closed = spawn();
+    drop(closed.stdout.take());
+    for child in [child, closed] {
+        let out = child.wait_with_output().expect("waiting for hmtx-model");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), verdict, "stderr: {stderr}");
+        assert!(stderr.is_empty(), "stderr: {stderr}");
     }
 }

@@ -3,7 +3,8 @@
 //! the paradigms of Figure 1 — Sequential, DOALL, DOACROSS, DSWP, and
 //! PS-DSWP — using the HMTX instructions of §3 (`beginMTX`/`commitMTX`/
 //! `abortMTX`), ordered commits, VID wraparound with §4.6 resets, and
-//! host-side misspeculation recovery.
+//! host-side misspeculation recovery — on the retry ladder of
+//! [`run_loop`] or the HyTM demotion ladder of [`run_hytm`].
 //!
 //! # Examples
 //!
@@ -43,6 +44,7 @@
 pub mod body;
 pub mod emit;
 pub mod env;
+pub mod hytm;
 pub mod runner;
 
 pub use body::LoopBody;
@@ -51,12 +53,15 @@ pub use emit::{
     Paradigm,
 };
 pub use env::LoopEnv;
+pub use hytm::{hytm_env, run_hytm};
 pub use runner::{
-    chaos_invariant_check, check_cores, resync_rcb, run_loop, speedup, squeezed_config,
-    DemotionCause, HytmMix, RecoveryRecord, RecoveryRung, RunReport, VID_EXHAUSTION_SENTINEL,
+    check_cores, loop_env, run_loop, speedup, squeezed_config, start, DemotionCause, HytmMix,
+    RecoveryRecord, RecoveryRung, RunReport, VID_EXHAUSTION_SENTINEL,
 };
 
 #[cfg(test)]
 mod emit_tests;
+#[cfg(test)]
+mod hytm_tests;
 #[cfg(test)]
 mod runtime_tests;

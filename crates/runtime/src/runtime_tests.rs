@@ -10,7 +10,7 @@ use hmtx_types::{Addr, CoreId, MachineConfig, SimError, Vid};
 use crate::body::LoopBody;
 use crate::emit::Paradigm;
 use crate::env::{rcb, regs, LoopEnv};
-use crate::runner::{resync_rcb, run_loop, run_single_tx, RecoveryRung};
+use crate::runner::{resync_rcb, run_loop, run_single_tx, RecoveryRung, Run};
 
 const CELLS: u64 = 0x0010_0000;
 
@@ -295,7 +295,15 @@ fn serialized_rung_commits_the_stuck_transaction_exactly_once() {
     let body = ChainSum { iters: 5 };
     body.build_image(&mut machine, &env);
     let before = machine.mem().stats().commits;
-    let outcome = run_single_tx(&mut machine, &body, &env, 1).unwrap();
+    let mut run = Run {
+        paradigm: Paradigm::PsDswp,
+        body: &body,
+        env,
+        machine,
+        budget: u64::MAX,
+    };
+    let outcome = run_single_tx(&mut run, 1).unwrap();
+    let machine = run.machine;
     assert!(outcome.is_none(), "a lone transaction cannot conflict");
     assert_eq!(
         machine.mem().stats().commits,
@@ -336,6 +344,27 @@ fn ladder_escalates_to_single_tx_when_parallel_retries_exhausted() {
             .any(|r| r.rung == RecoveryRung::SingleTx),
         "zero parallel retries must escalate straight to the serialized rung"
     );
+}
+
+#[test]
+fn serialized_rung_counts_against_the_budget() {
+    let mut c = cfg();
+    c.recovery_parallel_retries = 0;
+    let body = SharedAccum { iters: 10 };
+    let (_, report) = run_loop(Paradigm::PsDswp, &body, &c, 50_000_000).unwrap();
+    assert!(report
+        .recovery_log
+        .iter()
+        .any(|r| r.rung == RecoveryRung::SingleTx));
+    // Exactly the instructions the run retired, serialized rungs included,
+    // suffice; one fewer is a named budget error, not a longer run.
+    let total = report.instructions;
+    let (_, again) = run_loop(Paradigm::PsDswp, &body, &c, total).unwrap();
+    assert_eq!(again.instructions, total);
+    match run_loop(Paradigm::PsDswp, &body, &c, total - 1).unwrap_err() {
+        SimError::InstructionBudgetExceeded { budget } => assert_eq!(budget, total - 1),
+        other => panic!("expected InstructionBudgetExceeded, got {other:?}"),
+    }
 }
 
 #[test]

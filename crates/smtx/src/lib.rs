@@ -28,11 +28,9 @@
 #![warn(missing_docs)]
 
 pub mod emit;
-pub mod hytm;
 pub mod runner;
 
 pub use emit::{RwSetMode, SMTX_MAX_WORKERS};
-pub use hytm::run_hytm;
 pub use runner::{run_smtx, SmtxReport};
 
 #[cfg(test)]

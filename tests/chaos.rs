@@ -5,8 +5,7 @@
 //! fault-free run, keep the protocol invariants clean, and never report
 //! `BadProgram` for a recoverable condition.
 
-use hmtx::runtime::{run_loop, DemotionCause, RecoveryRung, RunReport};
-use hmtx::smtx::run_hytm;
+use hmtx::runtime::{run_hytm, run_loop, DemotionCause, RecoveryRung, RunReport};
 use hmtx::types::{FaultConfig, HytmConfig, MachineConfig, SimError};
 use hmtx::workloads::{suite, Scale, Workload};
 use proptest::prelude::*;

@@ -100,21 +100,11 @@ fn hytm_watchdog_emitters_verify_clean() {
     // The HyTM fast path arms the VID-exhaustion watchdog, whose
     // sentinel-abort escape (`li T0, 0x7FFF; abortMTX T0`) the analyzer
     // resolves via constant propagation.
-    let mut cfg = MachineConfig::paper_default();
-    if !cfg.hytm.enabled {
-        cfg.hytm = hmtx::types::HytmConfig::paper_default();
-    }
+    let cfg = MachineConfig::paper_default();
     for workload in suite(Scale::Quick) {
         let paradigm = workload.meta().paradigm;
-        let workers = match paradigm {
-            Paradigm::Sequential | Paradigm::Dswp => 1,
-            Paradigm::Doall | Paradigm::Doacross => cfg.num_cores,
-            Paradigm::PsDswp => cfg.num_cores.saturating_sub(1).max(1),
-        };
-        let (run_cfg, max_vid) = hmtx::runtime::squeezed_config(&cfg);
-        let env = LoopEnv::new(max_vid, workers)
-            .with_pipeline_window(run_cfg.pipeline_window)
-            .with_vid_watchdog(run_cfg.hytm.watchdog_spins);
+        let (_, env) = hmtx::runtime::hytm_env(paradigm, &cfg).expect("paper cores fit");
+        assert!(env.vid_watchdog.is_some(), "run_hytm arms the watchdog");
         let generated =
             build_paradigm(paradigm, workload.as_ref(), &env, 1).expect("emission succeeds");
         let report = verify_generated(&generated);
